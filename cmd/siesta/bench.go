@@ -57,8 +57,7 @@ type benchReport struct {
 // end-to-end synthesize) serial vs parallel across rank counts and writes a
 // JSON report, tracking the repo's perf trajectory (BENCH_9.json, CI-generated). With
 // -exp it instead regenerates the paper's evaluation tables through the
-// shared experiments driver (same as the siesta-bench command); see
-// EXPERIMENTS.md.
+// shared experiments driver; see EXPERIMENTS.md.
 func runBench(args []string) {
 	fs := flag.NewFlagSet("siesta bench", flag.ExitOnError)
 	appName := fs.String("app", "CG", "application to benchmark")

@@ -130,13 +130,6 @@ func (cp *Checkpoint) covers(phase string) bool {
 	return cp != nil && phaseRank(cp.Phase) >= phaseRank(phase)
 }
 
-// clone returns a value copy sharing the payload slices (which are never
-// mutated after construction).
-func (cp *Checkpoint) clone() *Checkpoint {
-	c := *cp
-	return &c
-}
-
 // Equal reports whether two checkpoints carry identical state — used by
 // tests to prove checkpointing is deterministic.
 func (cp *Checkpoint) Equal(o *Checkpoint) bool {
@@ -151,32 +144,35 @@ func (cp *Checkpoint) Equal(o *Checkpoint) bool {
 		cp.CheckSummary == o.CheckSummary
 }
 
-// validateResume decides how much of a resume checkpoint is usable for a
-// run whose options fingerprint is fp. It decodes the payloads eagerly so
-// corruption is discovered here, not mid-pipeline: a fingerprint mismatch
-// or an undecodable trace rejects the checkpoint outright (clean
-// recompute); an undecodable program with an intact trace degrades to a
-// post-trace resume. The returned checkpoint is what the run actually
-// honors.
-func validateResume(cp *Checkpoint, fp string) (*Checkpoint, *trace.Trace, *merge.Program) {
+// resumeTrace returns the trace a resume checkpoint restores for a run
+// whose options fingerprint is fp, or nil — a fingerprint mismatch, a
+// checkpoint short of PhaseTrace, or an undecodable trace all mean a clean
+// recompute. Corruption is discovered here, not mid-pipeline.
+func resumeTrace(cp *Checkpoint, fp string) *trace.Trace {
 	if cp == nil || cp.Fingerprint != fp || !cp.covers(PhaseTrace) {
-		return nil, nil, nil
+		return nil
 	}
 	t, err := trace.Decode(cp.TraceBytes)
 	if err != nil {
-		return nil, nil, nil
+		return nil
 	}
-	if !cp.covers(PhaseMerge) {
-		return cp, t, nil
+	return t
+}
+
+// resumeProgram returns the merged program a resume checkpoint restores,
+// or nil. It needs no trace: the program alone lets a run skip merging, so
+// a program-only merge checkpoint resumes as well as Synthesize's. An
+// undecodable program under an intact trace leaves Synthesize resuming
+// from PhaseTrace.
+func resumeProgram(cp *Checkpoint, fp string) *merge.Program {
+	if cp == nil || cp.Fingerprint != fp || !cp.covers(PhaseMerge) {
+		return nil
 	}
 	p, err := merge.Decode(cp.ProgramBytes)
 	if err != nil {
-		d := cp.clone()
-		d.Phase = PhaseTrace
-		d.ProgramBytes, d.MemoBytes, d.CheckSummary = nil, nil, ""
-		return d, t, nil
+		return nil
 	}
-	return cp, t, p
+	return p
 }
 
 // Checkpointer persists checkpoints at phase boundaries. Save is called on

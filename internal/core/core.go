@@ -188,313 +188,53 @@ type Result struct {
 	ResumedFrom string
 }
 
-// Synthesize runs the full pipeline on the application.
+// Synthesize runs the full pipeline on the application: the simulated
+// front half (baseline and traced runs), then the back half every entry
+// shares (see tail), then the post-search checkpoint only this entry
+// writes.
 func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Ranks <= 0 {
 		return nil, fmt.Errorf("core: Ranks must be positive")
 	}
-	res := &Result{Opts: opts}
-	tr := opts.Tracer
-	// cur is the in-flight phase span; phase ends it and opens the next.
-	// All obs methods are nil-receiver safe, and the attribute list is only
-	// built when a tracer is attached, so the disabled path costs one nil
-	// check per phase and allocates nothing (pinned by the overhead
-	// benchmark in obs_test.go).
-	var cur *obs.Span
-	phase := func(name string) error {
-		cur.End()
-		cur = nil
-		if tr != nil {
-			cur = tr.Phase(name,
-				obs.Int("ranks", opts.Ranks),
-				obs.Int("parallelism", opts.Parallelism))
-		}
-		// The simulated runs poll the context themselves; this check
-		// covers the pure phases (merge, check, codegen) between them.
-		if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
-			return &mpi.CancelError{Cause: context.Cause(ctx)}
-		}
-		return nil
-	}
-	defer func() { cur.End() }()
+	r := newRun(opts)
+	defer r.end()
+	res := r.res
 
-	// Checkpoint/restart support (DESIGN.md §11): validate any resume
-	// checkpoint up front — a stale fingerprint or corrupt payload forces
-	// a clean recompute rather than an error — and prepare the save hook
-	// for the phase boundaries below.
-	var fp string
-	if opts.Checkpointer != nil || opts.Resume != nil {
-		fp = OptionsFingerprint(opts)
-	}
-	resume, resumeTrace, resumeProg := validateResume(opts.Resume, fp)
-	var traceBytes, progBytes []byte // canonical payloads, encoded at most once
-	if resume != nil {
-		traceBytes, progBytes = resume.TraceBytes, resume.ProgramBytes
-	}
-	save := func(boundary string, build func(cp *Checkpoint)) error {
-		if opts.Checkpointer == nil {
-			return nil
-		}
-		var sp *obs.Span
-		if tr != nil {
-			sp = tr.Phase("checkpoint", obs.String("boundary", boundary))
-		}
-		cp := &Checkpoint{Fingerprint: fp, Phase: boundary, Overhead: res.Overhead}
-		build(cp)
-		err := opts.Checkpointer.Save(cp)
-		if sp != nil {
-			sp.SetAttrs(obs.Int("bytes",
-				len(cp.TraceBytes)+len(cp.ProgramBytes)+len(cp.MemoBytes)))
-		}
-		sp.End()
-		if err != nil {
-			return &CheckpointError{Phase: boundary, Err: err}
-		}
-		return nil
-	}
-
-	var err error
-	// bmatrix is the micro-benchmark B matrix codegen searches against.
-	// Overlapped runs warm it concurrently with the simulations; otherwise
-	// it is measured lazily at the codegen phase. Either way it is the
-	// first (and only) consumer of opts.BenchNoise, so the measured matrix
-	// is identical in both schedules.
-	var bmatrix *qp.Matrix
-	if resume != nil {
-		// The simulated executions are already captured in the encoded
-		// trace; restore it and the overhead they measured.
-		if err := phase("resume"); err != nil {
-			return nil, fmt.Errorf("core: resume: %w", err)
-		}
-		if tr != nil {
-			cur.SetAttrs(
-				obs.String("from", resume.Phase),
-				obs.Bool("resumed", true))
-		}
-		res.Trace = resumeTrace
-		res.Overhead = resume.Overhead
-		res.ResumedFrom = resume.Phase
+	// Checkpoint/restart support (DESIGN.md §11): a resume checkpoint whose
+	// trace decodes skips both simulated runs — the trace already captures
+	// them — and restores the overhead they measured. A stale fingerprint
+	// or a corrupt trace forces a clean recompute rather than an error;
+	// whether the checkpoint's program is usable too is the tail's call.
+	resume := opts.Resume
+	if t := resumeTrace(resume, r.fp); t != nil {
+		res.Trace, res.Overhead, res.ResumedFrom = t, resume.Overhead, PhaseTrace
+		r.traceBytes = resume.TraceBytes
 	} else {
-		baseCfg := mpi.Config{
-			Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
-			NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation, Seed: opts.Seed,
-			Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
+		resume = nil
+		if err := r.simulate(app); err != nil {
+			return nil, err
 		}
-		if tl := tr.NewTimeline("baseline", opts.Ranks); tl != nil {
-			baseCfg.Interceptor = tl
-		}
-		rec := trace.NewRecorder(opts.Ranks, opts.Trace)
-		tracedCfg := mpi.Config{
-			Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
-			NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation,
-			Seed: opts.Seed, Interceptor: rec,
-			Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
-		}
-
-		if opts.Parallelism > 1 && !opts.DisableOverlap {
-			// Overlapped runs: the baseline and traced worlds share seeds
-			// but no mutable state, so they execute concurrently — the
-			// segment costs max(baseline, traced) instead of their sum —
-			// while a third worker warms the codegen B matrix. Each run
-			// still owns a full phase span; the spans overlap in wall
-			// clock and are tagged so exports and metrics can tell.
-			cur.End()
-			cur = nil
-			if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
-				return nil, fmt.Errorf("core: baseline run: %w",
-					&mpi.CancelError{Cause: context.Cause(ctx)})
-			}
-			var baseSpan, traceSpan, warmSpan *obs.Span
-			if tr != nil {
-				baseSpan = tr.Phase("baseline",
-					obs.Int("ranks", opts.Ranks),
-					obs.Int("parallelism", opts.Parallelism),
-					obs.Bool("overlap", true))
-				traceSpan = tr.Phase("trace",
-					obs.Int("ranks", opts.Ranks),
-					obs.Int("parallelism", opts.Parallelism),
-					obs.Bool("overlap", true))
-				warmSpan = tr.Phase("warmup",
-					obs.Int("parallelism", opts.Parallelism),
-					obs.Bool("overlap", true))
-			}
-			var wg sync.WaitGroup
-			var baseErr, traceErr error
-			wg.Add(3)
-			go func() {
-				defer wg.Done()
-				defer baseSpan.End()
-				var e error
-				if res.BaselineRun, e = mpi.NewWorld(baseCfg).Run(app); e != nil {
-					baseErr = fmt.Errorf("core: baseline run: %w", e)
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				defer traceSpan.End()
-				var e error
-				if res.TracedRun, e = mpi.NewWorld(tracedCfg).Run(app); e != nil {
-					traceErr = fmt.Errorf("core: traced run: %w", e)
-					return
-				}
-				res.Trace = rec.Trace(opts.Platform.Name, opts.Impl.Name)
-				if tr != nil {
-					traceSpan.SetAttrs(
-						obs.Int("events", res.Trace.TotalEvents()),
-						obs.Int("raw_bytes", res.Trace.RawSize()))
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				defer warmSpan.End()
-				bmatrix = blocks.MeasureB(opts.Platform, opts.BenchNoise)
-			}()
-			wg.Wait()
-			if baseErr != nil {
-				return nil, baseErr
-			}
-			if traceErr != nil {
-				return nil, traceErr
-			}
-			res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
-		} else {
-			// Ground-truth run, without instrumentation (the timeline
-			// observer charges no virtual-time cost, so the run stays
-			// bit-identical).
-			if err := phase("baseline"); err != nil {
-				return nil, fmt.Errorf("core: baseline run: %w", err)
-			}
-			base := mpi.NewWorld(baseCfg)
-			if res.BaselineRun, err = base.Run(app); err != nil {
-				return nil, fmt.Errorf("core: baseline run: %w", err)
-			}
-
-			// Traced run: same seeds, plus the PMPI recorder.
-			if err := phase("trace"); err != nil {
-				return nil, fmt.Errorf("core: traced run: %w", err)
-			}
-			traced := mpi.NewWorld(tracedCfg)
-			if res.TracedRun, err = traced.Run(app); err != nil {
-				return nil, fmt.Errorf("core: traced run: %w", err)
-			}
-			res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
-			res.Trace = rec.Trace(opts.Platform.Name, opts.Impl.Name)
-			if tr != nil {
-				cur.SetAttrs(
-					obs.Int("events", res.Trace.TotalEvents()),
-					obs.Int("raw_bytes", res.Trace.RawSize()))
-			}
-		}
-		if err := save(PhaseTrace, func(cp *Checkpoint) {
-			traceBytes = res.Trace.Encode()
-			cp.TraceBytes = traceBytes
+		if err := r.save(PhaseTrace, func(cp *Checkpoint) {
+			r.traceBytes = res.Trace.Encode()
+			cp.TraceBytes = r.traceBytes
 		}); err != nil {
 			return nil, err
 		}
 	}
 
-	// Grammar extraction and merging; a post-merge checkpoint restores
-	// the program directly.
-	if resumeProg != nil {
-		res.Program = resumeProg
-	} else {
-		if err := phase("merge"); err != nil {
-			return nil, fmt.Errorf("core: merge: %w", err)
-		}
-		if res.Program, err = merge.Build(res.Trace, opts.Merge); err != nil {
-			return nil, fmt.Errorf("core: merge: %w", err)
-		}
+	if err := r.tail(resume, func() (*merge.Program, error) {
+		return merge.Build(res.Trace, opts.Merge)
+	}); err != nil {
+		return nil, err
 	}
-
-	// Static verification gate: the traced run completed, so the merged
-	// program must verify cleanly — an error here means grammar extraction
-	// or merging corrupted the communication structure, and the proxy
-	// would hang or diverge on replay.
-	if !opts.DisableCheck {
-		if err := phase("check"); err != nil {
-			return nil, fmt.Errorf("core: check: %w", err)
-		}
-		rep, err := check.Verify(res.Program, check.Options{
-			ExactBytes:    true,
-			AbsoluteRanks: opts.Trace.AbsoluteRanks,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: check: %w", err)
-		}
-		res.Check = rep
-		if rep.HasErrors() {
-			first := ""
-			for _, d := range rep.Diags {
-				if d.Severity >= check.Error {
-					first = d.String()
-					break
-				}
-			}
-			return nil, fmt.Errorf("core: merged program failed static verification (%s); first: %s",
-				rep.Summary(), first)
-		}
-	}
-	if resumeProg == nil {
-		if err := save(PhaseMerge, func(cp *Checkpoint) {
-			if traceBytes == nil {
-				traceBytes = res.Trace.Encode()
-			}
-			progBytes = res.Program.Encode()
-			cp.TraceBytes, cp.ProgramBytes = traceBytes, progBytes
+	if res.ResumedFrom != PhaseSearch {
+		if err := r.save(PhaseSearch, func(cp *Checkpoint) {
+			cp.TraceBytes, cp.ProgramBytes = r.traceBytes, r.progBytes
 			if res.Check != nil {
 				cp.CheckSummary = res.Check.Summary()
 			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Code generation. A post-search checkpoint pre-loads the memo so
-	// every cluster's QP solve is a cache hit; memo purity guarantees the
-	// replayed solutions are byte-identical to cold ones.
-	memo := opts.SearchMemo
-	if resume.covers(PhaseSearch) && len(resume.MemoBytes) > 0 {
-		if memo == nil {
-			memo = blocks.DefaultMemo
-		}
-		// An undecodable snapshot degrades to cold solves; results are
-		// unchanged either way.
-		memo.Import(resume.MemoBytes)
-	}
-	if err := phase("codegen"); err != nil {
-		return nil, fmt.Errorf("core: generate: %w", err)
-	}
-	genOpts := codegen.Options{
-		Platform:   opts.Platform,
-		Scale:      opts.Scale,
-		BenchNoise: opts.BenchNoise,
-		BMatrix:    bmatrix, // non-nil after an overlapped run's warmup
-		SearchMemo: memo,
-		Check:      res.Check,
-	}
-	if opts.Scale > 1 {
-		genOpts.CommSamples = codegen.CollectCommSamples(res.Trace)
-	}
-	if res.Generated, err = codegen.Generate(res.Program, genOpts); err != nil {
-		return nil, fmt.Errorf("core: generate: %w", err)
-	}
-	if tr != nil {
-		cur.SetAttrs(obs.Int("size_c", res.Generated.SizeC))
-	}
-	if !resume.covers(PhaseSearch) {
-		if err := save(PhaseSearch, func(cp *Checkpoint) {
-			if traceBytes == nil {
-				traceBytes = res.Trace.Encode()
-			}
-			if progBytes == nil {
-				progBytes = res.Program.Encode()
-			}
-			cp.TraceBytes, cp.ProgramBytes = traceBytes, progBytes
-			if res.Check != nil {
-				cp.CheckSummary = res.Check.Summary()
-			}
-			m := memo
+			m := r.memo
 			if m == nil {
 				m = blocks.DefaultMemo
 			}
@@ -503,8 +243,347 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	res.Proxy = proxy.New(res.Generated)
 	return res, nil
+}
+
+// SynthesizeTrace runs the back half over a recorded trace — merge,
+// verify, generate — with no simulated execution: the entry for uploaded
+// traces. The Result carries tr but no runs and no Overhead. With a
+// Checkpointer it writes one checkpoint, at the merge boundary, holding
+// the program alone; Options.Resume honors such a checkpoint.
+func SynthesizeTrace(tr *trace.Trace, opts Options) (*Result, error) {
+	opts.Ranks = len(tr.Ranks)
+	opts = opts.withDefaults()
+	r := newRun(opts)
+	defer r.end()
+	r.res.Trace = tr
+	if err := r.tail(opts.Resume, func() (*merge.Program, error) {
+		return merge.Build(tr, opts.Merge)
+	}); err != nil {
+		return nil, err
+	}
+	return r.res, nil
+}
+
+// run is one synthesis in flight: its options (defaults applied), the
+// result being filled, the open phase span, and the checkpoint state the
+// phase boundaries share.
+type run struct {
+	opts Options
+	res  *Result
+	// cur is the in-flight phase span; phase ends it and opens the next.
+	// All obs methods are nil-receiver safe, and the attribute list is
+	// only built when a tracer is attached, so the disabled path costs one
+	// nil check per phase and allocates nothing (pinned by the overhead
+	// benchmark in obs_test.go).
+	cur *obs.Span
+	// fp is the options fingerprint checkpoints carry; empty when the run
+	// neither saves nor resumes.
+	fp string
+	// traceBytes and progBytes are the canonical payloads, encoded at most
+	// once. traceBytes stays nil outside Synthesize, which is what keeps
+	// the other entries' merge checkpoints program-only.
+	traceBytes, progBytes []byte
+	// bmatrix is the micro-benchmark B matrix an overlapped front half
+	// warmed, nil when codegen measures it itself.
+	bmatrix *qp.Matrix
+	// memo is the search memo codegen solved through.
+	memo *blocks.Memo
+}
+
+func newRun(opts Options) *run {
+	r := &run{opts: opts, res: &Result{Opts: opts}}
+	if opts.Checkpointer != nil || opts.Resume != nil {
+		r.fp = OptionsFingerprint(opts)
+	}
+	return r
+}
+
+// end closes the in-flight phase span.
+func (r *run) end() {
+	r.cur.End()
+	r.cur = nil
+}
+
+// phase ends the in-flight span, opens the next, and reports a canceled
+// context. The simulated runs poll the context themselves; this check
+// covers the pure phases (merge, check, codegen) between them.
+func (r *run) phase(name string) error {
+	r.end()
+	if tr := r.opts.Tracer; tr != nil {
+		r.cur = tr.Phase(name,
+			obs.Int("ranks", r.opts.Ranks),
+			obs.Int("parallelism", r.opts.Parallelism))
+	}
+	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
+		return &mpi.CancelError{Cause: context.Cause(ctx)}
+	}
+	return nil
+}
+
+// save persists a checkpoint at a completed boundary: build fills the
+// payload, which is only encoded when a Checkpointer is attached.
+func (r *run) save(boundary string, build func(cp *Checkpoint)) error {
+	if r.opts.Checkpointer == nil {
+		return nil
+	}
+	var sp *obs.Span
+	if tr := r.opts.Tracer; tr != nil {
+		sp = tr.Phase("checkpoint", obs.String("boundary", boundary))
+	}
+	cp := &Checkpoint{Fingerprint: r.fp, Phase: boundary, Overhead: r.res.Overhead}
+	build(cp)
+	err := r.opts.Checkpointer.Save(cp)
+	if sp != nil {
+		sp.SetAttrs(obs.Int("bytes",
+			len(cp.TraceBytes)+len(cp.ProgramBytes)+len(cp.MemoBytes)))
+	}
+	sp.End()
+	if err != nil {
+		return &CheckpointError{Phase: boundary, Err: err}
+	}
+	return nil
+}
+
+// simulate is Synthesize's front half: the uninstrumented baseline run
+// (ground truth) and the traced run, overlapped when parallelism allows.
+func (r *run) simulate(app func(*mpi.Rank)) error {
+	opts, res, tr := r.opts, r.res, r.opts.Tracer
+	baseCfg := mpi.Config{
+		Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
+		NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation, Seed: opts.Seed,
+		Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
+	}
+	if tl := tr.NewTimeline("baseline", opts.Ranks); tl != nil {
+		baseCfg.Interceptor = tl
+	}
+	rec := trace.NewRecorder(opts.Ranks, opts.Trace)
+	tracedCfg := mpi.Config{
+		Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
+		NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation,
+		Seed: opts.Seed, Interceptor: rec,
+		Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
+	}
+
+	if opts.Parallelism <= 1 || opts.DisableOverlap {
+		// Ground-truth run, without instrumentation (the timeline
+		// observer charges no virtual-time cost, so the run stays
+		// bit-identical).
+		var err error
+		if err := r.phase("baseline"); err != nil {
+			return fmt.Errorf("core: baseline run: %w", err)
+		}
+		if res.BaselineRun, err = mpi.NewWorld(baseCfg).Run(app); err != nil {
+			return fmt.Errorf("core: baseline run: %w", err)
+		}
+
+		// Traced run: same seeds, plus the PMPI recorder.
+		if err := r.phase("trace"); err != nil {
+			return fmt.Errorf("core: traced run: %w", err)
+		}
+		if res.TracedRun, err = mpi.NewWorld(tracedCfg).Run(app); err != nil {
+			return fmt.Errorf("core: traced run: %w", err)
+		}
+		res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
+		res.Trace = rec.Trace(opts.Platform.Name, opts.Impl.Name)
+		if tr != nil {
+			r.cur.SetAttrs(
+				obs.Int("events", res.Trace.TotalEvents()),
+				obs.Int("raw_bytes", res.Trace.RawSize()))
+		}
+		return nil
+	}
+
+	// Overlapped runs: the baseline and traced worlds share seeds but no
+	// mutable state, so they execute concurrently — the segment costs
+	// max(baseline, traced) instead of their sum — while a third worker
+	// warms the codegen B matrix. It is the first (and only) consumer of
+	// opts.BenchNoise, so the warmed matrix is identical to the one
+	// codegen would measure itself. Each run still owns a full phase span;
+	// the spans overlap in wall clock and are tagged so exports and
+	// metrics can tell.
+	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
+		return fmt.Errorf("core: baseline run: %w",
+			&mpi.CancelError{Cause: context.Cause(ctx)})
+	}
+	var baseSpan, traceSpan, warmSpan *obs.Span
+	if tr != nil {
+		baseSpan = tr.Phase("baseline",
+			obs.Int("ranks", opts.Ranks),
+			obs.Int("parallelism", opts.Parallelism),
+			obs.Bool("overlap", true))
+		traceSpan = tr.Phase("trace",
+			obs.Int("ranks", opts.Ranks),
+			obs.Int("parallelism", opts.Parallelism),
+			obs.Bool("overlap", true))
+		warmSpan = tr.Phase("warmup",
+			obs.Int("parallelism", opts.Parallelism),
+			obs.Bool("overlap", true))
+	}
+	var wg sync.WaitGroup
+	var baseErr, traceErr error
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		defer baseSpan.End()
+		var e error
+		if res.BaselineRun, e = mpi.NewWorld(baseCfg).Run(app); e != nil {
+			baseErr = fmt.Errorf("core: baseline run: %w", e)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer traceSpan.End()
+		var e error
+		if res.TracedRun, e = mpi.NewWorld(tracedCfg).Run(app); e != nil {
+			traceErr = fmt.Errorf("core: traced run: %w", e)
+			return
+		}
+		res.Trace = rec.Trace(opts.Platform.Name, opts.Impl.Name)
+		if tr != nil {
+			traceSpan.SetAttrs(
+				obs.Int("events", res.Trace.TotalEvents()),
+				obs.Int("raw_bytes", res.Trace.RawSize()))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer warmSpan.End()
+		r.bmatrix = blocks.MeasureB(opts.Platform, opts.BenchNoise)
+	}()
+	wg.Wait()
+	if baseErr != nil {
+		return baseErr
+	}
+	if traceErr != nil {
+		return traceErr
+	}
+	res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
+	return nil
+}
+
+// tail is the back half every entry shares (DESIGN.md §11, §15): the
+// merged program — restored from resume when that is a merge checkpoint
+// whose program decodes, else built — passes the static verification gate,
+// is checkpointed at the merge boundary, and is generated into C source
+// and a proxy. resume has passed the entry's own checks (nil when there
+// is none); the tail needs nothing from it but the program and, from a
+// post-search checkpoint, the solved searches.
+func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) error {
+	opts, res := r.opts, r.res
+	if p := resumeProgram(resume, r.fp); p != nil {
+		res.Program, res.ResumedFrom = p, resume.Phase
+		r.progBytes = resume.ProgramBytes
+	}
+	if res.ResumedFrom != "" {
+		if err := r.phase("resume"); err != nil {
+			return fmt.Errorf("core: resume: %w", err)
+		}
+		if opts.Tracer != nil {
+			r.cur.SetAttrs(
+				obs.String("from", res.ResumedFrom),
+				obs.Bool("resumed", true))
+		}
+	}
+	built := res.Program == nil
+	if built {
+		if err := r.phase("merge"); err != nil {
+			return fmt.Errorf("core: merge: %w", err)
+		}
+		var err error
+		if res.Program, err = build(); err != nil {
+			return fmt.Errorf("core: merge: %w", err)
+		}
+	}
+
+	// Static verification gate: the traced run completed, so the merged
+	// program must verify cleanly — an error here means grammar extraction
+	// or merging corrupted the communication structure, and the proxy
+	// would hang or diverge on replay. It re-runs on resume too: the
+	// verdict is stamped into the C header, and re-checking an identical
+	// program is cheap and yields the identical summary.
+	if !opts.DisableCheck {
+		if err := r.phase("check"); err != nil {
+			return fmt.Errorf("core: check: %w", err)
+		}
+		rep, err := check.Verify(res.Program, check.Options{
+			ExactBytes:    true,
+			AbsoluteRanks: opts.Trace.AbsoluteRanks,
+		})
+		if err != nil {
+			return fmt.Errorf("core: check: %w", err)
+		}
+		res.Check = rep
+		if rep.HasErrors() {
+			return &VerifyError{Report: rep}
+		}
+	}
+	if built {
+		if err := r.save(PhaseMerge, func(cp *Checkpoint) {
+			r.progBytes = res.Program.Encode()
+			cp.TraceBytes, cp.ProgramBytes = r.traceBytes, r.progBytes
+			if res.Check != nil {
+				cp.CheckSummary = res.Check.Summary()
+			}
+		}); err != nil {
+			return err
+		}
+	}
+
+	// Code generation. A post-search checkpoint pre-loads the memo so
+	// every cluster's QP solve is a cache hit; memo purity guarantees the
+	// replayed solutions are byte-identical to cold ones.
+	r.memo = opts.SearchMemo
+	if res.ResumedFrom == PhaseSearch && len(resume.MemoBytes) > 0 {
+		if r.memo == nil {
+			r.memo = blocks.DefaultMemo
+		}
+		// An undecodable snapshot degrades to cold solves; results are
+		// unchanged either way.
+		r.memo.Import(resume.MemoBytes)
+	}
+	if err := r.phase("codegen"); err != nil {
+		return fmt.Errorf("core: generate: %w", err)
+	}
+	genOpts := codegen.Options{
+		Platform:   opts.Platform,
+		Scale:      opts.Scale,
+		BenchNoise: opts.BenchNoise,
+		BMatrix:    r.bmatrix,
+		SearchMemo: r.memo,
+		Check:      res.Check,
+	}
+	if opts.Scale > 1 {
+		genOpts.CommSamples = codegen.CollectCommSamples(res.Trace)
+	}
+	var err error
+	if res.Generated, err = codegen.Generate(res.Program, genOpts); err != nil {
+		return fmt.Errorf("core: generate: %w", err)
+	}
+	if opts.Tracer != nil {
+		r.cur.SetAttrs(obs.Int("size_c", res.Generated.SizeC))
+	}
+	res.Proxy = proxy.New(res.Generated)
+	return nil
+}
+
+// VerifyError is the static verification gate's verdict on a merged
+// program with error-severity findings. It carries the full report so
+// callers can count or show every diagnostic, not just the first.
+type VerifyError struct {
+	Report *check.Report
+}
+
+func (e *VerifyError) Error() string {
+	first := ""
+	for _, d := range e.Report.Diags {
+		if d.Severity >= check.Error {
+			first = d.String()
+			break
+		}
+	}
+	return fmt.Sprintf("core: merged program failed static verification (%s); first: %s",
+		e.Report.Summary(), first)
 }
 
 // RunProxy executes the generated proxy in a given environment (defaulting

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
 
-	"siesta/internal/check"
-	"siesta/internal/codegen"
 	"siesta/internal/merge"
-	"siesta/internal/mpi"
-	"siesta/internal/obs"
-	"siesta/internal/proxy"
 )
 
 // Streaming synthesis entry (DESIGN.md §15). The batch pipeline's front
@@ -20,12 +15,16 @@ import (
 // and batch paths synthesize byte-identical programs, C sources, and
 // proxies. core/streaming_diff_test.go holds that contract.
 
+// errScaledIngest rejects Scale > 1 on the streaming path: comm scaling
+// calibrates against decoded trace timings, which a streamed session
+// deliberately never holds.
+var errScaledIngest = errors.New("core: ingest does not support Scale > 1 (comm scaling needs trace timings)")
+
 // NewIngest opens a streaming merge session sized and configured for one
 // synthesis: the session inherits opts.Merge exactly as Synthesize would
 // apply it (defaults included), which is what makes a later
 // SynthesizeIngest equivalent to Synthesize over the equivalent trace.
-// Scale > 1 is rejected up front: comm scaling calibrates against decoded
-// trace timings, which a streamed session deliberately never holds.
+// Scale > 1 is rejected up front (errScaledIngest).
 func NewIngest(numRanks int, opts Options) (*merge.Ingest, error) {
 	opts.Ranks = numRanks
 	opts = opts.withDefaults()
@@ -33,97 +32,38 @@ func NewIngest(numRanks int, opts Options) (*merge.Ingest, error) {
 		return nil, fmt.Errorf("core: ingest needs a positive rank count, got %d", numRanks)
 	}
 	if opts.Scale > 1 {
-		return nil, fmt.Errorf("core: ingest does not support Scale > 1 (comm scaling needs trace timings)")
+		return nil, errScaledIngest
 	}
 	return merge.NewIngest(numRanks, opts.Platform.Name, opts.Impl.Name, opts.Merge)
 }
 
-// SynthesizeIngest commits a streaming ingest session: it builds the
-// merged program from the session's rank streams and runs the batch
-// pipeline's back half over it — static verification gate, code
-// generation, proxy construction — with exactly Synthesize's option
-// handling. The session is consumed (its spill files are released) even
-// on error. The returned Result carries no Trace and no simulated runs:
-// those belong to whoever recorded the streams.
-func SynthesizeIngest(in *merge.Ingest, opts Options) (*Result, error) {
+// IngestSession is the streaming merge session SynthesizeIngest commits;
+// *merge.Ingest implements it. Build consumes the session and may run at
+// most once, so a caller that retries a commit wraps it to memoize Build.
+type IngestSession interface {
+	NumRanks() int
+	Build() (*merge.Program, error)
+	Close() error
+}
+
+// SynthesizeIngest commits a streaming ingest session: Build merges the
+// session's rank streams and the batch pipeline's back half runs over the
+// program, with exactly Synthesize's option handling. The session is
+// consumed (its spill files are released) even on error or resume. The
+// Result carries no Trace and no simulated runs: those belong to whoever
+// recorded the streams. Like SynthesizeTrace it writes — and resumes
+// from — one program-only merge checkpoint.
+func SynthesizeIngest(in IngestSession, opts Options) (*Result, error) {
+	defer in.Close()
 	opts.Ranks = in.NumRanks()
 	opts = opts.withDefaults()
 	if opts.Scale > 1 {
-		in.Close()
-		return nil, fmt.Errorf("core: ingest does not support Scale > 1 (comm scaling needs trace timings)")
+		return nil, errScaledIngest
 	}
-	res := &Result{Opts: opts}
-	tr := opts.Tracer
-	var cur *obs.Span
-	phase := func(name string) error {
-		cur.End()
-		cur = nil
-		if tr != nil {
-			cur = tr.Phase(name,
-				obs.Int("ranks", opts.Ranks),
-				obs.Int("parallelism", opts.Parallelism))
-		}
-		if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
-			return &mpi.CancelError{Cause: context.Cause(ctx)}
-		}
-		return nil
+	r := newRun(opts)
+	defer r.end()
+	if err := r.tail(opts.Resume, in.Build); err != nil {
+		return nil, err
 	}
-	defer func() { cur.End() }()
-
-	if err := phase("merge"); err != nil {
-		in.Close()
-		return nil, fmt.Errorf("core: merge: %w", err)
-	}
-	var err error
-	if res.Program, err = in.Build(); err != nil {
-		return nil, fmt.Errorf("core: merge: %w", err)
-	}
-
-	if !opts.DisableCheck {
-		if err := phase("check"); err != nil {
-			return nil, fmt.Errorf("core: check: %w", err)
-		}
-		rep, err := check.Verify(res.Program, check.Options{
-			ExactBytes:    true,
-			AbsoluteRanks: opts.Trace.AbsoluteRanks,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: check: %w", err)
-		}
-		res.Check = rep
-		if rep.HasErrors() {
-			first := ""
-			for _, d := range rep.Diags {
-				if d.Severity >= check.Error {
-					first = d.String()
-					break
-				}
-			}
-			return nil, fmt.Errorf("core: merged program failed static verification (%s); first: %s",
-				rep.Summary(), first)
-		}
-	}
-
-	if err := phase("codegen"); err != nil {
-		return nil, fmt.Errorf("core: generate: %w", err)
-	}
-	// Identical genOpts to Synthesize's: BMatrix stays nil (no overlapped
-	// warmup here) and is measured lazily inside Generate from the same
-	// BenchNoise, which the determinism suite pins as byte-identical to the
-	// warmed path.
-	genOpts := codegen.Options{
-		Platform:   opts.Platform,
-		Scale:      opts.Scale,
-		BenchNoise: opts.BenchNoise,
-		SearchMemo: opts.SearchMemo,
-		Check:      res.Check,
-	}
-	if res.Generated, err = codegen.Generate(res.Program, genOpts); err != nil {
-		return nil, fmt.Errorf("core: generate: %w", err)
-	}
-	if tr != nil {
-		cur.SetAttrs(obs.Int("size_c", res.Generated.SizeC))
-	}
-	res.Proxy = proxy.New(res.Generated)
-	return res, nil
+	return r.res, nil
 }

@@ -8,8 +8,8 @@ import (
 
 // RunCLI runs the selected paper experiments and prints their tables to w.
 // expSel is a comma-separated subset of table3, fig4, fig5, fig6, fig7,
-// fig8, fig9, ablations — or "all". It is the shared driver behind both
-// `siesta-bench` and `siesta bench -exp`.
+// fig8, fig9, ablations — or "all". It is the driver behind
+// `siesta bench -exp`.
 func RunCLI(cfg Config, expSel string, w io.Writer) error {
 	want := strings.Split(expSel, ",")
 	known := map[string]bool{

@@ -1,6 +1,6 @@
 // Package experiments reproduces the paper's evaluation (§3): one driver
 // per table and figure, each returning structured rows that the
-// siesta-bench command formats and the benchmark harness wraps. The rank
+// `siesta bench -exp` verb formats and the benchmark harness wraps. The rank
 // ladders are scaled down from the paper's 64–529 processes (see DESIGN.md);
 // the reproduction target is each experiment's *shape* — who wins, by
 // roughly what factor, where the failures appear — not absolute numbers.

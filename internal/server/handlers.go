@@ -13,6 +13,7 @@ import (
 	"siesta/internal/apps"
 	"siesta/internal/core"
 	"siesta/internal/netmodel"
+	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/server/cache"
 	"siesta/internal/trace"
@@ -154,26 +155,37 @@ func (s *Server) Handler() http.Handler {
 }
 
 // baseOptions builds the synthesis options the tuning fields of a request
-// select (ranks still unset). It is the shared root of prepare and
-// RequestKey, so the gateway's routing key and the worker's cache key are
-// derived from identical options by construction.
-func baseOptions(req *SynthesizeRequest) (core.Options, error) {
-	opts := core.Options{Scale: req.Scale, Seed: req.Seed}
-	if req.Platform != "" {
-		p, err := platform.ByName(req.Platform)
+// select (ranks still unset). It is the shared root of every cache key, so
+// the gateway's routing key and the worker's cache key are derived from
+// identical options by construction.
+func baseOptions(plat, impl string, scale float64, seed uint64) (core.Options, error) {
+	opts := core.Options{Scale: scale, Seed: seed}
+	if plat != "" {
+		p, err := platform.ByName(plat)
 		if err != nil {
 			return core.Options{}, err
 		}
 		opts.Platform = p
 	}
-	if req.Impl != "" {
-		im, err := netmodel.ByName(req.Impl)
+	if impl != "" {
+		im, err := netmodel.ByName(impl)
 		if err != nil {
 			return core.Options{}, err
 		}
 		opts.Impl = im
 	}
 	return opts, nil
+}
+
+// traceOptions completes the options of an uploaded trace, one-shot or
+// streamed. Uploads synthesize against an exact (noiseless) B matrix, and
+// the options say so, so the fingerprint keying the artifact names the
+// proxy actually served: core.SynthesizeTrace under these options
+// reproduces it byte for byte.
+func traceOptions(opts core.Options, ranks int) core.Options {
+	opts.Ranks = ranks
+	opts.BenchNoise = perfmodel.NewNoise(0, 0)
+	return opts
 }
 
 // appCacheKey derives the artifact key for a built-in-app request. The
@@ -197,76 +209,88 @@ func traceCacheKey(raw []byte, opts core.Options) cache.Key {
 	)
 }
 
+// input is a validated request's input with the synthesis options (ranks
+// set, throughput knobs not) and cache key it resolves to.
+type input struct {
+	opts core.Options
+	key  cache.Key
+	spec *apps.Spec   // the built-in app; nil for an uploaded trace
+	tr   *trace.Trace // the uploaded trace; nil for an app
+}
+
+// resolve validates a request's input and derives its options and cache
+// key: the shared root of prepare and RequestKey. The status is the HTTP
+// code for a validation failure.
+func resolve(req *SynthesizeRequest) (*input, int, error) {
+	if (req.App == "") == (req.TraceBase64 == "") {
+		return nil, http.StatusBadRequest, errors.New("exactly one of app or trace_base64 is required")
+	}
+	opts, err := baseOptions(req.Platform, req.Impl, req.Scale, req.Seed)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if req.App != "" {
+		spec, err := apps.ByName(req.App)
+		if err != nil {
+			return nil, http.StatusNotFound, err
+		}
+		if req.Ranks <= 0 {
+			return nil, http.StatusBadRequest, errors.New("ranks must be positive")
+		}
+		opts.Ranks = req.Ranks
+		return &input{opts: opts, key: appCacheKey(spec.Name, req.Iters, opts), spec: spec}, 0, nil
+	}
+	raw, err := base64.StdEncoding.DecodeString(req.TraceBase64)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
+	}
+	tr, err := trace.Decode(raw)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
+	}
+	opts = traceOptions(opts, len(tr.Ranks))
+	return &input{opts: opts, key: traceCacheKey(raw, opts), tr: tr}, 0, nil
+}
+
 // RequestKey computes the content-addressed artifact cache key a request
 // resolves to — the same derivation prepare uses — without building the
 // job. The fleet gateway consistent-hash routes every request on it, which
 // is what makes routing agree with caching: the worker that owns a key on
 // the ring is the worker whose cache fills with it.
 func RequestKey(req *SynthesizeRequest) (cache.Key, error) {
-	if (req.App == "") == (req.TraceBase64 == "") {
-		return "", errors.New("exactly one of app or trace_base64 is required")
-	}
-	opts, err := baseOptions(req)
+	in, _, err := resolve(req)
 	if err != nil {
 		return "", err
 	}
-	if req.App != "" {
-		spec, err := apps.ByName(req.App)
-		if err != nil {
-			return "", err
-		}
-		if req.Ranks <= 0 {
-			return "", errors.New("ranks must be positive")
-		}
-		opts.Ranks = req.Ranks
-		return appCacheKey(spec.Name, req.Iters, opts), nil
+	return in.key, nil
+}
+
+// clamp bounds a request's throughput knobs by the server's limits: the
+// timeout and retry budget may only shrink the configured ones, and a
+// parallelism outside [1, MaxParallelism] selects the cap. None of them
+// enter the cache key.
+func (s *Server) clamp(timeoutMS int64, parallelism int, maxRetries *int) (time.Duration, int, int) {
+	timeout := s.cfg.JobTimeout
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
 	}
-	raw, err := base64.StdEncoding.DecodeString(req.TraceBase64)
-	if err != nil {
-		return "", fmt.Errorf("trace_base64: %w", err)
+	if parallelism <= 0 || parallelism > s.cfg.MaxParallelism {
+		parallelism = s.cfg.MaxParallelism
 	}
-	tr, err := trace.Decode(raw)
-	if err != nil {
-		return "", fmt.Errorf("trace_base64: %w", err)
+	retries := s.cfg.MaxRetries
+	if maxRetries != nil {
+		retries = min(max(*maxRetries, 0), retries)
 	}
-	opts.Ranks = len(tr.Ranks)
-	return traceCacheKey(raw, opts), nil
+	return timeout, parallelism, retries
 }
 
 // prepare validates a request and turns it into a ready-to-queue job with
 // its cache key. The returned status is the HTTP code for a validation
 // failure.
 func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
-	if (req.App == "") == (req.TraceBase64 == "") {
-		return nil, http.StatusBadRequest, errors.New("exactly one of app or trace_base64 is required")
-	}
-	opts, err := baseOptions(req)
+	in, status, err := resolve(req)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	timeout := s.cfg.JobTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	par := req.Parallelism
-	if par <= 0 || par > s.cfg.MaxParallelism {
-		par = s.cfg.MaxParallelism
-	}
-	// Set both knobs: core.Synthesize propagates Parallelism into the merge
-	// options itself, but the trace-upload path calls merge.Build directly.
-	opts.Parallelism = par
-	opts.Merge.Parallelism = par
-
-	retries := s.cfg.MaxRetries
-	if req.MaxRetries != nil {
-		switch r := *req.MaxRetries; {
-		case r < 0:
-			retries = 0
-		case r < retries:
-			retries = r
-		}
+		return nil, status, err
 	}
 	// The verbatim request is what the journal replays through this same
 	// prepare path on recovery — marshal it once, canonically.
@@ -274,9 +298,9 @@ func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("encode request: %w", err)
 	}
-	jb := &job{timeout: timeout, parallelism: par, wantTrace: req.Trace,
-		wantAnalyze: req.Analyze, maxRetries: retries, reqJSON: reqJSON,
-		worker: s.cfg.WorkerID}
+	jb := &job{key: in.key, wantTrace: req.Trace, wantAnalyze: req.Analyze,
+		reqJSON: reqJSON, worker: s.cfg.WorkerID}
+	jb.timeout, jb.parallelism, jb.maxRetries = s.clamp(req.TimeoutMS, req.Parallelism, req.MaxRetries)
 	// A handed-off checkpoint seeds the first attempt's resume. Garbage
 	// that does not even decode is the client's error; a well-formed
 	// checkpoint from a different synthesis is silently discarded by the
@@ -292,35 +316,21 @@ func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
 		}
 		jb.resume = cp
 	}
-	if req.App != "" {
-		spec, err := apps.ByName(req.App)
-		if err != nil {
-			return nil, http.StatusNotFound, err
-		}
-		if req.Ranks <= 0 {
-			return nil, http.StatusBadRequest, errors.New("ranks must be positive")
-		}
-		opts.Ranks = req.Ranks
-		work, err := s.appWork(spec, apps.Params{Ranks: req.Ranks, Iters: req.Iters}, opts, req.Analyze)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		jb.app, jb.ranks, jb.work = spec.Name, req.Ranks, work
-		jb.key = appCacheKey(spec.Name, req.Iters, opts)
+	if in.tr != nil {
+		jb.app, jb.ranks = "trace", len(in.tr.Ranks)
+		s.setWork(jb, in.opts, func(opts core.Options) (*core.Result, error) {
+			return core.SynthesizeTrace(in.tr, opts)
+		})
 		return jb, 0, nil
 	}
-
-	raw, err := base64.StdEncoding.DecodeString(req.TraceBase64)
+	fn, err := in.spec.Build(apps.Params{Ranks: req.Ranks, Iters: req.Iters})
 	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
+		return nil, http.StatusBadRequest, err
 	}
-	tr, err := trace.Decode(raw)
-	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
-	}
-	opts.Ranks = len(tr.Ranks)
-	jb.app, jb.ranks, jb.work = "trace", len(tr.Ranks), s.traceWork(tr, opts, req.Analyze)
-	jb.key = traceCacheKey(raw, opts)
+	jb.app, jb.ranks = in.spec.Name, req.Ranks
+	s.setWork(jb, in.opts, func(opts core.Options) (*core.Result, error) {
+		return core.Synthesize(fn, opts)
+	})
 	return jb, 0, nil
 }
 

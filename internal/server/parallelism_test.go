@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// One server, three requests: a serial job, an identical request at full
+// One server, four requests: a serial job, an identical request at full
 // parallelism (which must hit the cache — parallelism is not part of the
-// key), and a distinct parallel job whose requested parallelism exceeds the
-// server cap. Afterwards /metrics must expose the parallelism gauge and the
+// key), a distinct parallel job whose requested parallelism exceeds the
+// server cap, and a streamed upload opened (POST /v1/traces) with the same
+// excess. Afterwards /metrics must expose the parallelism gauge and the
 // per-phase speedup gauges.
 func TestParallelismMetricsAndCacheKey(t *testing.T) {
 	// Workers: 1 keeps job execution ordered so the "most recently started
@@ -69,6 +70,16 @@ func TestParallelismMetricsAndCacheKey(t *testing.T) {
 	}
 	if v := waitJob(t, ts.URL, srC.Job.ID); v.Status != StatusDone {
 		t.Fatalf("job C finished %s (%s)", v.Status, v.Error)
+	}
+
+	// A streamed upload opened with the same absurd request goes through
+	// the same clamp; its committed job runs at the cap.
+	cr := streamTrace(t, ts.URL, recordedTrace(t, 8), TraceOpenRequest{Parallelism: 999})
+	if cr.Job.Parallelism != 8 {
+		t.Errorf("streamed job parallelism = %d, want clamped 8", cr.Job.Parallelism)
+	}
+	if v := waitJob(t, ts.URL, cr.Job.ID); v.Status != StatusDone {
+		t.Fatalf("streamed job finished %s (%s)", v.Status, v.Error)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

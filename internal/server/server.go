@@ -24,19 +24,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"siesta/internal/apps"
 	"siesta/internal/check"
-	"siesta/internal/codegen"
 	"siesta/internal/core"
 	"siesta/internal/durable"
 	"siesta/internal/merge"
-	"siesta/internal/mpi"
 	"siesta/internal/obs"
 	"siesta/internal/platform"
 	"siesta/internal/server/cache"
 	"siesta/internal/server/metrics"
 	"siesta/internal/statics"
-	"siesta/internal/trace"
 )
 
 // Config tunes one service instance. The zero value is usable.
@@ -746,159 +742,43 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// --- synthesis work functions ----------------------------------------------
-
-// workFn is the signature of a queued job's executable body: one attempt,
-// checkpointing through ck and resuming from the checkpoint if one is
-// offered (a nil ck disables durability, a nil resume runs cold). The byte
-// slice is the marshaled statics.Report for an analyze job, nil otherwise.
-type workFn = func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error)
-
-// appWork prepares the work function for a built-in application request.
-func (s *Server) appWork(spec *apps.Spec, params apps.Params, opts core.Options, analyze bool) (workFn, error) {
-	fn, err := spec.Build(params)
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
+// setWork makes one core entry a job's executable body. Every attempt
+// runs synth under the attempt's context, tracer, checkpointer and resume
+// at the job's parallelism, counts the verifier's diagnostics — from the
+// result, or from the gate's failure, so a rejected upload still shows in
+// the error counter — and builds the artifact and, when the request asked,
+// the static analysis.
+func (s *Server) setWork(jb *job, opts core.Options, synth func(core.Options) (*core.Result, error)) {
+	opts.Parallelism = jb.parallelism
+	jb.work = func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
 		opts := opts
-		opts.Context = ctx
-		opts.Tracer = tracer
-		opts.Checkpointer = ck
-		opts.Resume = resume
-		res, err := core.Synthesize(fn, opts)
+		opts.Context, opts.Tracer, opts.Checkpointer, opts.Resume = ctx, tracer, ck, resume
+		res, err := synth(opts)
+		var verr *core.VerifyError
+		switch {
+		case err == nil:
+			s.countDiags(res.Check)
+		case errors.As(err, &verr):
+			s.countDiags(verr.Report)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		s.countDiags(res.Check)
 		var analysis []byte
-		if analyze {
+		if jb.wantAnalyze {
 			if analysis, err = s.analyzeProgram(tracer, res.Program, opts.Platform); err != nil {
 				return nil, nil, err
 			}
 		}
 		st := res.Program.Stats()
 		art := &cache.Artifact{
-			App: spec.Name, Ranks: opts.Ranks,
+			App: jb.app, Ranks: jb.ranks,
 			CSource:   res.Generated.CSource(),
 			Terminals: st.Terminals, Rules: st.Rules, SizeC: res.Generated.SizeC,
 			Overhead: res.Overhead,
 		}
 		if res.Check != nil {
 			art.CheckSummary = res.Check.Summary()
-		}
-		return art, analysis, nil
-	}, nil
-}
-
-// traceWork prepares the work function for an uploaded trace: the pipeline
-// minus the two simulated runs — merge, verify, generate. The merged
-// program is checkpointed through the same merge.Program codec the core
-// pipeline uses, so a restart skips straight to verification and codegen.
-func (s *Server) traceWork(tr *trace.Trace, opts core.Options, analyze bool) workFn {
-	return func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
-		fp := core.OptionsFingerprint(opts)
-		var cur *obs.Span
-		step := func(phase string) error {
-			cur.End()
-			cur = nil
-			if tracer != nil {
-				cur = tracer.Phase(phase,
-					obs.Int("ranks", len(tr.Ranks)),
-					obs.Int("parallelism", opts.Parallelism))
-			}
-			if ctx != nil && ctx.Err() != nil {
-				return fmt.Errorf("server: %s: %w", phase, &mpi.CancelError{Cause: context.Cause(ctx)})
-			}
-			return nil
-		}
-		defer func() { cur.End() }()
-
-		// Resume honors only a checkpoint written by an identical request
-		// (fingerprint match) whose program decodes; anything else recomputes.
-		var prog *merge.Program
-		resumed := false
-		if resume != nil && resume.Fingerprint == fp && len(resume.ProgramBytes) > 0 {
-			if p, derr := merge.Decode(resume.ProgramBytes); derr == nil {
-				prog = p
-				resumed = true
-				if tracer != nil {
-					sp := tracer.Phase("resume",
-						obs.String("from", resume.Phase), obs.Bool("resumed", true))
-					sp.End()
-				}
-			}
-		}
-		if !resumed {
-			if err := step("merge"); err != nil {
-				return nil, nil, err
-			}
-			var err error
-			prog, err = merge.Build(tr, opts.Merge)
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: merge: %w", err)
-			}
-		}
-		// Verification always re-runs, resumed or not: its verdict is
-		// stamped into the generated header, and re-checking an identical
-		// program is cheap and yields the identical summary.
-		var rep *check.Report
-		if !opts.DisableCheck {
-			if err := step("check"); err != nil {
-				return nil, nil, err
-			}
-			var err error
-			rep, err = check.Verify(prog, check.Options{
-				ExactBytes:    true,
-				AbsoluteRanks: opts.Trace.AbsoluteRanks,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: check: %w", err)
-			}
-			s.countDiags(rep)
-			if rep.HasErrors() {
-				return nil, nil, fmt.Errorf("server: uploaded trace failed static verification (%s)", rep.Summary())
-			}
-		}
-		if ck != nil && !resumed {
-			cp := &core.Checkpoint{Fingerprint: fp, Phase: core.PhaseMerge, ProgramBytes: prog.Encode()}
-			if rep != nil {
-				cp.CheckSummary = rep.Summary()
-			}
-			if err := ck.Save(cp); err != nil {
-				return nil, nil, &core.CheckpointError{Phase: core.PhaseMerge, Err: err}
-			}
-		}
-		// The analysis, when requested, runs on the verified program; the
-		// phase span and latency observation live in analyzeProgram.
-		var analysis []byte
-		if analyze {
-			cur.End()
-			cur = nil
-			var aerr error
-			if analysis, aerr = s.analyzeProgram(tracer, prog, opts.Platform); aerr != nil {
-				return nil, nil, aerr
-			}
-		}
-		if err := step("codegen"); err != nil {
-			return nil, nil, err
-		}
-		genOpts := codegen.Options{Platform: opts.Platform, Scale: opts.Scale, Check: rep}
-		if opts.Scale > 1 {
-			genOpts.CommSamples = codegen.CollectCommSamples(tr)
-		}
-		gen, err := codegen.Generate(prog, genOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: generate: %w", err)
-		}
-		st := prog.Stats()
-		art := &cache.Artifact{
-			App: "trace", Ranks: len(tr.Ranks),
-			CSource:   gen.CSource(),
-			Terminals: st.Terminals, Rules: st.Rules, SizeC: gen.SizeC,
-		}
-		if rep != nil {
-			art.CheckSummary = rep.Summary()
 		}
 		return art, analysis, nil
 	}
