@@ -57,6 +57,16 @@ type gwJob struct {
 	noFailover bool
 }
 
+// settle marks the job terminal and drops its failover body: a settled job
+// is never re-submitted (redispatchLocked only sees jobs that are not done),
+// and the body — trace included for uploads — would otherwise stay live for
+// as long as the gateway remembers the job. Callers hold j.mu or own j
+// exclusively.
+func (j *gwJob) settle() {
+	j.done = true
+	j.reqJSON = nil
+}
+
 // Gateway is the stateless routing tier: it owns no synthesis state, only
 // the (rebuildable) mapping from its job ids to worker-local ones. Every
 // request is routed by its content-addressed artifact cache key, so the
@@ -352,7 +362,7 @@ func (g *Gateway) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		}
 		j := &gwJob{key: key, reqJSON: body, worker: cand.ID, addr: cand.Addr, remote: sr.Job.ID}
 		if sr.Cached || sr.Job.Status == server.StatusDone {
-			j.done = true
+			j.settle()
 		}
 		g.mu.Lock()
 		g.nextID++
@@ -434,7 +444,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if v.Status == server.StatusDone || v.Status == server.StatusFailed || v.Status == server.StatusCanceled {
 		j.mu.Lock()
-		j.done = true
+		j.settle()
 		j.mu.Unlock()
 	}
 	if wid := resp.Header.Get("X-Siesta-Worker"); wid != "" {
@@ -462,7 +472,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	raw, _ := readAllLimited(resp.Body, maxRequestBody)
 	// A canceled job must not be resurrected by the failover scan.
 	j.mu.Lock()
-	j.done = true
+	j.settle()
 	j.mu.Unlock()
 	var v server.JobView
 	if resp.StatusCode == http.StatusOK && json.Unmarshal(raw, &v) == nil {
@@ -634,7 +644,7 @@ func (g *Gateway) checkFailovers(ctx context.Context) {
 		if j.noFailover {
 			// The streamed chunks died with the worker; the job cannot be
 			// re-run anywhere. Settle it as lost so the scan stops watching.
-			j.done = true
+			j.settle()
 			j.mu.Unlock()
 			g.logEvent("job_lost", map[string]any{"job": j.id, "worker": j.worker,
 				"reason": "streamed ingest cannot fail over"})
@@ -690,7 +700,7 @@ func (g *Gateway) redispatchLocked(ctx context.Context, rt *routes, j *gwJob) {
 	j.worker, j.addr, j.remote = owner.ID, owner.Addr, sr.Job.ID
 	j.failovers++
 	if sr.Cached || sr.Job.Status == server.StatusDone {
-		j.done = true
+		j.settle()
 	}
 	g.mFailovers.Inc()
 	g.logEvent("job_failover", map[string]any{

@@ -256,7 +256,7 @@ func (g *Gateway) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 		remote: cr.Job.ID, noFailover: true,
 	}
 	if cr.Cached || cr.Job.Status == server.StatusDone {
-		j.done = true
+		j.settle()
 	}
 	g.mu.Lock()
 	g.nextID++

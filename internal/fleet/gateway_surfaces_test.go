@@ -35,6 +35,18 @@ func TestGatewayJobSurfaces(t *testing.T) {
 	if v.Status != server.StatusDone {
 		t.Fatalf("job settled %s: %s", v.Status, v.Error)
 	}
+	// A job polled to done keeps no failover body: the request (a trace,
+	// for uploads) is dropped the moment the job settles.
+	if j, ok := f.gw.lookup(sr.Job.ID); !ok {
+		t.Fatalf("gateway lost job %s", sr.Job.ID)
+	} else {
+		j.mu.Lock()
+		done, held := j.done, len(j.reqJSON)
+		j.mu.Unlock()
+		if !done || held != 0 {
+			t.Fatalf("settled job: done=%v, failover body %d B (want done, 0 B)", done, held)
+		}
+	}
 	// Sub-resource URLs in the view are rewritten to the gateway id space.
 	if !strings.Contains(v.TraceURL, sr.Job.ID) || !strings.Contains(v.AnalysisURL, sr.Job.ID) {
 		t.Fatalf("sub-resource URLs not rewritten: trace %q analysis %q", v.TraceURL, v.AnalysisURL)

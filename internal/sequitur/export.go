@@ -24,7 +24,7 @@ func (b *Builder) Grammar() *Grammar {
 	list := []*rule{b.main}
 	var walk func(r *rule)
 	walk = func(r *rule) {
-		for s := r.first(); !s.guard; s = s.next {
+		for s := r.first(); !s.isGuard(); s = s.next {
 			if s.rule != nil {
 				if _, seen := order[s.rule]; !seen {
 					order[s.rule] = len(list)
@@ -39,13 +39,13 @@ func (b *Builder) Grammar() *Grammar {
 	g := &Grammar{Rules: make([][]Sym, len(list))}
 	for i, r := range list {
 		var body []Sym
-		for s := r.first(); !s.guard; s = s.next {
+		for s := r.first(); !s.isGuard(); s = s.next {
 			sym := Sym{Count: s.count}
 			if s.rule != nil {
 				sym.IsRule = true
 				sym.Ref = order[s.rule]
 			} else {
-				sym.Ref = s.term
+				sym.Ref = s.val >> 1
 			}
 			body = append(body, sym)
 		}
@@ -165,28 +165,62 @@ func (g *Grammar) String() string {
 
 // verify checks the builder's internal invariants; tests call it after every
 // kind of mutation. It returns an error describing the first violation.
+// Beyond the grammar's own invariants it checks what symbol reuse relies
+// on: every digram-index entry names a live symbol under that symbol's
+// current key, and the rule counter and reference lists match the rules
+// reachable from main.
 func (b *Builder) verify() error {
+	// Live rules are exactly those reachable from main; walk them.
+	rules := []*rule{b.main}
+	reached := map[*rule]bool{b.main: true}
+	uses := map[*rule]int{}
+	for i := 0; i < len(rules); i++ {
+		r := rules[i]
+		if !r.alive {
+			return fmt.Errorf("rule %d: reachable but deleted", r.id)
+		}
+		for s := r.first(); !s.isGuard(); s = s.next {
+			if s.rule == nil {
+				continue
+			}
+			uses[s.rule]++
+			if !reached[s.rule] {
+				reached[s.rule] = true
+				rules = append(rules, s.rule)
+			}
+		}
+	}
+	if b.rules != len(rules) {
+		return fmt.Errorf("rule counter %d, but %d rules reachable from main", b.rules, len(rules))
+	}
 	// 1. Link integrity and no adjacent equal values (run-length) per rule.
-	for r := range b.rules {
+	for _, r := range rules {
 		prev := r.guard
-		for s := r.first(); !s.guard; s = s.next {
+		for s := r.first(); !s.isGuard(); s = s.next {
 			if s.prev != prev {
 				return fmt.Errorf("rule %d: broken back link", r.id)
 			}
 			if s.count < 1 {
 				return fmt.Errorf("rule %d: non-positive count %d", r.id, s.count)
 			}
-			if b.runLength && !prev.guard && sameValue(prev, s) {
+			if s.rule != nil && s.val != s.rule.refVal() {
+				return fmt.Errorf("rule %d: reference tagged %d, want %d", r.id, s.val, s.rule.refVal())
+			}
+			if b.runLength && sameValue(prev, s) {
 				return fmt.Errorf("rule %d: unmerged run", r.id)
 			}
 			prev = s
 		}
 	}
-	// 2. Digram uniqueness (over live digrams) and index consistency.
+	// 2. Digram uniqueness (over live digrams) and index consistency. With
+	// run-length on, the index must hold every live digram under its own
+	// symbol; counting the live digrams it names then checks that it names
+	// nothing else — no dropped or recycled symbol.
 	seen := map[dkey]*symbol{}
-	for r := range b.rules {
-		for s := r.first(); !s.guard; s = s.next {
-			k, ok := b.key(s)
+	named := 0
+	for _, r := range rules {
+		for s := r.first(); !s.isGuard(); s = s.next {
+			k, ok := key(s)
 			if !ok {
 				continue
 			}
@@ -196,41 +230,42 @@ func (b *Builder) verify() error {
 				return fmt.Errorf("duplicate digram %v at %p and %p", k, s, other)
 			}
 			seen[k] = s
-			if idx, ok := b.digrams[k]; ok && idx != s {
-				return fmt.Errorf("digram index points at stale symbol for %v", k)
+			idx := b.index.get(k)
+			if idx == s {
+				named++
+			} else if b.runLength || idx != nil {
+				return fmt.Errorf("digram %v at %p: index names %p", k, s, idx)
 			}
 		}
 	}
-	// 3. Rule utility and use counts.
-	uses := map[*rule]int{}
-	for r := range b.rules {
-		for s := r.first(); !s.guard; s = s.next {
-			if s.rule != nil {
-				uses[s.rule]++
-				if _, alive := b.rules[s.rule]; !alive {
-					return fmt.Errorf("reference to deleted rule %d", s.rule.id)
-				}
-			}
+	n := 0
+	for _, sl := range b.index.slots {
+		if sl.sym != nil {
+			n++
 		}
 	}
-	for r := range b.rules {
-		if r == b.main {
-			continue
-		}
+	if n != b.index.n || named != n {
+		return fmt.Errorf("digram index holds %d entries (counted %d), %d name live digrams", n, b.index.n, named)
+	}
+	// 3. Rule utility, use counts and reference lists.
+	for _, r := range rules[1:] {
 		if uses[r] != r.uses {
 			return fmt.Errorf("rule %d: recorded uses %d, actual %d", r.id, r.uses, uses[r])
 		}
-		if uses[r] == 0 {
-			return fmt.Errorf("rule %d: orphaned", r.id)
+		listed := 0
+		var prev *symbol
+		for s := r.refs; s != nil && listed <= r.uses; s = s.refNext {
+			if s.rule != r || s.next == nil || s.refPrev != prev {
+				return fmt.Errorf("rule %d: reference list holds a foreign or dropped symbol", r.id)
+			}
+			listed++
+			prev = s
 		}
-		if uses[r] == 1 {
-			var ref *symbol
-			for s := range r.refs {
-				ref = s
-			}
-			if ref != nil && ref.count == 1 {
-				return fmt.Errorf("rule %d: utility violation (single use, count 1)", r.id)
-			}
+		if listed != r.uses {
+			return fmt.Errorf("rule %d: %d references listed, %d recorded", r.id, listed, r.uses)
+		}
+		if r.uses == 1 && r.refs.count == 1 {
+			return fmt.Errorf("rule %d: utility violation (single use, count 1)", r.id)
 		}
 	}
 	return nil

@@ -7,9 +7,27 @@
 // O(log n) without the extension, and O(n) raw).
 //
 // Terminals are non-negative integers (the trace layer's event ids).
+//
+// The kernel is map-free: digrams live in an open-addressing table keyed by
+// tagged values (index.go), each rule threads its references through the
+// referencing symbols, and the symbols one Append drops are recycled by
+// later ones. None of this changes an edit: the grammar is the
+// one the classic pointer-and-map formulation produces, token for token.
 package sequitur
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// guardVal is the tagged value of a rule's guard symbol. Real symbols carry
+// 2t for terminal t and 2r+1 for a reference to rule id r, so a tagged value
+// alone tells terminals, references and guards apart and two symbols hold
+// the same terminal or rule exactly when their values are equal.
+const guardVal = -1
+
+// maxTerminal is the largest terminal whose tagged value 2t fits an int.
+const maxTerminal = math.MaxInt >> 1
 
 // symbol is a node in a rule's circular doubly-linked body list. A symbol is
 // either a terminal (rule == nil) or a reference to a rule, and carries a
@@ -17,72 +35,43 @@ import "fmt"
 type symbol struct {
 	prev, next *symbol
 	rule       *rule // non-nil for non-terminals and for guards (owner rule)
-	term       int
-	count      int
-	guard      bool
+	// refPrev and refNext thread a non-terminal through its rule's list of
+	// references. Once a symbol is off that list, refNext links it into
+	// the builder's dropped or free list instead.
+	refPrev, refNext *symbol
+	val              int // tagged value: 2t, 2r+1, or guardVal
+	count            int
 }
 
-func (s *symbol) isNonTerminal() bool { return !s.guard && s.rule != nil }
+func (s *symbol) isGuard() bool       { return s.val == guardVal }
+func (s *symbol) isNonTerminal() bool { return s.val > 0 && s.val&1 == 1 }
 
 // sameValue reports whether two symbols hold the same terminal or rule
 // (ignoring counts) — the run-length merge criterion.
-func sameValue(a, b *symbol) bool {
-	if a.guard || b.guard {
-		return false
-	}
-	if (a.rule == nil) != (b.rule == nil) {
-		return false
-	}
-	if a.rule != nil {
-		return a.rule == b.rule
-	}
-	return a.term == b.term
-}
+func sameValue(a, b *symbol) bool { return a.val != guardVal && a.val == b.val }
 
 // rule is a grammar production. Its body is a circular list rooted at guard.
 type rule struct {
 	id    int
 	guard *symbol
 	uses  int
-	refs  map[*symbol]struct{} // referencing symbols, for utility enforcement
-}
-
-func newRule(id int) *rule {
-	r := &rule{id: id, refs: map[*symbol]struct{}{}}
-	g := &symbol{guard: true, rule: r}
-	g.prev, g.next = g, g
-	r.guard = g
-	return r
+	refs  *symbol // head of the referencing symbols, for utility enforcement
+	alive bool
 }
 
 func (r *rule) first() *symbol { return r.guard.next }
 func (r *rule) last() *symbol  { return r.guard.prev }
-func (r *rule) empty() bool    { return r.guard.next == r.guard }
 
-// dkey identifies a digram: two adjacent symbols including their exponents.
-type dkey struct {
-	aRule bool
-	aVal  int
-	aCnt  int
-	bRule bool
-	bVal  int
-	bCnt  int
-}
-
-func symVal(s *symbol) (bool, int) {
-	if s.rule != nil && !s.guard {
-		return true, s.rule.id
-	}
-	return false, s.term
-}
+// refVal is the tagged value of a reference to r.
+func (r *rule) refVal() int { return r.id<<1 | 1 }
 
 // Builder constructs a grammar incrementally, one terminal at a time.
 type Builder struct {
-	main    *rule
-	digrams map[dkey]*symbol
-	rules   map[*rule]struct{}
-	nextID  int
-	size    int // appended terminal instances
+	main   *rule
+	index  digramIndex
+	rules  int // live rules including main
+	nextID int
+	size   int // appended terminal instances
 
 	// runLength enables the aⁱaʲ→aⁱ⁺ʲ constraint (constraint 3). It is a
 	// construction-time option so the ablation benchmark can compare.
@@ -92,6 +81,13 @@ type Builder struct {
 	// current structural edit completes; enforcing utility mid-edit could
 	// splice away symbols the edit still holds pointers to.
 	pending []*rule
+
+	// dropped lists the symbols unlinked during the current Append and
+	// free those of earlier Appends (both threaded through refNext). A
+	// symbol is reused only after the Append that dropped it returns:
+	// within an edit, the utility and inline guards recognise a dropped
+	// symbol by its nil next link, so it must stay unlinked until then.
+	dropped, free *symbol
 }
 
 // New returns a Builder with the run-length extension enabled.
@@ -99,36 +95,50 @@ func New() *Builder { return NewWithOptions(true) }
 
 // NewWithOptions returns a Builder with the run-length extension on or off.
 func NewWithOptions(runLength bool) *Builder {
-	b := &Builder{
-		digrams:   map[dkey]*symbol{},
-		rules:     map[*rule]struct{}{},
-		runLength: runLength,
-	}
-	b.main = newRule(0)
-	b.nextID = 1
-	b.rules[b.main] = struct{}{}
+	b := &Builder{runLength: runLength}
+	b.index.slots = make([]islot, minIndexSlots)
+	b.main = b.newRule()
 	return b
 }
 
 // InputLen reports how many terminals have been appended.
 func (b *Builder) InputLen() int { return b.size }
 
-func (b *Builder) key(a *symbol) (dkey, bool) {
-	if a == nil || a.guard || a.next == nil || a.next.guard {
+// newRule mints a live rule with the next id and an empty body.
+func (b *Builder) newRule() *rule {
+	r := &rule{id: b.nextID, alive: true}
+	b.nextID++
+	b.rules++
+	r.guard = &symbol{val: guardVal, rule: r}
+	r.guard.prev, r.guard.next = r.guard, r.guard
+	return r
+}
+
+// newSymbol returns an unlinked symbol, recycled when one is free.
+func (b *Builder) newSymbol(val, count int, ru *rule) *symbol {
+	s := b.free
+	if s == nil {
+		return &symbol{val: val, count: count, rule: ru}
+	}
+	b.free = s.refNext
+	*s = symbol{val: val, count: count, rule: ru}
+	return s
+}
+
+// key returns the digram starting at a, if a and its successor are both
+// real symbols.
+func key(a *symbol) (dkey, bool) {
+	if a == nil || a.isGuard() || a.next == nil || a.next.isGuard() {
 		return dkey{}, false
 	}
-	ar, av := symVal(a)
-	br, bv := symVal(a.next)
-	return dkey{ar, av, a.count, br, bv, a.next.count}, true
+	return dkey{a.val, a.count, a.next.val, a.next.count}, true
 }
 
 // unindex removes the digram starting at a from the index if the index entry
 // is a itself.
 func (b *Builder) unindex(a *symbol) {
-	if k, ok := b.key(a); ok {
-		if b.digrams[k] == a {
-			delete(b.digrams, k)
-		}
+	if k, ok := key(a); ok {
+		b.index.deleteIf(k, a)
 	}
 }
 
@@ -148,9 +158,34 @@ func unlink(s *symbol) {
 }
 
 // addRef registers that symbol s references rule ru.
-func (b *Builder) addRef(ru *rule, s *symbol) {
+func addRef(ru *rule, s *symbol) {
 	ru.uses++
-	ru.refs[s] = struct{}{}
+	s.refPrev = nil
+	s.refNext = ru.refs
+	if ru.refs != nil {
+		ru.refs.refPrev = s
+	}
+	ru.refs = s
+}
+
+// removeRef deregisters symbol s as a reference to rule ru.
+func removeRef(ru *rule, s *symbol) {
+	ru.uses--
+	if s.refPrev != nil {
+		s.refPrev.refNext = s.refNext
+	} else {
+		ru.refs = s.refNext
+	}
+	if s.refNext != nil {
+		s.refNext.refPrev = s.refPrev
+	}
+	s.refPrev, s.refNext = nil, nil
+}
+
+// drop queues an unlinked symbol for reuse after the current Append.
+func (b *Builder) drop(s *symbol) {
+	s.refNext = b.dropped
+	b.dropped = s
 }
 
 // dropSymbol unlinks s and, if it is a non-terminal, releases its rule
@@ -158,11 +193,11 @@ func (b *Builder) addRef(ru *rule, s *symbol) {
 func (b *Builder) dropSymbol(s *symbol) {
 	if s.isNonTerminal() {
 		ru := s.rule
-		ru.uses--
-		delete(ru.refs, s)
+		removeRef(ru, s)
 		b.pending = append(b.pending, ru)
 	}
 	unlink(s)
+	b.drop(s)
 }
 
 // flushUtility enforces the rule-utility constraint for every rule queued by
@@ -174,13 +209,10 @@ func (b *Builder) flushUtility() {
 	for len(b.pending) > 0 {
 		ru := b.pending[len(b.pending)-1]
 		b.pending = b.pending[:len(b.pending)-1]
-		if _, alive := b.rules[ru]; !alive || ru == b.main || ru.uses != 1 {
+		if !ru.alive || ru == b.main || ru.uses != 1 {
 			continue
 		}
-		var ref *symbol
-		for s := range ru.refs {
-			ref = s
-		}
+		ref := ru.refs
 		if ref == nil || ref.count != 1 || ref.next == nil {
 			continue
 		}
@@ -199,10 +231,11 @@ func (b *Builder) inline(ref *symbol, ru *rule) {
 	first := ru.first()
 	last := ru.last()
 	// Detach ref without utility recursion (the rule is going away).
-	ru.uses--
-	delete(ru.refs, ref)
+	removeRef(ru, ref)
 	unlink(ref)
-	delete(b.rules, ru)
+	b.drop(ref)
+	ru.alive = false
+	b.rules--
 
 	// Splice the body in. Body digram index entries stay valid: they
 	// reference the same symbol objects.
@@ -230,7 +263,7 @@ func (b *Builder) inline(ref *symbol, ru *rule) {
 // hold the same value, they collapse. It returns the surviving symbol
 // (which may be a itself or a predecessor after leftward merging).
 func (b *Builder) mergeRun(a *symbol) *symbol {
-	if a == nil || a.guard {
+	if a == nil || a.isGuard() {
 		return a
 	}
 	if !b.runLength {
@@ -239,7 +272,7 @@ func (b *Builder) mergeRun(a *symbol) *symbol {
 	// Merge leftward first so a stable survivor accumulates. The dropped
 	// symbol's rule reference (if any) dies with it; the survivor keeps
 	// one reference, so the rule's use count decreases by one.
-	for !a.prev.guard && sameValue(a.prev, a) {
+	for sameValue(a.prev, a) {
 		p := a.prev
 		b.unindex(p.prev)
 		b.unindex(p)
@@ -248,7 +281,7 @@ func (b *Builder) mergeRun(a *symbol) *symbol {
 		b.dropSymbol(a)
 		a = p
 	}
-	for !a.next.guard && sameValue(a, a.next) {
+	for sameValue(a, a.next) {
 		n := a.next
 		b.unindex(a.prev)
 		b.unindex(a)
@@ -262,13 +295,14 @@ func (b *Builder) mergeRun(a *symbol) *symbol {
 // check enforces digram uniqueness for the digram starting at a. It returns
 // true if a replacement took place.
 func (b *Builder) check(a *symbol) bool {
-	k, ok := b.key(a)
+	k, ok := key(a)
 	if !ok {
 		return false
 	}
-	m, exists := b.digrams[k]
-	if !exists {
-		b.digrams[k] = a
+	i := b.index.lookup(k)
+	m := b.index.slots[i].sym
+	if m == nil {
+		b.index.setAt(i, k, a)
 		return false
 	}
 	if m == a {
@@ -285,34 +319,26 @@ func (b *Builder) check(a *symbol) bool {
 // mint a new one, substituting both occurrences.
 func (b *Builder) match(newer, older *symbol) {
 	var ru *rule
-	if older.prev.guard && older.next.next.guard {
+	if older.prev.isGuard() && older.next.next.isGuard() {
 		// The older occurrence is exactly a rule's body: reuse it.
 		ru = older.prev.rule
 		b.substitute(newer, ru)
 	} else {
-		ru = newRule(b.nextID)
-		b.nextID++
-		b.rules[ru] = struct{}{}
+		ru = b.newRule()
 		// Body: copies of the digram's two symbols.
-		c1 := &symbol{rule: nil, term: older.term, count: older.count}
-		if older.isNonTerminal() {
-			c1.rule = older.rule
-		}
-		c2 := &symbol{rule: nil, term: older.next.term, count: older.next.count}
-		if older.next.isNonTerminal() {
-			c2.rule = older.next.rule
-		}
+		c1 := b.newSymbol(older.val, older.count, older.rule)
+		c2 := b.newSymbol(older.next.val, older.next.count, older.next.rule)
 		link(ru.guard, c1)
 		link(c1, c2)
 		if c1.rule != nil {
-			b.addRef(c1.rule, c1)
+			addRef(c1.rule, c1)
 		}
 		if c2.rule != nil {
-			b.addRef(c2.rule, c2)
+			addRef(c2.rule, c2)
 		}
 		// The canonical occurrence of this digram is now the rule body.
-		if k, ok := b.key(c1); ok {
-			b.digrams[k] = c1
+		if k, ok := key(c1); ok {
+			b.index.setAt(b.index.lookup(k), k, c1)
 		}
 		b.substitute(older, ru)
 		b.substitute(newer, ru)
@@ -330,9 +356,9 @@ func (b *Builder) substitute(a *symbol, ru *rule) {
 	b.dropSymbol(second)
 	b.dropSymbol(a)
 
-	n := &symbol{rule: ru, count: 1}
+	n := b.newSymbol(ru.refVal(), 1, ru)
 	link(prev, n)
-	b.addRef(ru, n)
+	addRef(ru, n)
 
 	n = b.mergeRun(n)
 	b.check(n.prev)
@@ -345,19 +371,34 @@ func (b *Builder) Append(token int) {
 	if token < 0 {
 		panic(fmt.Sprintf("sequitur: negative terminal %d", token))
 	}
+	if token > maxTerminal {
+		panic(fmt.Sprintf("sequitur: terminal %d out of range", token))
+	}
 	b.size++
+	v := token << 1
 	last := b.main.last()
-	if b.runLength && !last.guard && last.rule == nil && last.term == token {
+	if b.runLength && last.val == v {
 		b.unindex(last.prev)
 		last.count++
 		b.check(last.prev)
-		b.flushUtility()
-		return
+	} else {
+		n := b.newSymbol(v, 1, nil)
+		link(last, n)
+		b.check(n.prev)
 	}
-	n := &symbol{term: token, count: 1}
-	link(last, n)
-	b.check(n.prev)
 	b.flushUtility()
+	b.recycle()
+}
+
+// recycle ends an Append: the symbols it dropped become reusable.
+func (b *Builder) recycle() {
+	for s := b.dropped; s != nil; {
+		next := s.refNext
+		s.refNext = b.free
+		b.free = s
+		s = next
+	}
+	b.dropped = nil
 }
 
 // AppendAll adds every token of the slice in order.
@@ -368,4 +409,4 @@ func (b *Builder) AppendAll(tokens []int) {
 }
 
 // NumRules reports the current number of rules including the main rule.
-func (b *Builder) NumRules() int { return len(b.rules) }
+func (b *Builder) NumRules() int { return b.rules }

@@ -112,6 +112,25 @@ func TestNoRunLengthStillRoundTrips(t *testing.T) {
 	}
 }
 
+// TestNoRunLengthRepeatedDigram records a known defect of the no-run-length
+// (ablation) mode. The overlapping triple 0 0 0 is left partly unindexed,
+// and once R1 → 2 0 splits it, the grammar ends as S → R1 0 0 R1 3 0 0:
+// the digram 0 0 occurs twice. The grammar still expands exactly; it is
+// only larger than Sequitur's. The test skips while the defect stands and
+// becomes a plain regression test once it is fixed.
+func TestNoRunLengthRepeatedDigram(t *testing.T) {
+	tokens := []int{2, 0, 0, 0, 2, 0, 3, 0, 0}
+	b := NewWithOptions(false)
+	b.AppendAll(tokens)
+	g := b.Grammar()
+	if !reflect.DeepEqual(g.Expand(), tokens) {
+		t.Fatalf("round trip failed:\n%s", g)
+	}
+	if err := b.verify(); err != nil {
+		t.Skipf("known defect, no-run-length grammar repeats a digram: %v\n%s", err, g)
+	}
+}
+
 func TestMixedRunsAndPatterns(t *testing.T) {
 	var tokens []int
 	for i := 0; i < 50; i++ {
