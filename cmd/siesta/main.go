@@ -36,6 +36,8 @@
 //	       [-spill-high-water N] [-platform A] [-impl openmpi] [-seed N]
 //	       [-parallel N] [-wait 10m] [-o proxy.c] [-json]
 //
+//	siesta inspect -in trace.bin [-rank N] [-head M] [-summary] [-gen] [-otf F] [-diff F]
+//
 // The check verb runs the static communication verifier over an encoded
 // program (written by -prog) or a raw trace (written by -trace; it is merged
 // first) and exits non-zero if any error-severity diagnostic is found. With
@@ -80,6 +82,9 @@
 // streams, uploaded round-robin interleaved, with grammar inference running
 // server-side while chunks arrive. The resulting proxy is byte-identical
 // to a one-shot trace_base64 upload. See DESIGN.md §15.
+//
+// The inspect verb reads a trace written by -trace: its summary, one rank's
+// events, a diff against a second trace, an OTF-style export, grammar stats.
 //
 // All verbs take -log-level (debug, info, warn, error) for structured
 // log/slog diagnostics on stderr.
@@ -148,6 +153,10 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "upload" {
 		runUpload(os.Args[2:])
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "inspect" {
+		runInspect(os.Args[2:])
 		return
 	}
 	appName := flag.String("app", "CG", "application to synthesize a proxy for")

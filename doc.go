@@ -19,8 +19,8 @@
 //
 //   - internal/core.Synthesize — the full pipeline as a library call
 //   - cmd/siesta — trace + generate + report CLI; `siesta bench -exp`
-//     regenerates every table and figure of the paper
-//   - cmd/siesta-trace — trace inspection
+//     regenerates every table and figure of the paper, and `siesta
+//     inspect` reads trace files
 //   - examples/ — runnable scenarios
 //
 // The benchmarks in this directory (bench_test.go) wrap the evaluation

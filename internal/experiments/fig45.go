@@ -49,7 +49,7 @@ func figRates(cfg Config, single bool) ([]RatesRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig4/5 %s: %w", program, err)
 		}
-		glob := merge.Globalize(res.Trace, 0.05)
+		glob := merge.GlobalizeParallel(res.Trace, 0.05, 1)
 
 		var origin, mini, siesta perfmodel.Counters
 		if single {

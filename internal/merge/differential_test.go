@@ -1,0 +1,126 @@
+package merge_test
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"siesta/internal/apps"
+	"siesta/internal/merge"
+	"siesta/internal/mpi"
+	"siesta/internal/proxy"
+	"siesta/internal/trace"
+)
+
+// record runs fn at ranks on the simulated runtime and returns its trace.
+func record(ranks int, seed uint64, fn func(*mpi.Rank)) (*trace.Trace, error) {
+	rec := trace.NewRecorder(ranks, trace.Config{})
+	w := mpi.NewWorld(mpi.Config{Size: ranks, Interceptor: rec, Seed: seed})
+	if _, err := w.Run(fn); err != nil {
+		return nil, err
+	}
+	return rec.Trace("A", "openmpi"), nil
+}
+
+type appCase struct {
+	name string
+	tr   *trace.Trace
+}
+
+// appCases records every built-in app at 16, 27 and 64 ranks, as the app
+// accepts — once, for every test that walks them.
+var appCases = sync.OnceValues(func() ([]appCase, error) {
+	var cases []appCase
+	for _, spec := range apps.All() {
+		for _, ranks := range []int{16, 27, 64} {
+			if !spec.ValidRanks(ranks) {
+				continue
+			}
+			app, err := spec.Build(apps.Params{Ranks: ranks})
+			if err != nil {
+				return nil, err
+			}
+			tr, err := record(ranks, 1, app)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%d: %w", spec.Name, ranks, err)
+			}
+			cases = append(cases, appCase{fmt.Sprintf("%s/%d", spec.Name, ranks), tr})
+		}
+	}
+	return cases, nil
+})
+
+// forEachApp calls fn on each app case in a parallel subtest.
+func forEachApp(t *testing.T, fn func(t *testing.T, tr *trace.Trace)) {
+	cases, err := appCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			fn(t, c.tr)
+		})
+	}
+}
+
+// matchesReference requires Build to encode exactly what the frozen batch
+// reference encodes, under each ablation at Parallelism 1 and 2.
+func matchesReference(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	for name, opts := range map[string]merge.Options{
+		"default":       {},
+		"no-run-length": {DisableRunLength: true},
+		"no-main-merge": {DisableMainMerge: true},
+	} {
+		for _, par := range []int{1, 2} {
+			opts.Parallelism = par
+			want, err := merge.RefBuild(tr, opts)
+			if err != nil {
+				t.Fatalf("%s/par%d: reference: %v", name, par, err)
+			}
+			got, err := merge.Build(tr, opts)
+			if err != nil {
+				t.Fatalf("%s/par%d: %v", name, par, err)
+			}
+			if !bytes.Equal(want.Encode(), got.Encode()) {
+				t.Fatalf("%s/par%d: Build differs from the batch reference", name, par)
+			}
+		}
+	}
+}
+
+// Build commits through an Ingest fed in memory; on every built-in app it
+// must produce the program the old globalize-then-infer batch path did.
+func TestBuildMatchesReferenceApps(t *testing.T) {
+	forEachApp(t, matchesReference)
+}
+
+// The same on property-generated programs, over odd and even rank counts
+// (non-power-of-two reduction trees).
+func TestBuildMatchesReferenceRandomPrograms(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		ranks := 4 + int(seed)
+		t.Run(fmt.Sprintf("seed%d/%d", seed, ranks), func(t *testing.T) {
+			tr, err := record(ranks, uint64(seed), proxy.RandomProgram(seed, 12))
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchesReference(t, tr)
+		})
+	}
+}
+
+// The re-inference fallback exists for cluster collapses the built-in apps
+// never produce: batch Build must commit every one of them through the
+// injective relabel, so the fallback cannot quietly become its hot path.
+func TestBuildNeverReinfersOnApps(t *testing.T) {
+	forEachApp(t, func(t *testing.T, tr *trace.Trace) {
+		if _, n, err := merge.BuildReinferred(tr, merge.Options{Parallelism: 2}); err != nil {
+			t.Fatal(err)
+		} else if n != 0 {
+			t.Fatalf("%d of %d ranks took the re-inference fallback", n, len(tr.Ranks))
+		}
+	})
+}

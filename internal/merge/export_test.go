@@ -1,0 +1,15 @@
+package merge
+
+import "siesta/internal/trace"
+
+// RefBuild lends the frozen batch reference (reference_test.go) to the
+// external test package (differential_test.go).
+var RefBuild = refBuild
+
+// BuildReinferred is Build that also reports how many ranks its private
+// session re-inferred (Ingest.Reinferred).
+func BuildReinferred(tr *trace.Trace, opts Options) (*Program, int, error) {
+	in := batchIngest(tr, opts)
+	p, err := in.Build()
+	return p, in.Reinferred(), err
+}

@@ -2,6 +2,7 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,31 +10,33 @@ import (
 	"siesta/internal/trace"
 )
 
-// Streaming ingest (DESIGN.md §15): Build without a decoded trace.Trace.
-// Each rank's events arrive as self-delimiting chunk frames
-// (trace.ChunkEncodeRank's format) and are consumed as they land —
-// terminals intern into a spillable table, clusters into the same
-// match-or-append index the batch leaves use, and Sequitur inference runs
-// incrementally over the arriving sequence. Commit (Build) then runs the
-// ordinary pairwise tree reduction over the per-rank tables and reuses
-// assemble for everything after, so the streamed output is byte-identical
-// to Build on the equivalent trace for every chunk size and every
-// rank-arrival interleaving.
+// Ingest is the merge layer's one front end (DESIGN.md §15). Each rank's
+// tables arrive either as self-delimiting chunk frames
+// (trace.ChunkEncodeRank's format), consumed as they land, or — for batch
+// Build — straight from a decoded trace.RankTrace in one in-memory feed.
+// Either way terminals intern into a spillable table and clusters into the
+// match-or-append index the reduction uses. Sequitur inference runs over
+// a stream as it arrives; an in-memory feed's events are inferred at
+// commit instead, right after the reduction has taken the leaf tables.
+// Commit (Build) runs the pairwise tree reduction over the per-rank tables
+// and hands everything after to assemble, so the output depends on
+// neither the chunk size nor the rank-arrival interleaving: a streamed
+// session and batch Build over the equivalent trace produce the same
+// bytes.
 //
-// The one subtlety is which ids inference runs over. Batch Build infers
-// over fully-globalized ids, which do not exist until every rank has
-// arrived. The ingestor instead feeds each rank's builder its
-// *leaf-canonical* ids — the ids of the rank's own leaf partial, exactly
-// what leafPartial produces — and defers globalization to commit. Sequitur
-// is invariant under injective relabeling of terminals (its decisions
-// depend only on the equality pattern of the token stream), so when the
-// rank's leaf→root id map is injective the leaf grammar relabels in place
-// to the batch grammar. The map can fail to be injective only when the
+// The one subtlety is which ids inference runs over. Fully-globalized ids
+// do not exist until every rank has arrived, so each rank's builder is fed
+// its *leaf-canonical* ids — the ids of the rank's own leaf table — and
+// globalization is deferred to commit. Sequitur is invariant under
+// injective relabeling of terminals (its decisions depend only on the
+// equality pattern of the token stream), so when the rank's leaf→root id
+// map is injective the leaf grammar relabels in place to the grammar of
+// the root-id sequence. The map can fail to be injective only when the
 // inner tree merges collapse two of the rank's distinct computation
 // clusters into one (coarser threshold, cross-rank representatives); that
-// rank's sequence is then re-inferred over root ids — the exact batch
-// computation — from its leaf grammar's expansion. Either way: identical
-// grammars, identical bytes.
+// rank's sequence is then re-inferred over root ids from its leaf
+// grammar's expansion. Either way the grammar is the one inference over
+// root ids would give.
 
 // Ingest is one streaming merge session: numRanks rank streams feeding
 // one eventual Program. Create with NewIngest, feed each rank through
@@ -45,6 +48,9 @@ type Ingest struct {
 	platform string
 	impl     string
 	ranks    []*RankIngestor
+	// src is the decoded trace batch Build fed in memory; when set, the
+	// losslessness check compares against its events (see Build).
+	src *trace.Trace
 
 	// sealed flips when Build or Close begins: feeds arriving after that
 	// are rejected rather than racing the reduction.
@@ -71,6 +77,10 @@ func NewIngest(numRanks int, platformName, implName string, opts Options) (*Inge
 	if numRanks <= 0 {
 		return nil, fmt.Errorf("merge: ingest needs a positive rank count, got %d", numRanks)
 	}
+	return newIngest(numRanks, platformName, implName, opts), nil
+}
+
+func newIngest(numRanks int, platformName, implName string, opts Options) *Ingest {
 	opts = opts.withDefaults()
 	in := &Ingest{
 		opts:     opts,
@@ -80,16 +90,29 @@ func NewIngest(numRanks int, platformName, implName string, opts Options) (*Inge
 	}
 	for r := range in.ranks {
 		in.ranks[r] = &RankIngestor{
-			in:    in,
-			rank:  r,
-			th:    opts.ClusterThreshold,
-			dec:   trace.NewChunkDec(),
-			cl:    newPartial(opts.ClusterThreshold),
-			table: trace.NewSpillTable(opts.Spill),
-			b:     sequitur.NewWithOptions(!opts.DisableRunLength),
+			in:   in,
+			rank: r,
+			dec:  trace.NewChunkDec(),
+			lt:   newLeafTable(opts.ClusterThreshold, opts.Spill),
+			b:    sequitur.NewWithOptions(!opts.DisableRunLength),
 		}
 	}
-	return in, nil
+	return in
+}
+
+// batchIngest opens the private session batch Build commits through: every
+// rank of tr is fed in memory — one chunk per rank, no encoding — in
+// parallel, since ranks are independent until commit. The feed interns
+// the rank's tables; Build infers its events once the reduction has taken
+// those tables, so a batch merge never holds P leaf tables while it
+// infers.
+func batchIngest(tr *trace.Trace, opts Options) *Ingest {
+	in := newIngest(len(tr.Ranks), tr.Platform, tr.Impl, opts)
+	in.src = tr
+	parfor(len(in.ranks), in.opts.Parallelism, func(r int) {
+		in.ranks[r].lt.addRank(tr.Ranks[r])
+	})
+	return in
 }
 
 // NumRanks reports the session's rank count.
@@ -103,7 +126,7 @@ func (in *Ingest) SpillStats() trace.SpillStats {
 	var agg trace.SpillStats
 	for _, ri := range in.ranks {
 		ri.mu.Lock()
-		st := ri.table.Stats()
+		st := ri.lt.table.Stats()
 		ri.mu.Unlock()
 		agg.Records += st.Records
 		agg.Spilled += st.Spilled
@@ -139,7 +162,7 @@ func (in *Ingest) Close() error {
 	in.closed = true
 	var first error
 	for _, ri := range in.ranks {
-		if err := ri.table.Close(); err != nil && first == nil {
+		if err := ri.lt.table.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -149,9 +172,9 @@ func (in *Ingest) Close() error {
 // Build commits the session: every rank stream must have ended. It runs
 // the pairwise tree reduction over the per-rank leaf tables, relabels (or
 // where the reduction collapsed a rank's terminals, re-infers) each
-// rank's grammar onto global ids, and assembles the Program through the
-// same back half batch Build uses. The session's spill files are released
-// before Build returns, success or not; Build can run at most once.
+// rank's grammar onto global ids, and assembles the Program. The
+// session's spill files are released before Build returns, success or
+// not; Build can run at most once.
 func (in *Ingest) Build() (*Program, error) {
 	in.seal()
 	in.mu.Lock()
@@ -166,7 +189,7 @@ func (in *Ingest) Build() (*Program, error) {
 	opts := in.opts
 	par := opts.Parallelism
 	for _, ri := range in.ranks {
-		if !ri.dec.Ended() {
+		if ri.b != nil && in.src == nil {
 			return nil, fmt.Errorf("merge: rank %d stream incomplete (no end frame; %d bytes buffered)",
 				ri.rank, ri.dec.Buffered())
 		}
@@ -175,13 +198,11 @@ func (in *Ingest) Build() (*Program, error) {
 		}
 	}
 
-	// Leaf partials: the per-rank tables built during ingest, with
-	// identity recMaps over leaf ids. Materialize re-reads any spilled
-	// suffix; the reduction then proceeds exactly as in GlobalizeParallel.
+	// Leaf partials: the per-rank tables built during ingest.
 	parts := make([]*partial, len(in.ranks))
 	leafErrs := make([]error, len(in.ranks))
 	parfor(len(in.ranks), par, func(r int) {
-		parts[r], leafErrs[r] = in.ranks[r].leaf()
+		parts[r], leafErrs[r] = in.ranks[r].lt.partial(r)
 	})
 	for _, err := range leafErrs {
 		if err != nil {
@@ -189,16 +210,21 @@ func (in *Ingest) Build() (*Program, error) {
 		}
 	}
 	root := reducePartials(parts, opts.ClusterThreshold, par)
+	defer root.releaseMaps()
 
-	// Per-rank globalization of the incrementally-inferred grammars:
-	// relabel when leaf→root is injective for the rank, re-infer over the
-	// mapped sequence when it is not (see the file comment).
+	// Per-rank globalization of the inferred grammars: relabel when
+	// leaf→root is injective for the rank, re-infer over the mapped
+	// sequence when it is not (see the file comment).
 	grammars := make([]*sequitur.Grammar, len(in.ranks))
 	gramErrs := make([]error, len(in.ranks))
 	parfor(len(in.ranks), par, func(r int) {
 		ri := in.ranks[r]
+		if in.src != nil { // the in-memory feed's events (see batchIngest)
+			ri.append(in.src.Ranks[r].Events)
+			ri.end()
+		}
 		rm := root.recMaps[r].S // leaf id -> root id
-		g := ri.b.Grammar()
+		g := ri.g
 		if injective(rm, len(root.records)) {
 			for _, rule := range g.Rules {
 				for i := range rule {
@@ -223,25 +249,37 @@ func (in *Ingest) Build() (*Program, error) {
 		}
 		grammars[r] = g
 	})
-	for rank, rm := range root.recMaps {
-		rm.Unref()
-		delete(root.recMaps, rank)
-	}
 	for _, err := range gramErrs {
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// The reference sequence for the losslessness self-check is the
-	// pre-merge grammar's own expansion over root ids (the streamed path
-	// has no retained event sequences to compare against — bounding that
-	// memory is the point). The ExpandedLen gate above pins each grammar
-	// to its ingested event count, so the check still catches any
-	// divergence introduced from the depth merge onward.
+	// The losslessness self-check's reference. A streamed session retains
+	// no event sequences — bounding that memory is the point — so it
+	// compares against each grammar's own expansion over root ids; the
+	// ExpandedLen gate above pins every grammar to its ingested event
+	// count, so the check still catches any divergence from the depth
+	// merge onward. Batch Build still holds the trace, so it compares
+	// against the rank's own events mapped onto root ids.
+	lossless := func(rank int, got []int) bool { return slices.Equal(got, grammars[rank].Expand()) }
+	if in.src != nil {
+		lossless = func(rank int, got []int) bool {
+			rm, wire := root.recMaps[rank].S, in.ranks[rank].lt.wireRec
+			events := in.src.Ranks[rank].Events
+			if len(got) != len(events) {
+				return false
+			}
+			for i, id := range events {
+				if got[i] != rm[wire[id]] {
+					return false
+				}
+			}
+			return true
+		}
+	}
 	return assemble(len(in.ranks), in.platform, in.impl,
-		root.records, root.clusters, grammars,
-		func(rank int) []int { return grammars[rank].Expand() }, opts)
+		root.records, root.clusters, grammars, lossless, opts)
 }
 
 // injective reports whether m (a leaf→root id map) hits no root id twice.
@@ -268,20 +306,15 @@ type RankIngestor struct {
 	mu   sync.Mutex
 	in   *Ingest
 	rank int
-	th   float64
 	err  error
 
 	dec *trace.ChunkDec
-	// cl holds the rank's leaf cluster table: only the cluster half of a
-	// partial (clusters + cindex) is used during ingest; records live in
-	// the spill table.
-	cl    *partial
-	table *trace.SpillTable
-	b     *sequitur.Builder
-
-	// wireCl / wireRec map the stream's dense wire ids onto leaf ids.
-	wireCl  []int
-	wireRec []int
+	lt  *leafTable
+	// b infers over leaf ids until the stream ends; end then swaps it for
+	// its grammar g, so ended ranks hold no builder. b == nil means ended
+	// (for an in-memory feed, that happens at Build).
+	b *sequitur.Builder
+	g *sequitur.Grammar
 
 	events int
 	bytes  int64
@@ -302,7 +335,7 @@ func (ri *RankIngestor) Feed(chunk []byte) error {
 	}
 	err := ri.dec.Feed(chunk, ri.consume)
 	if err == nil {
-		err = ri.table.Err() // surface spill I/O promptly, not at commit
+		err = ri.lt.table.Err() // surface spill I/O promptly, not at commit
 	}
 	if err != nil {
 		ri.err = err
@@ -312,10 +345,8 @@ func (ri *RankIngestor) Feed(chunk []byte) error {
 	return nil
 }
 
-// consume interns one decoded stream item. It is the incremental replica
-// of leafPartial: clusters through the match-or-append index, records
-// re-keyed after cluster remap and interned first-wins, events mapped to
-// leaf ids and appended to the Sequitur builder.
+// consume interns one decoded stream item through the rank's leaf table
+// and appends its events, mapped to leaf ids, to the Sequitur builder.
 func (ri *RankIngestor) consume(it trace.ChunkItem) error {
 	switch it.Tag {
 	case trace.ChunkTagHeader:
@@ -323,29 +354,37 @@ func (ri *RankIngestor) consume(it trace.ChunkItem) error {
 			return fmt.Errorf("merge: stream header says rank %d, session slot is rank %d", it.Rank, ri.rank)
 		}
 	case trace.ChunkTagCluster:
-		ri.wireCl = append(ri.wireCl, ri.cl.addCluster(it.Cluster, ri.th))
+		ri.lt.addCluster(it.Cluster)
 	case trace.ChunkTagRecord:
-		r := it.Record
-		if r.IsCompute() {
-			r.ComputeCluster = ri.wireCl[r.ComputeCluster]
-		}
-		ri.wireRec = append(ri.wireRec, ri.table.Intern(r, r.KeyString()))
+		ri.lt.addRecord(it.Record)
 	case trace.ChunkTagEvents:
-		for _, wire := range it.Events {
-			ri.b.Append(ri.wireRec[wire])
-		}
-		ri.events += len(it.Events)
+		ri.append(it.Events)
 	case trace.ChunkTagEnd:
 		// Totals were validated by the decoder; nothing to intern.
+		ri.end()
 	}
 	return nil
+}
+
+// append feeds events (ids in the source's local table) to the builder.
+func (ri *RankIngestor) append(events []int) {
+	for _, id := range events {
+		ri.b.Append(ri.lt.wireRec[id])
+	}
+	ri.events += len(events)
+}
+
+// end closes the rank's stream: its grammar is final, so the builder goes.
+func (ri *RankIngestor) end() {
+	ri.g = ri.b.Grammar()
+	ri.b = nil
 }
 
 // Ended reports whether the rank's stream is complete (end frame seen).
 func (ri *RankIngestor) Ended() bool {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
-	return ri.dec.Ended()
+	return ri.b == nil
 }
 
 // Events reports how many event instances have been ingested so far.
@@ -360,37 +399,4 @@ func (ri *RankIngestor) Bytes() int64 {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
 	return ri.bytes
-}
-
-// Grammar snapshots the rank's in-progress grammar over leaf-canonical
-// ids — a progress/debug surface; commit-time globalization happens in
-// Build.
-func (ri *RankIngestor) Grammar() *sequitur.Grammar {
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	return ri.b.Snapshot()
-}
-
-// leaf assembles the rank's leaf partial for the reduction: the tables
-// built during ingest plus an identity recMap over leaf ids, so the
-// composed root map comes out as leaf→root. Called only after seal.
-func (ri *RankIngestor) leaf() (*partial, error) {
-	records, err := ri.table.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	p := &partial{
-		clusters: ri.cl.clusters,
-		cindex:   ri.cl.cindex,
-		records:  records,
-		keys:     ri.table.Keys(),
-		recIndex: ri.table.KeyIndex(),
-		recMaps:  map[int]*trace.IntBuf{},
-	}
-	rm := trace.GetInts(len(records))
-	for i := range rm.S {
-		rm.S[i] = i
-	}
-	p.recMaps[ri.rank] = rm
-	return p, nil
 }

@@ -69,9 +69,9 @@ func TestIngestMatchesBatchByteIdentical(t *testing.T) {
 	}
 	for name, tr := range traces {
 		opts := Options{Parallelism: 2}
-		want, err := Build(tr, opts)
+		want, err := refBuild(tr, opts)
 		if err != nil {
-			t.Fatalf("%s: batch build: %v", name, err)
+			t.Fatalf("%s: batch reference: %v", name, err)
 		}
 		wantEnc := want.Encode()
 
@@ -105,7 +105,7 @@ func TestIngestMatchesBatchByteIdentical(t *testing.T) {
 func TestIngestConcurrentFeedsMatchBatch(t *testing.T) {
 	tr := masterWorkerTrace(t, 16, 3)
 	opts := Options{Parallelism: runtime.GOMAXPROCS(0)}
-	want, err := Build(tr, opts)
+	want, err := refBuild(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +175,16 @@ func collapseTrace(t *testing.T) *trace.Trace {
 func TestIngestClusterCollapseFallback(t *testing.T) {
 	tr := collapseTrace(t)
 	opts := Options{ClusterThreshold: 0.3}
-	want, err := Build(tr, opts)
+	want, err := refBuild(tr, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	batch, n, err := BuildReinferred(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || !bytes.Equal(want.Encode(), batch.Encode()) {
+		t.Fatalf("batch Build: %d ranks re-inferred, want > 0, and output must match the reference", n)
 	}
 	in := feedIngest(t, tr, opts, 3, nil)
 	got, err := in.Build()
@@ -192,7 +199,7 @@ func TestIngestClusterCollapseFallback(t *testing.T) {
 	}
 	// Sanity: at the default (finer) threshold nothing collapses and the
 	// pure relabel path must be taken — and still match.
-	want2, err := Build(tr, Options{})
+	want2, err := refBuild(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +231,7 @@ func countSpillFiles(t *testing.T, dir string) int {
 // file.
 func TestIngestSpillTortureByteIdentical(t *testing.T) {
 	tr := masterWorkerTrace(t, 16, 3)
-	want, err := Build(tr, Options{})
+	want, err := refBuild(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +353,8 @@ func TestIngestErrors(t *testing.T) {
 	})
 }
 
-// Progress surfaces: Ended/Events/Bytes/Grammar must be consistent
-// mid-stream and at completion, and Snapshot must not perturb the result.
+// Progress surfaces: Ended/Events/Bytes must be consistent mid-stream and
+// at completion, and polling them must not perturb the result.
 func TestIngestProgressSurfaces(t *testing.T) {
 	tr := ringTrace(t, 4, 4)
 	want, err := Build(tr, Options{})
@@ -364,9 +371,6 @@ func TestIngestProgressSurfaces(t *testing.T) {
 		}
 		if ri.Ended() {
 			t.Fatalf("rank %d claims ended at half stream", r)
-		}
-		if g := ri.Grammar(); g.ExpandedLen() != ri.Events() {
-			t.Fatalf("rank %d mid-stream grammar expands to %d, events %d", r, g.ExpandedLen(), ri.Events())
 		}
 		if err := ri.Feed(stream[half:]); err != nil {
 			t.Fatal(err)
@@ -386,7 +390,7 @@ func TestIngestProgressSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Encode(), got.Encode()) {
-		t.Fatal("mid-stream snapshots perturbed the final program")
+		t.Fatal("mid-stream progress polls perturbed the final program")
 	}
 }
 

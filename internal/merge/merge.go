@@ -27,13 +27,13 @@ type Options struct {
 	// DisableMainMerge keeps every rank's main rule separate (ablation).
 	DisableMainMerge bool
 
-	// Spill bounds the resident memory of the streaming ingest path's
-	// per-rank terminal tables (see Ingest; the high-water mark applies to
-	// each rank's table separately): past the high-water mark,
-	// terminals spill to a temp file that is re-read once at Build and
-	// removed at Close. Batch Build ignores it. Spilling never changes a
-	// single output byte, so like Parallelism it is excluded from the
-	// JSON encoding and therefore from core.OptionsFingerprint.
+	// Spill bounds the resident memory of the per-rank terminal tables
+	// (see Ingest; the high-water mark applies to each rank's table
+	// separately): past the high-water mark, terminals spill to a temp
+	// file that is re-read once at Build and removed at Close. Spilling
+	// never changes a single output byte, so like Parallelism it is
+	// excluded from the JSON encoding and therefore from
+	// core.OptionsFingerprint.
 	Spill trace.SpillConfig `json:"-"`
 
 	// Parallelism bounds the worker count for the merge pipeline's
@@ -68,26 +68,16 @@ type Globalized struct {
 
 // Release returns the pooled buffers backing Seqs to the shared buffer
 // pool. After Release, Seqs must not be touched: the backing arrays may be
-// handed to an unrelated caller. Build releases its Globalized once the
-// losslessness check has passed; callers that keep a Globalized alive
-// (experiments, tests) simply never call Release and the buffers fall to
-// the garbage collector instead — pooling is an optimization, never an
-// obligation.
+// handed to an unrelated caller. `siesta bench` releases each Globalized
+// it times; callers that keep one alive (experiments, tests) simply never
+// call Release and the buffers fall to the garbage collector instead —
+// pooling is an optimization, never an obligation.
 func (g *Globalized) Release() {
 	for _, b := range g.seqBufs {
 		b.Unref()
 	}
 	g.seqBufs = nil
 	g.Seqs = nil
-}
-
-// Globalize merges the per-rank terminal tables and computation clusters
-// into global tables and rewrites every rank's event sequence onto them.
-// The merge is the pairwise tree reduction of §2.6.1 (⌈log₂P⌉ rounds),
-// executed serially here; GlobalizeParallel runs the identical tree on a
-// worker pool and produces byte-identical output.
-func Globalize(tr *trace.Trace, clusterThreshold float64) *Globalized {
-	return GlobalizeParallel(tr, clusterThreshold, 1)
 }
 
 // clusterDist is the symmetric relative distance between two counter
@@ -120,44 +110,23 @@ func clusterDist(a, b perfmodel.Counters) float64 {
 
 // Build runs the whole inter-process extraction: globalize terminals, infer
 // per-rank grammars, merge non-terminals depth-first, cluster and LCS-merge
-// main rules. All parallel stages assemble their results in rank order, so
-// the output is byte-identical for every Options.Parallelism value.
+// main rules. It is a one-chunk-per-rank Ingest: each rank is fed in
+// memory, then committed through Ingest.Build. All parallel stages
+// assemble their results in rank order, so the output is byte-identical
+// for every Options.Parallelism value.
 func Build(tr *trace.Trace, opts Options) (*Program, error) {
-	opts = opts.withDefaults()
-	par := opts.Parallelism
-	glob := GlobalizeParallel(tr, opts.ClusterThreshold, par)
-	// The globalized sequences are scratch: grammar inference and the
-	// losslessness check read them, the returned Program does not. Return
-	// their pooled buffers on every exit path.
-	defer glob.Release()
-
-	// Intra-process grammar inference over global ids (§2.5). Each rank's
-	// grammar is independent of every other rank's, so this is the
-	// embarrassingly parallel stage.
-	grammars := make([]*sequitur.Grammar, len(glob.Seqs))
-	parfor(len(glob.Seqs), par, func(rank int) {
-		b := sequitur.NewWithOptions(!opts.DisableRunLength)
-		b.AppendAll(glob.Seqs[rank])
-		grammars[rank] = b.Grammar()
-	})
-
-	return assemble(tr.NumRanks, tr.Platform, tr.Impl,
-		glob.Terminals, glob.Clusters, grammars,
-		func(rank int) []int { return glob.Seqs[rank] }, opts)
+	return batchIngest(tr, opts).Build()
 }
 
-// assemble is the merge pipeline's back half, shared verbatim by the batch
-// path (Build) and the streaming path (Ingest.Build): given the globalized
-// tables and one per-rank grammar over global terminal ids, it merges
-// non-terminals depth-first, clusters and LCS-merges main rules, and runs
-// the losslessness self-check against refSeq(rank) — the sequence each
-// rank's grammar is expected to expand to. Sharing this function is what
-// makes "streamed equals batch" structural rather than coincidental: once
-// the two paths agree on tables and grammars, every later byte is produced
-// by the same code. opts must already carry defaults.
+// assemble is the merge pipeline's back half, run by Ingest.Build: given
+// the globalized tables and one per-rank grammar over global terminal ids,
+// it merges non-terminals depth-first, clusters and LCS-merges main rules,
+// and runs the losslessness self-check: lossless(rank, got) reports
+// whether got is the sequence rank's grammar is expected to expand to.
+// opts must already carry defaults.
 func assemble(numRanks int, platformName, implName string,
 	terminals []*trace.Record, clusters []*trace.Cluster,
-	grammars []*sequitur.Grammar, refSeq func(rank int) []int,
+	grammars []*sequitur.Grammar, lossless func(rank int, got []int) bool,
 	opts Options) (*Program, error) {
 
 	par := opts.Parallelism
@@ -295,10 +264,9 @@ func assemble(numRanks int, platformName, implName string,
 			expandErrs[rank] = err
 			return
 		}
-		want := refSeq(rank)
-		if !intsEqual(got, want) {
-			expandErrs[rank] = fmt.Errorf("merge: rank %d expansion diverges from trace (%d vs %d events)",
-				rank, len(got), len(want))
+		if !lossless(rank, got) {
+			expandErrs[rank] = fmt.Errorf("merge: rank %d expansion (%d events) diverges from trace",
+				rank, len(got))
 		}
 	})
 	for _, err := range expandErrs {
@@ -339,18 +307,6 @@ func signature(body []Sym) string {
 		}
 	}
 	return b.String()
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func log2ceil(n int) int {

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"slices"
 	"testing"
 
 	"siesta/internal/mpi"
@@ -58,7 +59,7 @@ func masterWorkerTrace(t *testing.T, size, iters int) *trace.Trace {
 
 func TestGlobalizeDeduplicatesAcrossRanks(t *testing.T) {
 	tr := ringTrace(t, 8, 4)
-	g := Globalize(tr, 0.05)
+	g := GlobalizeParallel(tr, 0.05, 1)
 	// The symmetric ring shares all terminals: the global table should be
 	// no bigger than one rank's local table.
 	if len(g.Terminals) > len(tr.Ranks[0].Table) {
@@ -82,7 +83,7 @@ func TestGlobalizeDeduplicatesAcrossRanks(t *testing.T) {
 
 func TestGlobalizeMergesComputeClusters(t *testing.T) {
 	tr := ringTrace(t, 8, 4)
-	g := Globalize(tr, 0.05)
+	g := GlobalizeParallel(tr, 0.05, 1)
 	// All ranks run the same kernel without noise: exactly one cluster.
 	if len(g.Clusters) != 1 {
 		t.Fatalf("got %d global clusters, want 1", len(g.Clusters))
@@ -99,13 +100,13 @@ func TestBuildLosslessSPMD(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build self-checks expansion; re-verify independently here.
-	g := Globalize(tr, 0.05)
+	g := GlobalizeParallel(tr, 0.05, 1)
 	for rank := range g.Seqs {
 		got, err := p.ExpandRank(rank)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !intsEqual(got, g.Seqs[rank]) {
+		if !slices.Equal(got, g.Seqs[rank]) {
 			t.Fatalf("rank %d expansion mismatch", rank)
 		}
 	}
@@ -137,13 +138,13 @@ func TestBuildMasterWorkerLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Globalize(tr, 0.05)
+	g := GlobalizeParallel(tr, 0.05, 1)
 	for rank := range g.Seqs {
 		got, err := p.ExpandRank(rank)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !intsEqual(got, g.Seqs[rank]) {
+		if !slices.Equal(got, g.Seqs[rank]) {
 			t.Fatalf("rank %d expansion mismatch", rank)
 		}
 	}
@@ -301,10 +302,10 @@ func TestLCSMergePaperExample(t *testing.T) {
 		}
 		return out
 	}
-	if got := project(0); !intsEqual(got, []int{1, 2, 3}) {
+	if got := project(0); !slices.Equal(got, []int{1, 2, 3}) {
 		t.Errorf("rank 0 projection %v", got)
 	}
-	if got := project(1); !intsEqual(got, []int{1, 4, 3}) {
+	if got := project(1); !slices.Equal(got, []int{1, 4, 3}) {
 		t.Errorf("rank 1 projection %v", got)
 	}
 }

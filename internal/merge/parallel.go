@@ -79,28 +79,75 @@ func (p *partial) addRecord(r *trace.Record, key string) int {
 	return id
 }
 
-// leafPartial globalizes a single rank: local clusters and records are
-// interned through the same match-or-append path the inner tree nodes use,
-// so one rank's clusters can still collapse when the merge threshold is
-// coarser than the tracing threshold.
-func leafPartial(rt *trace.RankTrace, th float64) *partial {
-	p := newPartial(th)
-	clusterMap := trace.GetInts(len(rt.Clusters))
-	for li, lc := range rt.Clusters {
-		cp := *lc
-		clusterMap.S[li] = p.addCluster(&cp, th)
+// leafTable is the one per-rank interner, whichever way the rank arrives
+// (chunk stream, in-memory feed, GlobalizeParallel). Clusters intern into
+// cl's match-or-append index, like the inner tree nodes, so one rank's
+// clusters can still collapse under a threshold coarser than tracing's;
+// records, re-keyed after the cluster remap, intern first-wins into table.
+// wireCl and wireRec map the source's dense local ids onto leaf ids.
+type leafTable struct {
+	th      float64
+	cl      *partial // only the cluster half is used
+	table   *trace.SpillTable
+	wireCl  []int
+	wireRec []int
+}
+
+func newLeafTable(th float64, spill trace.SpillConfig) *leafTable {
+	return &leafTable{th: th, cl: newPartial(th), table: trace.NewSpillTable(spill)}
+}
+
+// addCluster interns the source's next cluster; the table keeps c.
+func (lt *leafTable) addCluster(c *trace.Cluster) {
+	lt.wireCl = append(lt.wireCl, lt.cl.addCluster(c, lt.th))
+}
+
+// addRecord interns the source's next record; the table takes ownership
+// of r and rewrites its cluster id.
+func (lt *leafTable) addRecord(r *trace.Record) {
+	if r.IsCompute() {
+		r.ComputeCluster = lt.wireCl[r.ComputeCluster]
 	}
-	recMap := trace.GetInts(len(rt.Table))
-	for li, r := range rt.Table {
-		gr := r.Clone()
-		if gr.IsCompute() {
-			gr.ComputeCluster = clusterMap.S[gr.ComputeCluster]
-		}
-		recMap.S[li] = p.addRecord(gr, gr.KeyString())
+	lt.wireRec = append(lt.wireRec, lt.table.Intern(r, r.KeyString()))
+}
+
+// addRank interns a decoded rank's clusters and records. It copies them:
+// the reduction rewrites what it interns, and rt stays the caller's.
+func (lt *leafTable) addRank(rt *trace.RankTrace) {
+	for _, c := range rt.Clusters {
+		cp := *c
+		lt.addCluster(&cp)
 	}
-	clusterMap.Unref()
-	p.recMaps[rt.Rank] = recMap
-	return p
+	for _, r := range rt.Table {
+		lt.addRecord(r.Clone())
+	}
+}
+
+// partial hands the rank's interned tables over to the reduction as its
+// leaf partial, with an identity recMap so the root maps come out
+// leaf→root. The leaf table keeps only its id maps and spill accounting,
+// so whatever the reduction does not fold into the root becomes garbage.
+// Only re-reading a spilled suffix can fail.
+func (lt *leafTable) partial(rank int) (*partial, error) {
+	records, keys, index, err := lt.table.Take()
+	if err != nil {
+		return nil, err
+	}
+	p := &partial{
+		clusters: lt.cl.clusters,
+		cindex:   lt.cl.cindex,
+		records:  records,
+		keys:     keys,
+		recIndex: index,
+		recMaps:  map[int]*trace.IntBuf{},
+	}
+	lt.cl = nil
+	rm := trace.GetInts(len(records))
+	for i := range rm.S {
+		rm.S[i] = i
+	}
+	p.recMaps[rank] = rm
+	return p, nil
 }
 
 // mergePartials folds right into left: left's cluster and record order is
@@ -138,10 +185,13 @@ func mergePartials(left, right *partial, th float64) {
 // reducePartials folds a slice of leaf partials (one per rank, in rank
 // order) down to its root with the ⌈log₂P⌉ pairwise reduction; round k
 // merges partials 2k·s apart, and every merge within a round is
-// independent. The tree's shape depends only on len(parts), so batch and
-// streaming leaves reduce through the identical merge DAG.
+// independent. The tree's shape depends only on len(parts), never on how
+// the leaves were fed.
 func reducePartials(parts []*partial, clusterThreshold float64, parallelism int) *partial {
 	n := len(parts)
+	if n == 0 {
+		return newPartial(clusterThreshold)
+	}
 	for stride := 1; stride < n; stride *= 2 {
 		var pairs [][2]int
 		for i := 0; i+stride < n; i += 2 * stride {
@@ -154,41 +204,48 @@ func reducePartials(parts []*partial, clusterThreshold float64, parallelism int)
 	return parts[0]
 }
 
-// GlobalizeParallel merges the per-rank terminal tables and computation
-// clusters with the paper's pairwise tree reduction, using up to
-// parallelism workers per round. Output is byte-identical for every
-// parallelism value (see the file comment); parallelism ≤ 1 runs the same
-// tree serially.
-func GlobalizeParallel(tr *trace.Trace, clusterThreshold float64, parallelism int) *Globalized {
-	numRanks := len(tr.Ranks)
-	g := &Globalized{Seqs: make([][]int, numRanks)}
-	if numRanks == 0 {
-		return g
-	}
-
-	parts := make([]*partial, numRanks)
-	parfor(numRanks, parallelism, func(i int) {
-		parts[i] = leafPartial(tr.Ranks[i], clusterThreshold)
-	})
-
-	root := reducePartials(parts, clusterThreshold, parallelism)
-	g.Terminals = root.records
-	g.Clusters = root.clusters
-	g.seqBufs = make([]*trace.IntBuf, numRanks)
-	parfor(numRanks, parallelism, func(i int) {
-		rt := tr.Ranks[i]
-		rm := root.recMaps[rt.Rank]
-		seq := trace.GetInts(len(rt.Events))
-		for j, id := range rt.Events {
-			seq.S[j] = rm.S[id]
-		}
-		g.seqBufs[rt.Rank] = seq
-		g.Seqs[rt.Rank] = seq.S
-	})
-	for _, rm := range root.recMaps {
+// releaseMaps returns the root's per-rank id maps to the buffer pool.
+func (p *partial) releaseMaps() {
+	for _, rm := range p.recMaps {
 		rm.Unref()
 	}
-	root.recMaps = nil
+	p.recMaps = nil
+}
+
+// GlobalizeParallel merges the per-rank terminal tables and computation
+// clusters with the paper's pairwise tree reduction, using up to
+// parallelism workers per round, and rewrites every rank's event sequence
+// onto the global tables. Output is byte-identical for every parallelism
+// value (see the file comment); parallelism ≤ 1 runs the same tree
+// serially.
+func GlobalizeParallel(tr *trace.Trace, clusterThreshold float64, parallelism int) *Globalized {
+	numRanks := len(tr.Ranks)
+	tabs := make([]*leafTable, numRanks)
+	parts := make([]*partial, numRanks)
+	parfor(numRanks, parallelism, func(r int) {
+		tabs[r] = newLeafTable(clusterThreshold, trace.SpillConfig{})
+		tabs[r].addRank(tr.Ranks[r])
+		parts[r], _ = tabs[r].partial(r) // nothing spills, so no error
+	})
+	root := reducePartials(parts, clusterThreshold, parallelism)
+	defer root.releaseMaps()
+
+	g := &Globalized{
+		Terminals: root.records,
+		Clusters:  root.clusters,
+		Seqs:      make([][]int, numRanks),
+		seqBufs:   make([]*trace.IntBuf, numRanks),
+	}
+	parfor(numRanks, parallelism, func(r int) {
+		rm, wire := root.recMaps[r].S, tabs[r].wireRec
+		events := tr.Ranks[r].Events
+		seq := trace.GetInts(len(events))
+		for j, id := range events {
+			seq.S[j] = rm[wire[id]]
+		}
+		g.seqBufs[r] = seq
+		g.Seqs[r] = seq.S
+	})
 	return g
 }
 

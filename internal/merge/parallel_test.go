@@ -62,7 +62,8 @@ func globalizedEqual(t *testing.T, a, b *Globalized) {
 }
 
 // The determinism invariant at the globalize layer: every parallelism value
-// must produce the identical global table, cluster table, and sequences.
+// must produce the identical global table, cluster table, and sequences —
+// the ones the frozen batch reference produces.
 func TestGlobalizeParallelMatchesSequential(t *testing.T) {
 	traces := map[string]*trace.Trace{
 		"ring8":          ringTrace(t, 8, 4),
@@ -71,8 +72,8 @@ func TestGlobalizeParallelMatchesSequential(t *testing.T) {
 		"masterWorker16": masterWorkerTrace(t, 16, 2),
 	}
 	for name, tr := range traces {
-		base := GlobalizeParallel(tr, 0.05, 1)
-		for _, par := range []int{2, 4, 8} {
+		base := refGlobalize(tr, 0.05, 1)
+		for _, par := range []int{1, 2, 4, 8} {
 			got := GlobalizeParallel(tr, 0.05, par)
 			t.Run(fmt.Sprintf("%s/par%d", name, par), func(t *testing.T) {
 				globalizedEqual(t, base, got)

@@ -24,7 +24,7 @@ func appSequences(tb testing.TB, spec *apps.Spec, ranks int) [][]int {
 	if _, err := w.Run(fn); err != nil {
 		tb.Fatal(err)
 	}
-	g := merge.Globalize(rec.Trace("A", "openmpi"), 0.05)
+	g := merge.GlobalizeParallel(rec.Trace("A", "openmpi"), 0.05, 1)
 	seqs := make([][]int, len(g.Seqs))
 	for i, s := range g.Seqs {
 		seqs[i] = append([]int(nil), s...)

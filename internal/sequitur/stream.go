@@ -5,7 +5,7 @@ package sequitur
 // on the equality pattern of the tokens seen so far — so a Builder fed
 // from a network stream is indistinguishable from one fed from a decoded
 // trace. The streaming ingest path (internal/merge's RankIngestor) leans
-// on two contracts this file pins:
+// on the first of two contracts this file pins:
 //
 //  1. Feed equivalence: Append(a); Append(b); … over any chunking of the
 //     same token sequence yields the same builder state. This is trivially
@@ -20,6 +20,5 @@ package sequitur
 // Snapshot exports the grammar over the tokens appended so far, without
 // disturbing the builder: appending more tokens afterwards continues the
 // same inference, and a later Snapshot over the full input is identical
-// to a never-snapshotted build's Grammar. The ingest API uses this to
-// serve progress queries while a rank's chunks are still arriving.
+// to a never-snapshotted build's Grammar.
 func (b *Builder) Snapshot() *Grammar { return b.Grammar() }

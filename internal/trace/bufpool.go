@@ -5,99 +5,67 @@ import (
 	"sync/atomic"
 )
 
-// Ref-counted buffer pooling for the synthesis hot paths. The pipeline's
-// inner loops — simulate/record/encode and the merge stage's per-rank
-// grammar scratch — churn through short-lived slices whose lifetimes are
-// easy to name but whose allocation pressure dominates profiles at high
-// rank counts. Buffers here follow a get()/unref() discipline:
+// Buffer pooling for the synthesis hot paths. The pipeline's inner loops —
+// the recorder's key scratch, the encoder's size tables, the merge
+// stage's id maps and globalized sequences, the spill table's read
+// window — churn through short-lived slices whose lifetimes are easy to
+// name but whose allocation pressure dominates profiles at high rank
+// counts. Every buffer has exactly one owner at a time and
+// follows a get()/unref() discipline:
 //
-//   - GetInts/GetBytes hand out a buffer with one reference and exactly
+//   - GetInts/GetBytes hand out a buffer owned by the caller, with exactly
 //     the requested length. Contents are UNSPECIFIED (stale data from the
 //     previous user); callers must overwrite before reading.
-//   - Ref adds a reference when a second consumer will outlive the first
-//     (merge.Build holds one reference per stage that reads a rank's
-//     terminal sequence).
-//   - Unref drops a reference; the last drop returns the buffer to the
-//     pool. Unref after the last reference panics — an ownership bug that
-//     must fail loudly rather than corrupt a recycled buffer.
+//   - Unref releases it to the pool. A second Unref panics — an ownership
+//     bug that must fail loudly rather than corrupt a recycled buffer.
 //
-// Never retain b.S (or a sub-slice) past the final Unref: the next GetInts
-// may hand the same backing array to an unrelated goroutine. Ownership
-// rules per call site are catalogued in DESIGN.md §14.
+// Never retain b.S (or a sub-slice) past Unref: the next GetInts may hand
+// the same backing array to an unrelated goroutine. Ownership rules per
+// call site are catalogued in DESIGN.md §14.
 
-// IntBuf is a pooled, ref-counted []int.
-type IntBuf struct {
-	S    []int
-	refs atomic.Int32
+// Buf is a pooled slice; IntBuf and ByteBuf are the two kinds in use.
+type Buf[T any] struct {
+	S    []T
+	live atomic.Bool
+	pool *sync.Pool
 }
 
-// ByteBuf is a pooled, ref-counted []byte.
-type ByteBuf struct {
-	S    []byte
-	refs atomic.Int32
-}
+type (
+	IntBuf  = Buf[int]
+	ByteBuf = Buf[byte]
+)
 
 var (
 	intBufPool  = sync.Pool{New: func() any { return new(IntBuf) }}
 	byteBufPool = sync.Pool{New: func() any { return new(ByteBuf) }}
 )
 
-// GetInts returns a pooled buffer of length n (unspecified contents) with
-// one reference.
-func GetInts(n int) *IntBuf {
-	b := intBufPool.Get().(*IntBuf)
-	b.refs.Store(1)
+// GetInts returns a pooled buffer of length n (unspecified contents).
+func GetInts(n int) *IntBuf { return get[int](&intBufPool, n) }
+
+// GetBytes returns a pooled buffer of length n (unspecified contents).
+func GetBytes(n int) *ByteBuf { return get[byte](&byteBufPool, n) }
+
+func get[T any](pool *sync.Pool, n int) *Buf[T] {
+	b := pool.Get().(*Buf[T])
+	b.pool = pool
+	b.live.Store(true)
 	if cap(b.S) < n {
-		b.S = make([]int, n)
+		b.S = make([]T, n)
 	} else {
 		b.S = b.S[:n]
 	}
 	return b
 }
 
-// Ref adds a reference.
-func (b *IntBuf) Ref() { b.refs.Add(1) }
-
-// Unref drops a reference, returning the buffer to the pool on the last
-// one. Nil-safe so optional buffers can be released unconditionally.
-func (b *IntBuf) Unref() {
+// Unref returns the buffer to the pool. Nil-safe so optional buffers can
+// be released unconditionally.
+func (b *Buf[T]) Unref() {
 	if b == nil {
 		return
 	}
-	switch n := b.refs.Add(-1); {
-	case n == 0:
-		intBufPool.Put(b)
-	case n < 0:
-		panic("trace: IntBuf unref after final release")
+	if !b.live.Swap(false) {
+		panic("trace: pooled buffer released twice")
 	}
-}
-
-// GetBytes returns a pooled buffer of length n (unspecified contents) with
-// one reference.
-func GetBytes(n int) *ByteBuf {
-	b := byteBufPool.Get().(*ByteBuf)
-	b.refs.Store(1)
-	if cap(b.S) < n {
-		b.S = make([]byte, n)
-	} else {
-		b.S = b.S[:n]
-	}
-	return b
-}
-
-// Ref adds a reference.
-func (b *ByteBuf) Ref() { b.refs.Add(1) }
-
-// Unref drops a reference, returning the buffer to the pool on the last
-// one. Nil-safe.
-func (b *ByteBuf) Unref() {
-	if b == nil {
-		return
-	}
-	switch n := b.refs.Add(-1); {
-	case n == 0:
-		byteBufPool.Put(b)
-	case n < 0:
-		panic("trace: ByteBuf unref after final release")
-	}
+	b.pool.Put(b)
 }

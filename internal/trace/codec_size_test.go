@@ -163,9 +163,7 @@ func TestBufPoolRefCounting(t *testing.T) {
 	if len(b.S) != 8 {
 		t.Fatalf("GetInts(8) len = %d", len(b.S))
 	}
-	b.Ref() // two holders
-	b.Unref()
-	b.Unref() // final release
+	b.Unref() // the single owner's release
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Unref past the final release should panic")

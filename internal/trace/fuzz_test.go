@@ -9,7 +9,7 @@ import (
 // TestDecodeNeverPanicsOnCorruption flips random bytes in valid encodings
 // and truncates them at random points: Decode must return an error or a
 // trace, never panic. (Decoding untrusted trace files is a real workflow —
-// cmd/siesta-trace reads whatever path it is given.)
+// `siesta inspect` reads whatever path it is given.)
 func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 	tr, _ := traceRing(t, 4, 4)
 	data := tr.Encode()

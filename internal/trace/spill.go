@@ -42,12 +42,13 @@ type spillLoc struct {
 // Record bodies. Not safe for concurrent use; the ingestor serializes
 // access per rank.
 //
-// Ownership rule: the table owns every interned record until
-// Materialize, which hands the full table (resident prefix + records
-// re-decoded from disk) to the caller; Close removes the file and must
-// always be called, on success and abort alike.
+// Ownership rule: the table owns every interned record until Take,
+// which hands the full table (resident prefix + records re-decoded from
+// disk, keys and index) to the caller and forgets it; Close removes the
+// file and must always be called, on success and abort alike.
 type SpillTable struct {
 	cfg      SpillConfig
+	n        int // interned records; Stats reads it, Take leaves it
 	keys     []string
 	keyIndex map[string]int
 
@@ -69,16 +70,13 @@ func NewSpillTable(cfg SpillConfig) *SpillTable {
 
 // Err reports the table's sticky I/O error, if any. Interning keeps
 // accepting records after an error (ids stay consistent) but the error
-// must surface before anyone trusts Materialize.
+// must surface before anyone trusts Take.
 func (t *SpillTable) Err() error { return t.err }
-
-// Len reports the interned record count.
-func (t *SpillTable) Len() int { return len(t.keys) }
 
 // Stats reports the resident/spilled split.
 func (t *SpillTable) Stats() SpillStats {
 	return SpillStats{
-		Records:       len(t.keys),
+		Records:       t.n,
 		Spilled:       len(t.locs),
 		ResidentBytes: t.residentBytes,
 		SpilledBytes:  t.woff,
@@ -93,7 +91,8 @@ func (t *SpillTable) Intern(r *Record, key string) int {
 	if id, ok := t.keyIndex[key]; ok {
 		return id
 	}
-	id := len(t.keys)
+	id := t.n
+	t.n++
 	t.keys = append(t.keys, key)
 	t.keyIndex[key] = id
 
@@ -139,42 +138,39 @@ func (t *SpillTable) spill(r *Record, sz int) {
 	t.woff += int64(sz)
 }
 
-// Keys returns the interned keys in id order. The slice is the table's
-// own; callers must not mutate it.
-func (t *SpillTable) Keys() []string { return t.keys }
-
-// KeyIndex returns the key→id map. Callers take it read-only.
-func (t *SpillTable) KeyIndex() map[string]int { return t.keyIndex }
-
-// Materialize returns the full record table in id order, re-decoding the
-// spilled suffix from disk in one sequential read. The spilled window is
-// transient: it exists only for the duration of the merge that consumes
-// it (DESIGN.md §15 documents the ownership rule).
-func (t *SpillTable) Materialize() ([]*Record, error) {
+// Take hands the table over: the records in id order, re-decoding the
+// spilled suffix from disk in one sequential read, their keys, and the
+// key→id index. The table forgets all three, so the caller owns them and
+// whatever it drops becomes garbage; Stats keeps reporting the totals,
+// and Intern must not be called again. The spilled window is transient:
+// it exists only for the duration of the merge that consumes it
+// (DESIGN.md §15 documents the ownership rule).
+func (t *SpillTable) Take() (records []*Record, keys []string, index map[string]int, err error) {
 	if t.err != nil {
-		return nil, t.err
+		return nil, nil, nil, t.err
 	}
-	out := make([]*Record, len(t.keys))
-	copy(out, t.resident)
+	records, keys, index = make([]*Record, t.n), t.keys, t.keyIndex
+	copy(records, t.resident)
+	base := len(t.resident)
+	t.resident, t.keys, t.keyIndex = nil, nil, nil
 	if len(t.locs) == 0 {
-		return out, nil
+		return records, keys, index, nil
 	}
 	buf := GetBytes(int(t.woff))
 	defer buf.Unref()
 	if _, err := t.f.ReadAt(buf.S, 0); err != nil {
-		return nil, fmt.Errorf("trace: spill read: %w", err)
+		return nil, nil, nil, fmt.Errorf("trace: spill read: %w", err)
 	}
-	base := len(t.resident)
 	// One slab for all spilled records, mirroring Decode's per-rank slab.
 	recs := make([]Record, len(t.locs))
 	for i, loc := range t.locs {
 		d := NewDec(buf.S[loc.off : loc.off+int64(loc.len)])
 		if err := decodeRecord(d, &recs[i]); err != nil {
-			return nil, fmt.Errorf("trace: spill decode record %d: %w", base+i, err)
+			return nil, nil, nil, fmt.Errorf("trace: spill decode record %d: %w", base+i, err)
 		}
-		out[base+i] = &recs[i]
+		records[base+i] = &recs[i]
 	}
-	return out, nil
+	return records, keys, index, nil
 }
 
 // Close removes the spill file. Idempotent; always call it — commit and
