@@ -39,7 +39,9 @@ type Options struct {
 	BMatrix *qp.Matrix
 	// CommSamples are (function, bytes, duration) observations from the
 	// trace, used to fit the blocking-communication regression that
-	// drives communication shrinking. Required when Scale > 1.
+	// drives communication shrinking when Scale > 1. Without samples (a
+	// trace decoded from its encoding keeps no timings) nothing is fitted
+	// and communication volumes stay as traced.
 	CommSamples []CommSample
 	// SearchMemo caches computation-proxy QP solves across clusters and
 	// (when shared, e.g. the server's jobs) across generations. nil uses
@@ -128,11 +130,19 @@ var blockingFuncs = map[string]bool{
 }
 
 // CollectCommSamples gathers blocking-communication timing samples from a
-// trace for the shrink regression. Non-blocking calls are excluded: their
+// trace for the shrink regression, reduced to what the fit uses: the
+// minimum duration per (function, bytes), sorted. Fitting the reduction
+// gives the fit of the raw samples bit for bit, so a checkpoint can carry
+// it in place of the timed trace. Non-blocking calls are excluded: their
 // call duration measures only software overhead, not the transfer, so they
 // would poison the fit — their volumes are still shrunk (through the
 // matching blocking fit) because the transfers they start expose at Wait.
+// A nil trace, or one without timings (decoded from its encoding), has no
+// samples.
 func CollectCommSamples(tr *trace.Trace) []CommSample {
+	if tr == nil {
+		return nil
+	}
 	var out []CommSample
 	for _, rt := range tr.Ranks {
 		if len(rt.Durs) != len(rt.Events) {
@@ -145,18 +155,20 @@ func CollectCommSamples(tr *trace.Trace) []CommSample {
 			}
 		}
 	}
-	return out
+	return commMinima(out)
 }
 
-// fitRegressions computes one linear fit per function, on the *minimum*
-// duration observed per (function, volume): call durations in a trace
-// include synchronization waits (rendezvous partners, collective
-// stragglers), and the minimum isolates the transfer cost the shrink model
-// needs. Many traces exercise a function at a single message size (a fixed
-// halo width, say), which makes the per-function fit degenerate; those
-// functions fall back to a pooled fit over all blocking samples, which spans
-// the trace's full volume range.
-func fitRegressions(samples []CommSample) map[string]Regression {
+// commMinima reduces samples to the minimum duration per (function,
+// volume): call durations in a trace include synchronization waits
+// (rendezvous partners, collective stragglers), and the minimum isolates
+// the transfer cost the shrink model needs. The result is sorted by
+// function, then volume: the fit's accumulator folds sum floats, so the
+// fold order — and with it the last ulp of the fitted coefficients — must
+// not depend on map iteration order.
+func commMinima(samples []CommSample) []CommSample {
+	if len(samples) == 0 {
+		return nil
+	}
 	type key struct {
 		f string
 		b int
@@ -168,19 +180,26 @@ func fitRegressions(samples []CommSample) map[string]Regression {
 			mins[k] = s.Dur
 		}
 	}
-	samples = samples[:0:0]
+	out := make([]CommSample, 0, len(mins))
 	for k, v := range mins { //maporder:ok — sorted below
-		samples = append(samples, CommSample{Func: k.f, Bytes: k.b, Dur: v})
+		out = append(out, CommSample{Func: k.f, Bytes: k.b, Dur: v})
 	}
-	// The accumulator folds below sum floats, so the fold order — and with
-	// it the last ulp of the fitted coefficients — must not depend on map
-	// iteration order.
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].Func != samples[j].Func {
-			return samples[i].Func < samples[j].Func
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Func != out[j].Func {
+			return out[i].Func < out[j].Func
 		}
-		return samples[i].Bytes < samples[j].Bytes
+		return out[i].Bytes < out[j].Bytes
 	})
+	return out
+}
+
+// fitRegressions computes one linear fit per function on the samples'
+// per-(function, volume) minima (commMinima). Many traces exercise a
+// function at a single message size (a fixed halo width, say), which makes
+// the per-function fit degenerate; those functions fall back to a pooled
+// fit over all blocking samples, which spans the trace's full volume range.
+func fitRegressions(samples []CommSample) map[string]Regression {
+	samples = commMinima(samples)
 	type acc struct {
 		n                float64
 		sx, sy, sxx, sxy float64

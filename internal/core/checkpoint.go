@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
+	"siesta/internal/codegen"
 	"siesta/internal/merge"
 	"siesta/internal/trace"
 )
@@ -37,11 +39,12 @@ func phaseRank(p string) int {
 // Checkpoint is the canonical state of a synthesis at a completed phase
 // boundary — the DMTCP-via-proxies idea (PAPERS.md) applied to the
 // pipeline: rather than imaging a process, persist only the replayable
-// essence (encoded trace, encoded program, solved searches) plus the
-// options fingerprint that proves which synthesis it belongs to. All
-// payloads reuse the existing canonical codecs (trace.Trace.Encode,
-// merge.Program.Encode, blocks.Memo.Export), so checkpointed and
-// uninterrupted runs flow through byte-identical representations.
+// essence (encoded trace, encoded program, solved searches, communication
+// timings) plus the options fingerprint that proves which synthesis it
+// belongs to. The payloads reuse the existing canonical codecs
+// (trace.Trace.Encode, merge.Program.Encode, blocks.Memo.Export), so
+// checkpointed and uninterrupted runs flow through byte-identical
+// representations.
 type Checkpoint struct {
 	// Fingerprint is OptionsFingerprint of the run that wrote the
 	// checkpoint. Resume compares it against the current options and
@@ -64,9 +67,15 @@ type Checkpoint struct {
 	// MemoBytes is a blocks.Memo snapshot of solved computation-proxy
 	// searches (set at PhaseSearch).
 	MemoBytes []byte
+	// CommSamples are the communication timings a scaled synthesis fits
+	// its shrink regression on (codegen.CollectCommSamples, set at every
+	// boundary when Scale > 1). The trace encoding keeps no per-event
+	// durations, so without them a resumed scaled run would shrink
+	// nothing and serve different bytes.
+	CommSamples []codegen.CommSample
 }
 
-const checkpointMagic = "SIESTA-CKPT1"
+const checkpointMagic = "SIESTA-CKPT2"
 
 // Encode serializes the checkpoint in the compact binary currency shared
 // with the trace and program codecs.
@@ -80,6 +89,12 @@ func (cp *Checkpoint) Encode() []byte {
 	e.Str(string(cp.ProgramBytes))
 	e.Str(cp.CheckSummary)
 	e.Str(string(cp.MemoBytes))
+	e.Int(len(cp.CommSamples))
+	for _, cs := range cp.CommSamples {
+		e.Str(cs.Func)
+		e.Int(cs.Bytes)
+		e.Float(cs.Dur)
+	}
 	return e.Bytes()
 }
 
@@ -118,6 +133,27 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint memo: %w", err)
 	}
 	cp.MemoBytes = []byte(s)
+	n, err := d.Int()
+	// Each sample takes at least 10 bytes (two one-byte lengths, a float).
+	if err != nil || n < 0 || n > d.Remaining()/10 {
+		return nil, fmt.Errorf("core: checkpoint comm samples: count %d: %v", n, err)
+	}
+	if n > 0 {
+		cp.CommSamples = make([]codegen.CommSample, n)
+	}
+	for i := range cp.CommSamples {
+		cs := &cp.CommSamples[i]
+		cs.Func, err = d.Str()
+		if err == nil {
+			cs.Bytes, err = d.Int()
+		}
+		if err == nil {
+			cs.Dur, err = d.Float()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint comm sample %d: %w", i, err)
+		}
+	}
 	if r := phaseRank(cp.Phase); r == 0 {
 		return nil, fmt.Errorf("core: checkpoint has unknown phase %q", cp.Phase)
 	}
@@ -141,7 +177,8 @@ func (cp *Checkpoint) Equal(o *Checkpoint) bool {
 		cp.Overhead == o.Overhead &&
 		bytes.Equal(cp.TraceBytes, o.TraceBytes) &&
 		bytes.Equal(cp.ProgramBytes, o.ProgramBytes) &&
-		cp.CheckSummary == o.CheckSummary
+		cp.CheckSummary == o.CheckSummary &&
+		slices.Equal(cp.CommSamples, o.CommSamples)
 }
 
 // resumeTrace returns the trace a resume checkpoint restores for a run

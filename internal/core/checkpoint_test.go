@@ -13,7 +13,9 @@ import (
 
 	"siesta/internal/apps"
 	"siesta/internal/blocks"
+	"siesta/internal/codegen"
 	"siesta/internal/core"
+	"siesta/internal/mpi"
 )
 
 // memCheckpointer records every checkpoint in memory and can be told to
@@ -49,6 +51,9 @@ func synthOpts(ranks int) core.Options {
 	return core.Options{Ranks: ranks, Seed: 3}
 }
 
+// A scaled synthesis is one more input: its codegen fits the recorded
+// communication timings, which the trace encoding drops, so the
+// checkpoints must carry them for a resume to serve the same bytes.
 func TestResumeFromEveryBoundaryIsByteIdentical(t *testing.T) {
 	spec, err := apps.ByName("CG")
 	if err != nil {
@@ -59,12 +64,23 @@ func TestResumeFromEveryBoundaryIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	testResumeFromEveryBoundary(t, fn, ranks, 1, "")
+	testResumeFromEveryBoundary(t, fn, ranks, 10, "scale10_")
+}
 
+// testResumeFromEveryBoundary resumes from each of a control run's
+// checkpoints in a subtest named prefix+"resume_"+phase.
+func testResumeFromEveryBoundary(t *testing.T, fn func(*mpi.Rank), ranks int, scale float64, prefix string) {
+	opts := func() core.Options {
+		o := synthOpts(ranks)
+		o.Scale = scale
+		return o
+	}
 	// Control: uninterrupted run, checkpointing every boundary. A private
 	// memo isolates the run from the process-global DefaultMemo so the
 	// post-search snapshot is exactly this run's solves.
 	ck := &memCheckpointer{}
-	ctrl := synthOpts(ranks)
+	ctrl := opts()
 	ctrl.Checkpointer = ck
 	ctrl.SearchMemo = blocks.NewMemo(0)
 	ref, err := core.Synthesize(fn, ctrl)
@@ -79,18 +95,25 @@ func TestResumeFromEveryBoundaryIsByteIdentical(t *testing.T) {
 	if len(ck.saved) != 3 {
 		t.Fatalf("control run wrote %d checkpoints, want 3", len(ck.saved))
 	}
+	if scaled := scale > 1; scaled != (len(ck.at(core.PhaseTrace).CommSamples) > 0) {
+		t.Fatalf("scale %g: trace checkpoint carries %d comm samples", scale, len(ck.at(core.PhaseTrace).CommSamples))
+	}
 
 	for _, phase := range []string{core.PhaseTrace, core.PhaseMerge, core.PhaseSearch} {
-		phase := phase
-		t.Run("resume_"+phase, func(t *testing.T) {
+		t.Run(prefix+"resume_"+phase, func(t *testing.T) {
 			cp := ck.at(phase)
 			if cp == nil {
 				t.Fatalf("no checkpoint at %s boundary", phase)
 			}
-			opts := synthOpts(ranks)
-			opts.Resume = cp
-			opts.SearchMemo = blocks.NewMemo(0) // cold memo: only the snapshot may warm it
-			res, err := core.Synthesize(fn, opts)
+			// The blob round trip is what a restarted node resumes from.
+			cp, err := core.DecodeCheckpoint(cp.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := opts()
+			o.Resume = cp
+			o.SearchMemo = blocks.NewMemo(0) // cold memo: only the snapshot may warm it
+			res, err := core.Synthesize(fn, o)
 			if err != nil {
 				t.Fatalf("resume from %s: %v", phase, err)
 			}
@@ -121,7 +144,7 @@ func TestResumeFromEveryBoundaryIsByteIdentical(t *testing.T) {
 	// Checkpoints themselves must be deterministic: a second uninterrupted
 	// run writes payload-identical checkpoints.
 	ck2 := &memCheckpointer{}
-	again := synthOpts(ranks)
+	again := opts()
 	again.Checkpointer = ck2
 	again.SearchMemo = blocks.NewMemo(0)
 	if _, err := core.Synthesize(fn, again); err != nil {
@@ -235,6 +258,10 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		ProgramBytes: []byte("SIESTA-PROG1-ish"),
 		CheckSummary: "ok: 0 errors",
 		MemoBytes:    []byte{9, 9},
+		CommSamples: []codegen.CommSample{
+			{Func: "MPI_Send", Bytes: 64, Dur: 1.5e-6},
+			{Func: "MPI_Allreduce", Bytes: 8, Dur: 3e-6},
+		},
 	}
 	got, err := core.DecodeCheckpoint(cp.Encode())
 	if err != nil {

@@ -209,12 +209,13 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	resume := opts.Resume
 	if t := resumeTrace(resume, r.fp); t != nil {
 		res.Trace, res.Overhead, res.ResumedFrom = t, resume.Overhead, PhaseTrace
-		r.traceBytes = resume.TraceBytes
+		r.traceBytes, r.samples = resume.TraceBytes, resume.CommSamples
 	} else {
 		resume = nil
 		if err := r.simulate(app); err != nil {
 			return nil, err
 		}
+		r.sample(res.Trace)
 		if err := r.save(PhaseTrace, func(cp *Checkpoint) {
 			r.traceBytes = res.Trace.Encode()
 			cp.TraceBytes = r.traceBytes
@@ -257,6 +258,7 @@ func SynthesizeTrace(tr *trace.Trace, opts Options) (*Result, error) {
 	r := newRun(opts)
 	defer r.end()
 	r.res.Trace = tr
+	r.sample(tr)
 	if err := r.tail(opts.Resume, func() (*merge.Program, error) {
 		return merge.Build(tr, opts.Merge)
 	}); err != nil {
@@ -289,6 +291,10 @@ type run struct {
 	bmatrix *qp.Matrix
 	// memo is the search memo codegen solved through.
 	memo *blocks.Memo
+	// samples are the communication timings a scaled run's codegen fits
+	// its shrink regression on, nil when unscaled. Every checkpoint
+	// carries them, so a resumed run fits the same ones.
+	samples []codegen.CommSample
 }
 
 func newRun(opts Options) *run {
@@ -331,7 +337,8 @@ func (r *run) save(boundary string, build func(cp *Checkpoint)) error {
 	if tr := r.opts.Tracer; tr != nil {
 		sp = tr.Phase("checkpoint", obs.String("boundary", boundary))
 	}
-	cp := &Checkpoint{Fingerprint: r.fp, Phase: boundary, Overhead: r.res.Overhead}
+	cp := &Checkpoint{Fingerprint: r.fp, Phase: boundary, Overhead: r.res.Overhead,
+		CommSamples: r.samples}
 	build(cp)
 	err := r.opts.Checkpointer.Save(cp)
 	if sp != nil {
@@ -343,6 +350,15 @@ func (r *run) save(boundary string, build func(cp *Checkpoint)) error {
 		return &CheckpointError{Phase: boundary, Err: err}
 	}
 	return nil
+}
+
+// sample collects a scaled run's communication timings from the trace it
+// merges. Only a recorded trace carries them: an uploaded one, decoded
+// from its encoding, yields none, and neither does a streamed session.
+func (r *run) sample(tr *trace.Trace) {
+	if r.opts.Scale > 1 {
+		r.samples = codegen.CollectCommSamples(tr)
+	}
 }
 
 // simulate is Synthesize's front half: the uninstrumented baseline run
@@ -546,15 +562,13 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 		return fmt.Errorf("core: generate: %w", err)
 	}
 	genOpts := codegen.Options{
-		Platform:   opts.Platform,
-		Scale:      opts.Scale,
-		BenchNoise: opts.BenchNoise,
-		BMatrix:    r.bmatrix,
-		SearchMemo: r.memo,
-		Check:      res.Check,
-	}
-	if opts.Scale > 1 {
-		genOpts.CommSamples = codegen.CollectCommSamples(res.Trace)
+		Platform:    opts.Platform,
+		Scale:       opts.Scale,
+		BenchNoise:  opts.BenchNoise,
+		BMatrix:     r.bmatrix,
+		SearchMemo:  r.memo,
+		Check:       res.Check,
+		CommSamples: r.samples,
 	}
 	var err error
 	if res.Generated, err = codegen.Generate(res.Program, genOpts); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"siesta/internal/merge"
@@ -13,26 +12,20 @@ import (
 // half (merge → static check → codegen → proxy) is the same code
 // Synthesize runs, with the same options, so for any trace the streamed
 // and batch paths synthesize byte-identical programs, C sources, and
-// proxies. core/streaming_diff_test.go holds that contract.
-
-// errScaledIngest rejects Scale > 1 on the streaming path: comm scaling
-// calibrates against decoded trace timings, which a streamed session
-// deliberately never holds.
-var errScaledIngest = errors.New("core: ingest does not support Scale > 1 (comm scaling needs trace timings)")
+// proxies. A scaled synthesis shrinks communication by the recorded call
+// timings, which no stream carries; there the streamed path matches
+// SynthesizeTrace over the decoded trace, which carries none either.
+// core/streaming_diff_test.go holds that contract.
 
 // NewIngest opens a streaming merge session sized and configured for one
 // synthesis: the session inherits opts.Merge exactly as Synthesize would
 // apply it (defaults included), which is what makes a later
 // SynthesizeIngest equivalent to Synthesize over the equivalent trace.
-// Scale > 1 is rejected up front (errScaledIngest).
 func NewIngest(numRanks int, opts Options) (*merge.Ingest, error) {
 	opts.Ranks = numRanks
 	opts = opts.withDefaults()
 	if numRanks <= 0 {
 		return nil, fmt.Errorf("core: ingest needs a positive rank count, got %d", numRanks)
-	}
-	if opts.Scale > 1 {
-		return nil, errScaledIngest
 	}
 	return merge.NewIngest(numRanks, opts.Platform.Name, opts.Impl.Name, opts.Merge)
 }
@@ -57,9 +50,6 @@ func SynthesizeIngest(in IngestSession, opts Options) (*Result, error) {
 	defer in.Close()
 	opts.Ranks = in.NumRanks()
 	opts = opts.withDefaults()
-	if opts.Scale > 1 {
-		return nil, errScaledIngest
-	}
 	r := newRun(opts)
 	defer r.end()
 	if err := r.tail(opts.Resume, in.Build); err != nil {

@@ -88,36 +88,54 @@ func TestStreamedSynthesisMatchesBatchForApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refProg := sha256.Sum256(ref.Program.Encode())
-			refSrc := sha256.Sum256([]byte(ref.Generated.CSource()))
-			refFP := core.OptionsFingerprint(ref.Opts)
+			// Scale 10 is one more option set. A stream carries no call
+			// timings, so its reference is the one-shot upload's:
+			// SynthesizeTrace over the decoded trace, which has none either.
+			decoded, err := trace.Decode(ref.Trace.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scaled, err := core.SynthesizeTrace(decoded, core.Options{Seed: 1, Scale: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []*core.Result{ref, scaled} {
+				refProg := sha256.Sum256(want.Program.Encode())
+				refSrc := sha256.Sum256([]byte(want.Generated.CSource()))
+				refFP := core.OptionsFingerprint(want.Opts)
+				scale := want.Opts.Scale
+				prefix := ""
+				if scale != 1 {
+					prefix = fmt.Sprintf("scale%g/", scale)
+				}
 
-			rng := rand.New(rand.NewSource(42))
-			for _, chunk := range chunkSizes {
-				for oi, order := range [][]int{nil, rng.Perm(ranks)} {
-					for _, par := range pars {
-						name := fmt.Sprintf("chunk%d/order%d/par%d", chunk, oi, par)
-						t.Run(name, func(t *testing.T) {
-							sOpts := core.Options{Ranks: ranks, Seed: 1, Parallelism: par}
-							in, err := core.NewIngest(ranks, sOpts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							streamTrace(t, in, ref.Trace, chunk, order)
-							res, err := core.SynthesizeIngest(in, sOpts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got := sha256.Sum256(res.Program.Encode()); got != refProg {
-								t.Error("streamed program sha256 differs from batch")
-							}
-							if got := sha256.Sum256([]byte(res.Generated.CSource())); got != refSrc {
-								t.Error("streamed C source sha256 differs from batch")
-							}
-							if fp := core.OptionsFingerprint(res.Opts); fp != refFP {
-								t.Errorf("streamed fingerprint %s != batch %s", fp, refFP)
-							}
-						})
+				rng := rand.New(rand.NewSource(42))
+				for _, chunk := range chunkSizes {
+					for oi, order := range [][]int{nil, rng.Perm(ranks)} {
+						for _, par := range pars {
+							name := fmt.Sprintf("%schunk%d/order%d/par%d", prefix, chunk, oi, par)
+							t.Run(name, func(t *testing.T) {
+								sOpts := core.Options{Ranks: ranks, Seed: 1, Parallelism: par, Scale: scale}
+								in, err := core.NewIngest(ranks, sOpts)
+								if err != nil {
+									t.Fatal(err)
+								}
+								streamTrace(t, in, ref.Trace, chunk, order)
+								res, err := core.SynthesizeIngest(in, sOpts)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if got := sha256.Sum256(res.Program.Encode()); got != refProg {
+									t.Error("streamed program sha256 differs from batch")
+								}
+								if got := sha256.Sum256([]byte(res.Generated.CSource())); got != refSrc {
+									t.Error("streamed C source sha256 differs from batch")
+								}
+								if fp := core.OptionsFingerprint(res.Opts); fp != refFP {
+									t.Errorf("streamed fingerprint %s != batch %s", fp, refFP)
+								}
+							})
+						}
 					}
 				}
 			}

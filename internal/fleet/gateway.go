@@ -67,6 +67,16 @@ func (j *gwJob) settle() {
 	j.reqJSON = nil
 }
 
+// placed records the worker that accepted the job and the job's id there;
+// a job answered from the cache, or already done, settles at once.
+// Callers hold j.mu or own j exclusively.
+func (j *gwJob) placed(to WorkerInfo, sr *server.SynthesizeResponse) {
+	j.worker, j.addr, j.remote = to.ID, to.Addr, sr.Job.ID
+	if sr.Cached || sr.Job.Status == server.StatusDone {
+		j.settle()
+	}
+}
+
 // Gateway is the stateless routing tier: it owns no synthesis state, only
 // the (rebuildable) mapping from its job ids to worker-local ones. Every
 // request is routed by its content-addressed artifact cache key, so the
@@ -274,33 +284,106 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// dispatch POSTs a synthesize body to one worker and decodes the answer.
-func (g *Gateway) dispatch(ctx context.Context, addr string, body []byte) (*server.SynthesizeResponse, int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(addr, "/")+"/v1/synthesize", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, nil, err
+// reply is one worker's answer to a proxied call.
+type reply struct {
+	to     WorkerInfo // the worker that answered
+	status int
+	body   []byte
+}
+
+// relay writes the worker's answer verbatim.
+func (rp reply) relay(w http.ResponseWriter) {
+	w.Header().Set("X-Siesta-Worker", rp.to.ID)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(rp.status)
+	w.Write(rp.body)
+}
+
+// answer writes v, the worker's answer rewritten into the gateway's id
+// space, under the worker's status.
+func (rp reply) answer(w http.ResponseWriter, v any) {
+	w.Header().Set("X-Siesta-Worker", rp.to.ID)
+	writeGatewayJSON(w, rp.status, v)
+}
+
+// forward makes one proxied call to a worker; every /v1 call the gateway
+// passes on goes through it. A transport failure or an unreadable answer
+// is an error, counted in siesta_gateway_proxy_errors_total; any status
+// the worker answers with is its verdict, for the caller to relay.
+func (g *Gateway) forward(ctx context.Context, to WorkerInfo, method, path string, body []byte) (reply, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(to.Addr, "/")+path, rd)
+	if err != nil {
+		g.mProxyErr.Inc()
+		return reply{}, err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := g.hc.Do(req)
 	if err != nil {
-		return nil, 0, nil, err
+		g.mProxyErr.Inc()
+		return reply{}, err
 	}
 	defer resp.Body.Close()
-	raw, err := readAllLimited(resp.Body, maxRequestBody)
+	raw, err := readAllLimited(resp.Body, maxPeerArtifact)
 	if err != nil {
-		return nil, resp.StatusCode, nil, err
+		g.mProxyErr.Inc()
+		return reply{}, err
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		// Validation errors, backpressure, drain: the worker's answer is
-		// authoritative; pass it through untouched.
-		return nil, resp.StatusCode, raw, nil
+	return reply{to: to, status: resp.StatusCode, body: raw}, nil
+}
+
+// place sends a new request — a synthesize or a session open — to key's
+// owner, then its ring successors: a dead owner must not make the request
+// fail while any replica can take it. A worker it cannot reach is evicted
+// and the next candidate tried. The first worker that answers decides: a
+// success is returned for the caller to track, and any other status
+// (validation, backpressure, drain) is the worker's verdict, relayed
+// verbatim. ok is false once place has written the response.
+func (g *Gateway) place(w http.ResponseWriter, r *http.Request, key, path string, body []byte) (reply, bool) {
+	cands := g.currentRoutes().successors(key, 3)
+	if len(cands) == 0 {
+		writeGatewayError(w, http.StatusServiceUnavailable, "no ready workers in the fleet")
+		return reply{}, false
 	}
-	var sr server.SynthesizeResponse
-	if err := json.Unmarshal(raw, &sr); err != nil {
-		return nil, resp.StatusCode, nil, fmt.Errorf("decode worker response: %w", err)
+	for _, cand := range cands {
+		rp, err := g.forward(r.Context(), cand, http.MethodPost, path, body)
+		if err != nil {
+			g.evict(r.Context(), cand.ID)
+			continue
+		}
+		if rp.status >= 300 {
+			rp.relay(w)
+			return rp, false
+		}
+		return rp, true
 	}
-	return &sr, resp.StatusCode, raw, nil
+	writeGatewayError(w, http.StatusServiceUnavailable, "all candidate workers are unreachable")
+	return reply{}, false
+}
+
+// track registers a job a worker accepted — a routed synthesize or a
+// committed session — under a fresh gateway id, and rewrites the worker's
+// answer sr into the gateway's id space. j carries the job's key and
+// failover terms; track fills in its placement.
+func (g *Gateway) track(j *gwJob, rp reply, sr *server.SynthesizeResponse) {
+	j.placed(rp.to, sr)
+	g.mu.Lock()
+	g.nextID++
+	j.id = fmt.Sprintf("g-%06d", g.nextID)
+	g.jobs[j.id] = j
+	g.mu.Unlock()
+	g.mRouted.Inc()
+	g.logEvent("job_routed", map[string]any{
+		"job": j.id, "worker": j.worker, "remote": j.remote,
+		"key": string(j.key), "cached": sr.Cached, "streamed": j.noFailover,
+	})
+	sr.Job = rewriteView(sr.Job, j.id)
+	sr.ArtifactURL = "/v1/jobs/" + j.id + "/artifact"
 }
 
 // rewriteView maps a worker-local job view onto the gateway's id space.
@@ -335,52 +418,17 @@ func (g *Gateway) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, http.StatusBadRequest, "encode request: %v", err)
 		return
 	}
-
-	// The owner first, then its ring successors: a dead owner must not
-	// make the request fail while any replica can take it.
-	rt := g.currentRoutes()
-	cands := rt.successors(string(key), 3)
-	if len(cands) == 0 {
-		writeGatewayError(w, http.StatusServiceUnavailable, "no ready workers in the fleet")
+	rp, ok := g.place(w, r, string(key), "/v1/synthesize", body)
+	if !ok {
 		return
 	}
-	for _, cand := range cands {
-		sr, status, raw, derr := g.dispatch(r.Context(), cand.Addr, body)
-		if derr != nil {
-			// Unreachable or garbled: evict and try the next candidate.
-			g.mProxyErr.Inc()
-			g.evict(r.Context(), cand.ID)
-			continue
-		}
-		if sr == nil {
-			// Worker answered with an error status; relay it verbatim.
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Siesta-Worker", cand.ID)
-			w.WriteHeader(status)
-			w.Write(raw)
-			return
-		}
-		j := &gwJob{key: key, reqJSON: body, worker: cand.ID, addr: cand.Addr, remote: sr.Job.ID}
-		if sr.Cached || sr.Job.Status == server.StatusDone {
-			j.settle()
-		}
-		g.mu.Lock()
-		g.nextID++
-		j.id = fmt.Sprintf("g-%06d", g.nextID)
-		g.jobs[j.id] = j
-		g.mu.Unlock()
-		g.mRouted.Inc()
-		g.logEvent("job_routed", map[string]any{
-			"job": j.id, "worker": cand.ID, "remote": sr.Job.ID,
-			"key": string(key), "cached": sr.Cached,
-		})
-		sr.Job = rewriteView(sr.Job, j.id)
-		sr.ArtifactURL = "/v1/jobs/" + j.id + "/artifact"
-		w.Header().Set("X-Siesta-Worker", cand.ID)
-		writeGatewayJSON(w, status, sr)
+	var sr server.SynthesizeResponse
+	if err := json.Unmarshal(rp.body, &sr); err != nil {
+		writeGatewayError(w, http.StatusBadGateway, "decode worker response: %v", err)
 		return
 	}
-	writeGatewayError(w, http.StatusServiceUnavailable, "all candidate workers for this key are unreachable")
+	g.track(&gwJob{key: key, reqJSON: body}, rp, &sr)
+	rp.answer(w, sr)
 }
 
 func (g *Gateway) lookup(gid string) (*gwJob, bool) {
@@ -390,27 +438,33 @@ func (g *Gateway) lookup(gid string) (*gwJob, bool) {
 	return j, ok
 }
 
-// snapshot reads a job's current placement.
-func (j *gwJob) snapshot() (worker, addr, remote string, done bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.worker, j.addr, j.remote, j.done
-}
-
-func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
+// routed resolves the gateway job a /v1/jobs/{id} request names, writing
+// the 404 when there is none.
+func (g *Gateway) routed(w http.ResponseWriter, r *http.Request) (*gwJob, bool) {
 	j, ok := g.lookup(r.PathValue("id"))
 	if !ok {
 		writeGatewayError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	}
+	return j, ok
+}
+
+// call forwards one call about the job to the worker currently holding it.
+func (g *Gateway) call(r *http.Request, j *gwJob, method, suffix string) (reply, error) {
+	j.mu.Lock()
+	to, remote := WorkerInfo{ID: j.worker, Addr: j.addr}, j.remote
+	j.mu.Unlock()
+	return g.forward(r.Context(), to, method, "/v1/jobs/"+remote+suffix, nil)
+}
+
+func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
+	j, ok := g.routed(w, r)
+	if !ok {
 		return
 	}
-	worker, addr, remote, _ := j.snapshot()
-	req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet,
-		strings.TrimSuffix(addr, "/")+"/v1/jobs/"+remote, nil)
-	resp, err := g.hc.Do(req)
+	rp, err := g.call(r, j, http.MethodGet, "")
 	if err != nil {
-		g.mProxyErr.Inc()
 		j.mu.Lock()
-		lost := j.noFailover
+		worker, lost := j.worker, j.noFailover
 		j.mu.Unlock()
 		if lost {
 			// A streamed job's chunks lived only on that worker; nothing
@@ -429,16 +483,12 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	defer resp.Body.Close()
-	raw, _ := readAllLimited(resp.Body, maxRequestBody)
-	if resp.StatusCode != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(raw)
+	if rp.status != http.StatusOK {
+		rp.relay(w)
 		return
 	}
 	var v server.JobView
-	if err := json.Unmarshal(raw, &v); err != nil {
+	if err := json.Unmarshal(rp.body, &v); err != nil {
 		writeGatewayError(w, http.StatusBadGateway, "decode worker job view: %v", err)
 		return
 	}
@@ -447,68 +497,43 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		j.settle()
 		j.mu.Unlock()
 	}
-	if wid := resp.Header.Get("X-Siesta-Worker"); wid != "" {
-		w.Header().Set("X-Siesta-Worker", wid)
-	}
-	writeGatewayJSON(w, http.StatusOK, rewriteView(v, j.id))
+	rp.answer(w, rewriteView(v, j.id))
 }
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := g.lookup(r.PathValue("id"))
+	j, ok := g.routed(w, r)
 	if !ok {
-		writeGatewayError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	_, addr, remote, _ := j.snapshot()
-	req, _ := http.NewRequestWithContext(r.Context(), http.MethodDelete,
-		strings.TrimSuffix(addr, "/")+"/v1/jobs/"+remote, nil)
-	resp, err := g.hc.Do(req)
+	rp, err := g.call(r, j, http.MethodDelete, "")
 	if err != nil {
-		g.mProxyErr.Inc()
 		writeGatewayError(w, http.StatusBadGateway, "worker unreachable: %v", err)
 		return
 	}
-	defer resp.Body.Close()
-	raw, _ := readAllLimited(resp.Body, maxRequestBody)
 	// A canceled job must not be resurrected by the failover scan.
 	j.mu.Lock()
 	j.settle()
 	j.mu.Unlock()
 	var v server.JobView
-	if resp.StatusCode == http.StatusOK && json.Unmarshal(raw, &v) == nil {
-		writeGatewayJSON(w, http.StatusOK, rewriteView(v, j.id))
+	if rp.status == http.StatusOK && json.Unmarshal(rp.body, &v) == nil {
+		rp.answer(w, rewriteView(v, j.id))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw)
+	rp.relay(w)
 }
 
 // handleArtifact proxies the artifact with a fleet-grade fallback: the
 // artifact is content-addressed, so if the worker that ran the job is gone
 // the gateway asks the key's current ring neighbourhood directly.
 func (g *Gateway) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	j, ok := g.lookup(r.PathValue("id"))
+	j, ok := g.routed(w, r)
 	if !ok {
-		writeGatewayError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	_, addr, remote, _ := j.snapshot()
-	req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet,
-		strings.TrimSuffix(addr, "/")+"/v1/jobs/"+remote+"/artifact", nil)
-	resp, err := g.hc.Do(req)
-	if err == nil {
-		defer resp.Body.Close()
-		raw, _ := readAllLimited(resp.Body, maxPeerArtifact)
-		if wid := resp.Header.Get("X-Siesta-Worker"); wid != "" {
-			w.Header().Set("X-Siesta-Worker", wid)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(raw)
+	if rp, err := g.call(r, j, http.MethodGet, "/artifact"); err == nil {
+		rp.relay(w)
 		return
 	}
-	g.mProxyErr.Inc()
 	rt := g.currentRoutes()
 	for _, cand := range rt.successors(string(j.key), 3) {
 		if art, ok := fetchPeerArtifact(r.Context(), g.hc, cand.Addr, j.key); ok {
@@ -523,28 +548,16 @@ func (g *Gateway) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // handleSubResource proxies trace/analysis documents verbatim.
 func (g *Gateway) handleSubResource(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := g.lookup(r.PathValue("id"))
+		j, ok := g.routed(w, r)
 		if !ok {
-			writeGatewayError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 			return
 		}
-		_, addr, remote, _ := j.snapshot()
-		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet,
-			strings.TrimSuffix(addr, "/")+"/v1/jobs/"+remote+"/"+kind, nil)
-		resp, err := g.hc.Do(req)
+		rp, err := g.call(r, j, http.MethodGet, "/"+kind)
 		if err != nil {
-			g.mProxyErr.Inc()
 			writeGatewayError(w, http.StatusBadGateway, "worker unreachable: %v", err)
 			return
 		}
-		defer resp.Body.Close()
-		raw, _ := readAllLimited(resp.Body, maxPeerArtifact)
-		if wid := resp.Header.Get("X-Siesta-Worker"); wid != "" {
-			w.Header().Set("X-Siesta-Worker", wid)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(raw)
+		rp.relay(w)
 	}
 }
 
@@ -580,22 +593,11 @@ func (g *Gateway) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleApps(w http.ResponseWriter, r *http.Request) {
-	rt := g.currentRoutes()
-	for _, wi := range rt.table.Workers {
-		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet,
-			strings.TrimSuffix(wi.Addr, "/")+"/v1/apps", nil)
-		resp, err := g.hc.Do(req)
-		if err != nil {
-			continue
+	for _, wi := range g.currentRoutes().table.Workers {
+		if rp, err := g.forward(r.Context(), wi, http.MethodGet, "/v1/apps", nil); err == nil && rp.status == http.StatusOK {
+			rp.relay(w)
+			return
 		}
-		raw, _ := readAllLimited(resp.Body, maxRequestBody)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			continue
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(raw)
-		return
 	}
 	writeGatewayError(w, http.StatusServiceUnavailable, "no worker answered the app catalog")
 }
@@ -685,23 +687,20 @@ func (g *Gateway) redispatchLocked(ctx context.Context, rt *routes, j *gwJob) {
 		break
 	}
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	sr, status, _, err := g.dispatch(dctx, owner.Addr, body)
+	rp, err := g.forward(dctx, owner, http.MethodPost, "/v1/synthesize", body)
 	cancel()
 	if err != nil {
-		g.mProxyErr.Inc()
 		g.evict(ctx, owner.ID)
 		return // next scan retries against the shrunk ring
 	}
-	if sr == nil {
-		g.logEvent("failover_rejected", map[string]any{"job": j.id, "worker": owner.ID, "status": status})
+	var sr server.SynthesizeResponse
+	if rp.status >= 300 || json.Unmarshal(rp.body, &sr) != nil {
+		g.logEvent("failover_rejected", map[string]any{"job": j.id, "worker": owner.ID, "status": rp.status})
 		return
 	}
 	dead := j.worker
-	j.worker, j.addr, j.remote = owner.ID, owner.Addr, sr.Job.ID
+	j.placed(owner, &sr)
 	j.failovers++
-	if sr.Cached || sr.Job.Status == server.StatusDone {
-		j.settle()
-	}
 	g.mFailovers.Inc()
 	g.logEvent("job_failover", map[string]any{
 		"job": j.id, "from": dead, "to": owner.ID, "remote": sr.Job.ID,

@@ -74,6 +74,9 @@ func streamedUpload(t *testing.T, base string, streams [][]byte, digest string) 
 	}
 	defer cresp.Body.Close()
 	craw, _ := io.ReadAll(cresp.Body)
+	if got := cresp.Header.Get("X-Siesta-Worker"); got != owner {
+		t.Fatalf("commit answered by %q, session pinned to %q", got, owner)
+	}
 	var cr server.TraceCommitResponse
 	if cresp.StatusCode < 300 {
 		if err := json.Unmarshal(craw, &cr); err != nil {

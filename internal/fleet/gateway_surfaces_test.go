@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,8 +17,9 @@ import (
 )
 
 // TestGatewayJobSurfaces covers the proxied job lifecycle beyond
-// synthesize/poll: the routing-record list, cancellation, and the
-// trace/analysis sub-resources.
+// synthesize/poll: the routing-record list, cancellation, the
+// trace/analysis sub-resources, the worker attribution every proxied
+// answer carries, and the verbatim relay of worker verdicts.
 func TestGatewayJobSurfaces(t *testing.T) {
 	f := startFleet(t, 2)
 
@@ -51,18 +54,14 @@ func TestGatewayJobSurfaces(t *testing.T) {
 	if !strings.Contains(v.TraceURL, sr.Job.ID) || !strings.Contains(v.AnalysisURL, sr.Job.ID) {
 		t.Fatalf("sub-resource URLs not rewritten: trace %q analysis %q", v.TraceURL, v.AnalysisURL)
 	}
-	for _, path := range []string{"/trace", "/analysis"} {
-		hresp, err := http.Get(f.gwTS.URL + "/v1/jobs/" + sr.Job.ID + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hresp.Body.Close()
+	// Every proxied answer names the worker that gave it.
+	holder := jobHolder(t, f, sr.Job.ID)
+	for _, path := range []string{"", "/artifact", "/trace", "/analysis"} {
+		hresp, _ := call(t, http.MethodGet, f.gwTS.URL+"/v1/jobs/"+sr.Job.ID+path, nil)
 		if hresp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200", path, hresp.StatusCode)
 		}
-		if hresp.Header.Get("X-Siesta-Worker") == "" {
-			t.Errorf("GET %s: missing worker attribution", path)
-		}
+		wantWorker(t, hresp, holder, "GET job"+path)
 	}
 
 	// The list endpoint reports the gateway's own routing records.
@@ -99,19 +98,22 @@ func TestGatewayJobSurfaces(t *testing.T) {
 	if err := json.Unmarshal(raw2, &sr2); err != nil {
 		t.Fatal(err)
 	}
-	dreq, _ := http.NewRequest(http.MethodDelete, f.gwTS.URL+"/v1/jobs/"+sr2.Job.ID, nil)
-	dresp, err := http.DefaultClient.Do(dreq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dresp, draw := call(t, http.MethodDelete, f.gwTS.URL+"/v1/jobs/"+sr2.Job.ID, nil)
 	var dv server.JobView
-	if err := json.NewDecoder(dresp.Body).Decode(&dv); err != nil {
+	if err := json.Unmarshal(draw, &dv); err != nil {
 		t.Fatal(err)
 	}
-	dresp.Body.Close()
 	if dresp.StatusCode != http.StatusOK || dv.ID != sr2.Job.ID {
 		t.Fatalf("cancel: %d %+v", dresp.StatusCode, dv)
 	}
+	holder2 := jobHolder(t, f, sr2.Job.ID)
+	wantWorker(t, dresp, holder2, "DELETE job")
+	// A worker's 4xx about a job is relayed with its attribution too.
+	aresp, _ := call(t, http.MethodGet, f.gwTS.URL+"/v1/jobs/"+sr2.Job.ID+"/analysis", nil)
+	if aresp.StatusCode != http.StatusNotFound {
+		t.Errorf("analysis of an unanalyzed job = %d, want 404", aresp.StatusCode)
+	}
+	wantWorker(t, aresp, holder2, "relayed 404")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var cv server.JobView
@@ -122,6 +124,108 @@ func TestGatewayJobSurfaces(t *testing.T) {
 			t.Fatal("canceled job never settled canceled through the gateway")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	relaysWorkerVerdicts(t, f)
+}
+
+// relaysWorkerVerdicts pins the placement loop's relay: a worker's 4xx on
+// either POST route reaches the client byte for byte, attributed to the
+// worker, and every session call answers from the worker the session is
+// pinned to.
+func relaysWorkerVerdicts(t *testing.T, f *testFleet) {
+	// Each body passes the gateway's own validation and fails the
+	// worker's: a resume blob that is not base64, a session of no ranks.
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/synthesize", server.SynthesizeRequest{App: "CG", Ranks: 4, Iters: 2, ResumeBase64: "%%%"}},
+		{"/v1/traces", server.TraceOpenRequest{NumRanks: 0}},
+	} {
+		gresp, graw := postBody(t, f.gwTS.URL+tc.path, tc.body)
+		if gresp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s through the gateway = %d, want 400\n%s", tc.path, gresp.StatusCode, graw)
+		}
+		tw := f.worker(gresp.Header.Get("X-Siesta-Worker"))
+		if tw == nil {
+			t.Fatalf("POST %s: relayed 400 names no fleet worker (%q)", tc.path, gresp.Header.Get("X-Siesta-Worker"))
+		}
+		wresp, wraw := postBody(t, tw.ts.URL+tc.path, tc.body)
+		if wresp.StatusCode != gresp.StatusCode || !bytes.Equal(graw, wraw) {
+			t.Errorf("POST %s: gateway relayed %d %q, worker answers %d %q",
+				tc.path, gresp.StatusCode, graw, wresp.StatusCode, wraw)
+		}
+	}
+
+	// Session calls: status, a rejected append and a premature commit.
+	oresp, oraw := postBody(t, f.gwTS.URL+"/v1/traces", server.TraceOpenRequest{NumRanks: 2})
+	if oresp.StatusCode != http.StatusCreated {
+		t.Fatalf("open: %d\n%s", oresp.StatusCode, oraw)
+	}
+	owner := oresp.Header.Get("X-Siesta-Worker")
+	if f.worker(owner) == nil {
+		t.Fatalf("open answered by %q, not a fleet worker", owner)
+	}
+	var or server.TraceOpenResponse
+	if err := json.Unmarshal(oraw, &or); err != nil {
+		t.Fatal(err)
+	}
+	base := f.gwTS.URL + "/v1/traces/" + or.ID
+	for _, tc := range []struct {
+		method, url string
+		body        []byte
+		want        int
+	}{
+		{http.MethodGet, base, nil, http.StatusOK},
+		{http.MethodPut, base + "/ranks/0", []byte("not a chunk stream"), http.StatusBadRequest},
+		{http.MethodPost, base + "/commit", nil, http.StatusConflict},
+		{http.MethodDelete, base, nil, http.StatusOK},
+	} {
+		resp, raw := call(t, tc.method, tc.url, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d\n%s", tc.method, tc.url, resp.StatusCode, tc.want, raw)
+		}
+		wantWorker(t, resp, owner, tc.method+" "+tc.url)
+	}
+}
+
+// call makes one request and returns the response with its body read.
+func call(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// jobHolder is the worker the gateway placed a job on.
+func jobHolder(t *testing.T, f *testFleet, gid string) string {
+	t.Helper()
+	j, ok := f.gw.lookup(gid)
+	if !ok {
+		t.Fatalf("gateway lost job %s", gid)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.worker
+}
+
+// wantWorker checks a proxied response names the worker that answered.
+func wantWorker(t *testing.T, resp *http.Response, want, what string) {
+	t.Helper()
+	if got := resp.Header.Get("X-Siesta-Worker"); got != want {
+		t.Errorf("%s: X-Siesta-Worker %q, want %q", what, got, want)
 	}
 }
 

@@ -342,7 +342,7 @@ func TestUserCancelIsTerminalDrainIsNot(t *testing.T) {
 	// Job A: user-canceled while running.
 	ja := blockerJob(release)
 	ja.reqJSON = reqJSON
-	if ok, _ := s1.admit(ja); !ok {
+	if _, err := s1.admit(ja); err != nil {
 		t.Fatal("admit A")
 	}
 	waitStatus(t, ja, StatusRunning)
@@ -354,7 +354,7 @@ func TestUserCancelIsTerminalDrainIsNot(t *testing.T) {
 	// Job B: still running when the service is hard-stopped.
 	jbB := blockerJob(release)
 	jbB.reqJSON = reqJSON
-	if ok, _ := s1.admit(jbB); !ok {
+	if _, err := s1.admit(jbB); err != nil {
 		t.Fatal("admit B")
 	}
 	waitStatus(t, jbB, StatusRunning)

@@ -54,7 +54,7 @@ func TestReadyzFlipsWhileDraining(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	jb := blockerJob(release)
-	if ok, _ := s.admit(jb); !ok {
+	if _, err := s.admit(jb); err != nil {
 		t.Fatal("admit blocker")
 	}
 	waitStatus(t, jb, StatusRunning)

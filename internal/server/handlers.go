@@ -346,52 +346,70 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
+	s.submit(w, jb, nil)
+}
 
-	// Identical finished work is answered from the artifact cache without
-	// touching the queue — unless the request wants a trace or an
-	// analysis, which only a fresh run can record. A local miss consults
-	// the fleet peers before conceding: an artifact computed by any
-	// replica answers here, and is adopted into the local tiers so the
-	// next hit is local.
-	if !jb.wantTrace && !jb.wantAnalyze {
-		_, hit := s.store.Get(jb.key)
-		if !hit && s.cfg.PeerFetch != nil {
-			if art, ok := s.cfg.PeerFetch(jb.key); ok && art != nil && art.Key == jb.key {
-				if perr := s.store.Put(art); perr != nil {
-					s.logEvent("cache_disk_error", map[string]any{"key": string(jb.key), "error": perr.Error()})
-				}
-				s.mPeerHits.Inc()
-				hit = true
-			}
-		}
-		if hit {
-			s.mHits.Inc()
-			s.registerCached(jb)
-			s.logEvent("cache_hit", map[string]any{"job": jb.id, "app": jb.app, "key": string(jb.key)})
-			writeJSON(w, http.StatusOK, SynthesizeResponse{
-				Job: jb.view(), Cached: true, CacheKey: string(jb.key),
-				ArtifactURL: "/v1/jobs/" + jb.id + "/artifact",
-			})
+// submit is the one admission path behind both upload transports, once a
+// request has become a job with its cache key. Identical finished work is
+// answered from the artifact cache without touching the queue — unless the
+// job wants a trace or an analysis, which only a fresh run can record. A
+// miss is admitted to the queue, or refused with 503 while draining and
+// 429 when the queue is full.
+//
+// settled, when non-nil, is the streamed transport's own step: it runs
+// once the job is a cache hit (admitted false) or admitted, before the
+// response is written, and wraps the SynthesizeResponse in the
+// transport's response type.
+func (s *Server) submit(w http.ResponseWriter, jb *job, settled func(sr SynthesizeResponse, admitted bool) any) {
+	sr, status := SynthesizeResponse{Cached: true}, http.StatusOK
+	if !jb.wantTrace && !jb.wantAnalyze && s.cached(jb.key) {
+		s.mHits.Inc()
+		s.registerCached(jb)
+		s.logEvent("cache_hit", map[string]any{"job": jb.id, "app": jb.app, "key": string(jb.key)})
+		sr.Job = jb.view()
+	} else {
+		s.mMisses.Inc()
+		view, err := s.admit(jb)
+		switch {
+		case errors.Is(err, errDraining):
+			writeError(w, http.StatusServiceUnavailable, "server is draining")
+			return
+		case err != nil:
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, "job queue is full (%d queued)", s.cfg.QueueDepth)
 			return
 		}
+		s.logEvent("job_queued", map[string]any{"job": jb.id, "app": jb.app, "ranks": jb.ranks, "key": string(jb.key)})
+		sr, status = SynthesizeResponse{Job: view}, http.StatusAccepted
 	}
-	s.mMisses.Inc()
+	sr.CacheKey, sr.ArtifactURL = string(jb.key), "/v1/jobs/"+jb.id+"/artifact"
+	var body any = sr
+	if settled != nil {
+		body = settled(sr, !sr.Cached)
+	}
+	writeJSON(w, status, body)
+}
 
-	ok, draining := s.admit(jb)
-	if draining {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+// cached reports whether key's artifact is in the local tiers. A local
+// miss consults the fleet peers before conceding: an artifact computed by
+// any replica answers here, and is adopted into the local tiers so the
+// next hit is local.
+func (s *Server) cached(key cache.Key) bool {
+	if _, ok := s.store.Get(key); ok {
+		return true
 	}
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue is full (%d queued)", s.cfg.QueueDepth)
-		return
+	if s.cfg.PeerFetch == nil {
+		return false
 	}
-	s.logEvent("job_queued", map[string]any{"job": jb.id, "app": jb.app, "ranks": jb.ranks, "key": string(jb.key)})
-	writeJSON(w, http.StatusAccepted, SynthesizeResponse{
-		Job: jb.view(), Cached: false, CacheKey: string(jb.key),
-		ArtifactURL: "/v1/jobs/" + jb.id + "/artifact",
-	})
+	art, ok := s.cfg.PeerFetch(key)
+	if !ok || art == nil || art.Key != key {
+		return false
+	}
+	if perr := s.store.Put(art); perr != nil {
+		s.logEvent("cache_disk_error", map[string]any{"key": string(key), "error": perr.Error()})
+	}
+	s.mPeerHits.Inc()
+	return true
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {

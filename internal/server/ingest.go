@@ -39,9 +39,10 @@ import (
 const maxIngestRanks = 1 << 16
 
 // TraceOpenRequest is the POST /v1/traces body. NumRanks is required; the
-// tuning fields mirror SynthesizeRequest (Scale above 1 is rejected — the
-// scaled generator needs communication samples from a whole trace, which a
-// stream never holds at once).
+// tuning fields mirror SynthesizeRequest. A scaled session shrinks exactly
+// as a one-shot trace_base64 upload of the same trace does: neither
+// transport carries call timings, so communication volumes stay as traced
+// and the computation targets shrink.
 type TraceOpenRequest struct {
 	NumRanks int `json:"num_ranks"`
 
@@ -185,10 +186,6 @@ func (s *Server) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.NumRanks > maxIngestRanks {
 		writeError(w, http.StatusBadRequest, "num_ranks %d exceeds limit %d", req.NumRanks, maxIngestRanks)
-		return
-	}
-	if req.Scale > 1 {
-		writeError(w, http.StatusBadRequest, "scale above 1 is not supported on the streaming path; use trace_base64")
 		return
 	}
 	var declaredKey cache.Key
@@ -409,65 +406,26 @@ func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 		return core.SynthesizeIngest(in, opts)
 	})
 	spill := sess.in.SpillStats()
-
-	// Identical finished work short-circuits to the cache, exactly as in
-	// handleSynthesize; the session's partial state is simply discarded.
-	if !jb.wantAnalyze {
-		_, hit := s.store.Get(key)
-		if !hit && s.cfg.PeerFetch != nil {
-			if art, ok := s.cfg.PeerFetch(key); ok && art != nil && art.Key == key {
-				if perr := s.store.Put(art); perr != nil {
-					s.logEvent("cache_disk_error", map[string]any{"key": string(key), "error": perr.Error()})
-				}
-				s.mPeerHits.Inc()
-				hit = true
-			}
-		}
-		if hit {
-			s.mHits.Inc()
-			s.closeIngest(sess)
-			s.registerCached(jb)
-			s.logEvent("cache_hit", map[string]any{"job": jb.id, "app": jb.app, "key": string(key)})
-			writeJSON(w, http.StatusOK, TraceCommitResponse{
-				SynthesizeResponse: SynthesizeResponse{
-					Job: jb.view(), Cached: true, CacheKey: string(key),
-					ArtifactURL: "/v1/jobs/" + jb.id + "/artifact",
-				},
-				Spill: spill,
+	// A rejected commit (draining, queue full) leaves the session open: its
+	// chunks live only on this node, so the client either retries the
+	// commit or aborts.
+	s.submit(w, jb, func(sr SynthesizeResponse, admitted bool) any {
+		if admitted {
+			// The job owns the ingest now (its work fn builds and closes
+			// it); drop the session record without touching the ingest.
+			s.ingestMu.Lock()
+			delete(s.ingests, sess.id)
+			s.ingestMu.Unlock()
+			s.logEvent("ingest_commit", map[string]any{
+				"session": sess.id, "job": jb.id, "ranks": jb.ranks, "key": string(key),
+				"spilled": spill.Spilled, "spilled_bytes": spill.SpilledBytes,
 			})
-			return
+		} else {
+			// Answered from the cache: the session's partial state is
+			// simply discarded.
+			s.closeIngest(sess)
 		}
-	}
-	s.mMisses.Inc()
-
-	ok, draining := s.admit(jb)
-	if draining {
-		// The session itself survives the rejection, but its chunks live
-		// only on this node — there is no replacement to retry against, so
-		// aborting is the client's useful move.
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue is full (%d queued)", s.cfg.QueueDepth)
-		return
-	}
-	// Admitted: the job owns the ingest now (its work fn builds and closes
-	// it); drop the session record without touching the ingest.
-	s.ingestMu.Lock()
-	delete(s.ingests, sess.id)
-	s.ingestMu.Unlock()
-	s.logEvent("ingest_commit", map[string]any{
-		"session": sess.id, "job": jb.id, "ranks": jb.ranks, "key": string(key),
-		"spilled": spill.Spilled, "spilled_bytes": spill.SpilledBytes,
-	})
-	writeJSON(w, http.StatusAccepted, TraceCommitResponse{
-		SynthesizeResponse: SynthesizeResponse{
-			Job: jb.view(), Cached: false, CacheKey: string(key),
-			ArtifactURL: "/v1/jobs/" + jb.id + "/artifact",
-		},
-		Spill: spill,
+		return TraceCommitResponse{SynthesizeResponse: sr, Spill: spill}
 	})
 }
 

@@ -119,14 +119,22 @@ func recordedTrace(t *testing.T, ranks int) *trace.Trace {
 // The server-level differential test: a trace streamed in 64-byte chunks
 // with spilling forced must produce an artifact byte-identical (modulo the
 // cache key, which encodes the input transport) to the one-shot
-// trace_base64 path.
+// trace_base64 path — unscaled and at scale 10.
 func TestStreamingIngestMatchesOneShotUpload(t *testing.T) {
 	tr := recordedTrace(t, 8)
+	for _, scale := range []float64{0, 10} {
+		t.Run(fmt.Sprintf("scale%g", scale), func(t *testing.T) {
+			streamingMatchesOneShot(t, tr, scale)
+		})
+	}
+}
+
+func streamingMatchesOneShot(t *testing.T, tr *trace.Trace, scale float64) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
 	// One-shot control.
 	encoded := base64.StdEncoding.EncodeToString(tr.Encode())
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{TraceBase64: encoded})
+	resp, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{TraceBase64: encoded, Scale: scale})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("one-shot POST = %d: %s", resp.StatusCode, body)
 	}
@@ -143,7 +151,7 @@ func TestStreamingIngestMatchesOneShotUpload(t *testing.T) {
 	streams := chunkStreams(t, tr)
 	digest := contentDigest(streams)
 	resp, body = postJSON(t, ts.URL+"/v1/traces", TraceOpenRequest{
-		NumRanks: len(streams), ContentSHA256: digest, SpillHighWater: 1,
+		NumRanks: len(streams), ContentSHA256: digest, SpillHighWater: 1, Scale: scale,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("open = %d: %s", resp.StatusCode, body)
@@ -256,7 +264,6 @@ func TestStreamingIngestValidationAndAbort(t *testing.T) {
 		want int
 	}{
 		{TraceOpenRequest{NumRanks: 0}, http.StatusBadRequest},
-		{TraceOpenRequest{NumRanks: 8, Scale: 2}, http.StatusBadRequest},
 		{TraceOpenRequest{NumRanks: 8, Platform: "no-such"}, http.StatusBadRequest},
 		{TraceOpenRequest{NumRanks: 8, ContentSHA256: "zz"}, http.StatusBadRequest},
 	} {

@@ -335,14 +335,21 @@ func (s *Server) logEvent(event string, fields map[string]any) {
 	w.Write(append(data, '\n'))
 }
 
+// Admission refusals: the server is draining, or the queue is full
+// (backpressure).
+var (
+	errDraining  = errors.New("server is draining")
+	errQueueFull = errors.New("job queue is full")
+)
+
 // admit registers a job record and offers it to the queue without
-// blocking. It returns false when the queue is full (backpressure) or the
-// server is draining.
-func (s *Server) admit(jb *job) (ok bool, draining bool) {
+// blocking. It returns the job's view as admitted — queued, taken before
+// a worker can pick the job up — or errDraining or errQueueFull.
+func (s *Server) admit(jb *job) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return false, true
+		return JobView{}, errDraining
 	}
 	// The job must be fully initialized before it is offered to the
 	// queue: the channel send publishes it to a worker, which reads id
@@ -351,6 +358,7 @@ func (s *Server) admit(jb *job) (ok bool, draining bool) {
 	jb.id = fmt.Sprintf("j-%06d", s.nextID)
 	jb.created = time.Now()
 	jb.status = StatusQueued
+	view := jb.view()
 	// The gauge goes up before the send: a worker may receive the job and
 	// decrement it immediately, so incrementing after the send could let a
 	// scrape observe a negative depth.
@@ -361,7 +369,7 @@ func (s *Server) admit(jb *job) (ok bool, draining bool) {
 		s.gQueued.Add(-1)
 		s.nextID--
 		s.mRejected.Inc()
-		return false, false
+		return JobView{}, errQueueFull
 	}
 	s.jobs[jb.id] = jb
 	s.jobOrder = append(s.jobOrder, jb.id)
@@ -375,7 +383,7 @@ func (s *Server) admit(jb *job) (ok bool, draining bool) {
 		Type: durable.TypeEnqueued, Job: jb.id,
 		Request: jb.reqJSON, Key: string(jb.key),
 	})
-	return true, false
+	return view, nil
 }
 
 // pruneLocked drops the oldest completed job records beyond the retention

@@ -257,12 +257,12 @@ func TestBackpressure(t *testing.T) {
 
 	// Occupy the single worker, then fill the single queue slot.
 	running := blockerJob(release)
-	if ok, _ := s.admit(running); !ok {
+	if _, err := s.admit(running); err != nil {
 		t.Fatal("admit blocker")
 	}
 	waitStatus(t, running, StatusRunning)
 	queued := blockerJob(release)
-	if ok, _ := s.admit(queued); !ok {
+	if _, err := s.admit(queued); err != nil {
 		t.Fatal("admit queued")
 	}
 
@@ -429,7 +429,7 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 	release := make(chan struct{})
 	jobs := []*job{blockerJob(release), blockerJob(release), blockerJob(release)}
 	for _, jb := range jobs {
-		if ok, _ := s.admit(jb); !ok {
+		if _, err := s.admit(jb); err != nil {
 			t.Fatal("admit")
 		}
 	}
@@ -470,7 +470,7 @@ func TestConcurrentShutdownWaitsForDrain(t *testing.T) {
 	}
 	release := make(chan struct{})
 	jb := blockerJob(release)
-	if ok, _ := s.admit(jb); !ok {
+	if _, err := s.admit(jb); err != nil {
 		t.Fatal("admit")
 	}
 	waitStatus(t, jb, StatusRunning)

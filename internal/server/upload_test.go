@@ -309,8 +309,10 @@ func TestMergeCheckpointFailureRetries(t *testing.T) {
 	}
 }
 
-// A scaled upload takes the communication-sampling branch of codegen and
-// still serves exactly what core.SynthesizeTrace generates at that scale.
+// A scaled upload serves exactly what core.SynthesizeTrace generates at
+// that scale. The decoded trace keeps no call timings, so codegen fits no
+// communication samples: the computation targets shrink and communication
+// volumes stay as traced.
 func TestScaledTraceUploadMatchesCore(t *testing.T) {
 	tr := recordedTrace(t, 8)
 	_, ts := newTestServer(t, Config{Workers: 1})
