@@ -1,0 +1,37 @@
+package mpi
+
+import "testing"
+
+// allocsPerCall runs a Sendrecv ring plus an Allreduce per iteration on a
+// world of the given size and reports heap allocations per MPI call,
+// world set-up included.
+func allocsPerCall(size, iters int) float64 {
+	app := func(r *Rank) {
+		c := r.World()
+		next, prev := (r.Rank()+1)%r.Size(), (r.Rank()+r.Size()-1)%r.Size()
+		for it := 0; it < iters; it++ {
+			r.Sendrecv(c, next, 0, 1024, prev, 0)
+			r.Allreduce(c, 8, OpSum)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewWorld(Config{Size: size}).Run(app); err != nil {
+			panic(err)
+		}
+	})
+	return allocs / float64(size*iters*2)
+}
+
+// TestAllocsPerCallFlatInRanks pins that a blocking call costs the same
+// allocations at any world size. A detector that builds every blocked
+// rank's report on each block allocates O(P) per call.
+func TestAllocsPerCallFlatInRanks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	small, large := allocsPerCall(8, 200), allocsPerCall(64, 200)
+	t.Logf("allocs per call: %.2f at 8 ranks, %.2f at 64 ranks", small, large)
+	if large > 1.1*small {
+		t.Errorf("allocs per call grow with ranks: %.2f at 64 ranks > 1.1 × %.2f at 8", large, small)
+	}
+}

@@ -19,6 +19,17 @@ func TestRunCancelRacesCompletion(t *testing.T) {
 			r.Barrier(r.World())
 		})
 		cancel()
+		// A context canceled before Run starts the ranks leaves them all
+		// in rsRunning; either way the count must match the states.
+		running := 0
+		for _, r := range w.ranks {
+			if r.state == rsRunning {
+				running++
+			}
+		}
+		if w.running != running {
+			t.Fatalf("iteration %d: running count %d, %d ranks in rsRunning", i, w.running, running)
+		}
 		if err != nil {
 			var ce *CancelError
 			if !errors.As(err, &ce) {

@@ -80,6 +80,11 @@ type World struct {
 	// edges by (src, dst, seq). Guarded by mu.
 	msgCount *chanCounter
 
+	// running counts ranks in rsRunning, so the deadlock detector can
+	// return at once while any rank may still act. Guarded by mu and
+	// written only by setStateLocked.
+	running int
+
 	failed error
 	// stop mirrors failed != nil as an atomic flag so rank goroutines can
 	// poll for teardown (abortIfFailed, per-call cancellation checks)
@@ -234,6 +239,7 @@ func NewWorld(cfg Config) *World {
 		colls:      make(map[collKey]*collSlot),
 		msgCount:   newChanCounter(cfg.Size),
 		nextCommID: 1,
+		running:    cfg.Size, // every rank starts in rsRunning
 	}
 	if cfg.Faults != nil {
 		w.msgSeq = newChanCounter(cfg.Size)
@@ -343,24 +349,23 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 				p := recover()
 				w.mu.Lock()
 				defer w.mu.Unlock()
+				state := rsFinished
+				if _, crashed := p.(*crashPanic); crashed {
+					state = rsCrashed
+				}
+				w.setStateLocked(r, state)
 				switch pv := p.(type) {
 				case nil:
-					r.state = rsFinished
 				case *crashPanic:
-					if pv.silent {
-						r.state = rsCrashed
-					} else {
-						r.state = rsCrashed
+					if !pv.silent {
 						w.failLocked(mpiErrorf(ErrProcFailed, r.rank, pv.op,
 							"rank killed by fault plan at call %d", pv.call))
 					}
 				case error:
-					r.state = rsFinished
 					if pv != errAborted {
 						w.failLocked(fmt.Errorf("mpi: rank %d failed: %w", r.rank, pv))
 					}
 				default:
-					r.state = rsFinished
 					w.failLocked(fmt.Errorf("mpi: rank %d panicked: %v", r.rank, p))
 				}
 				w.checkDeadlockLocked()
@@ -434,6 +439,18 @@ func (w *World) failLocked(err error) {
 	}
 }
 
+// setStateLocked moves r to state s and keeps w.running in step. It is
+// the only writer of Rank.state. Caller holds w.mu.
+func (w *World) setStateLocked(r *Rank, s rankState) {
+	if r.state == rsRunning {
+		w.running--
+	}
+	if s == rsRunning {
+		w.running++
+	}
+	r.state = s
+}
+
 // blockLocked marks the rank blocked on op. ready is the operation's
 // enabling predicate, evaluated under w.mu by the deadlock detector: a
 // blocked rank whose predicate already holds is merely not yet scheduled,
@@ -441,22 +458,22 @@ func (w *World) failLocked(err error) {
 // actually produced, so its description (e.g. collective arrival counts)
 // reflects the state at report time, not at block time. Caller holds w.mu.
 func (w *World) blockLocked(r *Rank, op func() PendingOp, ready func() bool) {
-	r.state = rsBlocked
+	w.setStateLocked(r, rsBlocked)
 	r.pending = op
 	r.ready = ready
 }
 
 // resumeLocked clears the rank's blocked record. Caller holds w.mu.
 func (w *World) resumeLocked(r *Rank) {
-	r.state = rsRunning
+	w.setStateLocked(r, rsRunning)
 	r.pending = nil
 	r.ready = nil
 }
 
 // waitCond blocks the rank until ready() holds or the run aborts,
 // maintaining the wait-for bookkeeping the deadlock detector reads. makeOp
-// is only invoked if the rank actually blocks, keeping the fast path free
-// of diagnostic formatting. Caller holds w.mu.
+// is only invoked when a deadlock or deadline report is built, keeping the
+// blocking path free of diagnostic formatting. Caller holds w.mu.
 func (w *World) waitCond(r *Rank, makeOp func() PendingOp, ready func() bool) {
 	if ready() || w.aborted() {
 		return
@@ -477,27 +494,38 @@ func (w *World) waitCond(r *Rank, makeOp func() PendingOp, ready func() bool) {
 // is stable: nothing will ever wake a blocked rank again. It runs on
 // every rank state transition, making detection immediate rather than
 // timeout-based. Caller holds w.mu.
+//
+// The check costs nothing while the running count is nonzero. Otherwise a
+// first pass evaluates only the enabling predicates and returns at the
+// first blocked rank that is ready; the report, which formats every
+// blocked rank's PendingOp, is built in a second pass only once that pass
+// has proved the deadlock.
 func (w *World) checkDeadlockLocked() {
-	if w.failed != nil {
+	if w.failed != nil || w.running > 0 {
+		return
+	}
+	stuck := false
+	for _, r := range w.ranks {
+		if r.state != rsBlocked {
+			continue
+		}
+		if r.ready != nil && r.ready() {
+			return // enabled transition: the rank just hasn't woken yet
+		}
+		stuck = true
+	}
+	if !stuck {
 		return
 	}
 	var blocked []PendingOp
 	var crashed []int
 	for _, r := range w.ranks {
 		switch r.state {
-		case rsRunning:
-			return
 		case rsBlocked:
-			if r.ready != nil && r.ready() {
-				return // enabled transition: the rank just hasn't woken yet
-			}
 			blocked = append(blocked, r.pending())
 		case rsCrashed:
 			crashed = append(crashed, r.rank)
 		}
-	}
-	if len(blocked) == 0 {
-		return
 	}
 	reason := "no rank can make progress"
 	if len(crashed) > 0 {

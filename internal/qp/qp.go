@@ -4,10 +4,10 @@
 //	min_x  Σᵢ (1/tᵢ²)(bᵢ·x − tᵢ)²   s.t.  x ≥ 0,  x₁₁ ≥ Σ_{i=1..9} xᵢ
 //
 // is reduced to non-negative least squares by row scaling (the 1/tᵢ weights)
-// and variable substitution (x₁₁ = s + Σx₁..₉, s ≥ 0), and the NNLS core is
-// a dense Lawson–Hanson active-set solver with a ridge-stabilised normal-
-// equation inner solve, which tolerates the non-orthogonality of the
-// predefined code blocks that the paper calls out.
+// and variable substitution (x₁₁ = s + Σx₁..₉, s ≥ 0). The NNLS core warm
+// starts from a ridge-stabilised normal-equation solve and finishes with
+// accelerated projected gradient descent, which tolerates the
+// non-orthogonality of the predefined code blocks that the paper calls out.
 package qp
 
 import (
@@ -48,6 +48,12 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("qp: MulVec dimension mismatch %d != %d", len(x), m.Cols))
 	}
 	y := make([]float64, m.Rows)
+	m.mulVecInto(y, x)
+	return y
+}
+
+// mulVecInto writes m·x into y, which has length m.Rows.
+func (m *Matrix) mulVecInto(y, x []float64) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
@@ -56,7 +62,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		}
 		y[i] = s
 	}
-	return y
 }
 
 // Residual returns b − m·x.
@@ -71,10 +76,14 @@ func (m *Matrix) Residual(x, b []float64) []float64 {
 
 // ResidualNorm2 returns ‖b − m·x‖².
 func (m *Matrix) ResidualNorm2(x, b []float64) float64 {
-	r := m.Residual(x, b)
+	return sumSquares(m.Residual(x, b))
+}
+
+// sumSquares returns Σ vᵢ².
+func sumSquares(v []float64) float64 {
 	var s float64
-	for _, v := range r {
-		s += v * v
+	for _, x := range v {
+		s += x * x
 	}
 	return s
 }
@@ -231,17 +240,27 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 
+	// Scratch for the residual and gradient, allocated once per call and
+	// reused by every FISTA step; grad's result is valid until its next call.
+	r := make([]float64, an.Rows)
+	gBuf := make([]float64, n)
+	residual := func(v []float64) []float64 {
+		an.mulVecInto(r, v)
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
+		return r
+	}
 	grad := func(v []float64) []float64 {
-		r := an.Residual(v, b)
-		g := make([]float64, n)
+		residual(v)
 		for j := 0; j < n; j++ {
 			var s float64
 			for i := 0; i < an.Rows; i++ {
 				s += an.At(i, j) * r[i]
 			}
-			g[j] = -2 * s
+			gBuf[j] = -2 * s
 		}
-		return g
+		return gBuf
 	}
 	// Gradient scale at the origin, for the relative stopping criterion.
 	gradScale := 0.0
@@ -268,14 +287,14 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 		return true
 	}
 
-	// FISTA with adaptive restart.
+	// FISTA with adaptive restart. x and xNew trade buffers each step.
 	y := append([]float64(nil), x...)
+	xNew := make([]float64, n)
 	tMom := 1.0
-	prevObj := an.ResidualNorm2(x, b)
+	prevObj := sumSquares(residual(x))
 	const maxIters = 500000
 	for iter := 0; iter < maxIters; iter++ {
 		g := grad(y)
-		xNew := make([]float64, n)
 		for j := 0; j < n; j++ {
 			v := y[j] - step*g[j]
 			if v < 0 {
@@ -290,12 +309,12 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 				y[j] = 0
 			}
 		}
-		obj := an.ResidualNorm2(xNew, b)
+		obj := sumSquares(residual(xNew))
 		if obj > prevObj { // restart momentum on non-monotonicity
 			copy(y, xNew)
 			tNew = 1
 		}
-		x, tMom, prevObj = xNew, tNew, obj
+		x, xNew, tMom, prevObj = xNew, x, tNew, obj
 		if iter%64 == 63 && converged(x) {
 			break
 		}
@@ -316,11 +335,12 @@ func gramSpectralRadius(a *Matrix) float64 {
 	for j := range v {
 		v[j] = 1
 	}
+	av := make([]float64, a.Rows)
+	w := make([]float64, n)
 	var lambda float64
 	for it := 0; it < 200; it++ {
 		// w = Aᵀ(A v)
-		av := a.MulVec(v)
-		w := make([]float64, n)
+		a.mulVecInto(av, v)
 		for j := 0; j < n; j++ {
 			var s float64
 			for i := 0; i < a.Rows; i++ {
@@ -328,11 +348,7 @@ func gramSpectralRadius(a *Matrix) float64 {
 			}
 			w[j] = s
 		}
-		var norm float64
-		for _, x := range w {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
+		norm := math.Sqrt(sumSquares(w))
 		if norm == 0 {
 			return 0
 		}
@@ -342,43 +358,6 @@ func gramSpectralRadius(a *Matrix) float64 {
 		}
 	}
 	return lambda
-}
-
-func matrixScale(a *Matrix, b []float64) float64 {
-	s := 0.0
-	for _, v := range a.Data {
-		if av := math.Abs(v); av > s {
-			s = av
-		}
-	}
-	for _, v := range b {
-		if av := math.Abs(v); av > s {
-			s = av
-		}
-	}
-	if s == 0 {
-		return 1
-	}
-	return s
-}
-
-func passiveSet(passive []bool) []int {
-	var p []int
-	for j, in := range passive {
-		if in {
-			p = append(p, j)
-		}
-	}
-	return p
-}
-
-func allPositive(z []float64, tol float64) bool {
-	for _, v := range z {
-		if v <= tol {
-			return false
-		}
-	}
-	return true
 }
 
 // WeightedNNLS solves the paper's relative-error objective: it scales row i

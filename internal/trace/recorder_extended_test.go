@@ -32,11 +32,15 @@ func TestRecorderExtendedCalls(t *testing.T) {
 		r.Iprobe(c, other, 2)
 		r.Recv(c, other, 2)
 
-		// Waitany over two requests.
+		// Waitany over two requests. The barrier lets both eager sends
+		// land first, so Waitany picks by virtual completion time, not by
+		// which message happened to arrive first in wall-clock terms, and
+		// the two ranks' tables stay identical.
 		a := r.Irecv(c, other, 3)
 		b := r.Irecv(c, other, 4)
 		r.Isend(c, other, 3, 16)
 		r.Isend(c, other, 4, 16)
+		r.Barrier(c)
 		idx, _ := r.Waitany([]*mpi.Request{a, b})
 		rest := a
 		if idx == 0 {
