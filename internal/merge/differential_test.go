@@ -3,6 +3,7 @@ package merge_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,4 +124,56 @@ func TestBuildNeverReinfersOnApps(t *testing.T) {
 			t.Fatalf("%d of %d ranks took the re-inference fallback", n, len(tr.Ranks))
 		}
 	})
+}
+
+// Batch Build infers one grammar per rank class. On every built-in app its
+// class count must equal the number of distinct globalized sequences,
+// counted here independently, so the shared-inference path cannot quietly
+// switch off (every rank its own class) or over-merge.
+func TestBuildFindsRankClassesOnApps(t *testing.T) {
+	cases, err := appCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := make([]int, len(cases))
+	t.Run("apps", func(t *testing.T) {
+		for i, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				t.Parallel()
+				g := merge.GlobalizeParallel(c.tr, 0.05, 1)
+				var distinct [][]int
+				for _, seq := range g.Seqs {
+					if !slices.ContainsFunc(distinct, func(d []int) bool { return slices.Equal(d, seq) }) {
+						distinct = append(distinct, seq)
+					}
+				}
+				_, n, err := merge.BuildRankClasses(c.tr, merge.Options{Parallelism: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(distinct) {
+					t.Fatalf("Build used %d rank classes; the trace has %d distinct sequences", n, len(distinct))
+				}
+				classes[i] = n
+			})
+		}
+	})
+	total, ranks := 0, 0
+	for i, c := range cases {
+		total += classes[i]
+		ranks += len(c.tr.Ranks)
+		switch c.name {
+		case "Sod/64":
+			if classes[i] != 1 {
+				t.Errorf("Sod/64: %d rank classes, want 1", classes[i])
+			}
+		case "LULESH/64":
+			if classes[i] != 27 {
+				t.Errorf("LULESH/64: %d rank classes, want 27", classes[i])
+			}
+		}
+	}
+	if total != 190 || ranks != 999 {
+		t.Errorf("%d rank classes over %d ranks, want 190 of 999", total, ranks)
+	}
 }

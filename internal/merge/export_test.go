@@ -13,3 +13,11 @@ func BuildReinferred(tr *trace.Trace, opts Options) (*Program, int, error) {
 	p, err := in.Build()
 	return p, in.Reinferred(), err
 }
+
+// BuildRankClasses is Build that also reports how many rank classes its
+// private session inferred (one grammar each).
+func BuildRankClasses(tr *trace.Trace, opts Options) (*Program, int, error) {
+	in := batchIngest(tr, opts)
+	p, err := in.Build()
+	return p, in.classes, err
+}

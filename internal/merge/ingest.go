@@ -36,7 +36,9 @@ import (
 // clusters into one (coarser threshold, cross-rank representatives); that
 // rank's sequence is then re-inferred over root ids from its leaf
 // grammar's expansion. Either way the grammar is the one inference over
-// root ids would give.
+// root ids would give — so batch Build, which still holds every rank's
+// events, infers only one rank per class of identical root sequences and
+// shares that grammar (rankClasses).
 
 // Ingest is one streaming merge session: numRanks rank streams feeding
 // one eventual Program. Create with NewIngest, feed each rank through
@@ -64,10 +66,15 @@ type Ingest struct {
 	// re-infer fallback at Build (leaf→root map not injective). Exposed for
 	// tests and diagnostics; byte-equality holds either way.
 	reinferred atomic.Int32
+	// classes counts the rank classes Build inferred: one per distinct
+	// event sequence in batch, one per rank for a stream (tests read it).
+	classes int
 }
 
 // Reinferred reports how many ranks took the re-inference fallback during
-// Build (0 until Build runs).
+// Build (0 until Build runs). Only a class representative is inferred, so
+// in batch it counts representatives, not the members sharing their
+// grammars.
 func (in *Ingest) Reinferred() int { return int(in.reinferred.Load()) }
 
 // NewIngest opens a streaming merge session for numRanks rank streams.
@@ -172,7 +179,7 @@ func (in *Ingest) Close() error {
 // Build commits the session: every rank stream must have ended. It runs
 // the pairwise tree reduction over the per-rank leaf tables, relabels (or
 // where the reduction collapsed a rank's terminals, re-infers) each
-// rank's grammar onto global ids, and assembles the Program. The
+// rank class's grammar onto global ids, and assembles the Program. The
 // session's spill files are released before Build returns, success or
 // not; Build can run at most once.
 func (in *Ingest) Build() (*Program, error) {
@@ -212,12 +219,21 @@ func (in *Ingest) Build() (*Program, error) {
 	root := reducePartials(parts, opts.ClusterThreshold, par)
 	defer root.releaseMaps()
 
-	// Per-rank globalization of the inferred grammars: relabel when
+	// Per-class globalization of the inferred grammars: relabel when
 	// leaf→root is injective for the rank, re-infer over the mapped
-	// sequence when it is not (see the file comment).
+	// sequence when it is not (see the file comment). Only each rank
+	// class's representative is inferred; the members share its grammar.
+	rep := in.rankClasses(root)
+	var reps []int
+	for r, c := range rep {
+		if c == r {
+			reps = append(reps, r)
+		}
+	}
+	in.classes = len(reps)
 	grammars := make([]*sequitur.Grammar, len(in.ranks))
-	gramErrs := make([]error, len(in.ranks))
-	parfor(len(in.ranks), par, func(r int) {
+	parfor(len(reps), par, func(k int) {
+		r := reps[k]
 		ri := in.ranks[r]
 		if in.src != nil { // the in-memory feed's events (see batchIngest)
 			ri.append(in.src.Ranks[r].Events)
@@ -243,15 +259,17 @@ func (in *Ingest) Build() (*Program, error) {
 			b.AppendAll(seq)
 			g = b.Grammar()
 		}
-		if n := g.ExpandedLen(); n != ri.events {
-			gramErrs[r] = fmt.Errorf("merge: rank %d grammar expands to %d events, ingested %d", r, n, ri.events)
-			return
-		}
 		grammars[r] = g
 	})
-	for _, err := range gramErrs {
-		if err != nil {
-			return nil, err
+	for r, c := range rep {
+		if c != r { // a batch class member: its events were never fed
+			ri := in.ranks[r]
+			ri.b = nil
+			ri.events = len(in.src.Ranks[r].Events)
+			grammars[r] = grammars[c]
+		}
+		if n := grammars[r].ExpandedLen(); n != in.ranks[r].events {
+			return nil, fmt.Errorf("merge: rank %d grammar expands to %d events, ingested %d", r, n, in.ranks[r].events)
 		}
 	}
 
@@ -279,7 +297,67 @@ func (in *Ingest) Build() (*Program, error) {
 		}
 	}
 	return assemble(len(in.ranks), in.platform, in.impl,
-		root.records, root.clusters, grammars, lossless, opts)
+		root.records, root.clusters, grammars, rep, lossless, opts)
+}
+
+// rankClasses maps each rank to its class representative: the lowest rank
+// whose event sequence over root ids equals its own (DESIGN.md §15). SPMD
+// ranks mostly run the same sequence, and Sequitur's grammar is a function
+// of the sequence, so one inference serves the whole class. Classes are
+// keyed on root ids, never leaf ids: leaf ids are per-rank, so equal leaf
+// sequences can name different records. Only batch Build holds the
+// sequences; a streamed session inferred every rank during its feed, so
+// each of its ranks is its own class.
+func (in *Ingest) rankClasses(root *partial) []int {
+	rep := make([]int, len(in.ranks))
+	for r := range rep {
+		rep[r] = r
+	}
+	if in.src == nil {
+		return rep
+	}
+	// sameSeq compares two ranks' sequences over root ids, read through
+	// each rank's wire and leaf→root maps without materializing either.
+	sameSeq := func(a, b int) bool {
+		ea, eb := in.src.Ranks[a].Events, in.src.Ranks[b].Events
+		if len(ea) != len(eb) {
+			return false
+		}
+		rma, wa := root.recMaps[a].S, in.ranks[a].lt.wireRec
+		rmb, wb := root.recMaps[b].S, in.ranks[b].lt.wireRec
+		for i := range ea {
+			if rma[wa[ea[i]]] != rmb[wb[eb[i]]] {
+				return false
+			}
+		}
+		return true
+	}
+	hashes := make([]uint64, len(in.ranks))
+	parfor(len(in.ranks), in.opts.Parallelism, func(r int) {
+		rm, wire := root.recMaps[r].S, in.ranks[r].lt.wireRec
+		h := uint64(14695981039346656037) // FNV-1a over root ids
+		for _, id := range in.src.Ranks[r].Events {
+			h = (h ^ uint64(rm[wire[id]])) * 1099511628211
+		}
+		hashes[r] = h
+	})
+	// Assignment is serial in rank order, so a class's representative is
+	// its lowest rank at every Parallelism. The buckets are only looked
+	// up, never iterated, and a hash match is confirmed element by element.
+	buckets := map[uint64][]int{}
+	for r := range in.ranks {
+		h := hashes[r]
+		for _, c := range buckets[h] {
+			if sameSeq(c, r) {
+				rep[r] = c
+				break
+			}
+		}
+		if rep[r] == r {
+			buckets[h] = append(buckets[h], r)
+		}
+	}
+	return rep
 }
 
 // injective reports whether m (a leaf→root id map) hits no root id twice.

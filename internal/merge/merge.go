@@ -2,6 +2,7 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"siesta/internal/perfmodel"
@@ -123,11 +124,14 @@ func Build(tr *trace.Trace, opts Options) (*Program, error) {
 // it merges non-terminals depth-first, clusters and LCS-merges main rules,
 // and runs the losslessness self-check: lossless(rank, got) reports
 // whether got is the sequence rank's grammar is expected to expand to.
-// opts must already carry defaults.
+// rep maps each rank to its class representative (rep[r] ≤ r; see
+// Ingest.rankClasses): a member's grammar is its representative's, so it
+// takes the representative's depth-merge and main-rule results instead of
+// recomputing them. opts must already carry defaults.
 func assemble(numRanks int, platformName, implName string,
 	terminals []*trace.Record, clusters []*trace.Cluster,
-	grammars []*sequitur.Grammar, lossless func(rank int, got []int) bool,
-	opts Options) (*Program, error) {
+	grammars []*sequitur.Grammar, rep []int,
+	lossless func(rank int, got []int) bool, opts Options) (*Program, error) {
 
 	par := opts.Parallelism
 	p := &Program{
@@ -139,18 +143,27 @@ func assemble(numRanks int, platformName, implName string,
 		MergeRounds: log2ceil(numRanks),
 	}
 
+	var reps []int
+	for rank, c := range rep {
+		if c == rank {
+			reps = append(reps, rank)
+		}
+	}
 	depths := make([][]int, len(grammars))
-	parfor(len(grammars), par, func(rank int) {
-		depths[rank] = grammars[rank].Depths()
+	parfor(len(reps), par, func(k int) {
+		depths[reps[k]] = grammars[reps[k]].Depths()
 	})
 
 	// Depth-ordered non-terminal merge (§2.6.2): identical rule bodies
 	// across ranks collapse; shallow rules first so deeper signatures can
-	// reference merged ids.
+	// reference merged ids. Only representatives intern: a member's rules,
+	// level by level, hit exactly the signatures its lower-ranked
+	// representative interned, so the member's map is the representative's.
 	sigIndex := map[string]int{}
 	ruleMap := make([]map[int]int, len(grammars)) // rank -> local rule -> merged id
 	maxDepth := 0
-	for rank, g := range grammars {
+	for _, rank := range reps {
+		g := grammars[rank]
 		for i := 1; i < len(g.Rules); i++ {
 			if depths[rank][i] > maxDepth {
 				maxDepth = depths[rank][i]
@@ -166,7 +179,8 @@ func assemble(numRanks int, platformName, implName string,
 	var todo []levelRule
 	for level := 1; level <= maxDepth; level++ {
 		todo = todo[:0]
-		for rank, g := range grammars {
+		for _, rank := range reps {
+			g := grammars[rank]
 			for li := 1; li < len(g.Rules); li++ {
 				if depths[rank][li] == level {
 					todo = append(todo, levelRule{rank: rank, li: li})
@@ -196,11 +210,18 @@ func assemble(numRanks int, platformName, implName string,
 		}
 	}
 
+	for rank, c := range rep {
+		ruleMap[rank] = ruleMap[c]
+	}
+
 	// Main rules: convert, cluster by edit distance, merge by LCS.
 	mains := make([][]Sym, len(grammars))
-	parfor(len(grammars), par, func(rank int) {
-		mains[rank] = convertBody(grammars[rank].Rules[0], ruleMap[rank])
+	parfor(len(reps), par, func(k int) {
+		mains[reps[k]] = convertBody(grammars[reps[k]].Rules[0], ruleMap[reps[k]])
 	})
+	for rank, c := range rep {
+		mains[rank] = mains[c]
+	}
 	if opts.DisableMainMerge {
 		for rank, body := range mains {
 			p.Mains = append(p.Mains, singleRankMain(rank, body))
@@ -213,41 +234,50 @@ func assemble(numRanks int, platformName, implName string,
 		merged Main
 	}
 	var groups []*group
-	for rank, body := range mains {
-		// A rank joins the lowest-indexed similar group (= the sequential
-		// first match). The similarity checks against existing groups are
-		// independent — each reads only the group's fixed representative —
-		// so they parallelize; only the LCS fold into the group is ordered.
-		// Dispatch is only worth it when the edit-distance DP brings real
-		// work: below ~2^16 total cells the checks finish faster than the
-		// workers spawn (measured; see DESIGN.md §14).
+	// firstSimilar returns the lowest-indexed group similar to body (= the
+	// sequential first match), or -1. The similarity checks against
+	// existing groups are independent — each reads only the group's fixed
+	// representative — so they parallelize; only the LCS fold into the
+	// group is ordered. Dispatch is only worth it when the edit-distance DP
+	// brings real work: below ~2^16 total cells the checks finish faster
+	// than the workers spawn (measured; see DESIGN.md §14).
+	firstSimilar := func(body []Sym) int {
 		cells := len(body) * len(body) * len(groups)
-		placed := -1
 		if par <= 1 || len(groups) < 2 || cells < similarParCutoffCells {
 			for gi, gr := range groups {
 				if similar(gr.rep, body, opts.MainSimilarity) {
-					placed = gi
-					break
+					return gi
 				}
 			}
+			return -1
+		}
+		match := make([]bool, len(groups))
+		parfor(len(groups), par, func(gi int) {
+			match[gi] = similar(groups[gi].rep, body, opts.MainSimilarity)
+		})
+		return slices.Index(match, true)
+	}
+	groupOf := make([]int, len(mains))
+	for rank, body := range mains {
+		// A class member joins its representative's group: every lower
+		// group already failed similar against this very body, and the
+		// representative's own group matches it — unless the body is too
+		// long for the edit-distance table, where similar is false even for
+		// identical bodies and the member must scan like any other rank.
+		var placed int
+		if c := rep[rank]; c != rank && (len(body)+1)*(len(body)+1) <= editCellCap {
+			placed = groupOf[c]
 		} else {
-			match := make([]bool, len(groups))
-			parfor(len(groups), par, func(gi int) {
-				match[gi] = similar(groups[gi].rep, body, opts.MainSimilarity)
-			})
-			for gi := range match {
-				if match[gi] {
-					placed = gi
-					break
-				}
-			}
+			placed = firstSimilar(body)
 		}
 		if placed >= 0 {
 			gr := groups[placed]
 			gr.merged = lcsMerge(gr.merged, singleRankMain(rank, body))
 		} else {
+			placed = len(groups)
 			groups = append(groups, &group{rep: body, merged: singleRankMain(rank, body)})
 		}
+		groupOf[rank] = placed
 	}
 	for _, gr := range groups {
 		p.Mains = append(p.Mains, gr.merged)
