@@ -42,7 +42,7 @@ type IngestSession interface {
 // SynthesizeIngest commits a streaming ingest session: Build merges the
 // session's rank streams and the batch pipeline's back half runs over the
 // program, with exactly Synthesize's option handling. The session is
-// consumed (its spill files are released) even on error or resume. The
+// consumed (its spill file is released) even on error or resume. The
 // Result carries no Trace and no simulated runs: those belong to whoever
 // recorded the streams. Like SynthesizeTrace it writes — and resumes
 // from — one program-only merge checkpoint.

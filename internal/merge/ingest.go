@@ -43,8 +43,8 @@ import (
 // Ingest is one streaming merge session: numRanks rank streams feeding
 // one eventual Program. Create with NewIngest, feed each rank through
 // Rank(r).Feed, then call Build once every stream has ended. Close (or
-// Build, which closes internally) releases the spill files; sessions that
-// never commit must call Close so no temp files leak.
+// Build, which closes internally) releases the spill file; sessions that
+// never commit must call Close so no temp file leaks.
 type Ingest struct {
 	opts     Options
 	platform string
@@ -53,6 +53,9 @@ type Ingest struct {
 	// src is the decoded trace batch Build fed in memory; when set, the
 	// losslessness check compares against its events (see Build).
 	src *trace.Trace
+	// spill is the one file every rank table spills into; nil when
+	// spilling is off. Close removes it.
+	spill *trace.SpillFile
 
 	// sealed flips when Build or Close begins: feeds arriving after that
 	// are rejected rather than racing the reduction.
@@ -95,12 +98,15 @@ func newIngest(numRanks int, platformName, implName string, opts Options) *Inges
 		impl:     implName,
 		ranks:    make([]*RankIngestor, numRanks),
 	}
+	if opts.Spill.HighWater > 0 {
+		in.spill = trace.NewSpillFile(opts.Spill.Dir)
+	}
 	for r := range in.ranks {
 		in.ranks[r] = &RankIngestor{
 			in:   in,
 			rank: r,
 			dec:  trace.NewChunkDec(),
-			lt:   newLeafTable(opts.ClusterThreshold, opts.Spill),
+			lt:   newLeafTable(opts.ClusterThreshold, trace.NewSpillTable(opts.Spill.HighWater, in.spill)),
 			b:    sequitur.NewWithOptions(!opts.DisableRunLength),
 		}
 	}
@@ -155,10 +161,10 @@ func (in *Ingest) seal() {
 	}
 }
 
-// Close releases the session's spill files without building. Idempotent,
+// Close releases the session's spill file without building. Idempotent,
 // and safe after Build (which closes internally). Abandoned sessions —
-// client gone, commit never issued — must be closed or their temp files
-// outlive them.
+// client gone, commit never issued — must be closed or their temp file
+// outlives them.
 func (in *Ingest) Close() error {
 	in.seal()
 	in.mu.Lock()
@@ -167,20 +173,17 @@ func (in *Ingest) Close() error {
 		return nil
 	}
 	in.closed = true
-	var first error
-	for _, ri := range in.ranks {
-		if err := ri.lt.table.Close(); err != nil && first == nil {
-			first = err
-		}
+	if in.spill == nil {
+		return nil
 	}
-	return first
+	return in.spill.Close()
 }
 
 // Build commits the session: every rank stream must have ended. It runs
 // the pairwise tree reduction over the per-rank leaf tables, relabels (or
 // where the reduction collapsed a rank's terminals, re-infers) each
 // rank class's grammar onto global ids, and assembles the Program. The
-// session's spill files are released before Build returns, success or
+// session's spill file is released before Build returns, success or
 // not; Build can run at most once.
 func (in *Ingest) Build() (*Program, error) {
 	in.seal()
@@ -413,7 +416,7 @@ func (ri *RankIngestor) Feed(chunk []byte) error {
 	}
 	err := ri.dec.Feed(chunk, ri.consume)
 	if err == nil {
-		err = ri.lt.table.Err() // surface spill I/O promptly, not at commit
+		err = ri.lt.table.Flush() // surface spill I/O promptly, not at commit
 	}
 	if err != nil {
 		ri.err = err

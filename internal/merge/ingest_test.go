@@ -2,9 +2,10 @@ package merge
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -272,8 +273,9 @@ func TestIngestAbortRemovesSpillFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if countSpillFiles(t, dir) == 0 {
-		t.Fatal("expected spill files mid-session")
+	// One spill file per session, however many ranks spilled into it.
+	if n := countSpillFiles(t, dir); n != 1 {
+		t.Fatalf("%d spill files mid-session, want 1", n)
 	}
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
@@ -406,7 +408,10 @@ func TestIngestSpillErrorSurfacesAtFeed(t *testing.T) {
 	if err == nil {
 		t.Fatal("spill into a nonexistent dir should fail the feed")
 	}
-	if !os.IsNotExist(err) && err == nil {
+	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	if err2 := in.Rank(0).Feed(nil); !errors.Is(err2, err) {
+		t.Fatalf("second Feed: %v, want the sticky %v", err2, err)
 	}
 }

@@ -93,8 +93,8 @@ type leafTable struct {
 	wireRec []int
 }
 
-func newLeafTable(th float64, spill trace.SpillConfig) *leafTable {
-	return &leafTable{th: th, cl: newPartial(th), table: trace.NewSpillTable(spill)}
+func newLeafTable(th float64, table *trace.SpillTable) *leafTable {
+	return &leafTable{th: th, cl: newPartial(th), table: table}
 }
 
 // addCluster interns the source's next cluster; the table keeps c.
@@ -223,7 +223,7 @@ func GlobalizeParallel(tr *trace.Trace, clusterThreshold float64, parallelism in
 	tabs := make([]*leafTable, numRanks)
 	parts := make([]*partial, numRanks)
 	parfor(numRanks, parallelism, func(r int) {
-		tabs[r] = newLeafTable(clusterThreshold, trace.SpillConfig{})
+		tabs[r] = newLeafTable(clusterThreshold, trace.NewSpillTable(0, nil))
 		tabs[r].addRank(tr.Ranks[r])
 		parts[r], _ = tabs[r].partial(r) // nothing spills, so no error
 	})

@@ -11,6 +11,7 @@ import (
 
 	"siesta/internal/core"
 	"siesta/internal/durable"
+	"siesta/internal/trace"
 )
 
 // maxRecoveries bounds how many process incarnations may start the same
@@ -32,6 +33,9 @@ func (s *Server) openState() error {
 	if err := s.store.AttachDisk(filepath.Join(dir, "artifacts")); err != nil {
 		return err
 	}
+	if err := sweepSpill(spillDir(dir)); err != nil {
+		return err
+	}
 	ck, err := durable.NewCheckpointStore(filepath.Join(dir, "checkpoints"))
 	if err != nil {
 		return err
@@ -50,6 +54,29 @@ func (s *Server) openState() error {
 		return err
 	}
 	s.recoverJobs(recs)
+	return nil
+}
+
+// spillDir is where upload sessions under stateDir put their spill files.
+func spillDir(stateDir string) string { return filepath.Join(stateDir, "spill") }
+
+// sweepSpill creates the spill directory and removes the spill files a
+// killed process left in it. Uploads are not durable, so no restart can
+// reattach them; like journal compaction, this assumes one server per
+// state directory.
+func sweepSpill(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("server: spill dir: %w", err)
+	}
+	stale, err := filepath.Glob(filepath.Join(dir, trace.SpillFilePattern))
+	if err != nil {
+		return err
+	}
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("server: sweep spill: %w", err)
+		}
+	}
 	return nil
 }
 

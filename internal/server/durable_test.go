@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -374,5 +375,61 @@ func TestUserCancelIsTerminalDrainIsNot(t *testing.T) {
 	v := waitJob(t, ts2.URL, jbB.id)
 	if v.Status != StatusDone {
 		t.Fatalf("drain-interrupted job settled %s (%s)", v.Status, v.Error)
+	}
+}
+
+// TestStartupSweepsStaleSpill: spill files a killed process left under the
+// state dir are dead (uploads are not durable), so startup removes them
+// and leaves everything else. A spilling upload then gets one spill file
+// in that directory for its session, gone once the session is aborted.
+func TestStartupSweepsStaleSpill(t *testing.T) {
+	dir := t.TempDir()
+	spill := spillDir(dir)
+	if err := os.MkdirAll(spill, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(spill, "siesta-spill-123.bin")
+	keep := filepath.Join(spill, "notes.txt")
+	for _, p := range []string{stale, keep} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newStateServer(t, dir, Config{Workers: 1})
+	left, err := filepath.Glob(filepath.Join(spill, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0] != keep {
+		t.Fatalf("spill dir after startup holds %v, want only %s", left, keep)
+	}
+
+	streams := chunkStreams(t, recordedTrace(t, 4))
+	resp, body := postJSON(t, ts.URL+"/v1/traces", TraceOpenRequest{NumRanks: len(streams), SpillHighWater: 1})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open = %d: %s", resp.StatusCode, body)
+	}
+	var open TraceOpenResponse
+	json.Unmarshal(body, &open)
+	for r, stream := range streams[:2] {
+		if code, body := doJSON(t, http.MethodPut, fmt.Sprintf("%s/v1/traces/%s/ranks/%d", ts.URL, open.ID, r), stream, nil); code != http.StatusOK {
+			t.Fatalf("PUT rank %d: %d: %s", r, code, body)
+		}
+	}
+	spillFiles := func() int {
+		m, err := filepath.Glob(filepath.Join(spill, "siesta-spill-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+	if n := spillFiles(); n != 1 {
+		t.Fatalf("%d spill files for one spilling session, want 1", n)
+	}
+	if code, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/traces/"+open.ID, nil, nil); code >= 300 {
+		t.Fatalf("abort = %d: %s", code, body)
+	}
+	if n := spillFiles(); n != 0 {
+		t.Fatalf("%d spill files left after abort", n)
 	}
 }

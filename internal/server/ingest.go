@@ -22,8 +22,6 @@ import (
 	"hash"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -217,12 +215,7 @@ func (s *Server) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 	opts.Parallelism = par
 	opts.Merge.Spill = trace.SpillConfig{HighWater: req.SpillHighWater}
 	if s.cfg.StateDir != "" {
-		dir := filepath.Join(s.cfg.StateDir, "spill")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			writeError(w, http.StatusInternalServerError, "spill dir: %v", err)
-			return
-		}
-		opts.Merge.Spill.Dir = dir
+		opts.Merge.Spill.Dir = spillDir(s.cfg.StateDir) // made by openState
 	}
 	in, err := core.NewIngest(req.NumRanks, opts)
 	if err != nil {
@@ -268,7 +261,7 @@ func (s *Server) lookupIngest(id string) (*ingestSession, bool) {
 }
 
 // closeIngest removes a session from the registry and releases its
-// resources (spill files, open-rank gauge). Safe to call for a session
+// resources (spill file, open-rank gauge). Safe to call for a session
 // already removed.
 func (s *Server) closeIngest(sess *ingestSession) {
 	s.ingestMu.Lock()
