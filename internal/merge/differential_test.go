@@ -177,3 +177,63 @@ func TestBuildFindsRankClassesOnApps(t *testing.T) {
 		t.Errorf("%d rank classes over %d ranks, want 190 of 999", total, ranks)
 	}
 }
+
+// A streamed session infers once per leaf class, and both front ends merge
+// once per root class. On every built-in app the streamed root-class
+// count must equal batch's and an independent count of distinct
+// globalized sequences, and both paths must run Sequitur exactly once per
+// distinct leaf sequence, counted here from one-rank globalizations (a
+// lone rank's root table is its leaf table).
+func TestStreamedFindsRankClassesOnApps(t *testing.T) {
+	distinct := func(seqs [][]int) int {
+		var seen [][]int
+		for _, seq := range seqs {
+			if !slices.ContainsFunc(seen, func(d []int) bool { return slices.Equal(d, seq) }) {
+				seen = append(seen, seq)
+			}
+		}
+		return len(seen)
+	}
+	forEachApp(t, func(t *testing.T, tr *trace.Trace) {
+		roots := distinct(merge.GlobalizeParallel(tr, 0.05, 1).Seqs)
+		leafSeqs := make([][]int, len(tr.Ranks))
+		for r, rt := range tr.Ranks {
+			one := &trace.Trace{NumRanks: 1, Ranks: []*trace.RankTrace{rt}}
+			leafSeqs[r] = merge.GlobalizeParallel(one, 0.05, 1).Seqs[0]
+		}
+		leaves := distinct(leafSeqs)
+
+		opts := merge.Options{Parallelism: 2}
+		batch := merge.BatchIngest(tr, opts)
+		want, err := batch.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := merge.NewIngest(len(tr.Ranks), tr.Platform, tr.Impl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rt := range tr.Ranks {
+			if err := stream.Rank(r).Feed(trace.ChunkEncodeRank(rt)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := stream.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Encode(), got.Encode()) {
+			t.Fatal("streamed program differs from batch")
+		}
+		for _, c := range []struct {
+			name string
+			in   *merge.Ingest
+		}{{"batch", batch}, {"streamed", stream}} {
+			classes, runs := c.in.ClassCounts()
+			if classes != roots || runs != leaves {
+				t.Errorf("%s: %d root classes and %d Sequitur runs; the trace has %d distinct root and %d distinct leaf sequences",
+					c.name, classes, runs, roots, leaves)
+			}
+		}
+	})
+}

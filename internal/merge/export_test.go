@@ -21,3 +21,12 @@ func BuildRankClasses(tr *trace.Trace, opts Options) (*Program, int, error) {
 	p, err := in.Build()
 	return p, in.classes, err
 }
+
+// BatchIngest lends batch Build's private session to the external tests.
+var BatchIngest = batchIngest
+
+// ClassCounts reports a built session's root classes and its Sequitur runs
+// over leaf ids (one per leaf class).
+func (in *Ingest) ClassCounts() (rootClasses, leafRuns int) {
+	return in.classes, int(in.inferred.Load())
+}

@@ -15,30 +15,33 @@ import (
 // (trace.ChunkEncodeRank's format), consumed as they land, or — for batch
 // Build — straight from a decoded trace.RankTrace in one in-memory feed.
 // Either way terminals intern into a spillable table and clusters into the
-// match-or-append index the reduction uses. Sequitur inference runs over
-// a stream as it arrives; an in-memory feed's events are inferred at
-// commit instead, right after the reduction has taken the leaf tables.
-// Commit (Build) runs the pairwise tree reduction over the per-rank tables
-// and hands everything after to assemble, so the output depends on
-// neither the chunk size nor the rank-arrival interleaving: a streamed
-// session and batch Build over the equivalent trace produce the same
-// bytes.
+// match-or-append index the reduction uses. Commit (Build) runs the
+// pairwise tree reduction over the per-rank tables and hands everything
+// after to assemble, so the output depends on neither the chunk size nor
+// the rank-arrival interleaving: a streamed session and batch Build over
+// the equivalent trace produce the same bytes.
 //
-// The one subtlety is which ids inference runs over. Fully-globalized ids
-// do not exist until every rank has arrived, so each rank's builder is fed
-// its *leaf-canonical* ids — the ids of the rank's own leaf table — and
-// globalization is deferred to commit. Sequitur is invariant under
-// injective relabeling of terminals (its decisions depend only on the
-// equality pattern of the token stream), so when the rank's leaf→root id
-// map is injective the leaf grammar relabels in place to the grammar of
-// the root-id sequence. The map can fail to be injective only when the
-// inner tree merges collapse two of the rank's distinct computation
-// clusters into one (coarser threshold, cross-rank representatives); that
-// rank's sequence is then re-inferred over root ids from its leaf
-// grammar's expansion. Either way the grammar is the one inference over
-// root ids would give — so batch Build, which still holds every rank's
-// events, infers only one rank per class of identical root sequences and
-// shares that grammar (rankClasses).
+// Sequitur runs once per leaf class: a set of ranks whose event sequences
+// over *leaf* ids — the ids of each rank's own leaf table — are identical.
+// Fully-globalized ids do not exist until every rank has arrived, so
+// inference runs over leaf ids and globalization is deferred to commit. A
+// streamed rank buffers its leaf ids and is classified at its end frame,
+// still inside that Feed (classify); a rank that outgrows deferCap infers
+// online instead, as its own class. Batch Build classifies every rank
+// after the reduction has taken the leaf tables.
+//
+// Sequitur is invariant under injective relabeling of terminals (its
+// decisions depend only on the equality pattern of the token stream), so
+// when a rank's leaf→root id map is injective a copy of its leaf class's
+// grammar relabels to the grammar of the rank's root-id sequence. The map
+// can fail to be injective only when the inner tree merges collapse two
+// of the rank's distinct computation clusters into one (coarser threshold,
+// cross-rank representatives); the sequence is then re-inferred over root
+// ids from the leaf grammar's expansion, once per leaf class and identical
+// map. Either way each rank's grammar is the one inference over its root
+// ids would give, so equal root grammars are exactly equal root sequences:
+// Build groups ranks into root classes by grammar equality and hands
+// assemble one representative per class (rootClasses).
 
 // Ingest is one streaming merge session: numRanks rank streams feeding
 // one eventual Program. Create with NewIngest, feed each rank through
@@ -65,19 +68,24 @@ type Ingest struct {
 	built  bool
 	closed bool
 
-	// reinferred counts ranks whose grammars went through the expand +
-	// re-infer fallback at Build (leaf→root map not injective). Exposed for
+	// leafMu guards leafByHash, the session's leaf classes by sequence
+	// hash (see classify). The map is only looked up, never iterated.
+	leafMu     sync.Mutex
+	leafByHash map[uint64][]*leafClass
+	// inferred counts Sequitur runs over leaf ids: one per leaf class.
+	inferred atomic.Int32
+	// reinferred counts the expand + re-infer fallbacks at Build (leaf→root
+	// map not injective), one per leaf class and identical map. Exposed for
 	// tests and diagnostics; byte-equality holds either way.
 	reinferred atomic.Int32
-	// classes counts the rank classes Build inferred: one per distinct
-	// event sequence in batch, one per rank for a stream (tests read it).
+	// classes counts the root classes Build found: one per distinct event
+	// sequence over root ids (tests read it).
 	classes int
 }
 
-// Reinferred reports how many ranks took the re-inference fallback during
-// Build (0 until Build runs). Only a class representative is inferred, so
-// in batch it counts representatives, not the members sharing their
-// grammars.
+// Reinferred reports how many re-inference fallbacks Build ran (0 until
+// Build runs). Ranks of one leaf class with identical leaf→root maps share
+// one, so it counts distinct (leaf class, map) pairs, not ranks.
 func (in *Ingest) Reinferred() int { return int(in.reinferred.Load()) }
 
 // NewIngest opens a streaming merge session for numRanks rank streams.
@@ -93,10 +101,11 @@ func NewIngest(numRanks int, platformName, implName string, opts Options) (*Inge
 func newIngest(numRanks int, platformName, implName string, opts Options) *Ingest {
 	opts = opts.withDefaults()
 	in := &Ingest{
-		opts:     opts,
-		platform: platformName,
-		impl:     implName,
-		ranks:    make([]*RankIngestor, numRanks),
+		opts:       opts,
+		platform:   platformName,
+		impl:       implName,
+		ranks:      make([]*RankIngestor, numRanks),
+		leafByHash: map[uint64][]*leafClass{},
 	}
 	if opts.Spill.HighWater > 0 {
 		in.spill = trace.NewSpillFile(opts.Spill.Dir)
@@ -107,7 +116,6 @@ func newIngest(numRanks int, platformName, implName string, opts Options) *Inges
 			rank: r,
 			dec:  trace.NewChunkDec(),
 			lt:   newLeafTable(opts.ClusterThreshold, trace.NewSpillTable(opts.Spill.HighWater, in.spill)),
-			b:    sequitur.NewWithOptions(!opts.DisableRunLength),
 		}
 	}
 	return in
@@ -116,8 +124,8 @@ func newIngest(numRanks int, platformName, implName string, opts Options) *Inges
 // batchIngest opens the private session batch Build commits through: every
 // rank of tr is fed in memory — one chunk per rank, no encoding — in
 // parallel, since ranks are independent until commit. The feed interns
-// the rank's tables; Build infers its events once the reduction has taken
-// those tables, so a batch merge never holds P leaf tables while it
+// the rank's tables; Build classifies its events once the reduction has
+// taken those tables, so a batch merge never holds P leaf tables while it
 // infers.
 func batchIngest(tr *trace.Trace, opts Options) *Ingest {
 	in := newIngest(len(tr.Ranks), tr.Platform, tr.Impl, opts)
@@ -180,11 +188,12 @@ func (in *Ingest) Close() error {
 }
 
 // Build commits the session: every rank stream must have ended. It runs
-// the pairwise tree reduction over the per-rank leaf tables, relabels (or
-// where the reduction collapsed a rank's terminals, re-infers) each
-// rank class's grammar onto global ids, and assembles the Program. The
-// session's spill file is released before Build returns, success or
-// not; Build can run at most once.
+// the pairwise tree reduction over the per-rank leaf tables, carries each
+// leaf class's grammar onto global ids (relabeled, or where the reduction
+// collapsed a rank's terminals, re-inferred), groups the ranks into root
+// classes, and assembles the Program. The session's spill file is
+// released before Build returns, success or not; Build can run at most
+// once.
 func (in *Ingest) Build() (*Program, error) {
 	in.seal()
 	in.mu.Lock()
@@ -199,7 +208,7 @@ func (in *Ingest) Build() (*Program, error) {
 	opts := in.opts
 	par := opts.Parallelism
 	for _, ri := range in.ranks {
-		if ri.b != nil && in.src == nil {
+		if ri.class == nil && in.src == nil {
 			return nil, fmt.Errorf("merge: rank %d stream incomplete (no end frame; %d bytes buffered)",
 				ri.rank, ri.dec.Buffered())
 		}
@@ -222,56 +231,21 @@ func (in *Ingest) Build() (*Program, error) {
 	root := reducePartials(parts, opts.ClusterThreshold, par)
 	defer root.releaseMaps()
 
-	// Per-class globalization of the inferred grammars: relabel when
-	// leaf→root is injective for the rank, re-infer over the mapped
-	// sequence when it is not (see the file comment). Only each rank
-	// class's representative is inferred; the members share its grammar.
-	rep := in.rankClasses(root)
-	var reps []int
-	for r, c := range rep {
-		if c == r {
-			reps = append(reps, r)
-		}
-	}
-	in.classes = len(reps)
-	grammars := make([]*sequitur.Grammar, len(in.ranks))
-	parfor(len(reps), par, func(k int) {
-		r := reps[k]
-		ri := in.ranks[r]
-		if in.src != nil { // the in-memory feed's events (see batchIngest)
-			ri.append(in.src.Ranks[r].Events)
-			ri.end()
-		}
-		rm := root.recMaps[r].S // leaf id -> root id
-		g := ri.g
-		if injective(rm, len(root.records)) {
-			for _, rule := range g.Rules {
-				for i := range rule {
-					if !rule[i].IsRule {
-						rule[i].Ref = rm[rule[i].Ref]
-					}
-				}
-			}
-		} else {
-			in.reinferred.Add(1)
-			seq := g.Expand()
-			for i, leaf := range seq {
-				seq[i] = rm[leaf]
-			}
-			b := sequitur.NewWithOptions(!opts.DisableRunLength)
-			b.AppendAll(seq)
-			g = b.Grammar()
-		}
-		grammars[r] = g
-	})
-	for r, c := range rep {
-		if c != r { // a batch class member: its events were never fed
+	if in.src != nil { // the in-memory feed's events (see batchIngest)
+		parfor(len(in.ranks), par, func(r int) {
 			ri := in.ranks[r]
-			ri.b = nil
-			ri.events = len(in.src.Ranks[r].Events)
-			grammars[r] = grammars[c]
-		}
-		if n := grammars[r].ExpandedLen(); n != in.ranks[r].events {
+			events := in.src.Ranks[r].Events
+			seq := make([]int, len(events))
+			for i, id := range events {
+				seq[i] = ri.lt.wireRec[id]
+			}
+			ri.class = in.classify(seq)
+			ri.events = len(events)
+		})
+	}
+	grammars, rep := in.rootClasses(root)
+	for r, g := range grammars {
+		if n := g.ExpandedLen(); n != in.ranks[r].events {
 			return nil, fmt.Errorf("merge: rank %d grammar expands to %d events, ingested %d", r, n, in.ranks[r].events)
 		}
 	}
@@ -303,64 +277,169 @@ func (in *Ingest) Build() (*Program, error) {
 		root.records, root.clusters, grammars, rep, lossless, opts)
 }
 
-// rankClasses maps each rank to its class representative: the lowest rank
-// whose event sequence over root ids equals its own (DESIGN.md §15). SPMD
-// ranks mostly run the same sequence, and Sequitur's grammar is a function
-// of the sequence, so one inference serves the whole class. Classes are
-// keyed on root ids, never leaf ids: leaf ids are per-rank, so equal leaf
-// sequences can name different records. Only batch Build holds the
-// sequences; a streamed session inferred every rank during its feed, so
-// each of its ranks is its own class.
-func (in *Ingest) rankClasses(root *partial) []int {
-	rep := make([]int, len(in.ranks))
-	for r := range rep {
-		rep[r] = r
-	}
-	if in.src == nil {
-		return rep
-	}
-	// sameSeq compares two ranks' sequences over root ids, read through
-	// each rank's wire and leaf→root maps without materializing either.
-	sameSeq := func(a, b int) bool {
-		ea, eb := in.src.Ranks[a].Events, in.src.Ranks[b].Events
-		if len(ea) != len(eb) {
-			return false
+// leafClass is one distinct event sequence over leaf ids in a session and
+// the grammar Sequitur inferred over it; every rank of the class shares
+// that grammar.
+type leafClass struct {
+	// seq is the founding rank's leaf ids, which later ranks' sequences are
+	// confirmed against; nil for a rank that outgrew deferCap.
+	seq []int
+	g   *sequitur.Grammar
+}
+
+// classify gives a rank whose whole leaf-id sequence is seq its leaf class:
+// the session's class with an equal sequence, or a new one the rank founds
+// and infers. The lookup and insert run under leafMu, and a hash hit is
+// confirmed element by element; inference runs after the lock is released,
+// on the founding rank's goroutine. A founding rank's class keeps seq.
+func (in *Ingest) classify(seq []int) *leafClass {
+	h := hashInts(seq)
+	in.leafMu.Lock()
+	for _, c := range in.leafByHash[h] {
+		if slices.Equal(c.seq, seq) {
+			in.leafMu.Unlock()
+			return c
 		}
-		rma, wa := root.recMaps[a].S, in.ranks[a].lt.wireRec
-		rmb, wb := root.recMaps[b].S, in.ranks[b].lt.wireRec
-		for i := range ea {
-			if rma[wa[ea[i]]] != rmb[wb[eb[i]]] {
-				return false
+	}
+	c := &leafClass{seq: seq}
+	in.leafByHash[h] = append(in.leafByHash[h], c)
+	in.leafMu.Unlock()
+	in.inferred.Add(1)
+	c.g = infer(seq, in.opts)
+	return c
+}
+
+// infer runs Sequitur over seq.
+func infer(seq []int, opts Options) *sequitur.Grammar {
+	b := sequitur.NewWithOptions(!opts.DisableRunLength)
+	b.AppendAll(seq)
+	return b.Grammar()
+}
+
+// rootClasses carries every rank's leaf-class grammar onto root ids and
+// groups the ranks into root classes (DESIGN.md §15). Ranks of one leaf
+// class with identical leaf→root maps share one root grammar: a relabeled
+// copy of the leaf grammar when the map is injective, a re-inference over
+// the mapped expansion when it is not. Either way it is the grammar
+// inference over the rank's root ids gives, so equal root grammars are
+// exactly equal root sequences. Root classes are assigned serially in rank
+// order through hash buckets that are only looked up, each hit confirmed
+// structurally, so a class's representative (rep[r] ≤ r) is its lowest
+// rank at every Parallelism. Members share the representative's grammar.
+func (in *Ingest) rootClasses(root *partial) ([]*sequitur.Grammar, []int) {
+	type rootGrammar struct {
+		c    *leafClass
+		rm   []int // leaf id -> root id
+		g    *sequitur.Grammar
+		hash uint64
+		rep  int // lowest rank with an equal root grammar; -1 until known
+	}
+	type mapKey struct {
+		c  *leafClass
+		rm uint64 // hash of the leaf→root map
+	}
+	var rgs []*rootGrammar
+	of := make([]*rootGrammar, len(in.ranks))
+	byMap := map[mapKey][]*rootGrammar{}
+	for r, ri := range in.ranks {
+		rm := root.recMaps[r].S
+		k := mapKey{ri.class, hashInts(rm)}
+		i := slices.IndexFunc(byMap[k], func(rg *rootGrammar) bool { return slices.Equal(rg.rm, rm) })
+		if i < 0 {
+			of[r] = &rootGrammar{c: ri.class, rm: rm, rep: -1}
+			byMap[k] = append(byMap[k], of[r])
+			rgs = append(rgs, of[r])
+		} else {
+			of[r] = byMap[k][i]
+		}
+	}
+	parfor(len(rgs), in.opts.Parallelism, func(k int) {
+		rg := rgs[k]
+		if injective(rg.rm, len(root.records)) {
+			rg.g = relabeled(rg.c.g, rg.rm)
+		} else {
+			in.reinferred.Add(1)
+			seq := rg.c.g.Expand()
+			for i, leaf := range seq {
+				seq[i] = rg.rm[leaf]
 			}
+			rg.g = infer(seq, in.opts)
 		}
-		return true
-	}
-	hashes := make([]uint64, len(in.ranks))
-	parfor(len(in.ranks), in.opts.Parallelism, func(r int) {
-		rm, wire := root.recMaps[r].S, in.ranks[r].lt.wireRec
-		h := uint64(14695981039346656037) // FNV-1a over root ids
-		for _, id := range in.src.Ranks[r].Events {
-			h = (h ^ uint64(rm[wire[id]])) * 1099511628211
-		}
-		hashes[r] = h
+		rg.hash = hashGrammar(rg.g)
 	})
-	// Assignment is serial in rank order, so a class's representative is
-	// its lowest rank at every Parallelism. The buckets are only looked
-	// up, never iterated, and a hash match is confirmed element by element.
-	buckets := map[uint64][]int{}
-	for r := range in.ranks {
-		h := hashes[r]
-		for _, c := range buckets[h] {
-			if sameSeq(c, r) {
-				rep[r] = c
-				break
+
+	grammars := make([]*sequitur.Grammar, len(in.ranks))
+	rep := make([]int, len(in.ranks))
+	buckets := map[uint64][]int{} // root grammar hash -> representatives
+	for r, rg := range of {
+		if rg.rep < 0 {
+			rg.rep = r
+			for _, c := range buckets[rg.hash] {
+				if sameGrammar(grammars[c], rg.g) {
+					rg.rep = c
+					break
+				}
+			}
+			if rg.rep == r {
+				buckets[rg.hash] = append(buckets[rg.hash], r)
+				grammars[r] = rg.g
+				in.classes++
 			}
 		}
-		if rep[r] == r {
-			buckets[h] = append(buckets[h], r)
+		rep[r] = rg.rep
+		grammars[r] = grammars[rg.rep]
+	}
+	return grammars, rep
+}
+
+// relabeled copies g, every terminal mapped through rm, into one slab.
+func relabeled(g *sequitur.Grammar, rm []int) *sequitur.Grammar {
+	syms := make([]sequitur.Sym, 0, g.NumSymbols())
+	out := &sequitur.Grammar{Rules: make([][]sequitur.Sym, len(g.Rules))}
+	for i, rule := range g.Rules {
+		start := len(syms)
+		for _, s := range rule {
+			if !s.IsRule {
+				s.Ref = rm[s.Ref]
+			}
+			syms = append(syms, s)
+		}
+		out.Rules[i] = syms[start:len(syms):len(syms)]
+	}
+	return out
+}
+
+// sameGrammar reports whether a and b have identical rules.
+func sameGrammar(a, b *sequitur.Grammar) bool {
+	return slices.EqualFunc(a.Rules, b.Rules, func(x, y []sequitur.Sym) bool { return slices.Equal(x, y) })
+}
+
+// fnv folds v into an FNV-1a hash; hashes only pick buckets, and every
+// bucket hit is confirmed exactly.
+func fnv(h uint64, v int) uint64 { return (h ^ uint64(v)) * 1099511628211 }
+
+const fnvOffset = 14695981039346656037
+
+func hashInts(s []int) uint64 {
+	h := uint64(fnvOffset)
+	for _, v := range s {
+		h = fnv(h, v)
+	}
+	return h
+}
+
+func hashGrammar(g *sequitur.Grammar) uint64 {
+	h := uint64(fnvOffset)
+	for _, rule := range g.Rules {
+		h = fnv(h, len(rule))
+		for _, s := range rule {
+			if s.IsRule {
+				h = fnv(h, -1)
+			}
+			h = fnv(fnv(h, s.Ref), s.Count)
 		}
 	}
-	return rep
+	return h
 }
 
 // injective reports whether m (a leaf→root id map) hits no root id twice.
@@ -379,8 +458,15 @@ func injective(m []int, n int) bool {
 	return true
 }
 
-// RankIngestor consumes one rank's chunk stream: decode, intern, infer —
-// all inline with Feed, so inference genuinely runs during ingest. Safe
+// deferCap bounds the leaf ids a streamed rank buffers before its end
+// frame: 8192 ids, 64 KiB. A rank that would exceed it replays its buffer
+// into a Sequitur builder and infers online from then on, as its own leaf
+// class, so deferral never holds more than 64 KiB per rank.
+const deferCap = 8192
+
+// RankIngestor consumes one rank's chunk stream: decode and intern inline
+// with Feed, buffering the rank's events as leaf ids; the Feed that
+// carries the end frame classifies and, for a new leaf class, infers. Safe
 // for use by one uploader at a time; concurrent Feeds for the same rank
 // serialize on the ingestor's lock (arrival order is the byte order).
 type RankIngestor struct {
@@ -391,11 +477,12 @@ type RankIngestor struct {
 
 	dec *trace.ChunkDec
 	lt  *leafTable
-	// b infers over leaf ids until the stream ends; end then swaps it for
-	// its grammar g, so ended ranks hold no builder. b == nil means ended
-	// (for an in-memory feed, that happens at Build).
-	b *sequitur.Builder
-	g *sequitur.Grammar
+	// buf holds the rank's leaf ids until the stream ends. b replaces it
+	// once the rank outgrows deferCap. class is set when the stream ends
+	// (for an in-memory feed, at Build); buf and b are dropped then.
+	buf   []int
+	b     *sequitur.Builder
+	class *leafClass
 
 	events int
 	bytes  int64
@@ -427,7 +514,7 @@ func (ri *RankIngestor) Feed(chunk []byte) error {
 }
 
 // consume interns one decoded stream item through the rank's leaf table
-// and appends its events, mapped to leaf ids, to the Sequitur builder.
+// and appends its events, mapped to leaf ids, to the rank's sequence.
 func (ri *RankIngestor) consume(it trace.ChunkItem) error {
 	switch it.Tag {
 	case trace.ChunkTagHeader:
@@ -447,25 +534,51 @@ func (ri *RankIngestor) consume(it trace.ChunkItem) error {
 	return nil
 }
 
-// append feeds events (ids in the source's local table) to the builder.
+// append adds events (ids in the source's local table) to the rank's
+// leaf-id buffer, or to its builder once the buffer would pass deferCap.
 func (ri *RankIngestor) append(events []int) {
-	for _, id := range events {
-		ri.b.Append(ri.lt.wireRec[id])
-	}
 	ri.events += len(events)
+	need := len(ri.buf) + len(events)
+	if ri.b == nil && need > deferCap {
+		ri.in.inferred.Add(1)
+		ri.b = sequitur.NewWithOptions(!ri.in.opts.DisableRunLength)
+		ri.b.AppendAll(ri.buf)
+		ri.buf = nil
+	}
+	if ri.b != nil {
+		for _, id := range events {
+			ri.b.Append(ri.lt.wireRec[id])
+		}
+		return
+	}
+	if need > cap(ri.buf) { // grow by doubling, never past deferCap
+		buf := make([]int, len(ri.buf), min(max(2*cap(ri.buf), need), deferCap))
+		copy(buf, ri.buf)
+		ri.buf = buf
+	}
+	for _, id := range events {
+		ri.buf = append(ri.buf, ri.lt.wireRec[id])
+	}
 }
 
-// end closes the rank's stream: its grammar is final, so the builder goes.
+// end closes the rank's stream: it joins (or founds and infers) the leaf
+// class of its buffered sequence, or, past deferCap, its builder's grammar
+// becomes a class of its own. Either way the buffer and builder go.
 func (ri *RankIngestor) end() {
-	ri.g = ri.b.Grammar()
-	ri.b = nil
+	if ri.b != nil {
+		ri.class = &leafClass{g: ri.b.Grammar()}
+		ri.b = nil
+		return
+	}
+	ri.class = ri.in.classify(ri.buf)
+	ri.buf = nil
 }
 
 // Ended reports whether the rank's stream is complete (end frame seen).
 func (ri *RankIngestor) Ended() bool {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
-	return ri.b == nil
+	return ri.class != nil
 }
 
 // Events reports how many event instances have been ingested so far.

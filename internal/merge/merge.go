@@ -125,7 +125,7 @@ func Build(tr *trace.Trace, opts Options) (*Program, error) {
 // and runs the losslessness self-check: lossless(rank, got) reports
 // whether got is the sequence rank's grammar is expected to expand to.
 // rep maps each rank to its class representative (rep[r] ≤ r; see
-// Ingest.rankClasses): a member's grammar is its representative's, so it
+// Ingest.rootClasses): a member's grammar is its representative's, so it
 // takes the representative's depth-merge and main-rule results instead of
 // recomputing them. opts must already carry defaults.
 func assemble(numRanks int, platformName, implName string,

@@ -76,10 +76,9 @@ func collapseClassesTrace(t *testing.T) *trace.Trace {
 	return rec.Trace("A", "openmpi")
 }
 
-// matchesReferenceClasses requires Build to equal refBuild byte for byte
-// under each ablation at Parallelism 1, 2 and 4, with the given number of
-// rank classes.
-func matchesReferenceClasses(t *testing.T, tr *trace.Trace, base Options, wantClasses int) {
+// eachReference calls fn under each ablation at Parallelism 1, 2 and 4
+// with the frozen reference's encoding of tr.
+func eachReference(t *testing.T, tr *trace.Trace, base Options, fn func(name string, opts Options, want []byte)) {
 	t.Helper()
 	for _, ab := range []struct {
 		name string
@@ -97,18 +96,28 @@ func matchesReferenceClasses(t *testing.T, tr *trace.Trace, base Options, wantCl
 			if err != nil {
 				t.Fatalf("%s/par%d: reference: %v", ab.name, par, err)
 			}
-			got, classes, err := BuildRankClasses(tr, opts)
-			if err != nil {
-				t.Fatalf("%s/par%d: %v", ab.name, par, err)
-			}
-			if !bytes.Equal(want.Encode(), got.Encode()) {
-				t.Fatalf("%s/par%d: Build differs from the batch reference", ab.name, par)
-			}
-			if classes != wantClasses {
-				t.Fatalf("%s/par%d: %d rank classes, want %d", ab.name, par, classes, wantClasses)
-			}
+			fn(fmt.Sprintf("%s/par%d", ab.name, par), opts, want.Encode())
 		}
 	}
+}
+
+// matchesReferenceClasses requires Build to equal refBuild byte for byte
+// under each ablation at Parallelism 1, 2 and 4, with the given number of
+// rank classes.
+func matchesReferenceClasses(t *testing.T, tr *trace.Trace, base Options, wantClasses int) {
+	t.Helper()
+	eachReference(t, tr, base, func(name string, opts Options, want []byte) {
+		got, classes, err := BuildRankClasses(tr, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(want, got.Encode()) {
+			t.Fatalf("%s: Build differs from the batch reference", name)
+		}
+		if classes != wantClasses {
+			t.Fatalf("%s: %d rank classes, want %d", name, classes, wantClasses)
+		}
+	})
 }
 
 // Above editCellCap similar is false even for identical mains, so each

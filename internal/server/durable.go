@@ -180,6 +180,7 @@ func (s *Server) registerRecoveredDone(jb *job, enqueued time.Time) {
 	now := time.Now()
 	jb.status = StatusDone
 	jb.cached = true
+	jb.work = nil // never runs; see runJob
 	jb.created, jb.started, jb.finished = enqueued, now, now
 	if jb.created.IsZero() {
 		jb.created = now

@@ -3,14 +3,16 @@
 // A client opens a session (POST /v1/traces), streams each rank's
 // chunk-encoded trace in arbitrarily sized pieces (PUT
 // /v1/traces/{id}/ranks/{rank}), and commits (POST /v1/traces/{id}/commit)
-// to turn the session into a regular synthesis job. Grammar inference runs
-// incrementally while chunks arrive, and the terminal tables can spill to
-// disk past a per-rank high-water mark, so the server never needs the
-// whole trace in memory at once. The contract (held by the differential
-// suite in internal/core) is that the committed job's artifact is
-// byte-identical to the one POST /v1/synthesize produces for the same
-// trace uploaded in one shot — whatever the chunk size and rank
-// interleaving.
+// to turn the session into a regular synthesis job. Chunks are decoded and
+// interned as they arrive; each rank buffers its events (up to a fixed
+// cap) until its end frame, and the PUT carrying that frame runs Sequitur
+// only when no earlier rank of the session had the same sequence (merge's
+// leaf classes). The terminal tables can spill to disk past a per-rank
+// high-water mark, so the server never needs the whole trace in memory at
+// once. The contract (held by the differential suite in internal/core) is
+// that the committed job's artifact is byte-identical to the one POST
+// /v1/synthesize produces for the same trace uploaded in one shot —
+// whatever the chunk size and rank interleaving.
 package server
 
 import (
@@ -33,7 +35,7 @@ import (
 )
 
 // maxIngestRanks bounds the per-session rank count a client may declare;
-// each rank costs a decoder, a grammar builder, and a terminal table.
+// each rank costs a decoder, an event buffer, and a terminal table.
 const maxIngestRanks = 1 << 16
 
 // TraceOpenRequest is the POST /v1/traces body. NumRanks is required; the

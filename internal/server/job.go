@@ -39,7 +39,10 @@ type job struct {
 	reqJSON     json.RawMessage // canonical request, journaled at admission
 	maxRetries  int             // in-process retry budget for transient failures
 	worker      string          // fleet node identity (Config.WorkerID); "" standalone
-	work        func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error)
+	// work is the job's body, set before admission. Settling the job sets
+	// it to nil under mu, so a retained record does not pin the job's
+	// input; only the worker that claimed the queued job calls it.
+	work func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error)
 
 	// recovered marks a job re-admitted from the journal (set before
 	// admission, immutable after).

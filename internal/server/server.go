@@ -419,6 +419,7 @@ func (s *Server) registerCached(jb *job) {
 	now := time.Now()
 	jb.status = StatusDone
 	jb.cached = true
+	jb.work = nil // never runs; see runJob
 	jb.created, jb.started, jb.finished = now, now, now
 	s.mu.Lock()
 	s.nextID++
@@ -491,6 +492,11 @@ func (s *Server) runJob(jb *job) {
 	finished := time.Now()
 
 	jb.mu.Lock()
+	// A settled job never runs again (runJob only claims queued jobs), so
+	// its body goes: a retained record must not pin the job's input — a
+	// decoded trace, or a committed upload's whole merge.Ingest and built
+	// Program.
+	jb.work = nil
 	jb.finished = finished
 	jb.phase = ""
 	jb.traceJSON = traceJSON
@@ -682,6 +688,7 @@ func (s *Server) requestCancel(jb *job, byUser bool) bool {
 	switch jb.status {
 	case StatusQueued:
 		jb.status = StatusCanceled
+		jb.work = nil // never runs; see runJob
 		jb.errMsg = "canceled while queued"
 		jb.finished = time.Now()
 		s.mCancel.Inc()

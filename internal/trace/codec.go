@@ -371,14 +371,12 @@ func Decode(data []byte) (*Trace, error) {
 		// share a single allocation instead of one per record.
 		records := make([]Record, nrec)
 		rt.Table = make([]*Record, nrec)
-		rt.keyIndex = make(map[string]int, nrec)
 		for j := 0; j < nrec; j++ {
 			r := &records[j]
 			if err := decodeRecord(d, r); err != nil {
 				return nil, err
 			}
 			rt.Table[j] = r
-			rt.keyIndex[r.KeyString()] = j
 		}
 		ncl, err := d.Int()
 		if err != nil {

@@ -172,10 +172,12 @@ func clusterDistance(a, b perfmodel.Counters) float64 {
 // RankTrace is one process's trace: a sequence of event ids plus the table
 // resolving ids to records.
 type RankTrace struct {
-	Rank     int
-	Events   []int     // sequence of local event ids
-	Durs     []float64 // per-instance virtual durations, parallel to Events
-	Table    []*Record // local id -> record
+	Rank   int
+	Events []int     // sequence of local event ids
+	Durs   []float64 // per-instance virtual durations, parallel to Events
+	Table  []*Record // local id -> record
+	// keyIndex interns records by key while the recorder builds the
+	// trace; decoded traces leave it nil, since nothing appends to them.
 	keyIndex map[string]int
 	Clusters []*Cluster // local compute cluster id -> cluster
 }
@@ -189,35 +191,14 @@ func newRankTrace(rank int) *RankTrace {
 	}
 }
 
-// intern returns the id for the record, adding it to the table if new.
-func (rt *RankTrace) intern(r *Record) int {
-	key := r.KeyString()
-	if id, ok := rt.keyIndex[key]; ok {
-		return id
-	}
-	id := len(rt.Table)
-	rt.Table = append(rt.Table, r)
-	rt.keyIndex[key] = id
-	return id
-}
-
-// append records one event instance.
-func (rt *RankTrace) append(r *Record) {
-	rt.Events = append(rt.Events, rt.intern(r))
-}
-
-// appendOwned records one event instance from a caller that owns r and
-// wants to recycle its storage: the return value reports whether the table
+// appendOwnedKeyed records one event instance from a caller that owns r
+// and wants to recycle its storage, with r's key already rendered into a
+// caller-owned scratch buffer. The return value reports whether the table
 // retained r (a new terminal — the caller must stop touching it) or r
-// duplicated an interned record and may be reused, slices and all.
-func (rt *RankTrace) appendOwned(r *Record) bool {
-	return rt.appendOwnedKeyed(r, r.appendKey(nil))
-}
-
-// appendOwnedKeyed is appendOwned with the key already rendered into a
-// caller-owned scratch buffer. The dedupe probe is allocation-free (the
-// map lookup on string(key) never materializes a string); only a new
-// terminal converts the key for insertion.
+// duplicated an interned record and may be reused, slices and all. The
+// dedupe probe is allocation-free (the map lookup on string(key) never
+// materializes a string); only a new terminal converts the key for
+// insertion.
 func (rt *RankTrace) appendOwnedKeyed(r *Record, key []byte) bool {
 	if id, ok := rt.keyIndex[string(key)]; ok {
 		rt.Events = append(rt.Events, id)
