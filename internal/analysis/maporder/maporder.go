@@ -10,7 +10,7 @@
 //
 // Like ranklock, the implementation mirrors golang.org/x/tools/go/analysis
 // but depends only on the standard library, so it builds hermetically;
-// cmd/maporder is the standalone driver CI runs. Without go/types the map
+// cmd/lint is the standalone driver CI runs. Without go/types the map
 // detection is syntactic: an expression is treated as a map when its
 // declaration is visible in the package — a local `make(map[...])` or map
 // literal, a `var`/parameter/receiver-field of map type, a package-level

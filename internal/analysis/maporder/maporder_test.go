@@ -133,7 +133,7 @@ func (t *table) dump(b *builder) {
 
 // TestDeterministicPackagesAreClean runs the analyzer over the real
 // deterministic-output packages; this is the same gate CI's lint job
-// enforces through cmd/maporder.
+// enforces through cmd/lint.
 func TestDeterministicPackagesAreClean(t *testing.T) {
 	for _, dir := range []string{"../../merge", "../../codegen", "../../check", "../../statics", "../../core"} {
 		fset := token.NewFileSet()

@@ -15,7 +15,7 @@
 //
 // The implementation deliberately mirrors golang.org/x/tools/go/analysis
 // (an Analyzer value with a Run function over a Pass) but depends only on
-// the standard library, so it builds in hermetic environments; cmd/ranklock
+// the standard library, so it builds in hermetic environments; cmd/lint
 // is the standalone driver CI runs in place of `go vet -vettool`.
 package ranklock
 

@@ -110,7 +110,7 @@ func helper() { panic("not a runtime package") }
 }
 
 // TestRepoIsClean runs the analyzer over the real runtime packages; this is
-// the same gate CI's lint job enforces through cmd/ranklock.
+// the same gate CI's lint job enforces through cmd/lint.
 func TestRepoIsClean(t *testing.T) {
 	for _, dir := range []string{"../../mpi", "../../proxy"} {
 		fset := token.NewFileSet()

@@ -134,8 +134,8 @@ type machine struct {
 	p     *merge.Program
 	opts  Options
 	rep   *Report
-	pf    *pathFinder
-	hooks Hooks // nil when no listener is attached
+	cur   *merge.Cursor // expands each rank once, then resolves diagnostic paths
+	hooks Hooks         // nil when no listener is attached
 
 	ranks []*lrank
 	// mailbox and posted are indexed by destination world rank; mailbox has
@@ -158,12 +158,16 @@ type machine struct {
 }
 
 func newMachine(p *merge.Program, opts Options) (*machine, error) {
+	cur, err := merge.NewCursor(p)
+	if err != nil {
+		return nil, err
+	}
 	m := &machine{
 		p:        p,
+		cur:      cur,
 		opts:     opts,
 		hooks:    opts.Hooks,
 		rep:      &Report{NumRanks: p.NumRanks},
-		pf:       newPathFinder(p),
 		mailbox:  make([][]*vmsg, p.NumRanks+1),
 		posted:   make([][]*vrecv, p.NumRanks),
 		byteSeen: map[[2]int]bool{},
@@ -173,14 +177,10 @@ func newMachine(p *merge.Program, opts Options) (*machine, error) {
 	world := m.newComm(allRanks(p.NumRanks))
 	m.ranks = make([]*lrank, 0, p.NumRanks)
 	for r := 0; r < p.NumRanks; r++ {
-		n, err := p.ExpandedLen(r)
-		if err != nil {
+		if err := cur.Reset(r); err != nil {
 			return nil, err
 		}
-		seq, err := p.AppendExpansion(r, make([]int, 0, n))
-		if err != nil {
-			return nil, err
-		}
+		seq := cur.Append(make([]int, 0, cur.Len()))
 		for _, id := range seq {
 			if id < 0 || id >= len(p.Terminals) {
 				return nil, fmt.Errorf("check: rank %d references terminal %d outside table of %d", r, id, len(p.Terminals))
@@ -235,7 +235,9 @@ func (m *machine) diag(sev Severity, rule string, ranks []int, ev evRef, format 
 	if ev.rank >= 0 && ev.rank < len(m.ranks) && ev.idx >= 0 && ev.idx < len(m.ranks[ev.rank].seq) {
 		d.Record = m.ranks[ev.rank].seq[ev.idx]
 		d.Event = ev.idx
-		d.Path = m.pf.find(ev.rank, ev.idx)
+		if m.cur.Reset(ev.rank) == nil && m.cur.SeekEvent(int64(ev.idx)) {
+			d.Path = m.cur.Path()
+		}
 	}
 	m.rep.Diags = append(m.rep.Diags, d)
 }

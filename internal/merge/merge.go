@@ -287,13 +287,18 @@ func assemble(numRanks int, platformName, implName string,
 	// reference sequence exactly. Expansion only reads the finished
 	// program, so ranks check concurrently; the lowest failing rank is
 	// reported, as in the sequential pass.
+	cur, err := NewCursor(p)
+	if err != nil {
+		return nil, err
+	}
 	expandErrs := make([]error, len(grammars))
 	parfor(len(grammars), par, func(rank int) {
-		got, err := p.ExpandRank(rank)
-		if err != nil {
+		c := cur.Clone()
+		if err := c.Reset(rank); err != nil {
 			expandErrs[rank] = err
 			return
 		}
+		got := c.Append(make([]int, 0, c.Len()))
 		if !lossless(rank, got) {
 			expandErrs[rank] = fmt.Errorf("merge: rank %d expansion (%d events) diverges from trace",
 				rank, len(got))

@@ -96,124 +96,32 @@ func (p *Program) mainOf(rank int) (*Main, error) {
 // ExpandRank reconstructs the rank's full global-terminal-id event sequence.
 // This is the losslessness check: for every rank the expansion must equal
 // the rank's original trace rewritten to global ids.
-func (p *Program) ExpandRank(rank int) ([]int, error) {
-	return p.AppendExpansion(rank, nil)
-}
-
-// ExpandedLen computes the length of the rank's expansion in O(|grammar|),
-// via the same rule-multiplicity fold as TerminalCounts, so callers can
-// pre-size buffers for AppendExpansion without expanding twice.
-func (p *Program) ExpandedLen(rank int) (int64, error) {
-	m, err := p.mainOf(rank)
-	if err != nil {
-		return 0, err
-	}
-	memo := make([]int64, len(p.Rules))
-	for i := range memo {
-		memo[i] = -1
-	}
-	visiting := make([]bool, len(p.Rules))
-	var ruleLen func(ref int) (int64, error)
-	ruleLen = func(ref int) (int64, error) {
-		if ref < 0 || ref >= len(p.Rules) {
-			return 0, fmt.Errorf("merge: dangling rule ref %d", ref)
-		}
-		if memo[ref] >= 0 {
-			return memo[ref], nil
-		}
-		if visiting[ref] {
-			return 0, fmt.Errorf("merge: rule cycle through rule %d", ref)
-		}
-		visiting[ref] = true
-		defer func() { visiting[ref] = false }()
-		var n int64
-		for _, s := range p.Rules[ref] {
-			if !s.IsRule {
-				n += int64(s.Count)
-				continue
-			}
-			inner, err := ruleLen(s.Ref)
-			if err != nil {
-				return 0, err
-			}
-			n += int64(s.Count) * inner
-		}
-		memo[ref] = n
-		return n, nil
-	}
-	var total int64
-	for _, ms := range m.Body {
-		if !ms.Ranks.Contains(rank) {
-			continue
-		}
-		if !ms.IsRule {
-			total += int64(ms.Count)
-			continue
-		}
-		inner, err := ruleLen(ms.Ref)
-		if err != nil {
-			return 0, err
-		}
-		total += int64(ms.Count) * inner
-	}
-	return total, nil
-}
+func (p *Program) ExpandRank(rank int) ([]int, error) { return p.AppendExpansion(rank, nil) }
 
 // AppendExpansion appends the rank's expansion to buf and returns the
-// extended slice, letting callers that know the length (ExpandedLen) avoid
-// regrowth.
+// extended slice.
 func (p *Program) AppendExpansion(rank int, buf []int) ([]int, error) {
-	m, err := p.mainOf(rank)
+	c, err := NewCursor(p)
+	if err == nil {
+		err = c.Reset(rank)
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := buf
-	var expand func(s Sym) error
-	expand = func(s Sym) error {
-		for c := 0; c < s.Count; c++ {
-			if !s.IsRule {
-				out = append(out, s.Ref)
-				continue
-			}
-			if s.Ref < 0 || s.Ref >= len(p.Rules) {
-				return fmt.Errorf("merge: dangling rule ref %d", s.Ref)
-			}
-			for _, inner := range p.Rules[s.Ref] {
-				if err := expand(inner); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, ms := range m.Body {
-		if !ms.Ranks.Contains(rank) {
-			continue
-		}
-		if err := expand(ms.Sym); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return c.Append(buf), nil
 }
 
-// TerminalCounts returns how many times each global terminal id occurs in
-// the rank's expansion, without expanding: rule subtrees are folded once into
-// sparse per-terminal count maps (memoized across the rank's main symbols)
-// and weighted by run-length multiplicities on the way up. The grammar is a
-// DAG (cycles are rejected), so the fold is O(|grammar|) per distinct rule
-// plus O(distinct terminals) per reference, versus O(|trace|) for
-// ExpandRank. This is the core of the paper's claim
-// that the grammar is an exact compressed representation: any per-terminal
-// additive metric over the trace is computable from these counts.
-func (p *Program) TerminalCounts(rank int) (map[int]int64, error) {
-	return p.NewTerminalCounter().Counts(rank)
-}
-
-// TerminalCounter performs the TerminalCounts fold with the per-rule memo
-// shared across calls, so folding all P ranks costs O(|grammar|) once plus
-// O(main body × distinct terminals) per rank instead of rebuilding every
-// rule's count map P times. The counter is not safe for concurrent use.
+// TerminalCounter counts how many times each global terminal id occurs in a
+// rank's expansion, without expanding: rule subtrees are folded once into
+// sparse per-terminal count maps, memoized across calls, and weighted by
+// run-length multiplicities on the way up. The grammar is a DAG (cycles are
+// rejected), so folding all P ranks costs O(|grammar|) once plus O(main
+// body × distinct terminals) per rank, versus O(|trace|) for ExpandRank.
+// This is the core of the paper's claim that the grammar is an exact
+// compressed representation: any per-terminal additive metric over the
+// trace is computable from these counts. The fold is deliberately separate
+// from Cursor, so statics can cross-check its event count against the
+// check machine's expansion. The counter is not safe for concurrent use.
 type TerminalCounter struct {
 	p        *Program
 	memo     []map[int]int64
@@ -262,12 +170,9 @@ func (c *TerminalCounter) ruleCounts(ref int) (map[int]int64, error) {
 
 // CountsDense writes the rank's per-terminal occurrence counts into out,
 // which must have one entry per global terminal; references outside the
-// terminal table are ignored, as in the sparse fold. It exists for callers
-// folding every rank, where a map per rank is measurable.
+// terminal table are ignored.
 func (c *TerminalCounter) CountsDense(rank int, out []int64) error {
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	m, err := c.p.mainOf(rank)
 	if err != nil {
 		return err
@@ -293,32 +198,6 @@ func (c *TerminalCounter) CountsDense(rank int, out []int64) error {
 		}
 	}
 	return nil
-}
-
-// Counts returns the rank's per-terminal occurrence counts.
-func (c *TerminalCounter) Counts(rank int) (map[int]int64, error) {
-	m, err := c.p.mainOf(rank)
-	if err != nil {
-		return nil, err
-	}
-	out := map[int]int64{}
-	for _, ms := range m.Body {
-		if !ms.Ranks.Contains(rank) {
-			continue
-		}
-		if !ms.IsRule {
-			out[ms.Ref] += int64(ms.Count)
-			continue
-		}
-		inner, err := c.ruleCounts(ms.Ref)
-		if err != nil {
-			return nil, err
-		}
-		for t, n := range inner {
-			out[t] += int64(ms.Count) * n
-		}
-	}
-	return out, nil
 }
 
 // Encode serializes the program in the compact binary currency shared with

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"siesta/internal/codegen"
+	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/rankset"
 	"siesta/internal/trace"
 )
 
@@ -114,5 +117,36 @@ func TestDivergencePropagatesThroughRun(t *testing.T) {
 	}
 	if div.Rank != 0 || div.Func != "MPI_Barrier" {
 		t.Errorf("divergence %+v, want rank 0 / MPI_Barrier", div)
+	}
+}
+
+// A malformed grammar ends the replay with a DivergenceError naming the
+// fault on every rank; a rule cycle used to recurse until the runtime
+// killed the process with a stack overflow.
+func TestReplayRejectsMalformedPrograms(t *testing.T) {
+	all := rankset.Range(0, 2)
+	for want, rules := range map[string][][]merge.Sym{
+		"merge: rule cycle through rule 0": {{{Ref: 1, IsRule: true, Count: 1}}, {{Ref: 0, IsRule: true, Count: 2}}},
+		"merge: dangling rule ref 4":       {{{Ref: 0, Count: 1}, {Ref: 4, IsRule: true, Count: 1}}},
+	} {
+		t.Run(want, func(t *testing.T) {
+			p := &merge.Program{
+				NumRanks:  2,
+				Terminals: []*trace.Record{{Func: "MPI_Barrier"}},
+				Rules:     rules,
+				Mains: []merge.Main{{Ranks: all, Body: []merge.MainSym{
+					{Sym: merge.Sym{Ref: 0, Count: 1}, Ranks: all},
+					{Sym: merge.Sym{Ref: 0, IsRule: true, Count: 3}, Ranks: all},
+				}}},
+			}
+			_, err := New(&codegen.Generated{Prog: p}).Run(mpi.Config{})
+			var div *DivergenceError
+			if !errors.As(err, &div) {
+				t.Fatalf("run returned %v, want a wrapped DivergenceError", err)
+			}
+			if div.Reason != want {
+				t.Errorf("divergence reason %q, want %q", div.Reason, want)
+			}
+		})
 	}
 }

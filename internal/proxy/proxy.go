@@ -41,27 +41,35 @@ func New(gen *codegen.Generated) *App { return &App{Gen: gen} }
 
 // RankFunc returns the SPMD function that replays the proxy on each rank.
 // Divergence between the generated program and what the runtime can replay
-// surfaces as a *DivergenceError panic, which mpi.World.Run absorbs into a
-// wrapped error return (so errors.As still finds it).
+// — a malformed grammar included — surfaces as a *DivergenceError panic,
+// which mpi.World.Run absorbs into a wrapped error return (so errors.As
+// still finds it).
 func (a *App) RankFunc() func(*mpi.Rank) {
-	prog := a.Gen.Prog
+	shared, sharedErr := merge.NewCursor(a.Gen.Prog)
 	return func(r *mpi.Rank) {
+		cur, err := shared, sharedErr
+		if err == nil {
+			cur = shared.Clone()
+			err = cur.Reset(r.Rank())
+		}
+		if err != nil {
+			panic(&DivergenceError{Rank: r.Rank(), Reason: err.Error()})
+		}
 		rp := NewReplayer(r.World())
-		var main *merge.Main
-		for i := range prog.Mains {
-			if prog.Mains[i].Ranks.Contains(r.Rank()) {
-				main = &prog.Mains[i]
-				break
-			}
-		}
-		if main == nil {
-			panic(&DivergenceError{Rank: r.Rank(), Reason: "no main rule covers this rank"})
-		}
-		for _, ms := range main.Body {
-			if ms.Ranks.Contains(r.Rank()) {
-				if err := a.execSym(r, rp, ms.Sym); err != nil {
+		for cur.Next() {
+			rec := a.Gen.Prog.Terminals[cur.Term()]
+			if !rec.IsCompute() {
+				if err := rp.ExecComm(r, rec); err != nil {
 					panic(err)
 				}
+				continue
+			}
+			switch a.Mode {
+			case ComputeBlocks:
+				r.Compute(a.Gen.Combos[rec.ComputeCluster].Kernel(r.Platform()))
+			case SleepReplay:
+				r.Elapse(vtime.Duration(a.Gen.SleepTimes[rec.ComputeCluster]))
+			case NoCompute:
 			}
 		}
 	}
@@ -83,32 +91,4 @@ func (a *App) Run(cfg mpi.Config) (*mpi.RunResult, error) {
 // scaled proxies multiply back by the scaling factor (paper §3.4.1).
 func (a *App) ReportedTime(res *mpi.RunResult) vtime.Duration {
 	return vtime.Duration(float64(res.ExecTime) * a.Gen.Scale)
-}
-
-func (a *App) execSym(r *mpi.Rank, rp *Replayer, s merge.Sym) error {
-	for c := 0; c < s.Count; c++ {
-		if s.IsRule {
-			for _, inner := range a.Gen.Prog.Rules[s.Ref] {
-				if err := a.execSym(r, rp, inner); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		rec := a.Gen.Prog.Terminals[s.Ref]
-		if rec.IsCompute() {
-			switch a.Mode {
-			case ComputeBlocks:
-				r.Compute(a.Gen.Combos[rec.ComputeCluster].Kernel(r.Platform()))
-			case SleepReplay:
-				r.Elapse(vtime.Duration(a.Gen.SleepTimes[rec.ComputeCluster]))
-			case NoCompute:
-			}
-			continue
-		}
-		if err := rp.ExecComm(r, rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

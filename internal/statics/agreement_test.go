@@ -111,9 +111,10 @@ func assertAgreement(t *testing.T, rep *statics.Report, prog *merge.Program, tl 
 
 	// Per-rank per-function call counts: grammar fold vs timeline spans.
 	var totalEvents int64
+	counter := prog.NewTerminalCounter()
+	counts := make([]int64, len(prog.Terminals))
 	for rank := 0; rank < prog.NumRanks; rank++ {
-		counts, err := prog.TerminalCounts(rank)
-		if err != nil {
+		if err := counter.CountsDense(rank, counts); err != nil {
 			t.Fatal(err)
 		}
 		static := map[string]int64{}

@@ -1,6 +1,6 @@
 // Package statics computes exact proxy metrics from a merged program without
 // simulation. Two engines cooperate: a multiplicity fold over the grammar
-// (merge.Program.TerminalCounts, O(|grammar|) per rank) yields every
+// (merge.TerminalCounter, O(|grammar|) per rank) yields every
 // per-terminal additive metric — call histograms, per-cluster compute totals
 // — and the check package's abstract machine, observed through check.Hooks,
 // resolves everything that needs MPI matching semantics: world-rank
