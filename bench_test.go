@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"siesta/internal/apps"
 	"siesta/internal/baselines/minime"
@@ -23,6 +24,8 @@ import (
 // error statistics as custom metrics, so `go test -bench` output doubles as
 // a results table. The quick configuration (trimmed rank ladders) keeps a
 // full -bench=. pass in CI time; run `siesta bench -exp` for the full ladders.
+// The parallel-pipeline benchmarks below carry CI's speed-up gates
+// (gateSpeedup); profile any of them with -cpuprofile.
 
 var benchCfg = experiments.Config{Quick: true, Seed: 1}
 
@@ -355,9 +358,9 @@ func BenchmarkEndToEnd(b *testing.B) {
 
 // --- parallel-pipeline benchmarks (DESIGN.md §9) ----------------------------
 
-// pipelineTrace records one CG trace at the given rank count for the
-// parallel-stage benchmarks.
-func pipelineTrace(b *testing.B, ranks int) *trace.Trace {
+// pipelineApp builds the parallel-stage benchmarks' workload: CG at the
+// given rank count, 2 iterations, work scale 0.05.
+func pipelineApp(b *testing.B, ranks int) func(*mpi.Rank) {
 	b.Helper()
 	spec, err := apps.ByName("CG")
 	if err != nil {
@@ -367,28 +370,78 @@ func pipelineTrace(b *testing.B, ranks int) *trace.Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return fn
+}
+
+// pipelineTrace records one pipelineApp trace at seed 1 with core's
+// default noise and run variation.
+func pipelineTrace(b *testing.B, ranks int) *trace.Trace {
+	b.Helper()
 	rec := trace.NewRecorder(ranks, trace.Config{})
-	w := mpi.NewWorld(mpi.Config{Size: ranks, Interceptor: rec, NoiseSigma: 0.004, Seed: 1})
-	if _, err := w.Run(fn); err != nil {
+	w := mpi.NewWorld(mpi.Config{
+		Size: ranks, Interceptor: rec, NoiseSigma: 0.004, RunVariation: 0.02, Seed: 1,
+	})
+	if _, err := w.Run(pipelineApp(b, ranks)); err != nil {
 		b.Fatal(err)
 	}
 	return rec.Trace("A", "openmpi")
 }
 
+// gateSpeedup is a speed-up gate inside a benchmark, so CI's bench smoke
+// fails on a regression even at -benchtime=1x: it times the serial and the
+// parallel leg best of 3 each, reports the parallel leg's speed-up, and
+// fails below min. The legs alternate, so garbage one leg leaves behind is
+// collected during both rather than always during the second. At
+// GOMAXPROCS < 2 the legs cannot run concurrently, so it reports without
+// asserting; CI's bench job refuses such a runner.
+func gateSpeedup(b *testing.B, min float64, serial, parallel func()) {
+	b.Helper()
+	timed := func(fn func(), best *time.Duration) {
+		start := time.Now()
+		fn()
+		if d := time.Since(start); d < *best {
+			*best = d
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		s, p := time.Duration(1<<63-1), time.Duration(1<<63-1)
+		for j := 0; j < 3; j++ {
+			timed(serial, &s)
+			timed(parallel, &p)
+		}
+		speedup := float64(s) / float64(p)
+		b.ReportMetric(speedup, "speedup")
+		if runtime.GOMAXPROCS(0) < 2 {
+			b.Logf("GOMAXPROCS=1: %.2fx not asserted", speedup)
+		} else if speedup < min {
+			b.Fatalf("parallel leg only %.2fx the serial one (serial %v, parallel %v); the gate requires %.1fx",
+				speedup, s, p, min)
+		}
+	}
+}
+
 // BenchmarkGlobalize times the tree-reduction terminal-table merge serial
 // vs parallel across the paper's rank ladder. The two variants produce
 // byte-identical output (see internal/core/determinism_test.go); only the
-// wall time may differ.
+// wall time may differ. Its gate: the parallel merge never loses to the
+// serial fold, at any rank count.
 func BenchmarkGlobalize(b *testing.B) {
+	par := runtime.GOMAXPROCS(0)
 	for _, ranks := range []int{8, 32, 64} {
 		tr := pipelineTrace(b, ranks)
-		for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("ranks=%d/par=%d", ranks, par), func(b *testing.B) {
+		globalize := func(p int) func() {
+			return func() { merge.GlobalizeParallel(tr, 0.05, p).Release() }
+		}
+		for _, p := range []int{1, par} {
+			b.Run(fmt.Sprintf("ranks=%d/par=%d", ranks, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					merge.GlobalizeParallel(tr, 0.05, par)
+					globalize(p)()
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("ranks=%d/gate", ranks), func(b *testing.B) {
+			gateSpeedup(b, 1.0, globalize(1), globalize(par))
+		})
 	}
 }
 
@@ -451,27 +504,33 @@ func BenchmarkSearchMemoized(b *testing.B) {
 
 // BenchmarkSynthesizeParallelism times the whole pipeline at Parallelism 1
 // vs GOMAXPROCS. Fresh memos per run keep the serial leg from pre-warming
-// the cache for the parallel one.
+// the cache for the parallel one. Its gate: at 64 ranks, the overlapped
+// simulated runs plus the parallel stages make synthesis at least 1.5x
+// faster than serial.
 func BenchmarkSynthesizeParallelism(b *testing.B) {
-	spec, err := apps.ByName("CG")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fn, err := spec.Build(apps.Params{Ranks: 8, Iters: 2, WorkScale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.Synthesize(fn, core.Options{
-					Ranks: 8, Seed: 1, Parallelism: par, SearchMemo: blocks.NewMemo(0),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+	par := runtime.GOMAXPROCS(0)
+	for _, ranks := range []int{8, 64} {
+		fn := pipelineApp(b, ranks)
+		synth := func(b *testing.B, p int) {
+			_, err := core.Synthesize(fn, core.Options{
+				Ranks: ranks, Seed: 1, Parallelism: p, SearchMemo: blocks.NewMemo(0),
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		for _, p := range []int{1, par} {
+			b.Run(fmt.Sprintf("ranks=%d/par=%d", ranks, p), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					synth(b, p)
+				}
+			})
+		}
+		if ranks == 64 {
+			b.Run(fmt.Sprintf("ranks=%d/gate", ranks), func(b *testing.B) {
+				gateSpeedup(b, 1.5, func() { synth(b, 1) }, func() { synth(b, par) })
+			})
+		}
 	}
 }
 

@@ -24,7 +24,6 @@
 //	siesta worker [-addr 127.0.0.1:8081] [-registry http://127.0.0.1:8090]
 //	       [-advertise URL] [-id NAME] [-heartbeat 1s] [-state-dir DIR]
 //
-//	siesta bench [-app CG] [-ranks 8,32,64] [-reps 3] [-json BENCH_9.json] [-pprof cpu.pprof]
 //	siesta bench -exp table3|fig4..fig9|ablations|all [-quick] [-seed N]
 //
 //	siesta trace -app CG -n 16 [-o run.trace.json] [-format chrome|jsonl]
@@ -61,11 +60,10 @@
 // the owning worker, failing jobs over (resuming from their replicated
 // phase-boundary checkpoint) when a worker dies. See DESIGN.md §13.
 //
-// The bench verb times the parallelized synthesis stages serial vs
-// parallel across rank counts and writes a JSON report; synthesis itself
-// is parallel by default and byte-identical at any -parallel value. See
-// DESIGN.md §9. With -exp it regenerates the paper's evaluation tables
-// instead (see EXPERIMENTS.md).
+// The bench verb regenerates the paper's evaluation tables (see
+// EXPERIMENTS.md). The serial-vs-parallel speed-up gates live in the Go
+// benchmarks BenchmarkGlobalize and BenchmarkSynthesizeParallelism; see
+// DESIGN.md §9.
 //
 // The trace verb runs one observed synthesis and exports it for
 // chrome://tracing / Perfetto: pipeline phase spans in wall-clock time plus

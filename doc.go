@@ -25,5 +25,6 @@
 //
 // The benchmarks in this directory (bench_test.go) wrap the evaluation
 // drivers of internal/experiments, one per table/figure, plus the ablations
-// called out in DESIGN.md.
+// called out in DESIGN.md and the parallel-pipeline benchmarks that carry
+// CI's speed-up gates.
 package siesta

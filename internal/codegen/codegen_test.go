@@ -63,6 +63,22 @@ func TestGenerateUnscaled(t *testing.T) {
 	}
 }
 
+// With no report from the caller, Generate verifies the program itself
+// for the C header's stamp.
+func TestGenerateSelfVerifiesWithoutCheck(t *testing.T) {
+	prog, _ := buildProgram(t)
+	gen, err := Generate(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.Check == nil {
+		t.Fatal("codegen should self-verify when no report is passed")
+	}
+	if !strings.Contains(gen.CSource(), "static check: clean") {
+		t.Errorf("C source header should carry the self-verification summary %q", gen.Check.Summary())
+	}
+}
+
 func TestGenerateScaledShrinksComputation(t *testing.T) {
 	prog, tr := buildProgram(t)
 	gen1, err := Generate(prog, Options{})

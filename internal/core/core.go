@@ -86,14 +86,6 @@ type Options struct {
 	// byte-identical programs and proxies.
 	Parallelism int
 
-	// DisableOverlap forces the baseline and traced simulated runs to
-	// execute sequentially even when Parallelism > 1. The two worlds share
-	// seeds but no state, so overlapping them never changes any output;
-	// the knob exists so benchmarks can isolate the overlap's contribution
-	// and tests can pin overlap-on against overlap-off byte-for-byte. Like
-	// Parallelism it is excluded from JSON encoding and the fingerprint.
-	DisableOverlap bool
-
 	// SearchMemo caches computation-proxy QP solves (see blocks.Memo).
 	// nil selects the process-global blocks.DefaultMemo. Memoization never
 	// changes results, so this too is excluded from the fingerprint.
@@ -121,14 +113,7 @@ type Options struct {
 	// Pipeline knobs.
 	Trace trace.Config
 	Merge merge.Options
-	// DisableCheck skips the post-merge static verification gate. By
-	// default every merged program is verified (point-to-point matching,
-	// collective consistency, handle lifecycles, static deadlock search)
-	// before code generation, and error-severity findings abort the
-	// pipeline: a program that fails the gate would synthesize a proxy
-	// that hangs or diverges on replay.
-	DisableCheck bool
-	Scale        float64 // proxy shrink factor; 0/1 = unscaled
+	Scale float64 // proxy shrink factor; 0/1 = unscaled
 	// BenchNoise controls micro-benchmark noise for the B matrix; when
 	// nil a small default noise tied to Seed is used.
 	BenchNoise *perfmodel.Noise
@@ -177,7 +162,7 @@ type Result struct {
 
 	Trace     *trace.Trace
 	Program   *merge.Program
-	Check     *check.Report // nil when Options.DisableCheck
+	Check     *check.Report
 	Generated *codegen.Generated
 	Proxy     *proxy.App
 
@@ -232,9 +217,7 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	if res.ResumedFrom != PhaseSearch {
 		if err := r.save(PhaseSearch, func(cp *Checkpoint) {
 			cp.TraceBytes, cp.ProgramBytes = r.traceBytes, r.progBytes
-			if res.Check != nil {
-				cp.CheckSummary = res.Check.Summary()
-			}
+			cp.CheckSummary = res.Check.Summary()
 			m := r.memo
 			if m == nil {
 				m = blocks.DefaultMemo
@@ -381,7 +364,7 @@ func (r *run) simulate(app func(*mpi.Rank)) error {
 		Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
 	}
 
-	if opts.Parallelism <= 1 || opts.DisableOverlap {
+	if opts.Parallelism <= 1 {
 		// Ground-truth run, without instrumentation (the timeline
 		// observer charges no virtual-time cost, so the run stays
 		// bit-identical).
@@ -518,29 +501,25 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 	// would hang or diverge on replay. It re-runs on resume too: the
 	// verdict is stamped into the C header, and re-checking an identical
 	// program is cheap and yields the identical summary.
-	if !opts.DisableCheck {
-		if err := r.phase("check"); err != nil {
-			return fmt.Errorf("core: check: %w", err)
-		}
-		rep, err := check.Verify(res.Program, check.Options{
-			ExactBytes:    true,
-			AbsoluteRanks: opts.Trace.AbsoluteRanks,
-		})
-		if err != nil {
-			return fmt.Errorf("core: check: %w", err)
-		}
-		res.Check = rep
-		if rep.HasErrors() {
-			return &VerifyError{Report: rep}
-		}
+	if err := r.phase("check"); err != nil {
+		return fmt.Errorf("core: check: %w", err)
+	}
+	rep, err := check.Verify(res.Program, check.Options{
+		ExactBytes:    true,
+		AbsoluteRanks: opts.Trace.AbsoluteRanks,
+	})
+	if err != nil {
+		return fmt.Errorf("core: check: %w", err)
+	}
+	res.Check = rep
+	if rep.HasErrors() {
+		return &VerifyError{Report: rep}
 	}
 	if built {
 		if err := r.save(PhaseMerge, func(cp *Checkpoint) {
 			r.progBytes = res.Program.Encode()
 			cp.TraceBytes, cp.ProgramBytes = r.traceBytes, r.progBytes
-			if res.Check != nil {
-				cp.CheckSummary = res.Check.Summary()
-			}
+			cp.CheckSummary = res.Check.Summary()
 		}); err != nil {
 			return err
 		}
@@ -570,7 +549,6 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 		Check:       res.Check,
 		CommSamples: r.samples,
 	}
-	var err error
 	if res.Generated, err = codegen.Generate(res.Program, genOpts); err != nil {
 		return fmt.Errorf("core: generate: %w", err)
 	}

@@ -54,29 +54,17 @@ func TestSynthesisDeterministicAcrossParallelism(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Each parallelism level runs with overlapped simulation runs
-			// (the default above 1) and with overlap forced off: both are
-			// throughput knobs and neither may move a byte of output or
+			// Above 1, the simulated runs overlap; Parallelism is a
+			// throughput knob and may move neither a byte of output nor
 			// the cache key.
-			type config struct {
-				par       int
-				noOverlap bool
-			}
-			var configs []config
-			for _, par := range parallelisms() {
-				configs = append(configs, config{par, false})
-				if par > 1 {
-					configs = append(configs, config{par, true})
-				}
-			}
 			var refProg []byte
 			var refSrc, refFP string
 			var refTrace *trace.Trace
-			for i, c := range configs {
-				opts := core.Options{Ranks: ranks, Seed: 1, Parallelism: c.par, DisableOverlap: c.noOverlap}
+			for i, par := range parallelisms() {
+				opts := core.Options{Ranks: ranks, Seed: 1, Parallelism: par}
 				res, err := core.Synthesize(fn, opts)
 				if err != nil {
-					t.Fatalf("Parallelism=%d overlap=%t: %v", c.par, !c.noOverlap, err)
+					t.Fatalf("Parallelism=%d: %v", par, err)
 				}
 				prog := res.Program.Encode()
 				src := res.Generated.CSource()
@@ -87,13 +75,13 @@ func TestSynthesisDeterministicAcrossParallelism(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(prog, refProg) {
-					t.Errorf("Parallelism=%d overlap=%t: encoded program differs from Parallelism=1", c.par, !c.noOverlap)
+					t.Errorf("Parallelism=%d: encoded program differs from Parallelism=1", par)
 				}
 				if src != refSrc {
-					t.Errorf("Parallelism=%d overlap=%t: generated C source differs from Parallelism=1", c.par, !c.noOverlap)
+					t.Errorf("Parallelism=%d: generated C source differs from Parallelism=1", par)
 				}
 				if fp != refFP {
-					t.Errorf("Parallelism=%d overlap=%t: options fingerprint %s != %s — a throughput knob leaked into the cache key", c.par, !c.noOverlap, fp, refFP)
+					t.Errorf("Parallelism=%d: options fingerprint %s != %s — a throughput knob leaked into the cache key", par, fp, refFP)
 				}
 			}
 

@@ -37,7 +37,6 @@ type optionsJSON struct {
 	Deadline     vtime.Duration  `json:"deadline,omitempty"`
 	Trace        trace.Config    `json:"trace"`
 	Merge        merge.Options   `json:"merge"`
-	DisableCheck bool            `json:"disable_check,omitempty"`
 	Scale        float64         `json:"scale,omitempty"`
 	BenchNoise   *benchNoiseJSON `json:"bench_noise,omitempty"`
 }
@@ -59,7 +58,6 @@ func (o Options) canonical() optionsJSON {
 		Deadline:     o.Deadline,
 		Trace:        o.Trace,
 		Merge:        o.Merge,
-		DisableCheck: o.DisableCheck,
 		Scale:        o.Scale,
 	}
 	if o.Platform != nil {
@@ -98,7 +96,6 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 		Deadline:     c.Deadline,
 		Trace:        c.Trace,
 		Merge:        c.Merge,
-		DisableCheck: c.DisableCheck,
 		Scale:        c.Scale,
 	}
 	if c.Platform != "" {

@@ -28,10 +28,10 @@ func synthesizeTraced(t testing.TB, ranks int, tracer *obs.Tracer) *core.Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DisableOverlap pins the ordered five-phase ladder this test asserts;
+	// Parallelism 1 pins the ordered five-phase ladder this test asserts;
 	// the overlapped ladder (with its warmup span) is covered by the
 	// metamorphic observability test.
-	res, err := core.Synthesize(fn, core.Options{Ranks: ranks, Seed: 1, Tracer: tracer, DisableOverlap: true})
+	res, err := core.Synthesize(fn, core.Options{Ranks: ranks, Seed: 1, Tracer: tracer, Parallelism: 1})
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}

@@ -69,10 +69,10 @@ type Globalized struct {
 
 // Release returns the pooled buffers backing Seqs to the shared buffer
 // pool. After Release, Seqs must not be touched: the backing arrays may be
-// handed to an unrelated caller. `siesta bench` releases each Globalized
-// it times; callers that keep one alive (experiments, tests) simply never
-// call Release and the buffers fall to the garbage collector instead —
-// pooling is an optimization, never an obligation.
+// handed to an unrelated caller. BenchmarkGlobalize releases each
+// Globalized it times; callers that keep one alive (experiments, tests)
+// simply never call Release and the buffers fall to the garbage collector
+// instead — pooling is an optimization, never an obligation.
 func (g *Globalized) Release() {
 	for _, b := range g.seqBufs {
 		b.Unref()

@@ -84,13 +84,15 @@ func (p *partial) addRecord(r *trace.Record, key string) int {
 // cl's match-or-append index, like the inner tree nodes, so one rank's
 // clusters can still collapse under a threshold coarser than tracing's;
 // records, re-keyed after the cluster remap, intern first-wins into table.
-// wireCl and wireRec map the source's dense local ids onto leaf ids.
+// wireCl and wireRec map the source's dense local ids onto leaf ids; key is
+// the reused buffer each record's key is rendered into.
 type leafTable struct {
 	th      float64
 	cl      *partial // only the cluster half is used
 	table   *trace.SpillTable
 	wireCl  []int
 	wireRec []int
+	key     []byte
 }
 
 func newLeafTable(th float64, table *trace.SpillTable) *leafTable {
@@ -108,7 +110,8 @@ func (lt *leafTable) addRecord(r *trace.Record) {
 	if r.IsCompute() {
 		r.ComputeCluster = lt.wireCl[r.ComputeCluster]
 	}
-	lt.wireRec = append(lt.wireRec, lt.table.Intern(r, r.KeyString()))
+	lt.key = r.AppendKey(lt.key[:0])
+	lt.wireRec = append(lt.wireRec, lt.table.Intern(r, lt.key))
 }
 
 // addRank interns a decoded rank's clusters and records. It copies them:

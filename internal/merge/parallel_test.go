@@ -240,3 +240,28 @@ func BenchmarkParforOverhead(b *testing.B) {
 		})
 	}
 }
+
+// TestLeafTableDuplicateRecordAllocs pins that interning a record the rank
+// has already seen allocates nothing: its key is rendered into the table's
+// reused buffer and the index is probed without a string conversion. When
+// every key was rendered through Record.KeyString, a duplicate cost 5
+// allocations (four buffer growths and the string).
+func TestLeafTableDuplicateRecordAllocs(t *testing.T) {
+	lt := newLeafTable(0.05, trace.NewSpillTable(0, nil))
+	r := &trace.Record{
+		Func: "MPI_Isend", DestRel: 1, SrcRel: trace.NoRank, Tag: 7, Bytes: 4096,
+		Root: trace.NoRank, NewCommPool: -1, ReqPool: 3,
+	}
+	lt.addRecord(r.Clone())
+	dup := r.Clone()
+	allocs := testing.AllocsPerRun(100, func() {
+		lt.wireRec = lt.wireRec[:0]
+		lt.addRecord(dup)
+	})
+	if allocs != 0 {
+		t.Errorf("interning a duplicate record: %v allocs, want 0", allocs)
+	}
+	if got := lt.table.Stats().Records; got != 1 {
+		t.Errorf("table holds %d records, want 1", got)
+	}
+}

@@ -116,6 +116,10 @@ type ingestSession struct {
 	parallelism int
 	retries     int
 
+	// committing is set under Server.ingestMu by the commit that claims
+	// the session (claimIngest) and cleared if that commit is refused.
+	committing bool
+
 	// ranks[r] serializes rank r's appends; different ranks feed
 	// concurrently (the point of the protocol).
 	ranks []ingestRank
@@ -345,10 +349,32 @@ func (s *Server) handleTraceStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
+// claimIngest takes a session for a commit or an abort in one hold of
+// ingestMu: a commit marks it committing, an abort removes it from the
+// registry. While a commit holds a session, a second commit and an abort
+// are refused with 409, so one ingest never feeds two jobs, nor a job and
+// an abort.
+func (s *Server) claimIngest(w http.ResponseWriter, id string, commit bool) (*ingestSession, bool) {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	sess, ok := s.ingests[id]
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, "unknown trace session %q", id)
+	case sess.committing:
+		writeError(w, http.StatusConflict, "trace session %s is being committed", id)
+		ok = false
+	case commit:
+		sess.committing = true
+	default:
+		delete(s.ingests, id)
+	}
+	return sess, ok
+}
+
 func (s *Server) handleTraceAbort(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupIngest(r.PathValue("id"))
+	sess, ok := s.claimIngest(w, r.PathValue("id"), false)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown trace session %q", r.PathValue("id"))
 		return
 	}
 	s.closeIngest(sess)
@@ -357,11 +383,20 @@ func (s *Server) handleTraceAbort(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupIngest(r.PathValue("id"))
+	sess, ok := s.claimIngest(w, r.PathValue("id"), true)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown trace session %q", r.PathValue("id"))
 		return
 	}
+	// Whatever refuses the commit releases the claim before the handler
+	// returns, so the client sees the refusal with the session open again.
+	settled := false
+	defer func() {
+		if !settled {
+			s.ingestMu.Lock()
+			sess.committing = false
+			s.ingestMu.Unlock()
+		}
+	}()
 	// Every rank stream must have delivered its end frame; the per-rank
 	// digests are final after that, and hashing them in rank order makes
 	// the content digest independent of upload chunking and interleaving.
@@ -405,6 +440,7 @@ func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 	// chunks live only on this node, so the client either retries the
 	// commit or aborts.
 	s.submit(w, jb, func(sr SynthesizeResponse, admitted bool) any {
+		settled = true
 		if admitted {
 			// The job owns the ingest now (its work fn builds and closes
 			// it); drop the session record without touching the ingest.

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"siesta/internal/apps"
@@ -335,5 +336,77 @@ func TestStreamingIngestValidationAndAbort(t *testing.T) {
 	}
 	for _, id := range opened {
 		doJSON(t, http.MethodDelete, ts.URL+"/v1/traces/"+id, nil, nil)
+	}
+}
+
+// A commit claims its session before it hashes anything: while it runs, a
+// second commit and an abort of the same session are conflicts, so the two
+// can never both make a job over one ingest. A PeerFetch hook holds the
+// first commit inside submit's cache lookup to open that window. A commit
+// that submit refuses (here 503 while draining) releases the claim, and
+// the session stays open for a retry.
+func TestConcurrentCommitsClaimSession(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	s, ts := newTestServer(t, Config{Workers: 1, PeerFetch: func(cache.Key) (*cache.Artifact, bool) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return nil, false
+	}})
+	streams := chunkStreams(t, recordedTrace(t, 4))
+	resp, body := postJSON(t, ts.URL+"/v1/traces", TraceOpenRequest{NumRanks: len(streams)})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open = %d: %s", resp.StatusCode, body)
+	}
+	var open TraceOpenResponse
+	json.Unmarshal(body, &open)
+	putChunks(t, ts.URL, open.ID, streams, 4096)
+	commitURL := ts.URL + "/v1/traces/" + open.ID + "/commit"
+
+	setDraining := func(on bool) {
+		s.mu.Lock()
+		s.draining = on
+		s.mu.Unlock()
+	}
+	first := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(commitURL, "application/json", nil)
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	<-entered
+	if code, body := doJSON(t, http.MethodPost, commitURL, nil, nil); code != http.StatusConflict {
+		t.Errorf("second commit during the first = %d, want 409: %s", code, body)
+	}
+	if code, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/traces/"+open.ID, nil, nil); code != http.StatusConflict {
+		t.Errorf("abort during a commit = %d, want 409: %s", code, body)
+	}
+	setDraining(true)
+	close(release)
+	if code := <-first; code != http.StatusServiceUnavailable {
+		t.Fatalf("first commit while draining = %d, want 503", code)
+	}
+	setDraining(false)
+
+	var cr TraceCommitResponse
+	if code, body := doJSON(t, http.MethodPost, commitURL, nil, &cr); code != http.StatusAccepted {
+		t.Fatalf("commit after a refused one = %d, want 202: %s", code, body)
+	}
+	if v := waitJob(t, ts.URL, cr.Job.ID); v.Status != StatusDone {
+		t.Fatalf("committed job: %s (%s)", v.Status, v.Error)
+	}
+	var jobs []JobView
+	getJSON(t, ts.URL+"/v1/jobs", &jobs)
+	if len(jobs) != 1 {
+		t.Errorf("%d jobs over one session, want 1", len(jobs))
+	}
+	if code, _ := doJSON(t, http.MethodPost, commitURL, nil, nil); code != http.StatusNotFound {
+		t.Errorf("commit of a committed session = %d, want 404", code)
 	}
 }

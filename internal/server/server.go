@@ -790,10 +790,7 @@ func (s *Server) setWork(jb *job, opts core.Options, synth func(core.Options) (*
 			App: jb.app, Ranks: jb.ranks,
 			CSource:   res.Generated.CSource(),
 			Terminals: st.Terminals, Rules: st.Rules, SizeC: res.Generated.SizeC,
-			Overhead: res.Overhead,
-		}
-		if res.Check != nil {
-			art.CheckSummary = res.Check.Summary()
+			Overhead: res.Overhead, CheckSummary: res.Check.Summary(),
 		}
 		return art, analysis, nil
 	}

@@ -68,14 +68,14 @@ func (r *Record) IsCompute() bool { return r.Func == "MPI_Compute" }
 // KeyString returns the canonical hash key of the record: equal keys mean
 // identical terminals. This is the string the paper stores in the per-rank
 // hash tables.
-func (r *Record) KeyString() string { return string(r.appendKey(nil)) }
+func (r *Record) KeyString() string { return string(r.AppendKey(nil)) }
 
-// appendKey appends the canonical key to b and returns the extended slice.
-// The recorder's hot path builds keys into a per-rank scratch buffer and
-// probes the intern table via map[string(b)] — which the compiler compiles
-// without materializing a string — so only genuinely new terminals pay a
-// string allocation.
-func (r *Record) appendKey(b []byte) []byte {
+// AppendKey appends the canonical key to b and returns the extended slice.
+// The recorder's and the merge leaf tables' hot paths build keys into a
+// reused scratch buffer and probe their intern tables via map[string(b)] —
+// which the compiler compiles without materializing a string — so only
+// genuinely new terminals pay a string allocation.
+func (r *Record) AppendKey(b []byte) []byte {
 	appendInt := func(b []byte, tag string, v int) []byte {
 		b = append(b, tag...)
 		return strconv.AppendInt(b, int64(v), 10)

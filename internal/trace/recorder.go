@@ -92,7 +92,7 @@ func (rs *rankState) newRecord() *Record {
 
 // commit appends the event and reclaims the record unless the table kept it.
 func (rs *rankState) commit(r *Record) {
-	rs.keyBuf.S = r.appendKey(rs.keyBuf.S[:0])
+	rs.keyBuf.S = r.AppendKey(rs.keyBuf.S[:0])
 	if !rs.rt.appendOwnedKeyed(r, rs.keyBuf.S) {
 		rs.spare = r
 	}

@@ -177,15 +177,17 @@ func (t *SpillTable) Stats() SpillStats {
 // Intern returns the id for the record with the given canonical key,
 // taking ownership of r and storing it (resident or spilled) if the key
 // is new. Identical to RankTrace interning: first arrival wins, ids are
-// dense in arrival order.
-func (t *SpillTable) Intern(r *Record, key string) int {
-	if id, ok := t.keyIndex[key]; ok {
+// dense in arrival order. key may be the caller's scratch buffer: the
+// probe allocates nothing, and only a new key is copied into a string.
+func (t *SpillTable) Intern(r *Record, key []byte) int {
+	if id, ok := t.keyIndex[string(key)]; ok {
 		return id
 	}
 	id := t.n
 	t.n++
-	t.keys = append(t.keys, key)
-	t.keyIndex[key] = id
+	k := string(key)
+	t.keys = append(t.keys, k)
+	t.keyIndex[k] = id
 
 	sz := recordSize(r)
 	// The spill switch is monotone: once tripped, every new record goes to

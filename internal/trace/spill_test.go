@@ -37,12 +37,12 @@ func internAll(tab *SpillTable, n, flushEvery int) ([]*Record, error) {
 	for i := range want {
 		want[i] = spillRecord(i)
 		r := want[i].Clone()
-		if id := tab.Intern(r, r.KeyString()); id != i {
+		if id := tab.Intern(r, r.AppendKey(nil)); id != i {
 			return nil, fmt.Errorf("record %d interned as id %d", i, id)
 		}
 		if i > 0 && i%flushEvery == 0 {
 			dup := want[i-1].Clone()
-			if id := tab.Intern(dup, dup.KeyString()); id != i-1 {
+			if id := tab.Intern(dup, dup.AppendKey(nil)); id != i-1 {
 				return nil, fmt.Errorf("repeat of record %d interned as id %d", i-1, id)
 			}
 			if err := tab.Flush(); err != nil {
@@ -171,7 +171,7 @@ func TestSpillCreateFailureSticks(t *testing.T) {
 	tab := NewSpillTable(1, f)
 	for i := 0; i < 5; i++ {
 		r := spillRecord(i)
-		if id := tab.Intern(r, r.KeyString()); id != i {
+		if id := tab.Intern(r, r.AppendKey(nil)); id != i {
 			t.Fatalf("record %d interned as id %d", i, id)
 		}
 	}
@@ -180,7 +180,7 @@ func TestSpillCreateFailureSticks(t *testing.T) {
 		t.Fatal("spill into a nonexistent dir should fail Flush")
 	}
 	r := spillRecord(5)
-	if id := tab.Intern(r, r.KeyString()); id != 5 {
+	if id := tab.Intern(r, r.AppendKey(nil)); id != 5 {
 		t.Fatalf("after the failure, record 5 interned as id %d", id)
 	}
 	if err2 := tab.Flush(); !errors.Is(err2, err) {
@@ -192,7 +192,7 @@ func TestSpillCreateFailureSticks(t *testing.T) {
 	// The file's own failure sticks for every table sharing it.
 	other := NewSpillTable(1, f)
 	r = spillRecord(0)
-	other.Intern(r, r.KeyString())
+	other.Intern(r, r.AppendKey(nil))
 	if other.Flush() == nil {
 		t.Fatal("a second table wrote to a failed spill file")
 	}
@@ -221,7 +221,7 @@ func TestSpillFileCloseRemoves(t *testing.T) {
 		}
 	}
 	r := spillRecord(10)
-	tab.Intern(r, r.KeyString())
+	tab.Intern(r, r.AppendKey(nil))
 	if tab.Flush() == nil {
 		t.Fatal("Flush after Close should fail")
 	}
@@ -244,9 +244,9 @@ func TestSpillTableStats(t *testing.T) {
 	tab := NewSpillTable(int(want.ResidentBytes), f)
 	for i := 0; i < 20; i++ {
 		r := spillRecord(i)
-		tab.Intern(r, r.KeyString())
+		tab.Intern(r, r.AppendKey(nil))
 		dup := spillRecord(i)
-		tab.Intern(dup, dup.KeyString())
+		tab.Intern(dup, dup.AppendKey(nil))
 		if i >= resident {
 			want.Spilled++
 			want.SpilledBytes += int64(recordSize(spillRecord(i)))
