@@ -27,24 +27,23 @@ func runGateway(args []string) {
 	registryURL := fs.String("registry", "", "external registry base URL (empty = embed the registry in this process)")
 	ttl := fs.Duration("ttl", fleet.DefaultTTL, "embedded registry heartbeat TTL; a worker silent this long is dropped")
 	refresh := fs.Duration("route-refresh", 500*time.Millisecond, "route-table refresh and failover-scan interval")
-	logLevel := fs.String("log-level", "", "route gateway events through slog at this verbosity (debug, info, warn, error)")
+	logLevel := fs.String("log-level", "", "log routing events as slog text records at this verbosity (debug, info, warn, error); empty = JSON lines")
 	fs.Parse(args)
 
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "siesta gateway: %v\n", err)
 		os.Exit(1)
 	}
-	if *logLevel != "" {
-		if err := setupLogging(*logLevel); err != nil {
-			die(err)
-		}
+	logger, err := eventLogger(*logLevel)
+	if err != nil {
+		die(err)
 	}
 
 	gw := fleet.NewGateway(fleet.GatewayConfig{
 		RegistryURL:  *registryURL,
 		TTL:          *ttl,
 		RouteRefresh: *refresh,
-		LogWriter:    os.Stderr,
+		Logger:       logger,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: gw.Handler()}
 
@@ -94,7 +93,7 @@ func runWorker(args []string) {
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Minute, "shutdown budget for in-flight jobs before hard cancel")
 	stateDir := fs.String("state-dir", "", "directory for the job journal, phase checkpoints, and disk artifact cache (empty = in-memory only; checkpoints still replicate to peers)")
 	maxRetries := fs.Int("max-retries", 3, "in-process retry budget for transient durability failures")
-	logLevel := fs.String("log-level", "", "route job events through slog at this verbosity (debug, info, warn, error) instead of the raw JSON stream")
+	logLevel := fs.String("log-level", "", "log job events as slog text records at this verbosity (debug, info, warn, error); empty = JSON lines at debug")
 	fs.Parse(args)
 
 	die := func(err error) {
@@ -110,20 +109,9 @@ func runWorker(args []string) {
 	if wid == "" {
 		wid = adv
 	}
-	scfg := server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		JobTimeout:     *jobTimeout,
-		CacheSize:      *cacheSize,
-		MaxParallelism: *maxParallel,
-		LogWriter:      os.Stderr,
-		StateDir:       *stateDir,
-		MaxRetries:     *maxRetries,
-	}
-	if *logLevel != "" {
-		if err := setupLogging(*logLevel); err != nil {
-			die(err)
-		}
+	logger, err := eventLogger(*logLevel)
+	if err != nil {
+		die(err)
 	}
 
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
@@ -131,7 +119,16 @@ func runWorker(args []string) {
 		AdvertiseURL: adv,
 		RegistryURL:  *registryURL,
 		Heartbeat:    *heartbeat,
-		Server:       scfg,
+		Server: server.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			JobTimeout:     *jobTimeout,
+			CacheSize:      *cacheSize,
+			MaxParallelism: *maxParallel,
+			Logger:         logger,
+			StateDir:       *stateDir,
+			MaxRetries:     *maxRetries,
+		},
 	})
 	if err != nil {
 		die(err)

@@ -30,6 +30,19 @@ func setupLogging(level string) error {
 	return nil
 }
 
+// eventLogger builds the event log of the serve, worker and gateway verbs:
+// JSON lines on stderr (obs.EventLogger) without -log-level, and with it
+// the text logger setupLogging installs at that level.
+func eventLogger(level string) (*slog.Logger, error) {
+	if level == "" {
+		return obs.EventLogger(os.Stderr), nil
+	}
+	if err := setupLogging(level); err != nil {
+		return nil, err
+	}
+	return slog.Default(), nil
+}
+
 // debugEnabled reports whether the default logger emits Debug records.
 func debugEnabled() bool {
 	return slog.Default().Enabled(nil, slog.LevelDebug)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -29,7 +28,7 @@ func runServe(args []string) {
 	cacheSize := fs.Int("cache-size", 128, "artifact cache entry budget")
 	maxParallel := fs.Int("max-parallel", 0, "per-job synthesis parallelism cap (0 = GOMAXPROCS)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Minute, "shutdown budget for in-flight jobs before hard cancel")
-	logLevel := fs.String("log-level", "", "route job events through slog at this verbosity (debug, info, warn, error) instead of the raw JSON stream")
+	logLevel := fs.String("log-level", "", "log job events as slog text records at this verbosity (debug, info, warn, error); empty = JSON lines at debug")
 	stateDir := fs.String("state-dir", "", "directory for the job journal, phase checkpoints, and disk artifact cache; enables crash recovery (empty = in-memory only)")
 	maxRetries := fs.Int("max-retries", 3, "in-process retry budget for transient durability failures (also the cap on a request's max_retries field)")
 	fs.Parse(args)
@@ -39,24 +38,20 @@ func runServe(args []string) {
 		os.Exit(1)
 	}
 
-	cfg := server.Config{
+	logger, err := eventLogger(*logLevel)
+	if err != nil {
+		die(err)
+	}
+	svc, err := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		JobTimeout:     *jobTimeout,
 		CacheSize:      *cacheSize,
 		MaxParallelism: *maxParallel,
-		LogWriter:      os.Stderr,
+		Logger:         logger,
 		StateDir:       *stateDir,
 		MaxRetries:     *maxRetries,
-	}
-	if *logLevel != "" {
-		if err := setupLogging(*logLevel); err != nil {
-			die(err)
-		}
-		cfg.Logger = slog.Default()
-		cfg.LogWriter = nil // one stream: slog replaces the raw JSON lines
-	}
-	svc, err := server.New(cfg)
+	})
 	if err != nil {
 		die(err)
 	}

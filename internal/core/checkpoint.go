@@ -61,9 +61,6 @@ type Checkpoint struct {
 	TraceBytes []byte
 	// ProgramBytes is the encoded merged program (set from PhaseMerge on).
 	ProgramBytes []byte
-	// CheckSummary is the static verifier's verdict for the merged
-	// program (set with ProgramBytes when verification ran).
-	CheckSummary string
 	// MemoBytes is a blocks.Memo snapshot of solved computation-proxy
 	// searches (set at PhaseSearch).
 	MemoBytes []byte
@@ -75,7 +72,7 @@ type Checkpoint struct {
 	CommSamples []codegen.CommSample
 }
 
-const checkpointMagic = "SIESTA-CKPT2"
+const checkpointMagic = "SIESTA-CKPT3"
 
 // Encode serializes the checkpoint in the compact binary currency shared
 // with the trace and program codecs.
@@ -87,7 +84,6 @@ func (cp *Checkpoint) Encode() []byte {
 	e.Float(cp.Overhead)
 	e.Str(string(cp.TraceBytes))
 	e.Str(string(cp.ProgramBytes))
-	e.Str(cp.CheckSummary)
 	e.Str(string(cp.MemoBytes))
 	e.Int(len(cp.CommSamples))
 	for _, cs := range cp.CommSamples {
@@ -126,9 +122,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint program: %w", err)
 	}
 	cp.ProgramBytes = []byte(s)
-	if cp.CheckSummary, err = d.Str(); err != nil {
-		return nil, fmt.Errorf("core: checkpoint check summary: %w", err)
-	}
 	if s, err = d.Str(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint memo: %w", err)
 	}
@@ -177,7 +170,6 @@ func (cp *Checkpoint) Equal(o *Checkpoint) bool {
 		cp.Overhead == o.Overhead &&
 		bytes.Equal(cp.TraceBytes, o.TraceBytes) &&
 		bytes.Equal(cp.ProgramBytes, o.ProgramBytes) &&
-		cp.CheckSummary == o.CheckSummary &&
 		slices.Equal(cp.CommSamples, o.CommSamples)
 }
 

@@ -217,7 +217,6 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	if res.ResumedFrom != PhaseSearch {
 		if err := r.save(PhaseSearch, func(cp *Checkpoint) {
 			cp.TraceBytes, cp.ProgramBytes = r.traceBytes, r.progBytes
-			cp.CheckSummary = res.Check.Summary()
 			m := r.memo
 			if m == nil {
 				m = blocks.DefaultMemo
@@ -519,7 +518,6 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 		if err := r.save(PhaseMerge, func(cp *Checkpoint) {
 			r.progBytes = res.Program.Encode()
 			cp.TraceBytes, cp.ProgramBytes = r.traceBytes, r.progBytes
-			cp.CheckSummary = res.Check.Summary()
 		}); err != nil {
 			return err
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"siesta/internal/obs"
 	"siesta/internal/server"
 	"siesta/internal/server/cache"
 )
@@ -71,7 +72,7 @@ func startFleet(t *testing.T, n int) *testFleet {
 	gw := NewGateway(GatewayConfig{
 		TTL:          600 * time.Millisecond,
 		RouteRefresh: 50 * time.Millisecond,
-		LogWriter:    gwLog,
+		Logger:       obs.EventLogger(gwLog),
 	})
 	gwTS := httptest.NewServer(gw.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
@@ -108,7 +109,7 @@ func startFleet(t *testing.T, n int) *testFleet {
 			AdvertiseURL: ts.URL,
 			RegistryURL:  gwTS.URL,
 			Heartbeat:    100 * time.Millisecond,
-			Server:       server.Config{Workers: 2, LogWriter: log},
+			Server:       server.Config{Workers: 2, Logger: obs.EventLogger(log)},
 		})
 		if err != nil {
 			t.Fatal(err)

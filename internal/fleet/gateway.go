@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -33,9 +34,10 @@ type GatewayConfig struct {
 	// when nil. With an embedded fleet registry the same instance carries
 	// siesta_fleet_workers and siesta_route_epoch.
 	Registry *metrics.Registry
-	// LogWriter receives one JSON object per line per routing event
-	// (dispatch, eviction, failover). Nil disables logging.
-	LogWriter io.Writer
+	// Logger receives one Info record per routing event (dispatch,
+	// eviction, failover); obs.EventLogger gives the JSON-line form. Nil
+	// disables logging.
+	Logger *slog.Logger
 }
 
 // gwJob is the gateway's record of one routed job: which worker holds it
@@ -95,8 +97,6 @@ type Gateway struct {
 	sessions map[string]*gwSession // open streamed-upload sessions, gt-%06d
 	nextSess int
 
-	logMu sync.Mutex
-
 	mRouted    *metrics.Counter
 	mFailovers *metrics.Counter
 	mProxyErr  *metrics.Counter
@@ -137,24 +137,12 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	return g
 }
 
-func (g *Gateway) logEvent(event string, fields map[string]any) {
-	w := g.cfg.LogWriter
-	if w == nil {
-		return
+// logEvent logs one routing event at Info with its attributes as slog
+// key/value pairs, in call order.
+func (g *Gateway) logEvent(event string, args ...any) {
+	if lg := g.cfg.Logger; lg != nil {
+		lg.Info(event, args...)
 	}
-	rec := make(map[string]any, len(fields)+2)
-	for k, v := range fields {
-		rec[k] = v
-	}
-	rec["ts"] = time.Now().UTC().Format(time.RFC3339Nano)
-	rec["event"] = event
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	g.logMu.Lock()
-	defer g.logMu.Unlock()
-	w.Write(append(data, '\n'))
 }
 
 // refreshRoutes pulls the registry's current table and publishes it if its
@@ -203,7 +191,7 @@ func (g *Gateway) evict(ctx context.Context, id string) {
 		g.rc.Deregister(dctx, id)
 		cancel()
 	}
-	g.logEvent("worker_evicted", map[string]any{"worker": id})
+	g.logEvent("worker_evicted", "worker", id)
 	g.refreshRoutes(ctx)
 }
 
@@ -378,10 +366,9 @@ func (g *Gateway) track(j *gwJob, rp reply, sr *server.SynthesizeResponse) {
 	g.jobs[j.id] = j
 	g.mu.Unlock()
 	g.mRouted.Inc()
-	g.logEvent("job_routed", map[string]any{
-		"job": j.id, "worker": j.worker, "remote": j.remote,
-		"key": string(j.key), "cached": sr.Cached, "streamed": j.noFailover,
-	})
+	g.logEvent("job_routed",
+		"job", j.id, "worker", j.worker, "remote", j.remote,
+		"key", string(j.key), "cached", sr.Cached, "streamed", j.noFailover)
 	sr.Job = rewriteView(sr.Job, j.id)
 	sr.ArtifactURL = "/v1/jobs/" + j.id + "/artifact"
 }
@@ -648,8 +635,8 @@ func (g *Gateway) checkFailovers(ctx context.Context) {
 			// re-run anywhere. Settle it as lost so the scan stops watching.
 			j.settle()
 			j.mu.Unlock()
-			g.logEvent("job_lost", map[string]any{"job": j.id, "worker": j.worker,
-				"reason": "streamed ingest cannot fail over"})
+			g.logEvent("job_lost", "job", j.id, "worker", j.worker,
+				"reason", "streamed ingest cannot fail over")
 			continue
 		}
 		g.redispatchLocked(ctx, rt, j)
@@ -695,15 +682,14 @@ func (g *Gateway) redispatchLocked(ctx context.Context, rt *routes, j *gwJob) {
 	}
 	var sr server.SynthesizeResponse
 	if rp.status >= 300 || json.Unmarshal(rp.body, &sr) != nil {
-		g.logEvent("failover_rejected", map[string]any{"job": j.id, "worker": owner.ID, "status": rp.status})
+		g.logEvent("failover_rejected", "job", j.id, "worker", owner.ID, "status", rp.status)
 		return
 	}
 	dead := j.worker
 	j.placed(owner, &sr)
 	j.failovers++
 	g.mFailovers.Inc()
-	g.logEvent("job_failover", map[string]any{
-		"job": j.id, "from": dead, "to": owner.ID, "remote": sr.Job.ID,
-		"resumed": resumed, "cached": sr.Cached,
-	})
+	g.logEvent("job_failover",
+		"job", j.id, "from", dead, "to", owner.ID, "remote", sr.Job.ID,
+		"resumed", resumed, "cached", sr.Cached)
 }

@@ -3,9 +3,12 @@
 // the gateway pins each session to a worker at open time and proxies every
 // later call on the session id. Opens are placed by the same candidate
 // loop as synthesize requests (place). Open requests that pre-declare their
-// content digest are routed by the same cache key the commit will resolve
-// to, keeping streamed uploads ring-affine with one-shot uploads of the
-// same content; undeclared opens are spread by the request body.
+// content digest are routed by the cache key the commit will resolve to,
+// so a repeated streamed upload of the same content lands on the worker
+// that cached it. That key ("ingest:" + stream digest) differs from a
+// one-shot upload's ("trace:" + raw trace bytes), so the two transports
+// are not ring-affine with each other; undeclared opens are spread by the
+// request body.
 //
 // A committed streamed job can never fail over: the chunks died with the
 // worker that held them, and there is no request body to re-submit. Such
@@ -79,9 +82,8 @@ func (g *Gateway) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 	sess.id = fmt.Sprintf("gt-%06d", g.nextSess)
 	g.sessions[sess.id] = sess
 	g.mu.Unlock()
-	g.logEvent("ingest_routed", map[string]any{
-		"session": sess.id, "worker": rp.to.ID, "remote": or.ID, "key": sess.key,
-	})
+	g.logEvent("ingest_routed",
+		"session", sess.id, "worker", rp.to.ID, "remote", or.ID, "key", sess.key)
 	or.ID = sess.id
 	rp.answer(w, or)
 }
@@ -102,7 +104,7 @@ func (g *Gateway) session(w http.ResponseWriter, r *http.Request, method, suffix
 	rp, err := g.forward(r.Context(), sess.to, method, "/v1/traces/"+sess.remote+suffix, body)
 	if err != nil {
 		g.dropSession(sess.id)
-		g.logEvent("ingest_session_lost", map[string]any{"session": sess.id, "worker": sess.to.ID})
+		g.logEvent("ingest_session_lost", "session", sess.id, "worker", sess.to.ID)
 		writeGatewayError(w, http.StatusBadGateway,
 			"worker %s holding session %s is unreachable; reopen and re-stream", sess.to.ID, sess.id)
 		return nil, reply{}, false
@@ -166,6 +168,6 @@ func (g *Gateway) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 	j := &gwJob{key: cache.Key(cr.CacheKey), noFailover: true}
 	g.track(j, rp, &cr.SynthesizeResponse)
 	g.dropSession(sess.id)
-	g.logEvent("ingest_committed", map[string]any{"session": sess.id, "job": j.id})
+	g.logEvent("ingest_committed", "session", sess.id, "job", j.id)
 	rp.answer(w, cr)
 }

@@ -37,8 +37,8 @@ func Decode(data []byte) (*Program, error) {
 		return nil, err
 	}
 	for i := 0; i < nterm; i++ {
-		r, err := decodeRecord(d)
-		if err != nil {
+		r := new(trace.Record)
+		if err := trace.DecodeRecord(d, r); err != nil {
 			return nil, fmt.Errorf("merge: terminal %d: %w", i, err)
 		}
 		p.Terminals = append(p.Terminals, r)
@@ -196,48 +196,4 @@ func decodeIntervals(d *trace.Dec) (*rankset.Set, error) {
 
 	}
 	return s, nil
-}
-
-// decodeRecord mirrors encodeRecord; field order is the contract.
-func decodeRecord(d *trace.Dec) (*trace.Record, error) {
-	var r trace.Record
-	var err error
-	read := func(dst *int) {
-		if err == nil {
-			*dst, err = d.Int()
-		}
-	}
-	if r.Func, err = d.Str(); err != nil {
-		return nil, err
-	}
-	read(&r.DestRel)
-	read(&r.SrcRel)
-	read(&r.Tag)
-	read(&r.Bytes)
-	read(&r.RecvTag)
-	read(&r.Root)
-	if err == nil {
-		r.Op, err = d.Str()
-	}
-	read(&r.CommPool)
-	read(&r.NewCommPool)
-	read(&r.ReqPool)
-	if err == nil {
-		r.ReqPools, err = d.Ints()
-	}
-	if err == nil {
-		r.Counts, err = d.Ints()
-	}
-	read(&r.Color)
-	read(&r.Key)
-	read(&r.ComputeCluster)
-	read(&r.FilePool)
-	read(&r.OffsetRel)
-	if err == nil {
-		r.FileName, err = d.Str()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -250,31 +250,38 @@ func (in *Ingest) Build() (*Program, error) {
 		}
 	}
 
-	// The losslessness self-check's reference. A streamed session retains
-	// no event sequences — bounding that memory is the point — so it
-	// compares against each grammar's own expansion over root ids; the
-	// ExpandedLen gate above pins every grammar to its ingested event
-	// count, so the check still catches any divergence from the depth
-	// merge onward. Batch Build still holds the trace, so it compares
-	// against the rank's own events mapped onto root ids.
-	lossless := func(rank int, got []int) bool { return slices.Equal(got, grammars[rank].Expand()) }
-	if in.src != nil {
-		lossless = func(rank int, got []int) bool {
-			rm, wire := root.recMaps[rank].S, in.ranks[rank].lt.wireRec
-			events := in.src.Ranks[rank].Events
-			if len(got) != len(events) {
-				return false
-			}
-			for i, id := range events {
-				if got[i] != rm[wire[id]] {
-					return false
-				}
-			}
-			return true
+	// The losslessness self-check's reference: the rank's ingested events
+	// mapped onto root ids. Batch Build still holds the trace and reads
+	// them from it. A streamed session reads its leaf class's sequence
+	// (equal to the rank's own); a rank past deferCap kept none, so its
+	// grammar's own expansion stands in, pinned only by the ExpandedLen
+	// gate above.
+	lossless := func(rank int, got []int) bool {
+		rm, c := root.recMaps[rank].S, in.ranks[rank].class
+		if in.src != nil {
+			wire := in.ranks[rank].lt.wireRec
+			return mapsOnto(got, in.src.Ranks[rank].Events, func(id int) int { return rm[wire[id]] })
 		}
+		if c.seq == nil {
+			return slices.Equal(got, grammars[rank].Expand())
+		}
+		return mapsOnto(got, c.seq, func(leaf int) int { return rm[leaf] })
 	}
 	return assemble(len(in.ranks), in.platform, in.impl,
 		root.records, root.clusters, grammars, rep, lossless, opts)
+}
+
+// mapsOnto reports whether got is ids mapped element-wise through f.
+func mapsOnto(got, ids []int, f func(int) int) bool {
+	if len(got) != len(ids) {
+		return false
+	}
+	for i, id := range ids {
+		if got[i] != f(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // leafClass is one distinct event sequence over leaf ids in a session and

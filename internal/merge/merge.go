@@ -226,9 +226,44 @@ func assemble(numRanks int, platformName, implName string,
 		for rank, body := range mains {
 			p.Mains = append(p.Mains, singleRankMain(rank, body))
 		}
-		return p, nil
+	} else {
+		p.Mains = mergeMains(mains, rep, opts)
 	}
 
+	// Losslessness self-check: every rank's expansion must reproduce its
+	// reference sequence exactly. Expansion only reads the finished
+	// program, so ranks check concurrently; the lowest failing rank is
+	// reported, as in the sequential pass.
+	cur, err := NewCursor(p)
+	if err != nil {
+		return nil, err
+	}
+	expandErrs := make([]error, len(grammars))
+	parfor(len(grammars), par, func(rank int) {
+		c := cur.Clone()
+		if err := c.Reset(rank); err != nil {
+			expandErrs[rank] = err
+			return
+		}
+		got := c.Append(make([]int, 0, c.Len()))
+		if !lossless(rank, got) {
+			expandErrs[rank] = fmt.Errorf("merge: rank %d expansion (%d events) diverges from trace",
+				rank, len(got))
+		}
+	})
+	for _, err := range expandErrs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// mergeMains clusters the per-rank main bodies by edit distance and
+// LCS-merges each cluster into one Main, in rank order (§2.6.2). A class
+// member (rep[rank] != rank) has its representative's body.
+func mergeMains(mains [][]Sym, rep []int, opts Options) []Main {
+	par := opts.Parallelism
 	type group struct {
 		rep    []Sym
 		merged Main
@@ -279,37 +314,11 @@ func assemble(numRanks int, platformName, implName string,
 		}
 		groupOf[rank] = placed
 	}
+	var out []Main
 	for _, gr := range groups {
-		p.Mains = append(p.Mains, gr.merged)
+		out = append(out, gr.merged)
 	}
-
-	// Losslessness self-check: every rank's expansion must reproduce its
-	// reference sequence exactly. Expansion only reads the finished
-	// program, so ranks check concurrently; the lowest failing rank is
-	// reported, as in the sequential pass.
-	cur, err := NewCursor(p)
-	if err != nil {
-		return nil, err
-	}
-	expandErrs := make([]error, len(grammars))
-	parfor(len(grammars), par, func(rank int) {
-		c := cur.Clone()
-		if err := c.Reset(rank); err != nil {
-			expandErrs[rank] = err
-			return
-		}
-		got := c.Append(make([]int, 0, c.Len()))
-		if !lossless(rank, got) {
-			expandErrs[rank] = fmt.Errorf("merge: rank %d expansion (%d events) diverges from trace",
-				rank, len(got))
-		}
-	})
-	for _, err := range expandErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return out
 }
 
 func singleRankMain(rank int, body []Sym) Main {

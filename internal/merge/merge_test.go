@@ -2,11 +2,13 @@ package merge
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"siesta/internal/mpi"
 	"siesta/internal/perfmodel"
 	"siesta/internal/rankset"
+	"siesta/internal/sequitur"
 	"siesta/internal/trace"
 )
 
@@ -176,6 +178,19 @@ func TestBuildDisableMainMerge(t *testing.T) {
 		if _, err := p.ExpandRank(rank); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// The ablation programs run the losslessness self-check too: with main
+// merging disabled, a lossless func that rejects rank 0 fails assemble.
+func TestAssembleDisableMainMergeRunsSelfCheck(t *testing.T) {
+	terminals := []*trace.Record{sendRec(8), sendRec(16)}
+	grammars := []*sequitur.Grammar{infer([]int{0, 1, 0, 1}, Options{}), infer([]int{1, 0}, Options{})}
+	rejectRank0 := func(rank int, got []int) bool { return rank != 0 }
+	opts := Options{DisableMainMerge: true}.withDefaults()
+	_, err := assemble(2, "A", "openmpi", terminals, nil, grammars, []int{0, 1}, rejectRank0, opts)
+	if err == nil || !strings.Contains(err.Error(), "rank 0 expansion") {
+		t.Fatalf("assemble with DisableMainMerge: err = %v, want rank 0 to fail the self-check", err)
 	}
 }
 

@@ -212,7 +212,7 @@ func (p *Program) Encode() []byte {
 	e.Int(p.MergeRounds)
 	e.Int(len(p.Terminals))
 	for _, r := range p.Terminals {
-		encodeRecord(&e, r)
+		trace.EncodeRecord(&e, r)
 	}
 	e.Int(len(p.Clusters))
 	for _, c := range p.Clusters {
@@ -269,29 +269,4 @@ func encodeIntervals(e *trace.Enc, s *rankset.Set) {
 		e.Int(p[0])
 		e.Int(p[1])
 	}
-}
-
-// encodeRecord mirrors the trace codec's record encoding. (The trace package
-// keeps its encoder unexported; duplicating the five-line walk here keeps
-// the packages decoupled without exporting codec internals.)
-func encodeRecord(e *trace.Enc, r *trace.Record) {
-	e.Str(r.Func)
-	e.Int(r.DestRel)
-	e.Int(r.SrcRel)
-	e.Int(r.Tag)
-	e.Int(r.Bytes)
-	e.Int(r.RecvTag)
-	e.Int(r.Root)
-	e.Str(r.Op)
-	e.Int(r.CommPool)
-	e.Int(r.NewCommPool)
-	e.Int(r.ReqPool)
-	e.Ints(r.ReqPools)
-	e.Ints(r.Counts)
-	e.Int(r.Color)
-	e.Int(r.Key)
-	e.Int(r.ComputeCluster)
-	e.Int(r.FilePool)
-	e.Int(r.OffsetRel)
-	e.Str(r.FileName)
 }

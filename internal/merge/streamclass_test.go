@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -134,5 +135,31 @@ func TestStreamedRankClassPastDeferCap(t *testing.T) {
 	}
 	if classes, runs := in.ClassCounts(); classes != 2 || runs != 2 {
 		t.Fatalf("batch: %d root classes and %d Sequitur runs, want 2 and 2", classes, runs)
+	}
+}
+
+// A streamed session's losslessness self-check compares each rank's
+// expansion with the leaf ids it ingested, so it sees a corrupted
+// leaf-class grammar whose expansion keeps its length: two distinct
+// terminals swapped in the class's main rule must fail Build.
+func TestStreamedSelfCheckCatchesSameLengthCorruption(t *testing.T) {
+	tr := patternTrace([][]int{{0, 1, 2, 0, 1, 2, 3, 4}, {0, 1, 0, 1, 4}}, []int{0, 1, 0, 1}, 5)
+	in := feedIngest(t, tr, Options{}, 0, nil)
+	main := in.ranks[0].class.g.Rules[0]
+	swapped := false
+	for i := 0; i < len(main) && !swapped; i++ {
+		for j := i + 1; j < len(main); j++ {
+			if !main[i].IsRule && !main[j].IsRule && main[i].Ref != main[j].Ref {
+				main[i], main[j] = main[j], main[i]
+				swapped = true
+				break
+			}
+		}
+	}
+	if !swapped {
+		t.Fatalf("main rule %v has no two distinct terminals", main)
+	}
+	if _, err := in.Build(); err == nil || !strings.Contains(err.Error(), "diverges from trace") {
+		t.Fatalf("Build over a corrupted leaf grammar: err = %v, want a divergence", err)
 	}
 }

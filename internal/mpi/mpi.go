@@ -56,8 +56,6 @@ func (c *Comm) RankOf(world int) int {
 	return -1
 }
 
-func (c *Comm) contains(world int) bool { _, ok := c.index[world]; return ok }
-
 // Request kinds.
 const (
 	reqSend = iota

@@ -278,15 +278,6 @@ func (w *World) newComm(id int, worldRanks []int) *Comm {
 	return c
 }
 
-// Size reports the number of ranks in the world.
-func (w *World) Size() int { return w.cfg.Size }
-
-// Platform reports the hardware platform model.
-func (w *World) Platform() *platform.Platform { return w.cfg.Platform }
-
-// Impl reports the MPI implementation model.
-func (w *World) Impl() *netmodel.Impl { return w.cfg.Impl }
-
 // RankResult is one rank's outcome of a run.
 type RankResult struct {
 	Rank        int

@@ -40,12 +40,6 @@ type Attr struct {
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: int64(v)} }
 
-// Int64 builds an integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
-
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
 // String builds a string attribute.
 func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 

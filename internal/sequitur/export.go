@@ -18,7 +18,10 @@ type Grammar struct {
 
 // Grammar exports the builder's current grammar. Rules are numbered in
 // depth-first first-reference order from the main rule, which makes the
-// numbering deterministic for identical inputs.
+// numbering deterministic for identical inputs. Export only reads the rule
+// lists, so a mid-stream export does not perturb inference: appending
+// afterwards continues exactly as if it had never been taken, which the
+// streaming ingest path (internal/merge's RankIngestor) relies on.
 func (b *Builder) Grammar() *Grammar {
 	order := map[*rule]int{b.main: 0}
 	list := []*rule{b.main}

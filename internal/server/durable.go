@@ -96,9 +96,8 @@ func (s *Server) journalRec(rec *durable.Record) error {
 		return nil
 	}
 	if err := s.journal.Append(rec); err != nil {
-		s.logEvent("journal_error", map[string]any{
-			"job": rec.Job, "type": string(rec.Type), "error": err.Error(),
-		})
+		s.logEvent("journal_error",
+			"job", rec.Job, "type", string(rec.Type), "error", err.Error())
 		return err
 	}
 	return nil
@@ -130,7 +129,7 @@ func (s *Server) recoverJobs(recs []durable.Record) {
 				Error: fmt.Sprintf("abandoned after %d interrupted attempts", st.Attempts),
 			})
 			s.dropCheckpoint(id)
-			s.logEvent("job_abandoned", map[string]any{"job": id, "attempts": st.Attempts})
+			s.logEvent("job_abandoned", "job", id, "attempts", st.Attempts)
 			continue
 		}
 		var req SynthesizeRequest
@@ -154,7 +153,7 @@ func (s *Server) recoverJobs(recs []durable.Record) {
 			s.journalRec(&durable.Record{Type: durable.TypeDone, Job: id, Key: string(jb.key)})
 			s.dropCheckpoint(id)
 			s.registerRecoveredDone(jb, st.Enqueued)
-			s.logEvent("job_recovered", map[string]any{"job": id, "app": jb.app, "outcome": "artifact already on disk"})
+			s.logEvent("job_recovered", "job", id, "app", jb.app, "outcome", "artifact already on disk")
 			continue
 		}
 		if st.CheckpointFile != "" {
@@ -168,9 +167,8 @@ func (s *Server) recoverJobs(recs []durable.Record) {
 		}
 		s.admitRecovered(jb, st.Enqueued)
 		s.mRecovered.Inc()
-		s.logEvent("job_recovered", map[string]any{
-			"job": id, "app": jb.app, "attempts": st.Attempts, "resume": st.CheckpointPhase,
-		})
+		s.logEvent("job_recovered",
+			"job", id, "app", jb.app, "attempts", st.Attempts, "resume", st.CheckpointPhase)
 	}
 }
 

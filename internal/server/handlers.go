@@ -365,7 +365,7 @@ func (s *Server) submit(w http.ResponseWriter, jb *job, settled func(sr Synthesi
 	if !jb.wantTrace && !jb.wantAnalyze && s.cached(jb.key) {
 		s.mHits.Inc()
 		s.registerCached(jb)
-		s.logEvent("cache_hit", map[string]any{"job": jb.id, "app": jb.app, "key": string(jb.key)})
+		s.logEvent("cache_hit", "job", jb.id, "app", jb.app, "key", string(jb.key))
 		sr.Job = jb.view()
 	} else {
 		s.mMisses.Inc()
@@ -379,7 +379,7 @@ func (s *Server) submit(w http.ResponseWriter, jb *job, settled func(sr Synthesi
 			writeError(w, http.StatusTooManyRequests, "job queue is full (%d queued)", s.cfg.QueueDepth)
 			return
 		}
-		s.logEvent("job_queued", map[string]any{"job": jb.id, "app": jb.app, "ranks": jb.ranks, "key": string(jb.key)})
+		s.logEvent("job_queued", "job", jb.id, "app", jb.app, "ranks", jb.ranks, "key", string(jb.key))
 		sr, status = SynthesizeResponse{Job: view}, http.StatusAccepted
 	}
 	sr.CacheKey, sr.ArtifactURL = string(jb.key), "/v1/jobs/"+jb.id+"/artifact"
@@ -406,7 +406,7 @@ func (s *Server) cached(key cache.Key) bool {
 		return false
 	}
 	if perr := s.store.Put(art); perr != nil {
-		s.logEvent("cache_disk_error", map[string]any{"key": string(key), "error": perr.Error()})
+		s.logEvent("cache_disk_error", "key", string(key), "error", perr.Error())
 	}
 	s.mPeerHits.Inc()
 	return true
@@ -445,7 +445,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s already %s", jb.id, jb.view().Status)
 		return
 	}
-	s.logEvent("job_cancel", map[string]any{"job": jb.id})
+	s.logEvent("job_cancel", "job", jb.id)
 	writeJSON(w, http.StatusOK, jb.view())
 }
 

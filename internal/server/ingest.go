@@ -251,9 +251,8 @@ func (s *Server) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 	s.ingests[sess.id] = sess
 	s.ingestMu.Unlock()
 
-	s.logEvent("ingest_open", map[string]any{
-		"session": sess.id, "ranks": req.NumRanks, "key": string(declaredKey),
-	})
+	s.logEvent("ingest_open",
+		"session", sess.id, "ranks", req.NumRanks, "key", string(declaredKey))
 	writeJSON(w, http.StatusCreated, TraceOpenResponse{
 		ID: sess.id, NumRanks: req.NumRanks, CacheKey: string(declaredKey),
 	})
@@ -378,7 +377,7 @@ func (s *Server) handleTraceAbort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.closeIngest(sess)
-	s.logEvent("ingest_abort", map[string]any{"session": sess.id})
+	s.logEvent("ingest_abort", "session", sess.id)
 	writeJSON(w, http.StatusOK, map[string]any{"id": sess.id, "aborted": true})
 }
 
@@ -447,10 +446,9 @@ func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 			s.ingestMu.Lock()
 			delete(s.ingests, sess.id)
 			s.ingestMu.Unlock()
-			s.logEvent("ingest_commit", map[string]any{
-				"session": sess.id, "job": jb.id, "ranks": jb.ranks, "key": string(key),
-				"spilled": spill.Spilled, "spilled_bytes": spill.SpilledBytes,
-			})
+			s.logEvent("ingest_commit",
+				"session", sess.id, "job", jb.id, "ranks", jb.ranks, "key", string(key),
+				"spilled", spill.Spilled, "spilled_bytes", spill.SpilledBytes)
 		} else {
 			// Answered from the cache: the session's partial state is
 			// simply discarded.

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"runtime/debug"
@@ -55,13 +54,9 @@ type Config struct {
 	// GOMAXPROCS. Parallelism never changes synthesized output, so it does
 	// not participate in artifact-cache keys.
 	MaxParallelism int
-	// LogWriter receives one JSON object per line per job event
-	// (admission, phase transitions, completion). Nil disables the plain
-	// JSON stream.
-	LogWriter io.Writer
-	// Logger, when non-nil, receives the same job events as structured
-	// log/slog records at Info level (Debug for phase transitions). It
-	// composes with LogWriter; set either or both.
+	// Logger receives one record per job event (admission, phase
+	// transitions, completion): Info level, Debug for phase transitions.
+	// obs.EventLogger gives the JSON-line form. Nil disables logging.
 	Logger *slog.Logger
 	// Registry receives the service metrics; a private registry is
 	// created when nil.
@@ -154,8 +149,6 @@ type Server struct {
 	// draining, so a fleet gateway never routes to a node still replaying
 	// its WAL or on its way out.
 	ready atomic.Bool
-
-	logMu sync.Mutex
 
 	// Streaming-upload sessions (POST /v1/traces), by session id. A
 	// session leaves the map on commit (ownership moves to the job) or
@@ -301,38 +294,18 @@ func (s *Server) Artifact(key cache.Key) (*cache.Artifact, bool) {
 // Metrics returns the registry the server reports into.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// logEvent writes one structured JSON log line; fields must be
-// JSON-encodable. Events also flow to the slog Logger when one is
-// configured; with neither sink, logging is disabled entirely.
-func (s *Server) logEvent(event string, fields map[string]any) {
-	if lg := s.cfg.Logger; lg != nil {
-		level := slog.LevelInfo
-		if event == "phase" {
-			level = slog.LevelDebug
-		}
-		attrs := make([]any, 0, 2*len(fields))
-		for k, v := range fields {
-			attrs = append(attrs, k, v)
-		}
-		lg.Log(context.Background(), level, event, attrs...)
-	}
-	w := s.cfg.LogWriter
-	if w == nil {
+// logEvent logs one job event with its attributes as slog key/value
+// pairs, in call order: Debug for phase transitions, Info otherwise.
+func (s *Server) logEvent(event string, args ...any) {
+	lg := s.cfg.Logger
+	if lg == nil {
 		return
 	}
-	rec := make(map[string]any, len(fields)+2)
-	for k, v := range fields {
-		rec[k] = v
+	level := slog.LevelInfo
+	if event == "phase" {
+		level = slog.LevelDebug
 	}
-	rec["ts"] = time.Now().UTC().Format(time.RFC3339Nano)
-	rec["event"] = event
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	w.Write(append(data, '\n'))
+	lg.Log(context.Background(), level, event, args...)
 }
 
 // Admission refusals: the server is draining, or the queue is full
@@ -460,7 +433,7 @@ func (s *Server) runJob(jb *job) {
 	s.gRunning.Add(1)
 	defer s.gRunning.Add(-1)
 	s.gPhasePar.Set(int64(jb.parallelism))
-	s.logEvent("job_start", map[string]any{"job": jb.id, "app": jb.app, "ranks": jb.ranks, "parallelism": jb.parallelism, "recovered": jb.recovered})
+	s.logEvent("job_start", "job", jb.id, "app", jb.app, "ranks", jb.ranks, "parallelism", jb.parallelism, "recovered", jb.recovered)
 
 	// Attempt loop: transient (durability I/O) failures back off and
 	// retry within the job's budget, resuming from the latest checkpoint;
@@ -483,7 +456,7 @@ func (s *Server) runJob(jb *job) {
 		}
 		s.mRetries.Inc()
 		delay := s.retryDelay(attempt)
-		s.logEvent("job_retry", map[string]any{"job": jb.id, "attempt": attempt, "delay_ms": delay.Milliseconds(), "error": err.Error()})
+		s.logEvent("job_retry", "job", jb.id, "attempt", attempt, "delay_ms", delay.Milliseconds(), "error", err.Error())
 		select {
 		case <-ctx.Done():
 		case <-time.After(delay):
@@ -529,7 +502,7 @@ func (s *Server) runJob(jb *job) {
 	switch {
 	case status == StatusDone:
 		if perr := s.store.Put(art); perr != nil {
-			s.logEvent("cache_disk_error", map[string]any{"job": jb.id, "error": perr.Error()})
+			s.logEvent("cache_disk_error", "job", jb.id, "error", perr.Error())
 		}
 		s.journalRec(&durable.Record{Type: durable.TypeDone, Job: jb.id, Key: string(jb.key)})
 		s.dropCheckpoint(jb.id)
@@ -542,11 +515,11 @@ func (s *Server) runJob(jb *job) {
 	}
 
 	s.hJobDur.Observe(dur.Seconds())
-	ev := map[string]any{"job": jb.id, "status": string(status), "duration_ms": dur.Milliseconds()}
+	ev := []any{"job", jb.id, "status", string(status), "duration_ms", dur.Milliseconds()}
 	if errMsg != "" {
-		ev["error"] = errMsg
+		ev = append(ev, "error", errMsg)
 	}
-	s.logEvent("job_end", ev)
+	s.logEvent("job_end", ev...)
 }
 
 // runAttempt executes one synthesis attempt under a fresh tracer. Every
@@ -563,7 +536,7 @@ func (s *Server) runAttempt(ctx context.Context, jb *job) (*cache.Artifact, []by
 	tracer.SetObserver(func(ev obs.PhaseEvent) {
 		if !ev.End {
 			jb.setPhase(ev.Name)
-			s.logEvent("phase", map[string]any{"job": jb.id, "phase": ev.Name})
+			s.logEvent("phase", "job", jb.id, "phase", ev.Name)
 			return
 		}
 		secs := ev.Dur.Seconds()

@@ -118,7 +118,7 @@ func (b *syncBuffer) String() string {
 
 func TestSynthesizeEndToEndAndCacheHit(t *testing.T) {
 	var logBuf syncBuffer
-	_, ts := newTestServer(t, Config{Workers: 2, LogWriter: &logBuf})
+	_, ts := newTestServer(t, Config{Workers: 2, Logger: obs.EventLogger(&logBuf)})
 
 	req := SynthesizeRequest{App: "CG", Ranks: 8, Iters: 3, Seed: 7}
 	resp, body := postJSON(t, ts.URL+"/v1/synthesize", req)

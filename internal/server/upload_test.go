@@ -17,6 +17,7 @@ import (
 	"siesta/internal/core"
 	"siesta/internal/durable"
 	"siesta/internal/merge"
+	"siesta/internal/obs"
 	"siesta/internal/server/cache"
 	"siesta/internal/trace"
 )
@@ -221,7 +222,7 @@ func TestTraceUploadResumesFromMergeCheckpoint(t *testing.T) {
 		durable.Record{Type: durable.TypeCheckpoint, Job: "j-000003", Phase: core.PhaseMerge, File: name},
 	)
 	logs := &syncBuffer{}
-	s, ts := newStateServer(t, dir, Config{Workers: 1, LogWriter: logs})
+	s, ts := newStateServer(t, dir, Config{Workers: 1, Logger: obs.EventLogger(logs)})
 	if v := waitJob(t, ts.URL, "j-000003"); v.Status != StatusDone {
 		t.Fatalf("resumed job settled %s (%s)", v.Status, v.Error)
 	}

@@ -28,7 +28,7 @@ import (
 //	stream := header (cluster | record | events)* end
 //	header := tag=0 magic rank
 //	cluster:= tag=1 Rep[i] Sum[i]… N TimeSum
-//	record := tag=2 <encodeRecord fields>
+//	record := tag=2 <EncodeRecord fields>
 //	events := tag=3 count id…          (ids are wire record ids)
 //	end    := tag=4 events records clusters   (totals, validated)
 
@@ -108,7 +108,7 @@ func ChunkEncodeRank(rt *RankTrace) []byte {
 				}
 			}
 			e.Uvarint(ChunkTagRecord)
-			encodeRecord(&e, r)
+			EncodeRecord(&e, r)
 			frame()
 		}
 	}
@@ -307,7 +307,7 @@ func (d *ChunkDec) frame(payload []byte, emit func(ChunkItem) error) error {
 		d.nClusters++
 	case ChunkTagRecord:
 		r := &Record{}
-		if err := decodeRecord(dec, r); err != nil {
+		if err := DecodeRecord(dec, r); err != nil {
 			return d.fail("record: %v", err)
 		}
 		if r.IsCompute() && (r.ComputeCluster < 0 || r.ComputeCluster >= d.nClusters) {

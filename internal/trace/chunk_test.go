@@ -20,7 +20,7 @@ func itemString(it ChunkItem) string {
 		return fmt.Sprintf("C%v|%v|%d|%g", it.Cluster.Rep, it.Cluster.Sum, it.Cluster.N, it.Cluster.TimeSum)
 	case ChunkTagRecord:
 		var e Enc
-		encodeRecord(&e, it.Record)
+		EncodeRecord(&e, it.Record)
 		return fmt.Sprintf("R%x", e.Bytes())
 	case ChunkTagEvents:
 		return fmt.Sprintf("E%v", it.Events)

@@ -172,8 +172,9 @@ func (d *Dec) Ints() ([]int, error) {
 	return v, nil
 }
 
-// encodeRecord appends one record's full parameter set.
-func encodeRecord(e *Enc, r *Record) {
+// EncodeRecord appends one record's full parameter set. The trace, chunk
+// and spill codecs and merge's program encoding all write records with it.
+func EncodeRecord(e *Enc, r *Record) {
 	e.Str(r.Func)
 	e.Int(r.DestRel)
 	e.Int(r.SrcRel)
@@ -195,9 +196,9 @@ func encodeRecord(e *Enc, r *Record) {
 	e.Str(r.FileName)
 }
 
-// recordSize mirrors encodeRecord byte for byte, so Encode can compute the
+// recordSize mirrors EncodeRecord byte for byte, so Encode can compute the
 // exact output size in a first pass instead of growing a buffer as it goes.
-// Pinned against encodeRecord by TestRecordSizeExact.
+// Pinned against EncodeRecord by TestRecordSizeExact.
 func recordSize(r *Record) int {
 	return strLen(r.Func) +
 		intLen(r.DestRel) +
@@ -220,7 +221,8 @@ func recordSize(r *Record) int {
 		strLen(r.FileName)
 }
 
-func decodeRecord(d *Dec, r *Record) error {
+// DecodeRecord reads one record EncodeRecord wrote into r.
+func DecodeRecord(d *Dec, r *Record) error {
 	var err error
 	read := func(dst *int) {
 		if err == nil {
@@ -315,7 +317,7 @@ func (t *Trace) Encode() []byte {
 		e.Int(rt.Rank)
 		e.Int(len(rt.Table))
 		for _, r := range rt.Table {
-			encodeRecord(&e, r)
+			EncodeRecord(&e, r)
 		}
 		e.Int(len(rt.Clusters))
 		for _, cl := range rt.Clusters {
@@ -373,7 +375,7 @@ func Decode(data []byte) (*Trace, error) {
 		rt.Table = make([]*Record, nrec)
 		for j := 0; j < nrec; j++ {
 			r := &records[j]
-			if err := decodeRecord(d, r); err != nil {
+			if err := DecodeRecord(d, r); err != nil {
 				return nil, err
 			}
 			rt.Table[j] = r

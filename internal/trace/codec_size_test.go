@@ -56,12 +56,12 @@ func sampleRecords() []*Record {
 	}
 }
 
-// TestRecordSizeExact pins recordSize against what encodeRecord actually
+// TestRecordSizeExact pins recordSize against what EncodeRecord actually
 // writes, field class by field class.
 func TestRecordSizeExact(t *testing.T) {
 	for i, r := range sampleRecords() {
 		var e Enc
-		encodeRecord(&e, r)
+		EncodeRecord(&e, r)
 		if got, want := recordSize(r), e.Len(); got != want {
 			t.Errorf("record %d (%s): recordSize = %d, encoded = %d", i, r.Func, got, want)
 		}

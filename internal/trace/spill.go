@@ -204,7 +204,7 @@ func (t *SpillTable) Intern(r *Record, key []byte) int {
 	// table's id sequence never depends on I/O health.
 	t.locs = append(t.locs, spillLoc{off: t.woff, len: int32(sz)})
 	if t.err == nil {
-		encodeRecord(&t.pend, r)
+		EncodeRecord(&t.pend, r)
 		t.woff += int64(sz)
 	}
 	return id
@@ -263,7 +263,7 @@ func (t *SpillTable) Take() (records []*Record, keys []string, index map[string]
 	recs := make([]Record, len(t.locs))
 	for i, loc := range t.locs {
 		d := NewDec(buf.S[loc.off : loc.off+int64(loc.len)])
-		if err := decodeRecord(d, &recs[i]); err != nil {
+		if err := DecodeRecord(d, &recs[i]); err != nil {
 			return nil, nil, nil, fmt.Errorf("trace: spill decode record %d: %w", base+i, err)
 		}
 		records[base+i] = &recs[i]

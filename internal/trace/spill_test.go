@@ -77,8 +77,8 @@ func checkTake(t *testing.T, tab *SpillTable, want []*Record) {
 	}
 	for i, r := range records {
 		var got, exp Enc
-		encodeRecord(&got, r)
-		encodeRecord(&exp, want[i])
+		EncodeRecord(&got, r)
+		EncodeRecord(&exp, want[i])
 		if !bytes.Equal(got.Bytes(), exp.Bytes()) {
 			t.Fatalf("record %d: got %+v, want %+v", i, r, want[i])
 		}
