@@ -389,17 +389,28 @@ func pipelineTrace(b *testing.B, ranks int) *trace.Trace {
 
 // gateSpeedup is a speed-up gate inside a benchmark, so CI's bench smoke
 // fails on a regression even at -benchtime=1x: it times the serial and the
-// parallel leg best of 3 each, reports the parallel leg's speed-up, and
-// fails below min. The legs alternate, so garbage one leg leaves behind is
-// collected during both rather than always during the second. At
-// GOMAXPROCS < 2 the legs cannot run concurrently, so it reports without
-// asserting; CI's bench job refuses such a runner.
+// parallel leg best of 3 batches each, reports the parallel leg's speed-up,
+// and fails below min. A batch repeats its leg until it has run for
+// gateBatch and counts the mean time per call, so a leg of 100 µs is timed
+// over hundreds of calls instead of one. The legs alternate, so garbage one
+// leg leaves behind is collected during both rather than always during the
+// second. At GOMAXPROCS < 2 the legs cannot run concurrently, so it reports
+// without asserting; CI's bench job refuses such a runner.
+// gateBatch is the least wall time one timed batch of a gate leg runs.
+const gateBatch = 20 * time.Millisecond
+
 func gateSpeedup(b *testing.B, min float64, serial, parallel func()) {
 	b.Helper()
 	timed := func(fn func(), best *time.Duration) {
 		start := time.Now()
-		fn()
-		if d := time.Since(start); d < *best {
+		var elapsed time.Duration
+		calls := 0
+		for elapsed < gateBatch {
+			fn()
+			calls++
+			elapsed = time.Since(start)
+		}
+		if d := elapsed / time.Duration(calls); d < *best {
 			*best = d
 		}
 	}

@@ -158,7 +158,11 @@ func runWorker(args []string) {
 		fmt.Fprintf(os.Stderr, "siesta worker: http shutdown: %v\n", err)
 	}
 	if err := w.Close(drainCtx); err != nil {
-		die(fmt.Errorf("drain: %w", err))
+		var derr *fleet.DeregisterError
+		if !errors.As(err, &derr) {
+			die(fmt.Errorf("drain: %w", err))
+		}
+		fmt.Fprintf(os.Stderr, "siesta worker: warning: %v\n", err)
 	}
 	fmt.Fprintln(os.Stderr, "siesta worker: drained, bye")
 }

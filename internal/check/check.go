@@ -16,6 +16,7 @@ package check
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"siesta/internal/merge"
 )
@@ -199,11 +200,16 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// machineRuns counts Verify calls, so tests can pin how often a pipeline
+// runs the machine.
+var machineRuns atomic.Int64
+
 // Verify statically checks the program and returns the structured report.
 // The error return is reserved for structurally broken programs (a rank
 // without a main rule, dangling grammar references); semantic findings are
 // diagnostics, never errors.
 func Verify(p *merge.Program, opts Options) (*Report, error) {
+	machineRuns.Add(1)
 	m, err := newMachine(p, opts.withDefaults())
 	if err != nil {
 		return nil, err

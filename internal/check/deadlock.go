@@ -18,8 +18,8 @@ import (
 
 func (m *machine) reportDeadlock() {
 	var blocked []*lrank
-	for _, r := range m.ranks {
-		if !r.done {
+	for i := range m.ranks {
+		if r := &m.ranks[i]; !r.done {
 			blocked = append(blocked, r)
 		}
 	}
@@ -49,7 +49,7 @@ func (m *machine) reportDeadlock() {
 // blockInfo describes what a stuck rank is blocked in and which ranks it is
 // waiting on (the outgoing match-order edges).
 func (m *machine) blockInfo(r *lrank) (string, []int) {
-	rec := m.p.Terminals[r.seq[r.pc]]
+	rec := m.p.Terminals[r.term]
 	switch {
 	case r.curRecv != nil:
 		return fmt.Sprintf("%s from %s tag %s", rec.Func,
@@ -101,7 +101,7 @@ func reqBlock(req *vreq) (string, []int) {
 	}
 	switch req.kind {
 	case rkRecv:
-		if req.recv != nil && req.recv.matched == nil {
+		if req.recv != nil && req.recv.msgID < 0 {
 			return fmt.Sprintf("%s from %s tag %s", fn,
 				peerName(req.recv.src), tagName(req.recv.tag)), recvEdges(req.recv)
 		}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"siesta/internal/merge"
@@ -30,9 +31,14 @@ type evRef struct{ rank, idx int }
 // cannot confuse two generations of communicators.
 type vcomm struct {
 	id      int
-	members []int    // comm rank -> world rank
-	index   []int    // world rank -> comm rank, -1 for non-members
-	slots   []*vslot // collective sequence number -> rendezvous slot
+	members []int // comm rank -> world rank
+	index   []int // world rank -> comm rank, -1 for non-members
+	// slots holds the open rendezvous slots by collective sequence number,
+	// starting at slotBase. A slot leaves once every member has arrived (no
+	// member can arrive at its sequence number again), so the window spans
+	// only the steps some member has reached and another has not.
+	slots    []*vslot
+	slotBase int
 }
 
 type vfile struct {
@@ -41,30 +47,37 @@ type vfile struct {
 }
 
 // vmsg is one in-flight message. It holds the communicator's instance id
-// rather than a pointer so the message arena stays pointer-free (no write
-// barriers or GC scans on the hottest allocation).
+// rather than a pointer so the message free list stays pointer-free (no
+// write barriers or GC scans on the hottest allocation). A buffered message
+// is released the moment a receive matches it; an MPI_Ssend's waits for its
+// sender to advance.
 type vmsg struct {
 	id          int // machine-global sequential identity, for Hooks
 	src, dst    int // world ranks
 	commID      int // communicator instance id
 	tag, bytes  int
 	ev          evRef
-	term        int // sending terminal id
-	matched     bool
+	term        int  // sending terminal id
+	matched     bool // set only on synchronous messages, which outlive their match
 	synchronous bool // MPI_Ssend: sender blocks until matched
 }
 
-// vrecv is one posted receive.
+// vrecv is one posted receive. Its owner — the blocking event that posted
+// it, or the request it belongs to — releases it once matched: at the
+// event's advance, or when the request is waited on or leaves its pool. A
+// receive still posted when its request leaves the pool is an orphan,
+// released at its match.
 type vrecv struct {
-	owner   int    // world rank
-	comm    *vcomm // for deadlock reporting
-	commID  int    // communicator instance id, for matching
-	src     int    // world rank, anyPeer, or procNull
-	tag     int    // tag or anyPeer
-	bytes   int    // expected bytes, -1 unknown (Sendrecv's receive half)
-	ev      evRef
-	term    int
-	matched *vmsg
+	owner  int    // world rank
+	comm   *vcomm // for deadlock reporting
+	commID int    // communicator instance id, for matching
+	src    int    // world rank, anyPeer, or procNull
+	tag    int    // tag or anyPeer
+	bytes  int    // expected bytes, -1 unknown (Sendrecv's receive half)
+	ev     evRef
+	term   int
+	msgID  int  // the matched message's id, -1 while posted
+	orphan bool // no owner will release it
 }
 
 const (
@@ -73,7 +86,8 @@ const (
 	rkColl
 )
 
-// vreq is one live request-pool entry.
+// vreq is one live request-pool entry. It is released when it leaves its
+// pool; a persistent request stays pooled across its waits.
 type vreq struct {
 	kind       int
 	persistent bool
@@ -92,8 +106,9 @@ type vreq struct {
 // as the implicit release the runtime already performed.
 
 // vslot is one collective instance: the (communicator instance, per-rank
-// sequence number) rendezvous the runtime keys its slots by. Slots live on
-// their communicator, indexed by sequence number.
+// sequence number) rendezvous the runtime keys its slots by. An open slot
+// lives on its communicator; each arrival's blocking event or request holds
+// it, and it is released once full with no holder left.
 type vslot struct {
 	comm     *vcomm
 	seq      int
@@ -105,6 +120,7 @@ type vslot struct {
 	arrivedN int
 	full     bool
 	flagged  bool // mismatch already reported
+	refs     int  // arrivals whose event or request still holds the slot
 
 	splitArgs map[int][2]int // world rank -> (color, key)
 	groups    map[int]*vcomm // world rank -> split/dup result (nil = MPI_UNDEFINED)
@@ -114,7 +130,9 @@ type vslot struct {
 // lrank is one rank's abstract state.
 type lrank struct {
 	rank    int
-	seq     []int // expanded global terminal ids
+	cur     merge.Cursor // walks the rank's expansion; stands on event pc
+	term    int          // global terminal id of event pc
+	atEnd   bool         // the expansion has no event pc
 	pc      int
 	done    bool
 	comms   poolTable[*vcomm]
@@ -134,10 +152,10 @@ type machine struct {
 	p     *merge.Program
 	opts  Options
 	rep   *Report
-	cur   *merge.Cursor // expands each rank once, then resolves diagnostic paths
+	cur   *merge.Cursor // resolves diagnostic anchors; each rank walks its own clone
 	hooks Hooks         // nil when no listener is attached
 
-	ranks []*lrank
+	ranks []lrank
 	// mailbox and posted are indexed by destination world rank; mailbox has
 	// one extra trailing slot for messages whose destination is no world
 	// rank (a wildcard destination in a corrupt program), which can never
@@ -147,10 +165,10 @@ type machine struct {
 	nextInst int
 	nextMsg  int
 
-	msgArena  arena[vmsg]
-	recvArena arena[vrecv]
-	reqArena  arena[vreq]
-	slotArena arena[vslot]
+	msgs  freeList[vmsg]
+	recvs freeList[vrecv]
+	reqs  freeList[vreq]
+	slots freeList[vslot]
 
 	byteSeen map[[2]int]bool // (send terminal, recv terminal) pairs reported
 	zeroSeen map[int]bool    // zero-byte send terminals reported
@@ -174,24 +192,54 @@ func newMachine(p *merge.Program, opts Options) (*machine, error) {
 		zeroSeen: map[int]bool{},
 		cntSeen:  map[int]bool{},
 	}
-	world := m.newComm(allRanks(p.NumRanks))
-	m.ranks = make([]*lrank, 0, p.NumRanks)
-	for r := 0; r < p.NumRanks; r++ {
-		if err := cur.Reset(r); err != nil {
-			return nil, err
-		}
-		seq := cur.Append(make([]int, 0, cur.Len()))
-		for _, id := range seq {
-			if id < 0 || id >= len(p.Terminals) {
-				return nil, fmt.Errorf("check: rank %d references terminal %d outside table of %d", r, id, len(p.Terminals))
+	if !terminalsInTable(p) {
+		// Only hand-built programs get here: name the first event, in rank
+		// order, that reaches a terminal outside the table.
+		for r := 0; r < p.NumRanks; r++ {
+			if err := cur.Reset(r); err != nil {
+				return nil, err
+			}
+			for cur.Next() {
+				if id := cur.Term(); id < 0 || id >= len(p.Terminals) {
+					return nil, fmt.Errorf("check: rank %d references terminal %d outside table of %d", r, id, len(p.Terminals))
+				}
 			}
 		}
-		m.rep.Events += len(seq)
-		lr := &lrank{rank: r, seq: seq}
+	}
+	world := m.newComm(allRanks(p.NumRanks))
+	m.ranks = make([]lrank, p.NumRanks)
+	for r := range m.ranks {
+		lr := &m.ranks[r]
+		lr.rank, lr.cur = r, *cur.Clone()
+		if err := lr.cur.Reset(r); err != nil {
+			return nil, err
+		}
+		m.rep.Events += int(lr.cur.Len())
+		lr.atEnd, lr.term = !lr.cur.Next(), lr.cur.Term()
 		lr.comms.set(0, world) // pool 0 is MPI_COMM_WORLD
-		m.ranks = append(m.ranks, lr)
 	}
 	return m, nil
+}
+
+// terminalsInTable reports whether every terminal symbol of the grammar
+// names an entry of the terminal table.
+func terminalsInTable(p *merge.Program) bool {
+	ok := func(s merge.Sym) bool { return s.IsRule || s.Ref >= 0 && s.Ref < len(p.Terminals) }
+	for _, body := range p.Rules {
+		for _, s := range body {
+			if !ok(s) {
+				return false
+			}
+		}
+	}
+	for _, mn := range p.Mains {
+		for _, ms := range mn.Body {
+			if !ok(ms.Sym) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func allRanks(n int) []int {
@@ -232,12 +280,9 @@ func (m *machine) diag(sev Severity, rule string, ranks []int, ev evRef, format 
 		Message:  fmt.Sprintf(format, args...),
 	}
 	sort.Ints(d.Ranks)
-	if ev.rank >= 0 && ev.rank < len(m.ranks) && ev.idx >= 0 && ev.idx < len(m.ranks[ev.rank].seq) {
-		d.Record = m.ranks[ev.rank].seq[ev.idx]
-		d.Event = ev.idx
-		if m.cur.Reset(ev.rank) == nil && m.cur.SeekEvent(int64(ev.idx)) {
-			d.Path = m.cur.Path()
-		}
+	if ev.rank >= 0 && ev.rank < len(m.ranks) && ev.idx >= 0 &&
+		m.cur.Reset(ev.rank) == nil && m.cur.SeekEvent(int64(ev.idx)) {
+		d.Record, d.Event, d.Path = m.cur.Term(), ev.idx, m.cur.Path()
 	}
 	m.rep.Diags = append(m.rep.Diags, d)
 }
@@ -249,7 +294,8 @@ var noEv = evRef{rank: -1, idx: -1}
 func (m *machine) run() {
 	for {
 		progress := false
-		for _, r := range m.ranks {
+		for i := range m.ranks {
+			r := &m.ranks[i]
 			for m.step(r) {
 				progress = true
 			}
@@ -263,18 +309,29 @@ func (m *machine) run() {
 	m.reportCollLengths()
 }
 
-// advance completes the current event and clears blocking state. It is the
-// single completion point for every event, so Hooks.Exec fires here; a
-// blocking receive that completed this event reports its match first.
+// advance completes the current event, releases what its blocking state
+// held and moves the rank's cursor on. It is the single completion point for
+// every event, so Hooks.Exec fires here; a blocking receive that completed
+// this event reports its match first. A blocking event advances only once
+// discharged, so its receive or synchronous message is matched by now.
 func (m *machine) advance(r *lrank) bool {
 	if m.hooks != nil {
-		if r.curRecv != nil && r.curRecv.matched != nil {
-			m.hooks.RecvComplete(r.rank, r.pc, r.curRecv.matched.id)
+		if r.curRecv != nil {
+			m.hooks.RecvComplete(r.rank, r.pc, r.curRecv.msgID)
 		}
-		term := r.seq[r.pc]
-		m.hooks.Exec(r.rank, r.pc, term, m.p.Terminals[term])
+		m.hooks.Exec(r.rank, r.pc, r.term, m.p.Terminals[r.term])
+	}
+	if r.curRecv != nil {
+		m.recvs.put(r.curRecv)
+	}
+	if r.curMsg != nil {
+		m.msgs.put(r.curMsg)
+	}
+	if r.curSlot != nil {
+		m.unrefSlot(r.curSlot)
 	}
 	r.pc++
+	r.atEnd, r.term = !r.cur.Next(), r.cur.Term()
 	r.inited = false
 	r.curRecv, r.curMsg, r.curSlot = nil, nil, nil
 	return true
@@ -285,12 +342,12 @@ func (m *machine) step(r *lrank) bool {
 	if r.done {
 		return false
 	}
-	if r.pc >= len(r.seq) {
+	if r.atEnd {
 		r.done = true
 		m.finishRank(r)
 		return true
 	}
-	rec := m.p.Terminals[r.seq[r.pc]]
+	rec := m.p.Terminals[r.term]
 	ev := evRef{r.rank, r.pc}
 
 	switch rec.Func {
@@ -314,7 +371,7 @@ func (m *machine) step(r *lrank) bool {
 				return m.advance(r)
 			}
 			msg := m.emitSend(r, c, rec, ev, true)
-			if msg == nil || msg.matched {
+			if msg == nil {
 				return m.advance(r)
 			}
 			r.curMsg, r.inited = msg, true
@@ -337,7 +394,7 @@ func (m *machine) step(r *lrank) bool {
 			m.postRecv(pr)
 			r.curRecv, r.inited = pr, true
 		}
-		if r.curRecv.matched != nil {
+		if r.curRecv.msgID >= 0 {
 			return m.advance(r)
 		}
 		return false
@@ -365,10 +422,15 @@ func (m *machine) step(r *lrank) bool {
 		if pr == nil {
 			return m.advance(r)
 		}
+		found := false
 		for _, msg := range m.mailbox[r.rank] { // non-consuming
-			if matches(pr, msg) {
-				return m.advance(r)
+			if found = matches(pr, msg); found {
+				break
 			}
+		}
+		m.recvs.put(pr) // a probe posts nothing
+		if found {
+			return m.advance(r)
 		}
 		return false
 
@@ -386,7 +448,7 @@ func (m *machine) step(r *lrank) bool {
 			m.postRecv(pr)
 			r.curRecv, r.inited = pr, true
 		}
-		if r.curRecv.matched != nil {
+		if r.curRecv.msgID >= 0 {
 			return m.advance(r)
 		}
 		return false
@@ -442,8 +504,9 @@ func (m *machine) step(r *lrank) bool {
 		return m.advance(r)
 
 	case "MPI_Request_free":
-		if r.reqs.get(rec.ReqPool) != nil {
+		if req := r.reqs.get(rec.ReqPool); req != nil {
 			r.reqs.set(rec.ReqPool, nil)
+			m.dropReq(req)
 		}
 		return m.advance(r)
 
@@ -543,18 +606,23 @@ func (m *machine) step(r *lrank) bool {
 	return m.advance(r)
 }
 
-var blockingCollectives = map[string]bool{
-	"MPI_Barrier": true, "MPI_Bcast": true, "MPI_Reduce": true,
-	"MPI_Allreduce": true, "MPI_Gather": true, "MPI_Gatherv": true,
-	"MPI_Scatter": true, "MPI_Allgather": true, "MPI_Allgatherv": true,
-	"MPI_Alltoall": true, "MPI_Alltoallv": true, "MPI_Scan": true,
-	"MPI_Exscan": true, "MPI_Reduce_scatter": true,
-	"MPI_Comm_split": true, "MPI_Comm_dup": true,
-	"MPI_File_open": true, "MPI_File_close": true,
-	"MPI_File_write_at_all": true, "MPI_File_read_at_all": true,
+// isBlockingCollective is a switch rather than a map lookup: the machine
+// asks at every collective arrival, and hashing the name showed as a tenth
+// of statics.Analyze's profile.
+func isBlockingCollective(fn string) bool {
+	switch fn {
+	case "MPI_Barrier", "MPI_Bcast", "MPI_Reduce",
+		"MPI_Allreduce", "MPI_Gather", "MPI_Gatherv",
+		"MPI_Scatter", "MPI_Allgather", "MPI_Allgatherv",
+		"MPI_Alltoall", "MPI_Alltoallv", "MPI_Scan",
+		"MPI_Exscan", "MPI_Reduce_scatter",
+		"MPI_Comm_split", "MPI_Comm_dup",
+		"MPI_File_open", "MPI_File_close",
+		"MPI_File_write_at_all", "MPI_File_read_at_all":
+		return true
+	}
+	return false
 }
-
-func isBlockingCollective(fn string) bool { return blockingCollectives[fn] }
 
 func isFileFunc(fn string) bool {
 	switch fn {
@@ -602,7 +670,9 @@ func (m *machine) peerOf(c *vcomm, me, rel int) (int, bool) {
 	return c.members[((idx+rel)%sz+sz)%sz], true
 }
 
-// emitSend posts the send half of rec; synchronous marks MPI_Ssend.
+// emitSend posts the send half of rec; synchronous marks MPI_Ssend. Only a
+// synchronous send's message is returned: a buffered one may already be
+// matched and released.
 func (m *machine) emitSend(r *lrank, c *vcomm, rec *trace.Record, ev evRef, synchronous bool) *vmsg {
 	dst, ok := m.peerOf(c, r.rank, rec.DestRel)
 	if !ok {
@@ -613,20 +683,27 @@ func (m *machine) emitSend(r *lrank, c *vcomm, rec *trace.Record, ev evRef, sync
 	if dst == procNull {
 		return nil
 	}
-	term := r.seq[ev.idx]
+	term := r.term
 	if rec.Bytes == 0 && !m.zeroSeen[term] {
 		m.zeroSeen[term] = true
 		m.diag(Warning, RuleP2PBytes, []int{r.rank}, ev,
 			"%s sends a zero-byte message to rank %d tag %d", rec.Func, dst, rec.Tag)
 	}
-	msg := m.msgArena.alloc()
-	*msg = vmsg{id: m.nextMsg, src: r.rank, dst: dst, commID: c.id, tag: rec.Tag,
-		bytes: rec.Bytes, ev: ev, term: term, synchronous: synchronous}
+	// Field by field: a composite literal is built aside and block-copied,
+	// which showed as 6% of statics.Analyze's profile. A recycled message
+	// holds stale values, so every field is set.
+	msg := m.msgs.get()
+	msg.id, msg.src, msg.dst, msg.commID = m.nextMsg, r.rank, dst, c.id
+	msg.tag, msg.bytes, msg.ev, msg.term = rec.Tag, rec.Bytes, ev, term
+	msg.matched, msg.synchronous = false, synchronous
 	m.nextMsg++
 	if m.hooks != nil {
 		m.hooks.Send(msg.id, msg.src, msg.dst, msg.tag, msg.bytes, term)
 	}
 	m.postMsg(msg)
+	if !synchronous {
+		return nil
+	}
 	return msg
 }
 
@@ -642,9 +719,9 @@ func (m *machine) makeRecv(r *lrank, c *vcomm, srcRel, tag, bytes int, ev evRef)
 	if src == procNull {
 		return nil
 	}
-	pr := m.recvArena.alloc()
-	*pr = vrecv{owner: r.rank, comm: c, commID: c.id, src: src, tag: tag, bytes: bytes,
-		ev: ev, term: r.seq[ev.idx]}
+	pr := m.recvs.get() // set field by field, as in emitSend
+	pr.owner, pr.comm, pr.commID, pr.src, pr.tag = r.rank, c, c.id, src, tag
+	pr.bytes, pr.ev, pr.term, pr.msgID, pr.orphan = bytes, ev, r.term, -1, false
 	return pr
 }
 
@@ -694,10 +771,25 @@ func (m *machine) postRecv(pr *vrecv) {
 	m.posted[pr.owner] = append(m.posted[pr.owner], pr)
 }
 
-// complete pairs a send with a receive and checks byte compatibility.
+// complete pairs a send with a receive, checks byte compatibility and
+// releases whichever of the two nobody holds any more: a buffered message,
+// and an orphaned receive.
 func (m *machine) complete(pr *vrecv, msg *vmsg) {
-	pr.matched = msg
-	msg.matched = true
+	pr.msgID = msg.id
+	m.checkBytes(pr, msg)
+	if msg.synchronous {
+		msg.matched = true
+	} else {
+		m.msgs.put(msg)
+	}
+	if pr.orphan {
+		m.recvs.put(pr)
+	}
+}
+
+// checkBytes reports a matched pair whose sizes disagree, once per pair of
+// terminals.
+func (m *machine) checkBytes(pr *vrecv, msg *vmsg) {
 	if pr.bytes < 0 {
 		return
 	}
@@ -728,7 +820,7 @@ func reqDone(req *vreq) bool {
 	case rkSend:
 		return true // buffered-send abstraction
 	case rkRecv:
-		return req.recv == nil || req.recv.matched != nil
+		return req.recv == nil || req.recv.msgID >= 0
 	case rkColl:
 		return req.slot == nil || req.slot.full
 	}
@@ -736,21 +828,26 @@ func reqDone(req *vreq) bool {
 }
 
 func (m *machine) newReq(v vreq) *vreq {
-	req := m.reqArena.alloc()
+	req := m.reqs.get()
 	*req = v
 	return req
 }
 
 // acquireReq binds a request to its pool number. Overwriting a polled entry
 // is the Test-ambiguity implicit release; overwriting anything else live is
-// a lifecycle violation.
+// a lifecycle violation. Either way the old request leaves the pool, and a
+// request with no pool number never enters one.
 func (m *machine) acquireReq(r *lrank, pool int, req *vreq, ev evRef) {
 	if pool < 0 {
+		m.dropReq(req)
 		return
 	}
-	if old := r.reqs.get(pool); old != nil && !old.polled {
-		m.diag(Error, RuleHandleRequest, []int{r.rank}, ev,
-			"request pool %d overwritten while its previous request is still live", pool)
+	if old := r.reqs.get(pool); old != nil {
+		if !old.polled {
+			m.diag(Error, RuleHandleRequest, []int{r.rank}, ev,
+				"request pool %d overwritten while its previous request is still live", pool)
+		}
+		m.dropReq(old)
 	}
 	r.reqs.set(pool, req)
 }
@@ -760,15 +857,49 @@ func (m *machine) acquireReq(r *lrank, pool int, req *vreq, ev evRef) {
 // discharging wait event (r.pc) is where a nonblocking receive's match
 // becomes observable, so RecvComplete anchors there.
 func (m *machine) releaseReq(r *lrank, pool int, req *vreq) {
-	if m.hooks != nil && req.kind == rkRecv && req.recv != nil && req.recv.matched != nil {
-		m.hooks.RecvComplete(r.rank, r.pc, req.recv.matched.id)
+	if pr := req.recv; pr != nil {
+		if m.hooks != nil && pr.msgID >= 0 {
+			m.hooks.RecvComplete(r.rank, r.pc, pr.msgID)
+		}
+		m.disown(pr)
+		req.recv = nil
 	}
 	if req.persistent {
 		req.active = false
-		req.recv = nil
 		return
 	}
 	r.reqs.set(pool, nil)
+	m.dropReq(req)
+}
+
+// dropReq releases a request that has left its pool (or never entered one)
+// together with its holds on a receive and a collective slot.
+func (m *machine) dropReq(req *vreq) {
+	if req.recv != nil {
+		m.disown(req.recv)
+	}
+	if req.slot != nil {
+		m.unrefSlot(req.slot)
+	}
+	m.reqs.put(req)
+}
+
+// disown drops the owner's hold on a receive: a matched one is released, a
+// posted one becomes an orphan that its match releases.
+func (m *machine) disown(pr *vrecv) {
+	if pr.msgID >= 0 {
+		m.recvs.put(pr)
+	} else {
+		pr.orphan = true
+	}
+}
+
+// unrefSlot drops one arrival's hold on a slot, releasing a full slot with
+// no holder left.
+func (m *machine) unrefSlot(slot *vslot) {
+	if slot.refs--; slot.refs == 0 && slot.full {
+		m.slots.put(slot)
+	}
 }
 
 // arrive registers rank r at the collective slot its record names,
@@ -776,16 +907,20 @@ func (m *machine) releaseReq(r *lrank, pool int, req *vreq) {
 func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot {
 	seq := r.collSeq.get(c.id)
 	r.collSeq.set(c.id, seq+1)
-	for len(c.slots) <= seq {
+	at := seq - c.slotBase
+	for len(c.slots) <= at {
 		c.slots = append(c.slots, nil)
 	}
-	slot := c.slots[seq]
+	slot := c.slots[at]
 	if slot == nil {
-		slot = m.slotArena.alloc()
+		slot = m.slots.get()
+		arrived := slices.Grow(slot.arrived[:0], len(c.members))[:len(c.members)]
+		clear(arrived)
 		*slot = vslot{comm: c, seq: seq, fn: rec.Func, root: rec.Root, op: rec.Op,
-			firstEv: ev, arrived: make([]*trace.Record, len(c.members))}
-		c.slots[seq] = slot
+			firstEv: ev, arrived: arrived}
+		c.slots[at] = slot
 	}
+	slot.refs++
 	if !slot.flagged {
 		switch {
 		case rec.Func != slot.fn:
@@ -806,7 +941,7 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 		}
 	}
 	if rec.Func == "MPI_Alltoallv" && len(rec.Counts) != len(c.members) {
-		term := r.seq[ev.idx]
+		term := r.term
 		if !m.cntSeen[term] {
 			m.cntSeen[term] = true
 			m.diag(Warning, RuleCollLength, []int{r.rank}, ev,
@@ -834,6 +969,7 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 		}
 		if slot.arrivedN == len(c.members) {
 			slot.full = true
+			c.closeSlot(at)
 			m.resolveSlot(slot)
 			if m.hooks != nil {
 				m.hooks.CollComplete(c.id, seq)
@@ -841,6 +977,15 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 		}
 	}
 	return slot
+}
+
+// closeSlot takes a full slot off the communicator's open window.
+func (c *vcomm) closeSlot(at int) {
+	c.slots[at] = nil
+	for len(c.slots) > 0 && c.slots[0] == nil {
+		c.slots = c.slots[1:]
+		c.slotBase++
+	}
 }
 
 // resolveSlot computes a full slot's shared results: split/dup groups
@@ -995,7 +1140,8 @@ func sortedChanKeys[V any](mm map[chanKey]V) []chanKey {
 func (m *machine) reportCollLengths() {
 	counts := map[int]map[int]int{} // instance id -> world rank -> steps
 	insts := map[int]*vcomm{}
-	for _, r := range m.ranks {
+	for i := range m.ranks {
+		r := &m.ranks[i]
 		r.comms.each(func(_ int, c *vcomm) { insts[c.id] = c })
 		rank := r.rank
 		r.collSeq.each(func(id, n int) {

@@ -2,24 +2,48 @@ package check
 
 import "sort"
 
-// arena hands out pointers from chunked backing arrays. The machine
-// allocates one vmsg/vrecv/vreq/vslot per matching event, and individual
-// heap allocations dominated its profile; chunking amortizes them 256×.
-// Chunks are never grown in place (a full chunk is replaced, not
-// reallocated), so handed-out pointers stay valid for the machine's
-// lifetime.
-type arena[T any] struct{ chunk []T }
+// freeList hands out pointers from chunked backing arrays and takes them
+// back once the machine is done with them. The machine allocates one
+// vmsg/vrecv/vreq/vslot per matching event; individual heap allocations
+// dominated its profile, and keeping every object alive made its memory
+// grow with the event count. Chunks are never grown in place (a full chunk
+// is replaced, not reallocated), so handed-out pointers stay valid, and a
+// released object is reused before a new chunk is cut, so the live set is
+// bounded by what is in flight. get returns stale contents; every caller
+// overwrites the whole value.
+type freeList[T any] struct {
+	chunk []T
+	free  []*T
+}
 
-const arenaChunk = 256
+const freeListChunk = 256
 
-func (a *arena[T]) alloc() *T {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]T, 0, arenaChunk)
+func (l *freeList[T]) get() *T {
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
+	}
+	if len(l.chunk) == cap(l.chunk) {
+		l.chunk = make([]T, 0, freeListChunk)
 	}
 	var zero T
-	a.chunk = append(a.chunk, zero)
-	return &a.chunk[len(a.chunk)-1]
+	l.chunk = append(l.chunk, zero)
+	return &l.chunk[len(l.chunk)-1]
 }
+
+// put returns x to the list. The caller must hold the only reference.
+func (l *freeList[T]) put(x *T) {
+	if releaseHook != nil {
+		releaseHook(x)
+	}
+	l.free = append(l.free, x)
+}
+
+// releaseHook, when set, sees every object before it goes back to a free
+// list. Only tests set it (to poison released objects), and never while a
+// machine runs.
+var releaseHook func(any)
 
 // poolTable maps pool numbers (and communicator instance ids) to values.
 // Well-formed programs use small, dense, non-negative numbers, served from

@@ -24,6 +24,7 @@ import (
 	"siesta/internal/platform"
 	"siesta/internal/proxy"
 	"siesta/internal/qp"
+	"siesta/internal/statics"
 	"siesta/internal/trace"
 	"siesta/internal/vtime"
 )
@@ -110,6 +111,14 @@ type Options struct {
 	// fingerprint.
 	Resume *Checkpoint
 
+	// Analyze attaches a statics.Collector to the static verification
+	// gate, cold or resumed, so the one machine run that verifies the
+	// program also feeds its static analysis: Result.Analysis carries the
+	// collector, and its Report gives the statics.Report that
+	// statics.Analyze would. Observing never changes the verdict, so this
+	// participates in neither JSON encoding nor OptionsFingerprint.
+	Analyze bool `json:"-"`
+
 	// Pipeline knobs.
 	Trace trace.Config
 	Merge merge.Options
@@ -165,6 +174,11 @@ type Result struct {
 	Check     *check.Report
 	Generated *codegen.Generated
 	Proxy     *proxy.App
+
+	// Analysis observed the gate's machine run when Options.Analyze was
+	// set (nil otherwise): Analysis.Report(Check, platform) is the
+	// program's static analysis.
+	Analysis *statics.Collector
 
 	// ResumedFrom names the checkpoint phase this run resumed from, ""
 	// for an uninterrupted run. Resumed runs carry nil BaselineRun and
@@ -499,18 +513,26 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 	// or merging corrupted the communication structure, and the proxy
 	// would hang or diverge on replay. It re-runs on resume too: the
 	// verdict is stamped into the C header, and re-checking an identical
-	// program is cheap and yields the identical summary.
+	// program is cheap and yields the identical summary. An analyzed run
+	// hangs the statics collector on this pass instead of running the
+	// machine a second time.
 	if err := r.phase("check"); err != nil {
 		return fmt.Errorf("core: check: %w", err)
 	}
-	rep, err := check.Verify(res.Program, check.Options{
+	ckOpts := check.Options{
 		ExactBytes:    true,
 		AbsoluteRanks: opts.Trace.AbsoluteRanks,
-	})
+	}
+	var col *statics.Collector
+	if opts.Analyze {
+		col = statics.NewCollector(res.Program)
+		ckOpts.Hooks = col
+	}
+	rep, err := check.Verify(res.Program, ckOpts)
 	if err != nil {
 		return fmt.Errorf("core: check: %w", err)
 	}
-	res.Check = rep
+	res.Check, res.Analysis = rep, col
 	if rep.HasErrors() {
 		return &VerifyError{Report: rep}
 	}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -290,7 +289,8 @@ func (w *Worker) Run(ctx context.Context) {
 
 // Close gracefully leaves the fleet: deregister so the gateway stops
 // routing here immediately, wait for in-flight checkpoint replications,
-// then drain the wrapped server.
+// then drain the wrapped server. A drain error wins; after a clean drain a
+// failed deregistration comes back as a *DeregisterError.
 func (w *Worker) Close(ctx context.Context) error {
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	derr := w.rc.Deregister(dctx, w.cfg.ID)
@@ -300,7 +300,17 @@ func (w *Worker) Close(ctx context.Context) error {
 		return err
 	}
 	if derr != nil {
-		return fmt.Errorf("fleet: deregister: %w", derr)
+		return &DeregisterError{Err: derr}
 	}
 	return nil
 }
+
+// DeregisterError reports that a worker drained cleanly but could not tell
+// its registry it left, typically because the registry stopped first. The
+// registry's heartbeat expiry drops the worker anyway, so it is a warning,
+// not a failed shutdown.
+type DeregisterError struct{ Err error }
+
+func (e *DeregisterError) Error() string { return "fleet: deregister: " + e.Err.Error() }
+
+func (e *DeregisterError) Unwrap() error { return e.Err }

@@ -15,15 +15,19 @@ import "fmt"
 type Cursor struct {
 	p       *Program
 	ruleLen []int64 // expanded length of one pass over each rule; shared by clones
-	main    []Sym   // the rank's main symbols, in body order
-	mainPos []int   // their indices in the main body, for paths
-	stack   []frame // stack[0] walks main; the top is innermost
+	depth   int     // frames a walk can stack: the deepest rule nesting plus main
+	rank    int
+	body    []MainSym // the rank's main body, for paths
+	main    []Sym     // its symbols that the rank executes, in body order
+	stack   []frame   // stack[0] walks main; the top is innermost
 	term    int
 }
 
 // frame is one level of the walk: the current symbol of a body and how many
 // of its repetitions are complete (a terminal's count includes the one the
-// cursor stands on).
+// cursor stands on). Next moves past a terminal's last repetition as it
+// returns it, so a cursor on a terminal has either done > 0 at pos, or
+// done == 0 with the terminal at pos-1.
 type frame struct {
 	syms           []Sym
 	ref, pos, done int // ref is -1 for the main body
@@ -34,6 +38,7 @@ type frame struct {
 func NewCursor(p *Program) (*Cursor, error) {
 	c := &Cursor{p: p, ruleLen: make([]int64, len(p.Rules))}
 	state := make([]int8, len(p.Rules)) // 0 unvisited, 1 in progress, 2 done
+	depth := make([]int, len(p.Rules))  // frames a walk into the rule stacks
 	var visit func(ref int) error
 	visit = func(ref int) error {
 		switch {
@@ -50,10 +55,13 @@ func NewCursor(p *Program) (*Cursor, error) {
 				if err := visit(s.Ref); err != nil {
 					return err
 				}
+				depth[ref] = max(depth[ref], depth[s.Ref])
 			}
 			c.ruleLen[ref] += int64(s.Count) * c.unit(s)
 		}
 		state[ref] = 2
+		depth[ref]++
+		c.depth = max(c.depth, depth[ref])
 		return nil
 	}
 	for ref := range p.Rules {
@@ -61,6 +69,7 @@ func NewCursor(p *Program) (*Cursor, error) {
 			return nil, err
 		}
 	}
+	c.depth++ // the main frame
 	for _, m := range p.Mains {
 		for _, ms := range m.Body {
 			if ms.IsRule && (ms.Ref < 0 || ms.Ref >= len(p.Rules)) {
@@ -72,18 +81,26 @@ func NewCursor(p *Program) (*Cursor, error) {
 }
 
 // Clone returns an unpositioned cursor over the same validated program.
-func (c *Cursor) Clone() *Cursor { return &Cursor{p: c.p, ruleLen: c.ruleLen} }
+func (c *Cursor) Clone() *Cursor { return &Cursor{p: c.p, ruleLen: c.ruleLen, depth: c.depth} }
 
-// Reset positions the cursor before the first terminal of the rank.
+// Reset positions the cursor before the first terminal of the rank. Its
+// buffers are sized on first use, so a walk never grows them.
 func (c *Cursor) Reset(rank int) error {
-	c.main, c.mainPos, c.stack = c.main[:0], c.mainPos[:0], c.stack[:0]
+	c.main, c.stack = c.main[:0], c.stack[:0]
 	m, err := c.p.mainOf(rank)
 	if err != nil {
 		return err
 	}
-	for i, ms := range m.Body {
+	c.rank, c.body = rank, m.Body
+	if cap(c.main) < len(m.Body) {
+		c.main = make([]Sym, 0, len(m.Body))
+	}
+	if cap(c.stack) < c.depth {
+		c.stack = make([]frame, 0, c.depth)
+	}
+	for _, ms := range m.Body {
 		if ms.Ranks.Contains(rank) {
-			c.main, c.mainPos = append(c.main, ms.Sym), append(c.mainPos, i)
+			c.main = append(c.main, ms.Sym)
 		}
 	}
 	c.stack = append(c.stack, frame{syms: c.main, ref: -1})
@@ -107,26 +124,32 @@ func (c *Cursor) unit(s Sym) int64 {
 	return 1
 }
 
-// Next advances to the next terminal, reporting false at the end.
+// Next advances to the next terminal, reporting false at the end. A run of
+// terminals costs one pass of the loop each: the frame moves past a
+// terminal's last repetition as it returns it.
 func (c *Cursor) Next() bool {
 	for len(c.stack) > 0 {
 		top := len(c.stack) - 1
 		f := &c.stack[top]
-		switch {
-		case f.pos == len(f.syms):
+		if f.pos == len(f.syms) {
 			c.stack = c.stack[:top]
 			if top > 0 {
 				c.stack[top-1].done++
 			}
-		case f.done >= f.syms[f.pos].Count:
+			continue
+		}
+		s := &f.syms[f.pos]
+		switch {
+		case f.done >= s.Count:
 			f.pos, f.done = f.pos+1, 0
-		case !f.syms[f.pos].IsRule:
-			c.term = f.syms[f.pos].Ref
-			f.done++
+		case !s.IsRule:
+			c.term = s.Ref
+			if f.done++; f.done == s.Count {
+				f.pos, f.done = f.pos+1, 0
+			}
 			return true
 		default:
-			ref := f.syms[f.pos].Ref
-			c.stack = append(c.stack, frame{syms: c.p.Rules[ref], ref: ref})
+			c.stack = append(c.stack, frame{syms: c.p.Rules[s.Ref], ref: s.Ref})
 		}
 	}
 	return false
@@ -177,9 +200,29 @@ func (c *Cursor) SeekEvent(i int64) bool {
 // 2nd symbol of rule 4, terminal 7". Call it only while Next or SeekEvent
 // has the cursor on a terminal.
 func (c *Cursor) Path() string {
-	b := fmt.Appendf(nil, "main[%d]", c.mainPos[c.stack[0].pos])
-	for _, f := range c.stack[1:] {
-		b = fmt.Appendf(b, "/R%d[%d]", f.ref, f.pos)
+	top := len(c.stack) - 1
+	pos := func(i int) int {
+		if f := c.stack[i]; i == top && f.done == 0 {
+			return f.pos - 1 // moved past the terminal's last repetition
+		}
+		return c.stack[i].pos
+	}
+	b := fmt.Appendf(nil, "main[%d]", c.bodyIndex(pos(0)))
+	for i := 1; i <= top; i++ {
+		b = fmt.Appendf(b, "/R%d[%d]", c.stack[i].ref, pos(i))
 	}
 	return string(fmt.Appendf(b, "/T%d", c.term))
+}
+
+// bodyIndex maps the rank's i-th main symbol to its index in the main body.
+func (c *Cursor) bodyIndex(i int) int {
+	for j, ms := range c.body {
+		if ms.Ranks.Contains(c.rank) {
+			if i == 0 {
+				return j
+			}
+			i--
+		}
+	}
+	return -1
 }

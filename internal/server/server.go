@@ -26,12 +26,10 @@ import (
 	"siesta/internal/check"
 	"siesta/internal/core"
 	"siesta/internal/durable"
-	"siesta/internal/merge"
 	"siesta/internal/obs"
 	"siesta/internal/platform"
 	"siesta/internal/server/cache"
 	"siesta/internal/server/metrics"
-	"siesta/internal/statics"
 )
 
 // Config tunes one service instance. The zero value is usable.
@@ -229,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 		gRunning:     reg.Gauge("siesta_jobs_running", "jobs currently synthesizing"),
 		gPhasePar:    reg.Gauge("siesta_phase_parallelism", "synthesis parallelism of the most recently started job"),
 		hJobDur:      reg.Histogram("siesta_job_duration_seconds", "wall-clock synthesis duration", nil),
-		hAnalyze:     reg.Histogram("siesta_analyze_seconds", "wall-clock time of static communication-cost analyses", nil),
+		hAnalyze:     reg.Histogram("siesta_analyze_seconds", "wall-clock time of the statics fold that turns an analyzed job's check run into its report", nil),
 	}
 	// Build metadata as a constant-1 gauge, the Prometheus idiom for
 	// joining version info onto other series by label.
@@ -593,17 +591,18 @@ func (s *Server) countDiags(rep *check.Report) {
 	}
 }
 
-// analyzeProgram runs the static analyzer over a job's merged program under
-// an "analyze" phase span, feeds the analyze-latency histogram, and returns
-// the marshaled statics.Report. A nil platform resolves the program's
+// analyzeProgram folds the statics collector that observed the check gate
+// (core.Options.Analyze) into the job's statics.Report under an "analyze"
+// phase span, feeds the analyze-latency histogram with the fold's time, and
+// returns the marshaled report. A nil platform resolves the program's
 // recorded one.
-func (s *Server) analyzeProgram(tracer *obs.Tracer, prog *merge.Program, plat *platform.Platform) ([]byte, error) {
+func (s *Server) analyzeProgram(tracer *obs.Tracer, res *core.Result, plat *platform.Platform) ([]byte, error) {
 	var sp *obs.Span
 	if tracer != nil {
 		sp = tracer.Phase("analyze")
 	}
 	start := time.Now()
-	rep, err := statics.Analyze(prog, plat, statics.Options{ExactBytes: true})
+	rep, err := res.Analysis.Report(res.Check, plat)
 	s.hAnalyze.Observe(time.Since(start).Seconds())
 	sp.End()
 	if err != nil {
@@ -735,9 +734,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // at the job's parallelism, counts the verifier's diagnostics — from the
 // result, or from the gate's failure, so a rejected upload still shows in
 // the error counter — and builds the artifact and, when the request asked,
-// the static analysis.
+// the static analysis from the gate's own machine run.
 func (s *Server) setWork(jb *job, opts core.Options, synth func(core.Options) (*core.Result, error)) {
-	opts.Parallelism = jb.parallelism
+	opts.Parallelism, opts.Analyze = jb.parallelism, jb.wantAnalyze
 	jb.work = func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
 		opts := opts
 		opts.Context, opts.Tracer, opts.Checkpointer, opts.Resume = ctx, tracer, ck, resume
@@ -754,7 +753,7 @@ func (s *Server) setWork(jb *job, opts core.Options, synth func(core.Options) (*
 		}
 		var analysis []byte
 		if jb.wantAnalyze {
-			if analysis, err = s.analyzeProgram(tracer, res.Program, opts.Platform); err != nil {
+			if analysis, err = s.analyzeProgram(tracer, res, opts.Platform); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -1,5 +1,3 @@
-//go:build go1.24
-
 package server
 
 import (
@@ -7,14 +5,17 @@ import (
 	"net/http"
 	"runtime"
 	"testing"
-	"weak"
+	"time"
+
+	"siesta/internal/trace"
 )
 
 // A settled job's record must not pin its input: once a streamed job is
 // done, the record the server still retains no longer reaches the
 // committed session's merge.Ingest, so the collector can take it (with
 // its per-rank decoders, leaf tables and grammars) long before MaxJobs
-// prunes the record. weak needs Go 1.24; older toolchains skip the file.
+// prunes the record. A finalizer on an object only the Ingest references
+// observes the release.
 func TestSettledStreamedJobReleasesIngest(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	streams := chunkStreams(t, recordedTrace(t, 4))
@@ -24,8 +25,9 @@ func TestSettledStreamedJobReleasesIngest(t *testing.T) {
 	}
 	var open TraceOpenResponse
 	json.Unmarshal(body, &open)
+	released := make(chan struct{})
 	s.ingestMu.Lock()
-	ingest := weak.Make(s.ingests[open.ID].in)
+	runtime.SetFinalizer(ingestLeaf(s.ingests[open.ID].in), func(*trace.ChunkDec) { close(released) })
 	s.ingestMu.Unlock()
 
 	putChunks(t, ts.URL, open.ID, streams, 256)
@@ -41,10 +43,13 @@ func TestSettledStreamedJobReleasesIngest(t *testing.T) {
 	if _, ok := s.lookupJob(cr.Job.ID); !ok {
 		t.Fatal("the settled job's record is gone; the test needs it retained")
 	}
-	for i := 0; i < 5 && ingest.Value() != nil; i++ {
+	for i := 0; i < 10; i++ {
 		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
-	if ingest.Value() != nil {
-		t.Fatal("the settled job's record still reaches its merge.Ingest")
-	}
+	t.Fatal("the settled job's record still reaches its merge.Ingest")
 }

@@ -41,15 +41,11 @@ type Options struct {
 // Analyze statically analyzes the merged program on the given platform
 // (nil resolves the program's recorded platform name). The error return is
 // reserved for structurally broken programs; semantic findings land in
-// Report.Check as diagnostics.
+// Report.Check as diagnostics. It is NewCollector and Report around one
+// check.Verify: a caller that verifies the program anyway (core's gate)
+// attaches the collector there and skips the second machine run.
 func Analyze(p *merge.Program, plat *platform.Platform, opts Options) (*Report, error) {
-	if plat == nil {
-		var err error
-		if plat, err = platform.ByName(p.Platform); err != nil {
-			return nil, err
-		}
-	}
-	col := newCollector(p)
+	col := NewCollector(p)
 	ckRep, err := check.Verify(p, check.Options{
 		ExactBytes:     opts.ExactBytes,
 		AbsoluteRanks:  opts.AbsoluteRanks,
@@ -59,18 +55,32 @@ func Analyze(p *merge.Program, plat *platform.Platform, opts Options) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		NumRanks: p.NumRanks,
-		Platform: plat.Name,
-		Check:    ckRep,
+	return col.Report(ckRep, plat)
+}
+
+// Report folds the grammar, cross-checks its event count against the
+// machine run the collector observed, and assembles the analysis. ck is
+// that run's report; plat is resolved as in Analyze. Call it once, after
+// the check.Verify that used the collector as its Hooks.
+func (c *Collector) Report(ck *check.Report, plat *platform.Platform) (*Report, error) {
+	if plat == nil {
+		var err error
+		if plat, err = platform.ByName(c.p.Platform); err != nil {
+			return nil, err
+		}
 	}
-	if err := col.foldGrammar(rep, plat); err != nil {
+	rep := &Report{
+		NumRanks: c.p.NumRanks,
+		Platform: plat.Name,
+		Check:    ck,
+	}
+	if err := c.foldGrammar(rep, plat); err != nil {
 		return nil, err
 	}
-	if rep.Events != int64(ckRep.Events) {
-		return nil, fmt.Errorf("statics: multiplicity fold counts %d events but expansion counts %d", rep.Events, ckRep.Events)
+	if rep.Events != int64(ck.Events) {
+		return nil, fmt.Errorf("statics: multiplicity fold counts %d events but expansion counts %d", rep.Events, ck.Events)
 	}
-	col.finish(rep)
+	c.finish(rep)
 	return rep, nil
 }
 
@@ -100,12 +110,13 @@ type commAgg struct {
 	entry     []float64 // collective seq -> latest member entry clock
 }
 
-// collector implements check.Hooks, folding the machine's event stream into
+// Collector implements check.Hooks, folding the machine's event stream into
 // matrices, per-communicator stats and the critical-path clocks. The hook
 // stream fires once per event, so every per-event structure here is a flat
 // slice: pairs are a dense P×P index (communicator instance ids and message
 // ids are small and sequential), and maps appear only off the hot path.
-type collector struct {
+// A Collector observes one check.Verify run of the program it was made for.
+type Collector struct {
 	p *merge.Program
 
 	executed int64
@@ -120,8 +131,10 @@ type collector struct {
 	termTime []float64 // terminal id -> compute advance (0 for non-compute)
 }
 
-func newCollector(p *merge.Program) *collector {
-	c := &collector{
+// NewCollector prepares a collector for one machine run over p: pass it as
+// check.Options.Hooks, then call Report.
+func NewCollector(p *merge.Program) *Collector {
+	c := &Collector{
 		p:        p,
 		pairIdx:  make([]int32, p.NumRanks*p.NumRanks),
 		ranks:    make([]RankTotals, p.NumRanks),
@@ -148,7 +161,7 @@ func newCollector(p *merge.Program) *collector {
 
 // pairOf returns the aggregate for the (src, dst) channel, creating it on
 // first use.
-func (c *collector) pairOf(src, dst int) *PairVolume {
+func (c *Collector) pairOf(src, dst int) *PairVolume {
 	p := c.p.NumRanks
 	if src >= 0 && src < p && dst >= 0 && dst < p {
 		k := src*p + dst
@@ -172,7 +185,7 @@ func (c *collector) pairOf(src, dst int) *PairVolume {
 
 // commOf returns the aggregate for a communicator instance id, creating it
 // on first use. Instance ids are assigned sequentially by the machine.
-func (c *collector) commOf(commID, size int) *commAgg {
+func (c *Collector) commOf(commID, size int) *commAgg {
 	if commID < 0 {
 		return nil
 	}
@@ -191,7 +204,7 @@ func (c *collector) commOf(commID, size int) *commAgg {
 // order of the blocking-dependency graph, so advancing each rank's clock
 // here — after RecvComplete and the collective barrier max have pulled it
 // forward — yields the critical-path lower bound in a single pass.
-func (c *collector) Exec(rank, idx, term int, rec *trace.Record) {
+func (c *Collector) Exec(rank, idx, term int, rec *trace.Record) {
 	c.executed++
 	if p := &c.pending[rank]; p.valid && p.idx == idx {
 		if p.comm < len(c.comms) {
@@ -207,7 +220,7 @@ func (c *collector) Exec(rank, idx, term int, rec *trace.Record) {
 }
 
 // Send implements check.Hooks.
-func (c *collector) Send(msgID, src, dst, tag, bytes, term int) {
+func (c *Collector) Send(msgID, src, dst, tag, bytes, term int) {
 	pv := c.pairOf(src, dst)
 	pv.Messages++
 	pv.Bytes += int64(bytes)
@@ -220,7 +233,7 @@ func (c *collector) Send(msgID, src, dst, tag, bytes, term int) {
 }
 
 // RecvComplete implements check.Hooks.
-func (c *collector) RecvComplete(rank, idx, msgID int) {
+func (c *Collector) RecvComplete(rank, idx, msgID int) {
 	if msgID < 0 || msgID >= len(c.msgs) || c.msgs[msgID].src < 0 {
 		return
 	}
@@ -242,7 +255,7 @@ func (c *collector) RecvComplete(rank, idx, msgID int) {
 }
 
 // CollArrive implements check.Hooks.
-func (c *collector) CollArrive(rank, idx, commID int, members []int, seq int, blocking bool, rec *trace.Record) {
+func (c *Collector) CollArrive(rank, idx, commID int, members []int, seq int, blocking bool, rec *trace.Record) {
 	agg := c.commOf(commID, len(members))
 	if agg == nil || seq < 0 {
 		return
@@ -266,7 +279,7 @@ func (c *collector) CollArrive(rank, idx, commID int, members []int, seq int, bl
 }
 
 // CollComplete implements check.Hooks.
-func (c *collector) CollComplete(commID, seq int) {
+func (c *Collector) CollComplete(commID, seq int) {
 	if commID >= 0 && commID < len(c.comms) && c.comms[commID] != nil {
 		c.comms[commID].completed++
 	}
@@ -276,7 +289,7 @@ func (c *collector) CollComplete(commID, seq int) {
 // alone: the call histogram, per-rank call and compute totals, and the
 // per-cluster cost table. Terminals are visited by dense id, never by map
 // iteration, so float accumulation order is deterministic.
-func (c *collector) foldGrammar(rep *Report, plat *platform.Platform) error {
+func (c *Collector) foldGrammar(rep *Report, plat *platform.Platform) error {
 	funcAgg := map[string]*FuncCount{}
 	clusterEvents := make([]int64, len(c.p.Clusters))
 	counter := c.p.NewTerminalCounter()
@@ -335,7 +348,7 @@ func (c *collector) foldGrammar(rep *Report, plat *platform.Platform) error {
 }
 
 // finish sorts the machine-derived aggregates into the report.
-func (c *collector) finish(rep *Report) {
+func (c *Collector) finish(rep *Report) {
 	rep.ExecutedEvents = c.executed
 	rep.Complete = c.executed == rep.Events
 
