@@ -15,6 +15,7 @@ import (
 	"siesta/internal/mpi"
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
+	"siesta/internal/qp"
 	"siesta/internal/sequitur"
 	"siesta/internal/trace"
 )
@@ -300,18 +301,39 @@ func BenchmarkSequitur(b *testing.B) {
 	}
 }
 
-// BenchmarkQPSearch measures one constrained computation-proxy search.
+// BenchmarkQPSearch measures one constrained computation-proxy search: a
+// typical target, which converges in about 190 FISTA steps, and the
+// benchmark panel's slowest search (MG/16 cluster 1 on its noisy B
+// matrix, about 62k steps).
 func BenchmarkQPSearch(b *testing.B) {
 	p := platform.A
-	bm := blocks.MeasureB(p, nil)
-	target := perfmodel.Measure(p, perfmodel.Kernel{
+	typical := perfmodel.Measure(p, perfmodel.Kernel{
 		IntOps: 1e7, FPOps: 5e6, Loads: 8e6, Stores: 3e6, Branches: 3e6, MissLines: 5e5,
 	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := blocks.Search(bm, target); err != nil {
-			b.Fatal(err)
-		}
+	mg16 := &qp.Matrix{Rows: 6, Cols: 11, Data: []float64{
+		4, 6, 4, 6, 74, 79, 4096, 6144, 5120, 2, 3,
+		1.0003488052775806, 1.5017180149769005, 18.96256124924301, 73.60906796442073, 188.3569028473495, 370.602751841746, 7954.529894519794, 8475.26305966421, 45084.24388869106, 0.983371861325526, 1.2290545053035884,
+		3.004010232417463, 2.005025418201671, 3.0024293174483905, 1.9984850653676274, 3.0019244499926394, 2.997240778395776, 1023.3677362150468, 1024.6608302006205, 1025.2552441585601, 0, 0,
+		0, 0, 0, 0, 0, 0, 1024.7439486048597, 1024.877125358293, 1019.2386264041196, 0, 0,
+		0, 0, 0, 0, 41.166742231832586, 40.95186013074942, 1025.8687958886462, 1022.6056478271104, 1021.9604110451775, 0.997812640980431, 0.9974613082361992,
+		0, 0, 0, 0, 10.637233927493611, 10.619486037221161, 30.825852727630217, 30.736642349619263, 30.717315506658608, 0.030025895733789366, 0.029991862254383,
+	}}
+	mg16Target := perfmodel.Counters{4.2e+07, 1.495615254756225e+07, 1.6005058844854478e+07, 250025.45344179036, 6.001007528842712e+06, 180028.18434374162}
+	for _, bc := range []struct {
+		name   string
+		bm     *qp.Matrix
+		target perfmodel.Counters
+	}{
+		{"typical", blocks.MeasureB(p, nil), typical},
+		{"MG16-hard", mg16, mg16Target},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := blocks.Search(bc.bm, bc.target); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

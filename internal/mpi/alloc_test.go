@@ -22,9 +22,19 @@ func allocsPerCall(size, iters int) float64 {
 	return allocs / float64(size*iters*2)
 }
 
+// maxAllocsPerCall bounds a Sendrecv or Allreduce call's allocations, world
+// set-up included. The call path itself allocates nothing: the wait is a
+// per-rank descriptor, the call record is the rank's reused Call, and the
+// requests a blocking call makes for itself come from a per-rank free
+// list. What remains is the world, one slot per collective instance and
+// queue growth (0.10 per call at 8 ranks); one closure pair per blocking
+// wait would put it above 1.
+const maxAllocsPerCall = 0.5
+
 // TestAllocsPerCallFlatInRanks pins that a blocking call costs the same
-// allocations at any world size. A detector that builds every blocked
-// rank's report on each block allocates O(P) per call.
+// allocations at any world size, and at most maxAllocsPerCall. A detector
+// that builds every blocked rank's report on each block allocates O(P)
+// per call.
 func TestAllocsPerCallFlatInRanks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations")
@@ -33,5 +43,8 @@ func TestAllocsPerCallFlatInRanks(t *testing.T) {
 	t.Logf("allocs per call: %.2f at 8 ranks, %.2f at 64 ranks", small, large)
 	if large > 1.1*small {
 		t.Errorf("allocs per call grow with ranks: %.2f at 64 ranks > 1.1 × %.2f at 8", large, small)
+	}
+	if small > maxAllocsPerCall || large > maxAllocsPerCall {
+		t.Errorf("allocs per call %.2f at 8 ranks, %.2f at 64, above %.1f", small, large, maxAllocsPerCall)
 	}
 }

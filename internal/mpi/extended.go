@@ -17,31 +17,25 @@ import (
 // receiver has posted a matching receive, regardless of message size (the
 // rendezvous path unconditionally).
 func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
-	call := &Call{Func: "MPI_Ssend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Ssend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	if dst != ProcNull {
 		w := r.world
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
 		dstWorld := c.WorldRank(dst)
 		m := r.buildMessage(c, dst, tag, bytes, nil, nil)
 		m.eager = false // synchronous mode: always handshake
-		req := r.newRequest(reqSend)
+		req := r.ownRequest(reqSend)
 		req.describe(dst, tag)
 		m.sendReq = req
 		m.sender = r
-		makeOp := func() PendingOp {
-			op := r.pendingOp("synchronous handshake")
-			op.Peer, op.Tag = dst, tag
-			return op
-		}
-		ready := func() bool { return req.done }
 		w.mu.Lock()
 		seq := w.postMessage(m)
-		w.waitCond(r, makeOp, ready)
+		w.waitCond(r, waitDesc{kind: waitPeer, detail: "synchronous handshake", req: req})
 		w.mu.Unlock()
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 		r.abortIfFailed()
 		r.clock.AdvanceTo(vtime.Time(req.time))
+		r.releaseRequest(req)
 	}
 	r.endCall(call)
 }
@@ -49,22 +43,15 @@ func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
 // Probe blocks until a message matching (src, tag) is available without
 // consuming it, and returns its status.
 func (r *Rank) Probe(c *Comm, src, tag int) Status {
-	call := &Call{Func: "MPI_Probe", Comm: c, Source: src, Tag: tag}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Probe", Comm: c, Source: src, Tag: tag})
 	w := r.world
 	probe := &postedRecv{
 		commID: c.id, src: src, tag: tag,
 		postTime: r.clock.Now(), owner: r,
 	}
 	var st Status
-	makeOp := func() PendingOp {
-		op := r.pendingOp("probing")
-		op.Peer, op.Tag = src, tag
-		return op
-	}
-	ready := func() bool { return w.findUnexpected(probe) != nil }
 	w.mu.Lock()
-	w.waitCond(r, makeOp, ready)
+	w.waitCond(r, waitDesc{kind: waitProbe, probe: probe})
 	if m := w.findUnexpected(probe); m != nil {
 		st = Status{Source: m.srcComm, Tag: m.tag, Bytes: m.bytes}
 		// The probe observes the message once it could have arrived.
@@ -82,8 +69,7 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 // Iprobe reports whether a matching message is available, without blocking
 // or consuming it.
 func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
-	call := &Call{Func: "MPI_Iprobe", Comm: c, Source: src, Tag: tag}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Iprobe", Comm: c, Source: src, Tag: tag})
 	w := r.world
 	probe := &postedRecv{
 		commID: c.id, src: src, tag: tag,
@@ -119,22 +105,11 @@ func (w *World) findUnexpected(pr *postedRecv) *message {
 // its index and status. Among simultaneously completed requests it picks
 // the one with the earliest virtual completion time, deterministically.
 func (r *Rank) Waitany(reqs []*Request) (int, Status) {
-	call := &Call{Func: "MPI_Waitany", Requests: reqs}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Waitany", Requests: reqs})
 	w := r.world
 	idx := -1
-	anyDone := func() bool {
-		for _, req := range reqs {
-			if req != nil && req.done {
-				return true
-			}
-		}
-		return false
-	}
 	w.mu.Lock()
-	w.waitCond(r, func() PendingOp {
-		return r.pendingOp(fmt.Sprintf("any of %d requests", len(reqs)))
-	}, anyDone)
+	w.waitCond(r, waitDesc{kind: waitAny, reqs: reqs})
 	best := math.Inf(1)
 	for i, req := range reqs {
 		if req != nil && req.done && req.time < best {
@@ -161,8 +136,7 @@ func (r *Rank) Waitany(reqs []*Request) (int, Status) {
 // Testall reports whether every request has completed; when true the clock
 // absorbs all completion times (like MPI_Testall with flag=true).
 func (r *Rank) Testall(reqs []*Request) bool {
-	call := &Call{Func: "MPI_Testall", Requests: reqs}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Testall", Requests: reqs})
 	w := r.world
 	w.mu.Lock()
 	all := true
@@ -188,16 +162,14 @@ func (r *Rank) Testall(reqs []*Request) bool {
 
 // Scan performs an inclusive prefix reduction over the communicator.
 func (r *Rank) Scan(c *Comm, bytes int, op ReduceOp) {
-	call := &Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.Scan, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Exscan performs an exclusive prefix reduction over the communicator.
 func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
-	call := &Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.Scan, bytes, [2]int{}, false)
 	r.endCall(call)
 }
@@ -205,8 +177,7 @@ func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
 // ReduceScatter reduces and scatters equal blocks; bytes is the per-rank
 // block size.
 func (r *Rank) ReduceScatter(c *Comm, bytes int, op ReduceOp) {
-	call := &Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.ReduceScatter, bytes, [2]int{}, false)
 	r.endCall(call)
 }

@@ -10,12 +10,6 @@ import (
 // blocking path, so blocking and non-blocking collectives on one
 // communicator stay totally ordered, as the standard requires.
 
-// slotWaiter links a pending request to the rank to wake on completion.
-type slotWaiter struct {
-	req  *Request
-	rank *Rank
-}
-
 // icollective registers arrival at a collective without blocking.
 func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *Request {
 	w := r.world
@@ -40,7 +34,7 @@ func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *Request {
 	if bytes > slot.maxBytes {
 		slot.maxBytes = bytes
 	}
-	slot.waiters = append(slot.waiters, slotWaiter{req: req, rank: r})
+	slot.waiters = append(slot.waiters, req)
 	if slot.arrived == slot.expected {
 		w.finishCollective(c, key, slot)
 	}
@@ -50,8 +44,7 @@ func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *Request {
 
 // Ibarrier starts a non-blocking barrier.
 func (r *Rank) Ibarrier(c *Comm) *Request {
-	call := &Call{Func: "MPI_Ibarrier", Comm: c}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Ibarrier", Comm: c})
 	req := r.icollective(c, netmodel.Barrier, 0)
 	call.Request = req
 	r.endCall(call)
@@ -60,8 +53,7 @@ func (r *Rank) Ibarrier(c *Comm) *Request {
 
 // Ibcast starts a non-blocking broadcast.
 func (r *Rank) Ibcast(c *Comm, root, bytes int) *Request {
-	call := &Call{Func: "MPI_Ibcast", Comm: c, Root: root, Bytes: bytes}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Ibcast", Comm: c, Root: root, Bytes: bytes})
 	req := r.icollective(c, netmodel.Bcast, bytes)
 	call.Request = req
 	r.endCall(call)
@@ -70,8 +62,7 @@ func (r *Rank) Ibcast(c *Comm, root, bytes int) *Request {
 
 // Iallreduce starts a non-blocking allreduce.
 func (r *Rank) Iallreduce(c *Comm, bytes int, op ReduceOp) *Request {
-	call := &Call{Func: "MPI_Iallreduce", Comm: c, Bytes: bytes, Op: op}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Iallreduce", Comm: c, Bytes: bytes, Op: op})
 	req := r.icollective(c, netmodel.Allreduce, bytes)
 	call.Request = req
 	r.endCall(call)

@@ -67,6 +67,11 @@ type Call struct {
 // rank's goroutine, so implementations may charge tracing overhead through
 // Rank.AddOverhead and keep per-rank state without locking (indexed by
 // r.Rank()).
+//
+// Each rank reuses one Call for all its calls, so the *Call is valid only
+// from BeforeCall to the return of AfterCall: an implementation must not
+// keep the pointer past AfterCall, and copies whatever it needs later.
+// Requests and communicators the call refers to stay valid as usual.
 type Interceptor interface {
 	// BeforeCall fires on call entry, before any cost is charged.
 	BeforeCall(r *Rank, call *Call)

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"siesta/internal/vtime"
 )
 
@@ -74,7 +72,7 @@ func (w *World) postMessage(m *message) int {
 	queue := w.posted[m.dstWorld]
 	for i, pr := range queue {
 		if pr.matches(m) {
-			w.posted[m.dstWorld] = append(queue[:i:i], queue[i+1:]...)
+			w.posted[m.dstWorld] = removeAt(queue, i)
 			completeMatch(m, pr)
 			putMessage(m)
 			putPostedRecv(pr)
@@ -94,7 +92,7 @@ func (w *World) postRecv(pr *postedRecv) {
 	box := w.mailbox[pr.owner.rank]
 	for i, m := range box {
 		if pr.matches(m) {
-			w.mailbox[pr.owner.rank] = append(box[:i:i], box[i+1:]...)
+			w.mailbox[pr.owner.rank] = removeAt(box, i)
 			completeMatch(m, pr)
 			putMessage(m)
 			putPostedRecv(pr)
@@ -102,6 +100,16 @@ func (w *World) postRecv(pr *postedRecv) {
 		}
 	}
 	w.posted[pr.owner.rank] = append(w.posted[pr.owner.rank], pr)
+}
+
+// removeAt deletes q[i] in place, keeping the order of the rest, and clears
+// the vacated tail slot so the queue keeps no recycled struct reachable.
+// The queue keeps its capacity, so a steady post/match rate allocates
+// nothing.
+func removeAt[T any](q []*T, i int) []*T {
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
 }
 
 // buildMessage prices and assembles an outgoing message (drawn from the
@@ -144,8 +152,7 @@ func (r *Rank) SendBytes(c *Comm, dst, tag int, data []byte) {
 }
 
 func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
-	call := &Call{Func: "MPI_Send", Comm: c, Dest: dst, Tag: tag, Bytes: bytes}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Send", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	if dst != ProcNull {
 		w := r.world
 		dstWorld := c.WorldRank(dst)
@@ -157,25 +164,18 @@ func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
 			w.mu.Unlock()
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 		} else {
-			req := r.newRequest(reqSend)
+			req := r.ownRequest(reqSend)
 			req.describe(dst, tag)
 			m.sendReq = req
 			m.sender = r
-			// Closures built outside the critical section: their
-			// allocations would otherwise serialize under w.mu.
-			makeOp := func() PendingOp {
-				op := r.pendingOp("rendezvous handshake")
-				op.Peer, op.Tag = dst, tag
-				return op
-			}
-			ready := func() bool { return req.done }
 			w.mu.Lock()
 			seq := w.postMessage(m)
-			w.waitCond(r, makeOp, ready)
+			w.waitCond(r, waitDesc{kind: waitPeer, detail: "rendezvous handshake", req: req})
 			w.mu.Unlock()
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 			r.abortIfFailed()
 			r.clock.AdvanceTo(vtime.Time(req.time))
+			r.releaseRequest(req)
 		}
 	}
 	r.endCall(call)
@@ -193,33 +193,27 @@ func (r *Rank) RecvBytes(c *Comm, src, tag int, buf []byte) Status {
 }
 
 func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
-	call := &Call{Func: "MPI_Recv", Comm: c, Source: src, Tag: tag}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Recv", Comm: c, Source: src, Tag: tag})
 	var st Status
 	if src != ProcNull {
 		w := r.world
-		req := r.newRequest(reqRecv)
+		req := r.ownRequest(reqRecv)
 		req.describe(src, tag)
 		pr := getPostedRecv()
 		*pr = postedRecv{
 			commID: c.id, src: src, tag: tag,
 			postTime: r.clock.Now(), req: req, owner: r, buf: buf,
 		}
-		makeOp := func() PendingOp {
-			op := r.pendingOp("")
-			op.Peer, op.Tag = src, tag
-			return op
-		}
-		ready := func() bool { return req.done }
 		w.mu.Lock()
 		w.postRecv(pr)
-		w.waitCond(r, makeOp, ready)
+		w.waitCond(r, waitDesc{kind: waitPeer, req: req})
 		w.mu.Unlock()
 		r.abortIfFailed()
 		r.clock.AdvanceTo(vtime.Time(req.time))
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
 		st = req.st
 		call.RecvSrcWorld, call.RecvSeq = req.matchedSrc, req.matchedSeq
+		r.releaseRequest(req)
 	}
 	call.Bytes = st.Bytes
 	call.SourceResolved = st.Source
@@ -229,8 +223,7 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 
 // Isend starts a non-blocking send and returns its request.
 func (r *Rank) Isend(c *Comm, dst, tag, bytes int) *Request {
-	call := &Call{Func: "MPI_Isend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Isend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	w := r.world
 	req := r.newRequest(reqSend)
 	if dst == ProcNull {
@@ -260,8 +253,7 @@ func (r *Rank) Isend(c *Comm, dst, tag, bytes int) *Request {
 
 // Irecv starts a non-blocking receive and returns its request.
 func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
-	call := &Call{Func: "MPI_Irecv", Comm: c, Source: src, Tag: tag}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Irecv", Comm: c, Source: src, Tag: tag})
 	w := r.world
 	req := r.newRequest(reqRecv)
 	if src == ProcNull {
@@ -287,8 +279,7 @@ func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
 // Wait blocks until the request completes and returns its status (zero for
 // sends).
 func (r *Rank) Wait(req *Request) Status {
-	call := &Call{Func: "MPI_Wait", Request: req}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Wait", Request: req})
 	st := r.waitOne(req)
 	call.Bytes = st.Bytes
 	r.endCall(call)
@@ -297,8 +288,7 @@ func (r *Rank) Wait(req *Request) Status {
 
 // Waitall blocks until every request completes.
 func (r *Rank) Waitall(reqs []*Request) {
-	call := &Call{Func: "MPI_Waitall", Requests: reqs}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Waitall", Requests: reqs})
 	for _, req := range reqs {
 		r.waitOne(req)
 	}
@@ -314,17 +304,8 @@ func (r *Rank) waitOne(req *Request) Status {
 			"waiting on a request owned by rank %d", req.owner))
 	}
 	w := r.world
-	makeOp := func() PendingOp {
-		op := r.pendingOp(fmt.Sprintf("request #%d from %s", req.id, req.op))
-		op.Peer, op.Tag = req.peer, req.tag
-		if req.commID >= 0 {
-			op.Comm = req.commID
-		}
-		return op
-	}
-	ready := func() bool { return req.done }
 	w.mu.Lock()
-	w.waitCond(r, makeOp, ready)
+	w.waitCond(r, waitDesc{kind: waitRequest, req: req})
 	w.mu.Unlock()
 	r.abortIfFailed()
 	r.clock.AdvanceTo(vtime.Time(req.time))
@@ -337,8 +318,7 @@ func (r *Rank) waitOne(req *Request) Status {
 // Test reports whether the request has completed, without blocking. When it
 // has, the rank's clock absorbs the completion time, as MPI_Test does.
 func (r *Rank) Test(req *Request) (bool, Status) {
-	call := &Call{Func: "MPI_Test", Request: req}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Test", Request: req})
 	w := r.world
 	w.mu.Lock()
 	done := req.done
@@ -359,16 +339,15 @@ func (r *Rank) Test(req *Request) (bool, Status) {
 // standard (implemented as Isend+Irecv+Waitall internally, priced as one
 // call).
 func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Status {
-	call := &Call{
+	call := r.beginCall(Call{
 		Func: "MPI_Sendrecv", Comm: c,
 		Dest: dst, Tag: sendTag, Bytes: sendBytes,
 		Source: src, RecvTag: recvTag,
-	}
-	r.beginCall(call)
+	})
 	w := r.world
 	var sreq, rreq *Request
 	if dst != ProcNull {
-		sreq = r.newRequest(reqSend)
+		sreq = r.ownRequest(reqSend)
 		sreq.describe(dst, sendTag)
 		dstWorld := c.WorldRank(dst)
 		m := r.buildMessage(c, dst, sendTag, sendBytes, nil, sreq)
@@ -384,7 +363,7 @@ func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Stat
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, sendBytes
 	}
 	if src != ProcNull {
-		rreq = r.newRequest(reqRecv)
+		rreq = r.ownRequest(reqRecv)
 		rreq.describe(src, recvTag)
 		pr := getPostedRecv()
 		*pr = postedRecv{
@@ -398,10 +377,12 @@ func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Stat
 	var st Status
 	if sreq != nil {
 		r.waitOne(sreq)
+		r.releaseRequest(sreq)
 	}
 	if rreq != nil {
 		st = r.waitOne(rreq)
 		call.RecvSrcWorld, call.RecvSeq = rreq.matchedSrc, rreq.matchedSeq
+		r.releaseRequest(rreq)
 	}
 	call.SourceResolved = st.Source
 	call.RecvBytes = st.Bytes

@@ -21,8 +21,7 @@ type persistentArgs struct {
 
 // SendInit creates an inactive persistent send request.
 func (r *Rank) SendInit(c *Comm, dst, tag, bytes int) *Request {
-	call := &Call{Func: "MPI_Send_init", Comm: c, Dest: dst, Tag: tag, Bytes: bytes}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Send_init", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	req := r.newRequest(reqSend)
 	req.describe(dst, tag)
 	req.persistent = &persistentArgs{comm: c, peer: dst, tag: tag, bytes: bytes}
@@ -36,8 +35,7 @@ func (r *Rank) SendInit(c *Comm, dst, tag, bytes int) *Request {
 
 // RecvInit creates an inactive persistent receive request.
 func (r *Rank) RecvInit(c *Comm, src, tag int) *Request {
-	call := &Call{Func: "MPI_Recv_init", Comm: c, Source: src, Tag: tag}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Recv_init", Comm: c, Source: src, Tag: tag})
 	req := r.newRequest(reqRecv)
 	req.describe(src, tag)
 	req.persistent = &persistentArgs{comm: c, peer: src, tag: tag}
@@ -59,8 +57,7 @@ func (r *Rank) Start(req *Request) {
 		panic(mpiErrorf(ErrRequest, r.rank, "MPI_Start",
 			"starting a request owned by rank %d", req.owner))
 	}
-	call := &Call{Func: "MPI_Start", Request: req}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Start", Request: req})
 	w := r.world
 	pa := req.persistent
 	req.done = false
@@ -112,8 +109,7 @@ func (r *Rank) Startall(reqs []*Request) {
 // RequestFree releases a persistent request. (Non-persistent requests are
 // freed implicitly by Wait, as in MPI.)
 func (r *Rank) RequestFree(req *Request) {
-	call := &Call{Func: "MPI_Request_free", Request: req}
-	r.beginCall(call)
+	call := r.beginCall(Call{Func: "MPI_Request_free", Request: req})
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
 	req.persistent = nil
 	r.endCall(call)

@@ -25,15 +25,22 @@ type Rank struct {
 	nextReqID int
 	seqs      map[int]int // per-communicator collective sequence numbers
 
+	// call is the rank's reused Call: every MPI method fills it in place
+	// of allocating one, which is sound because no Interceptor keeps the
+	// pointer past AfterCall (see Interceptor).
+	call Call
 	// curCall is the MPI call the rank is currently inside (set by
 	// beginCall, read only from the rank's own goroutine); the deadlock
 	// detector's pending-operation records are built from it.
 	curCall *Call
+	// freeReqs holds the requests blocking calls made for themselves and
+	// released on return (ownRequest, releaseRequest). Only the rank's
+	// own goroutine touches it.
+	freeReqs []*Request
 
 	// Deadlock-detector state, guarded by world.mu.
-	state   rankState
-	pending func() PendingOp
-	ready   func() bool
+	state rankState
+	wait  waitDesc // what the rank waits for while rsBlocked
 
 	// accumulated results
 	commTime     vtime.Duration
@@ -101,7 +108,39 @@ func (r *Rank) Elapse(d vtime.Duration) {
 // newRequest allocates a deterministic per-rank request, stamped with the
 // creating call's name and communicator for deadlock diagnostics.
 func (r *Rank) newRequest(kind int) *Request {
-	req := &Request{id: r.nextReqID, kind: kind, owner: r.rank, peer: NoPeer, tag: AnyTag, commID: -1}
+	req := new(Request)
+	r.initRequest(req, kind)
+	return req
+}
+
+// ownRequest is newRequest for a request a blocking call makes for itself
+// and never hands out: it comes from the rank's free list, and the call
+// gives it back with releaseRequest once it has read the result. Ids stay
+// fresh and dense either way, so deadlock reports do not change.
+func (r *Rank) ownRequest(kind int) *Request {
+	n := len(r.freeReqs)
+	if n == 0 {
+		return r.newRequest(kind)
+	}
+	req := r.freeReqs[n-1]
+	r.freeReqs = r.freeReqs[:n-1]
+	r.initRequest(req, kind)
+	return req
+}
+
+// releaseRequest returns an ownRequest request to the free list. The
+// caller holds the last reference: the router dropped its own when the
+// request completed.
+func (r *Rank) releaseRequest(req *Request) {
+	if releaseHook != nil {
+		releaseHook(req)
+	}
+	r.freeReqs = append(r.freeReqs, req)
+}
+
+// initRequest overwrites every field of req with a fresh request's.
+func (r *Rank) initRequest(req *Request, kind int) {
+	*req = Request{id: r.nextReqID, kind: kind, owner: r.rank, peer: NoPeer, tag: AnyTag, commID: -1}
 	r.nextReqID++
 	if c := r.curCall; c != nil {
 		req.op = c.Func
@@ -109,7 +148,6 @@ func (r *Rank) newRequest(kind int) *Request {
 			req.commID = c.Comm.id
 		}
 	}
-	return req
 }
 
 // describe records a request's point-to-point partner for deadlock
@@ -118,10 +156,13 @@ func (req *Request) describe(peer, tag int) {
 	req.peer, req.tag = peer, tag
 }
 
-// beginCall notes a call start for the interceptor and accounting. It is
-// also the fault plan's call-granularity trigger point: a scheduled rank
-// crash fires here, before the call does anything.
-func (r *Rank) beginCall(call *Call) {
+// beginCall notes a call start for the interceptor and accounting, and
+// returns the rank's reused Call holding c. It is also the fault plan's
+// call-granularity trigger point: a scheduled rank crash fires here,
+// before the call does anything.
+func (r *Rank) beginCall(c Call) *Call {
+	r.call = c
+	call := &r.call
 	call.Start = r.clock.Now()
 	r.calls++
 	r.curCall = call
@@ -134,6 +175,7 @@ func (r *Rank) beginCall(call *Call) {
 	if ic := r.world.cfg.Interceptor; ic != nil {
 		ic.BeforeCall(r, call)
 	}
+	return call
 }
 
 // endCall notes a call end.

@@ -142,13 +142,32 @@ type postedRecv struct {
 // is an optimization, never an obligation.
 var msgPool = sync.Pool{New: func() any { return new(message) }}
 
-func getMessage() *message  { return msgPool.Get().(*message) }
-func putMessage(m *message) { *m = message{}; msgPool.Put(m) }
+func getMessage() *message { return msgPool.Get().(*message) }
+
+func putMessage(m *message) {
+	*m = message{}
+	if releaseHook != nil {
+		releaseHook(m)
+	}
+	msgPool.Put(m)
+}
 
 var prPool = sync.Pool{New: func() any { return new(postedRecv) }}
 
-func getPostedRecv() *postedRecv   { return prPool.Get().(*postedRecv) }
-func putPostedRecv(pr *postedRecv) { *pr = postedRecv{}; prPool.Put(pr) }
+func getPostedRecv() *postedRecv { return prPool.Get().(*postedRecv) }
+
+func putPostedRecv(pr *postedRecv) {
+	*pr = postedRecv{}
+	if releaseHook != nil {
+		releaseHook(pr)
+	}
+	prPool.Put(pr)
+}
+
+// releaseHook, when set, sees every message, posted receive and
+// ownRequest request as it is recycled. Only tests set it (to poison
+// released objects), and never while a world runs.
+var releaseHook func(any)
 
 // flatChanCutoff is the world size up to which per-channel message
 // counters use a dense size×size array instead of a map: one indexed add
@@ -199,16 +218,15 @@ type collSlot struct {
 	maxIn     vtime.Time
 	maxBytes  int
 	op        netmodel.CollOp
-	done      chan struct{}
 	outTime   vtime.Time
-	completed bool // set (under w.mu) when done is closed by completion
+	completed bool // set under w.mu once the last member arrives
 	// split bookkeeping
 	splitArgs map[int][2]int // world rank -> (color, key)
 	newComms  map[int]*Comm  // world rank -> resulting comm
 	// file-open bookkeeping: the handle shared by the group
 	sharedFile *File
 	// non-blocking collective requests resolved at completion
-	waiters []slotWaiter
+	waiters []*Request
 }
 
 // NewWorld creates a simulated MPI job. It panics on invalid configuration
@@ -421,13 +439,6 @@ func (w *World) failLocked(err error) {
 	for _, r := range w.ranks {
 		r.cond.Broadcast()
 	}
-	for _, slot := range w.colls {
-		select {
-		case <-slot.done:
-		default:
-			close(slot.done)
-		}
-	}
 }
 
 // setStateLocked moves r to state s and keeps w.running in step. It is
@@ -442,39 +453,98 @@ func (w *World) setStateLocked(r *Rank, s rankState) {
 	r.state = s
 }
 
-// blockLocked marks the rank blocked on op. ready is the operation's
-// enabling predicate, evaluated under w.mu by the deadlock detector: a
-// blocked rank whose predicate already holds is merely not yet scheduled,
-// not stuck. op is also evaluated under w.mu, and only when a report is
-// actually produced, so its description (e.g. collective arrival counts)
-// reflects the state at report time, not at block time. Caller holds w.mu.
-func (w *World) blockLocked(r *Rank, op func() PendingOp, ready func() bool) {
-	w.setStateLocked(r, rsBlocked)
-	r.pending = op
-	r.ready = ready
+// waitKind names what a blocked rank waits for.
+type waitKind uint8
+
+const (
+	waitPeer    waitKind = iota + 1 // a blocking point-to-point call's own request completes
+	waitRequest                     // a Wait on a request completes
+	waitAny                         // any of reqs completes (Waitany)
+	waitProbe                       // a mailbox message matches probe
+	waitColl                        // the collective slot completes
+)
+
+// waitDesc is a blocked rank's wait: its enabling predicate (readyLocked)
+// and, once a deadlock is proved, its PendingOp (pendingLocked) both derive
+// from it, so blocking builds neither a closure nor a report.
+type waitDesc struct {
+	kind   waitKind
+	detail string      // waitPeer: the PendingOp detail ("" for a receive)
+	req    *Request    // waitPeer, waitRequest
+	reqs   []*Request  // waitAny
+	probe  *postedRecv // waitProbe
+	slot   *collSlot   // waitColl
+	comm   int         // waitColl: communicator id
+	seq    int         // waitColl: collective sequence number
 }
 
-// resumeLocked clears the rank's blocked record. Caller holds w.mu.
-func (w *World) resumeLocked(r *Rank) {
-	w.setStateLocked(r, rsRunning)
-	r.pending = nil
-	r.ready = nil
+// readyLocked evaluates the wait's enabling predicate. Caller holds w.mu.
+func (w *World) readyLocked(wd *waitDesc) bool {
+	switch wd.kind {
+	case waitPeer, waitRequest:
+		return wd.req.done
+	case waitAny:
+		for _, req := range wd.reqs {
+			if req != nil && req.done {
+				return true
+			}
+		}
+	case waitProbe:
+		return w.findUnexpected(wd.probe) != nil
+	case waitColl:
+		return wd.slot.completed
+	}
+	return false
 }
 
-// waitCond blocks the rank until ready() holds or the run aborts,
-// maintaining the wait-for bookkeeping the deadlock detector reads. makeOp
-// is only invoked when a deadlock or deadline report is built, keeping the
-// blocking path free of diagnostic formatting. Caller holds w.mu.
-func (w *World) waitCond(r *Rank, makeOp func() PendingOp, ready func() bool) {
-	if ready() || w.aborted() {
+// pendingLocked describes the rank's wait for a deadlock or deadline
+// report. It runs only when a report is actually produced, so its
+// description (e.g. collective arrival counts) reflects the state at
+// report time, not at block time. Caller holds w.mu.
+func (r *Rank) pendingLocked() PendingOp {
+	wd := &r.wait
+	switch wd.kind {
+	case waitPeer:
+		op := r.pendingOp(wd.detail)
+		op.Peer, op.Tag = wd.req.peer, wd.req.tag
+		return op
+	case waitRequest:
+		req := wd.req
+		op := r.pendingOp(fmt.Sprintf("request #%d from %s", req.id, req.op))
+		op.Peer, op.Tag = req.peer, req.tag
+		if req.commID >= 0 {
+			op.Comm = req.commID
+		}
+		return op
+	case waitAny:
+		return r.pendingOp(fmt.Sprintf("any of %d requests", len(wd.reqs)))
+	case waitProbe:
+		op := r.pendingOp("probing")
+		op.Peer, op.Tag = wd.probe.src, wd.probe.tag
+		return op
+	default: // waitColl
+		op := r.pendingOp(fmt.Sprintf("seq %d, %d/%d arrived", wd.seq, wd.slot.arrived, wd.slot.expected))
+		op.Comm = wd.comm
+		return op
+	}
+}
+
+// waitCond blocks the rank until its wait wd is ready or the run aborts,
+// maintaining the wait-for bookkeeping the deadlock detector reads: a
+// blocked rank whose wait is already ready is merely not yet scheduled,
+// not stuck. Caller holds w.mu.
+func (w *World) waitCond(r *Rank, wd waitDesc) {
+	if w.readyLocked(&wd) || w.aborted() {
 		return
 	}
-	w.blockLocked(r, makeOp, ready)
+	r.wait = wd
+	w.setStateLocked(r, rsBlocked)
 	w.checkDeadlockLocked()
-	for !ready() && !w.aborted() {
+	for !w.readyLocked(&r.wait) && !w.aborted() {
 		r.cond.Wait()
 	}
-	w.resumeLocked(r)
+	w.setStateLocked(r, rsRunning)
+	r.wait = waitDesc{}
 }
 
 // checkDeadlockLocked declares a deadlock when no rank can make progress:
@@ -489,8 +559,8 @@ func (w *World) waitCond(r *Rank, makeOp func() PendingOp, ready func() bool) {
 // The check costs nothing while the running count is nonzero. Otherwise a
 // first pass evaluates only the enabling predicates and returns at the
 // first blocked rank that is ready; the report, which formats every
-// blocked rank's PendingOp, is built in a second pass only once that pass
-// has proved the deadlock.
+// blocked rank's PendingOp from its wait descriptor, is built in a second
+// pass only once that pass has proved the deadlock.
 func (w *World) checkDeadlockLocked() {
 	if w.failed != nil || w.running > 0 {
 		return
@@ -500,7 +570,7 @@ func (w *World) checkDeadlockLocked() {
 		if r.state != rsBlocked {
 			continue
 		}
-		if r.ready != nil && r.ready() {
+		if w.readyLocked(&r.wait) {
 			return // enabled transition: the rank just hasn't woken yet
 		}
 		stuck = true
@@ -513,7 +583,7 @@ func (w *World) checkDeadlockLocked() {
 	for _, r := range w.ranks {
 		switch r.state {
 		case rsBlocked:
-			blocked = append(blocked, r.pending())
+			blocked = append(blocked, r.pendingLocked())
 		case rsCrashed:
 			crashed = append(crashed, r.rank)
 		}
@@ -532,8 +602,8 @@ func (w *World) checkDeadlockLocked() {
 func (w *World) blockedOpsLocked() []PendingOp {
 	var ops []PendingOp
 	for _, r := range w.ranks {
-		if r.state == rsBlocked && r.pending != nil && (r.ready == nil || !r.ready()) {
-			ops = append(ops, r.pending())
+		if r.state == rsBlocked && !w.readyLocked(&r.wait) {
+			ops = append(ops, r.pendingLocked())
 		}
 	}
 	return ops
@@ -565,7 +635,6 @@ func (w *World) collectiveSlot(c *Comm, seq int, op netmodel.CollOp) *collSlot {
 		slot = &collSlot{
 			expected: len(c.ranks),
 			op:       op,
-			done:     make(chan struct{}),
 		}
 		w.colls[key] = slot
 	}
@@ -581,14 +650,22 @@ func (w *World) finishCollective(c *Comm, key collKey, slot *collSlot) {
 	if slot.splitArgs != nil {
 		w.resolveSplit(c, slot)
 	}
-	for _, sw := range slot.waiters {
-		sw.req.done = true
-		sw.req.time = float64(slot.outTime)
-		sw.rank.cond.Broadcast()
+	for _, req := range slot.waiters {
+		req.done = true
+		req.time = float64(slot.outTime)
 	}
+	w.completeSlotLocked(c, key, slot)
+}
+
+// completeSlotLocked retires a finished slot and wakes its communicator's
+// members: those blocked in the collective, and those waiting on one of
+// its non-blocking requests. Caller holds w.mu.
+func (w *World) completeSlotLocked(c *Comm, key collKey, slot *collSlot) {
 	delete(w.colls, key)
 	slot.completed = true
-	close(slot.done)
+	for _, wr := range c.ranks {
+		w.ranks[wr].cond.Broadcast()
+	}
 }
 
 // resolveSplit groups split participants by color, orders them by key then

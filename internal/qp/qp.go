@@ -16,8 +16,8 @@ import (
 	"math"
 )
 
-// ErrNoConverge reports that the active-set iteration failed to terminate
-// within its iteration budget.
+// ErrNoConverge reports that the FISTA iteration failed to reach a
+// stationary point within its iteration budget.
 var ErrNoConverge = errors.New("qp: NNLS did not converge")
 
 // Matrix is a dense row-major matrix.
@@ -40,43 +40,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("qp: MulVec dimension mismatch %d != %d", len(x), m.Cols))
-	}
-	y := make([]float64, m.Rows)
-	m.mulVecInto(y, x)
-	return y
-}
-
-// mulVecInto writes m·x into y, which has length m.Rows.
-func (m *Matrix) mulVecInto(y, x []float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-}
-
-// Residual returns b − m·x.
-func (m *Matrix) Residual(x, b []float64) []float64 {
-	y := m.MulVec(x)
-	r := make([]float64, len(b))
-	for i := range b {
-		r[i] = b[i] - y[i]
-	}
-	return r
-}
-
-// ResidualNorm2 returns ‖b − m·x‖².
-func (m *Matrix) ResidualNorm2(x, b []float64) float64 {
-	return sumSquares(m.Residual(x, b))
 }
 
 // sumSquares returns Σ vᵢ².
@@ -196,8 +159,14 @@ func lsqSubset(a *Matrix, b []float64, p []int) []float64 {
 // produce — where naive Lawson–Hanson active-set iterations can cycle. The
 // returned x has length A.Cols.
 func NNLS(a *Matrix, b []float64) ([]float64, error) {
+	x, _, err := nnls(a, b)
+	return x, err
+}
+
+// nnls is NNLS, also reporting how many FISTA steps it took.
+func nnls(a *Matrix, b []float64) (x []float64, steps int, err error) {
 	if len(b) != a.Rows {
-		return nil, fmt.Errorf("qp: NNLS rhs length %d != rows %d", len(b), a.Rows)
+		return nil, 0, fmt.Errorf("qp: NNLS rhs length %d != rows %d", len(b), a.Rows)
 	}
 	n := a.Cols
 
@@ -221,10 +190,12 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 
+	k := newKernel(an)
+
 	// Lipschitz constant of the gradient: 2·λmax(AᵀA) via power iteration.
-	lam := gramSpectralRadius(an)
+	lam := k.spectralRadius()
 	if lam <= 0 {
-		return make([]float64, n), nil // zero matrix: anything fits equally
+		return make([]float64, n), 0, nil // zero matrix: anything fits equally
 	}
 	step := 1 / (2 * lam)
 
@@ -233,7 +204,7 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 	for j := range all {
 		all[j] = j
 	}
-	x := lsqSubset(an, b, all)
+	x = lsqSubset(an, b, all)
 	for j := range x {
 		if x[j] < 0 || math.IsNaN(x[j]) || math.IsInf(x[j], 0) {
 			x[j] = 0
@@ -241,113 +212,167 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 	}
 
 	// Scratch for the residual and gradient, allocated once per call and
-	// reused by every FISTA step; grad's result is valid until its next call.
+	// reused by every FISTA step.
 	r := make([]float64, an.Rows)
-	gBuf := make([]float64, n)
-	residual := func(v []float64) []float64 {
-		an.mulVecInto(r, v)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		return r
-	}
-	grad := func(v []float64) []float64 {
-		residual(v)
-		for j := 0; j < n; j++ {
-			var s float64
-			for i := 0; i < an.Rows; i++ {
-				s += an.At(i, j) * r[i]
-			}
-			gBuf[j] = -2 * s
-		}
-		return gBuf
-	}
+	g := make([]float64, n)
 	// Gradient scale at the origin, for the relative stopping criterion.
+	k.gradient(g, r, b, make([]float64, n))
 	gradScale := 0.0
-	for _, v := range grad(make([]float64, n)) {
+	for _, v := range g {
 		if av := math.Abs(v); av > gradScale {
 			gradScale = av
 		}
 	}
 	if gradScale == 0 {
-		return make([]float64, n), nil
+		return make([]float64, n), 0, nil
 	}
-	converged := func(v []float64) bool {
-		// Projected gradient must vanish: g_j ≈ 0 where v_j > 0,
-		// g_j ≥ 0 where v_j = 0.
-		for j, gj := range grad(v) {
-			pg := gj
-			if v[j] <= 0 && pg > 0 {
-				pg = 0
-			}
-			if math.Abs(pg) > 1e-9*gradScale {
-				return false
-			}
-		}
-		return true
-	}
+	tol := 1e-9 * gradScale
 
 	// FISTA with adaptive restart. x and xNew trade buffers each step.
 	y := append([]float64(nil), x...)
 	xNew := make([]float64, n)
 	tMom := 1.0
-	prevObj := sumSquares(residual(x))
+	prevObj := k.residualNorm2(r, b, x)
 	const maxIters = 500000
-	for iter := 0; iter < maxIters; iter++ {
-		g := grad(y)
-		for j := 0; j < n; j++ {
-			v := y[j] - step*g[j]
+	for steps < maxIters {
+		steps++
+		k.gradient(g, r, b, y)
+		for j, gj := range g {
+			v := y[j] - step*gj
 			if v < 0 {
 				v = 0
 			}
 			xNew[j] = v
 		}
 		tNew := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
-		for j := 0; j < n; j++ {
-			y[j] = xNew[j] + (tMom-1)/tNew*(xNew[j]-x[j])
-			if y[j] < 0 {
-				y[j] = 0
+		mom := (tMom - 1) / tNew
+		for j, xj := range xNew {
+			v := xj + mom*(xj-x[j])
+			if v < 0 {
+				v = 0
 			}
+			y[j] = v
 		}
-		obj := sumSquares(residual(xNew))
+		obj := k.residualNorm2(r, b, xNew)
 		if obj > prevObj { // restart momentum on non-monotonicity
 			copy(y, xNew)
 			tNew = 1
 		}
 		x, xNew, tMom, prevObj = xNew, x, tNew, obj
-		if iter%64 == 63 && converged(x) {
+		// r holds b − A·x, so the gradient at x needs only Aᵀr.
+		if steps%64 == 0 && stationary(k.gradientFrom(g, r), x, tol) {
 			break
 		}
 	}
-	if !converged(x) {
-		return nil, ErrNoConverge
+	k.gradient(g, r, b, x)
+	if !stationary(g, x, tol) {
+		return nil, steps, ErrNoConverge
 	}
 	for j := range x {
 		x[j] /= norms[j]
 	}
-	return x, nil
+	return x, steps, nil
 }
 
-// gramSpectralRadius estimates λmax(AᵀA) by power iteration.
-func gramSpectralRadius(a *Matrix) float64 {
-	n := a.Cols
-	v := make([]float64, n)
+// stationary reports whether the projected gradient vanishes at v:
+// g_j ≈ 0 where v_j > 0, and g_j ≥ 0 where v_j = 0.
+func stationary(g, v []float64, tol float64) bool {
+	for j, gj := range g {
+		pg := gj
+		if v[j] <= 0 && pg > 0 {
+			pg = 0
+		}
+		if math.Abs(pg) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// kernel holds a matrix A for NNLS's inner loops, row-major (a) and
+// transposed (at), so that both A·v and Aᵀ·r are dot products over
+// contiguous rows. Every product sums in the order of the plain loops it
+// replaced (A·v over ascending columns, Aᵀ·r over ascending rows), so each
+// result is bit-identical to theirs; see dotRows.
+type kernel struct {
+	rows, cols int
+	a, at      []float64
+}
+
+func newKernel(m *Matrix) *kernel {
+	at := make([]float64, len(m.Data))
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			at[j*m.Rows+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return &kernel{rows: m.Rows, cols: m.Cols, a: m.Data, at: at}
+}
+
+// dotRows sets y[i] = Σₖ m[i·len(x)+k]·x[k] for every i < len(y). Four rows
+// run at once, each in its own accumulator that sums k in ascending order
+// exactly as a one-row loop does, so the result is bit-identical to one:
+// the blocking only lets four independent add chains overlap. A short last
+// block computes its final row more than once, identically, rather than
+// branching per element.
+func dotRows(y, m, x []float64) {
+	n, last := len(x), len(y)-1
+	for i := 0; i <= last; i += 4 {
+		i1, i2, i3 := min(i+1, last), min(i+2, last), min(i+3, last)
+		m0, m1, m2, m3 := m[i*n:][:n], m[i1*n:][:n], m[i2*n:][:n], m[i3*n:][:n]
+		var s0, s1, s2, s3 float64
+		for k, xk := range x {
+			s0 += m0[k] * xk
+			s1 += m1[k] * xk
+			s2 += m2[k] * xk
+			s3 += m3[k] * xk
+		}
+		y[i], y[i1], y[i2], y[i3] = s0, s1, s2, s3
+	}
+}
+
+// residualNorm2 writes b − A·v into r and returns ‖r‖², summed in row
+// order as sumSquares does.
+func (k *kernel) residualNorm2(r, b, v []float64) float64 {
+	dotRows(r, k.a, v)
+	var s float64
+	for i, bi := range b[:len(r)] {
+		d := bi - r[i]
+		r[i] = d
+		s += d * d
+	}
+	return s
+}
+
+// gradient writes ∇‖b − A·v‖² = −2·Aᵀ(b − A·v) into g, leaving b − A·v
+// in r.
+func (k *kernel) gradient(g, r, b, v []float64) {
+	k.residualNorm2(r, b, v)
+	k.gradientFrom(g, r)
+}
+
+// gradientFrom writes −2·Aᵀr into g and returns g.
+func (k *kernel) gradientFrom(g, r []float64) []float64 {
+	dotRows(g, k.at, r)
+	for j, s := range g {
+		g[j] = -2 * s
+	}
+	return g
+}
+
+// spectralRadius estimates λmax(AᵀA) by power iteration.
+func (k *kernel) spectralRadius() float64 {
+	v := make([]float64, k.cols)
 	for j := range v {
 		v[j] = 1
 	}
-	av := make([]float64, a.Rows)
-	w := make([]float64, n)
+	av := make([]float64, k.rows)
+	w := make([]float64, k.cols)
 	var lambda float64
 	for it := 0; it < 200; it++ {
 		// w = Aᵀ(A v)
-		a.mulVecInto(av, v)
-		for j := 0; j < n; j++ {
-			var s float64
-			for i := 0; i < a.Rows; i++ {
-				s += a.At(i, j) * av[i]
-			}
-			w[j] = s
-		}
+		dotRows(av, k.a, v)
+		dotRows(w, k.at, av)
 		norm := math.Sqrt(sumSquares(w))
 		if norm == 0 {
 			return 0
@@ -367,6 +392,12 @@ func WeightedNNLS(a *Matrix, t []float64) ([]float64, error) {
 	if len(t) != a.Rows {
 		return nil, fmt.Errorf("qp: target length %d != rows %d", len(t), a.Rows)
 	}
+	return NNLS(weightRows(a, t))
+}
+
+// weightRows returns A with row i scaled by 1/tᵢ (0 where tᵢ = 0), and the
+// matching right-hand side: 1 for nonzero targets, 0 otherwise.
+func weightRows(a *Matrix, t []float64) (*Matrix, []float64) {
 	aw := a.Clone()
 	bw := make([]float64, a.Rows)
 	for i := 0; i < a.Rows; i++ {
@@ -379,5 +410,5 @@ func WeightedNNLS(a *Matrix, t []float64) ([]float64, error) {
 		}
 		bw[i] = t[i] * wgt // 1 for nonzero targets, 0 otherwise
 	}
-	return NNLS(aw, bw)
+	return aw, bw
 }

@@ -85,8 +85,8 @@ func (c *Collector) Report(ck *check.Report, plat *platform.Platform) (*Report, 
 }
 
 // msgInfo remembers a posted message until its receive completes. Message
-// ids are assigned sequentially by the machine, so the collector keeps them
-// in a flat slice indexed by id.
+// ids are assigned sequentially by the machine, so the collector keeps
+// them in a flat window indexed by id − msgBase (see Collector.msgs).
 type msgInfo struct {
 	src      int
 	bytes    int
@@ -126,7 +126,13 @@ type Collector struct {
 	ranks    []RankTotals
 	comms    []*commAgg // communicator instance id -> aggregate
 	pending  []pendingColl
+	// msgs is a window over message ids: msgs[i] is message msgBase+i,
+	// and the first msgHead entries are consumed. Send compacts the
+	// consumed prefix away before it grows the window, so its length
+	// follows the messages in flight, not the messages sent.
 	msgs     []msgInfo
+	msgBase  int
+	msgHead  int
 	clock    []float64
 	termTime []float64 // terminal id -> compute advance (0 for non-compute)
 }
@@ -226,19 +232,35 @@ func (c *Collector) Send(msgID, src, dst, tag, bytes, term int) {
 	pv.Bytes += int64(bytes)
 	c.ranks[src].SentMessages++
 	c.ranks[src].SentBytes += int64(bytes)
-	for len(c.msgs) <= msgID {
+	i := msgID - c.msgBase
+	if i < 0 {
+		return // ids only grow; a stale id has nothing to record
+	}
+	if i >= cap(c.msgs) && 2*c.msgHead >= len(c.msgs) {
+		// Slide rather than grow: at least half the window is consumed.
+		n := copy(c.msgs, c.msgs[c.msgHead:])
+		c.msgs = c.msgs[:n]
+		c.msgBase += c.msgHead
+		i -= c.msgHead
+		c.msgHead = 0
+	}
+	for len(c.msgs) <= i {
 		c.msgs = append(c.msgs, msgInfo{src: -1})
 	}
-	c.msgs[msgID] = msgInfo{src: src, bytes: bytes, sendTime: c.clock[src]}
+	c.msgs[i] = msgInfo{src: src, bytes: bytes, sendTime: c.clock[src]}
 }
 
 // RecvComplete implements check.Hooks.
 func (c *Collector) RecvComplete(rank, idx, msgID int) {
-	if msgID < 0 || msgID >= len(c.msgs) || c.msgs[msgID].src < 0 {
+	i := msgID - c.msgBase
+	if i < 0 || i >= len(c.msgs) || c.msgs[i].src < 0 {
 		return
 	}
-	m := c.msgs[msgID]
-	c.msgs[msgID].src = -1 // consumed; ignore a duplicate completion
+	m := c.msgs[i]
+	c.msgs[i].src = -1 // consumed; ignore a duplicate completion
+	for c.msgHead < len(c.msgs) && c.msgs[c.msgHead].src < 0 {
+		c.msgHead++
+	}
 	c.ranks[rank].RecvMessages++
 	c.ranks[rank].RecvBytes += int64(m.bytes)
 	p := c.p.NumRanks
