@@ -143,6 +143,19 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
+// StallError reports that World.Run's run queue drained while ranks were
+// unfinished and no deadlock had been declared: some wake site failed to
+// queue a rank whose wait had become ready. It marks a runtime bug, never
+// an application error. Ranks lists the unfinished world ranks in
+// ascending order; Run stops their coroutines before returning.
+type StallError struct {
+	Ranks []int
+}
+
+func (e *StallError) Error() string {
+	return fmt.Sprintf("mpi: scheduler stalled: run queue drained with ranks %v unfinished", e.Ranks)
+}
+
 // errAborted is the panic sentinel a rank throws to unwind after the run
 // has already failed; World.Run's recovery absorbs it silently.
 var errAborted = errors.New("mpi: run aborted")

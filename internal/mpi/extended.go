@@ -87,6 +87,9 @@ func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
 	call.Bytes = st.Bytes
 	call.Flag = found
 	r.endCall(call)
+	if !found {
+		r.pollYield()
+	}
 	return found, st
 }
 
@@ -157,6 +160,9 @@ func (r *Rank) Testall(reqs []*Request) bool {
 	}
 	call.Flag = all
 	r.endCall(call)
+	if !all {
+		r.pollYield()
+	}
 	return all
 }
 

@@ -64,9 +64,11 @@ type Call struct {
 
 // Interceptor is the PMPI hook: it observes every MPI call on every rank and
 // every computation region between calls. Methods are invoked on the calling
-// rank's goroutine, so implementations may charge tracing overhead through
+// rank's coroutine, so implementations may charge tracing overhead through
 // Rank.AddOverhead and keep per-rank state without locking (indexed by
-// r.Rank()).
+// r.Rank()). A world runs one rank at a time, so its callbacks never
+// overlap; an interceptor shared by several worlds still needs its own
+// locking.
 //
 // Each rank reuses one Call for all its calls, so the *Call is valid only
 // from BeforeCall to the return of AfterCall: an implementation must not

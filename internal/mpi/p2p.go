@@ -15,10 +15,10 @@ func resolveRecv(m *message, recvPost vtime.Time) vtime.Time {
 	return start.Add(m.wire)
 }
 
-// completeMatch finalizes a (message, posted receive) pair. Caller holds
-// w.mu. It resolves the receive request, and for rendezvous transfers also
-// resolves the send request and wakes the sender.
-func completeMatch(m *message, pr *postedRecv) {
+// completeMatch finalizes a (message, posted receive) pair and wakes the
+// receiver. Caller holds w.mu. For rendezvous transfers it also resolves
+// the send request and wakes the sender.
+func (w *World) completeMatch(m *message, pr *postedRecv) {
 	done := resolveRecv(m, pr.postTime)
 	pr.req.done = true
 	pr.req.time = float64(done)
@@ -27,12 +27,12 @@ func completeMatch(m *message, pr *postedRecv) {
 	if pr.buf != nil && m.payload != nil {
 		copy(pr.buf, m.payload)
 	}
-	pr.owner.cond.Broadcast()
+	w.wakeLocked(pr.owner)
 	if !m.eager && m.sendReq != nil {
 		m.sendReq.done = true
 		m.sendReq.time = float64(done)
 		if m.sender != nil {
-			m.sender.cond.Broadcast()
+			w.wakeLocked(m.sender)
 		}
 	}
 }
@@ -73,14 +73,14 @@ func (w *World) postMessage(m *message) int {
 	for i, pr := range queue {
 		if pr.matches(m) {
 			w.posted[m.dstWorld] = removeAt(queue, i)
-			completeMatch(m, pr)
+			w.completeMatch(m, pr)
 			putMessage(m)
 			putPostedRecv(pr)
 			return seq
 		}
 	}
 	w.mailbox[m.dstWorld] = append(w.mailbox[m.dstWorld], m)
-	w.ranks[m.dstWorld].cond.Broadcast()
+	w.wakeLocked(w.ranks[m.dstWorld])
 	return seq
 }
 
@@ -93,7 +93,7 @@ func (w *World) postRecv(pr *postedRecv) {
 	for i, m := range box {
 		if pr.matches(m) {
 			w.mailbox[pr.owner.rank] = removeAt(box, i)
-			completeMatch(m, pr)
+			w.completeMatch(m, pr)
 			putMessage(m)
 			putPostedRecv(pr)
 			return
@@ -332,6 +332,9 @@ func (r *Rank) Test(req *Request) (bool, Status) {
 	call.Bytes = st.Bytes
 	call.Flag = done
 	r.endCall(call)
+	if !done {
+		r.pollYield()
+	}
 	return done, st
 }
 

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
@@ -10,14 +9,23 @@ import (
 )
 
 // Rank is one simulated MPI process. All methods must be called from the
-// rank's own goroutine (the function passed to World.Run); the runtime
+// rank's own coroutine (the function passed to World.Run); the runtime
 // enforces MPI's process-local semantics this way.
 type Rank struct {
 	world *World
 	rank  int
 	clock vtime.Clock
-	cond  *sync.Cond // signaled when something this rank may wait on changes
 	noise *perfmodel.Noise
+
+	// The rank's coroutine: World.Run resumes it with next and ends it
+	// with stop, and the rank hands control back with yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// Scheduler state, guarded by world.mu: queued while the rank sits in
+	// the run queue, parked while it is suspended in waitCond.
+	queued bool
+	parked bool
 
 	jitter   float64 // run-to-run computation speed factor (1 = nominal)
 	straggle float64 // fault-injected computation slowdown (1 = nominal)
@@ -231,6 +239,27 @@ func (r *Rank) pendingOp(detail string) PendingOp {
 		op.Comm = c.Comm.id
 	}
 	return op
+}
+
+// suspend hands control back to World.Run until the scheduler resumes the
+// rank. A false yield means Run is stopping the coroutine, so the rank
+// unwinds like any aborted rank.
+func (r *Rank) suspend() {
+	if !r.yield(struct{}{}) {
+		panic(errAborted)
+	}
+}
+
+// pollYield lets the other ranks run after a Test, Testall or Iprobe that
+// found nothing: the rank goes to the back of the run queue, so a polling
+// loop waits for its peers to act instead of spinning, and the number of
+// polls is a function of the program rather than of timing.
+func (r *Rank) pollYield() {
+	w := r.world
+	w.mu.Lock()
+	w.queueLocked(r)
+	w.mu.Unlock()
+	r.suspend()
 }
 
 // abortIfFailed panics if another rank already tore the world down, so that

@@ -54,11 +54,23 @@ type Config struct {
 
 // World is one simulated MPI job: a set of ranks, their message router and
 // collective sequencer, and the accumulated per-rank results.
+//
+// Run drives the ranks as coroutines from its caller's goroutine, one rank
+// at a time: a rank runs until it blocks (or polls without success) and
+// then yields to the next rank in a FIFO run queue. Only the context
+// watcher crosses goroutines, so w.mu is never contended.
 type World struct {
 	cfg        Config
 	commJitter float64 // per-run network weather factor
 	mu         sync.Mutex
 	ranks      []*Rank
+
+	// runq is the FIFO ring of runnable ranks, guarded by mu. A rank is
+	// queued at most once (Rank.queued), so the ring holds one slot per
+	// rank and never grows.
+	runq     []*Rank
+	runqHead int
+	runqLen  int
 
 	// Message routing state, all guarded by mu.
 	mailbox [][]*message    // unexpected messages per destination world rank
@@ -256,6 +268,7 @@ func NewWorld(cfg Config) *World {
 		posted:     make([][]*postedRecv, cfg.Size),
 		colls:      make(map[collKey]*collSlot),
 		msgCount:   newChanCounter(cfg.Size),
+		runq:       make([]*Rank, cfg.Size),
 		nextCommID: 1,
 		running:    cfg.Size, // every rank starts in rsRunning
 	}
@@ -277,7 +290,6 @@ func NewWorld(cfg Config) *World {
 			straggle: cfg.Faults.SlowdownFor(i),
 			seqs:     map[int]int{},
 		}
-		w.ranks[i].cond = sync.NewCond(&w.mu)
 	}
 	return w
 }
@@ -327,68 +339,52 @@ func (r *RunResult) TotalCompute() perfmodel.Counters {
 // reported as a structured error: panics carrying an error value (the
 // idiom for propagating typed errors out of the SPMD function) are wrapped
 // with %w so errors.As sees through them.
+//
+// The ranks run as coroutines driven from the calling goroutine, one at a
+// time, so the SPMD function must not block on another rank outside MPI (a
+// channel receive that another rank fills would stop the whole world).
 func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
-	var watchStop, watcherDone chan struct{}
+	var watch *watcher
 	if ctx := w.cfg.Ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, &CancelError{Cause: context.Cause(ctx)}
 		}
-		// The watcher turns a context event into the standard teardown
-		// path: failLocked wakes every blocked rank, and running ranks
-		// notice the stop flag at their next call or computation region.
-		watchStop = make(chan struct{})
-		watcherDone = make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-ctx.Done():
-				w.mu.Lock()
-				w.failLocked(&CancelError{Cause: context.Cause(ctx)})
-				w.mu.Unlock()
-			case <-watchStop:
+		watch = w.watch(ctx)
+		defer watch.join()
+	}
+	// Stopping a finished coroutine is a no-op; stopping a suspended one
+	// unwinds it (its yield returns false), so no rank outlives Run — not
+	// after a stall, and not when a rank's Goexit unwinds the caller.
+	defer func() {
+		for _, r := range w.ranks {
+			if r.stop != nil {
+				r.stop()
 			}
-		}()
+		}
+	}()
+	// The watcher may already be failing the run, and failLocked queues
+	// ranks, so the initial ranks are queued under the lock too.
+	w.mu.Lock()
+	for _, r := range w.ranks {
+		r.next, r.stop = newCoro(w.rankBody(r, app))
+		w.queueLocked(r)
 	}
-	var wg sync.WaitGroup
-	wg.Add(w.cfg.Size)
-	for i := 0; i < w.cfg.Size; i++ {
-		go func(r *Rank) {
-			defer wg.Done()
-			defer func() {
-				p := recover()
-				w.mu.Lock()
-				defer w.mu.Unlock()
-				state := rsFinished
-				if _, crashed := p.(*crashPanic); crashed {
-					state = rsCrashed
-				}
-				w.setStateLocked(r, state)
-				switch pv := p.(type) {
-				case nil:
-				case *crashPanic:
-					if !pv.silent {
-						w.failLocked(mpiErrorf(ErrProcFailed, r.rank, pv.op,
-							"rank killed by fault plan at call %d", pv.call))
-					}
-				case error:
-					if pv != errAborted {
-						w.failLocked(fmt.Errorf("mpi: rank %d failed: %w", r.rank, pv))
-					}
-				default:
-					w.failLocked(fmt.Errorf("mpi: rank %d panicked: %v", r.rank, p))
-				}
-				w.checkDeadlockLocked()
-			}()
-			app(r)
-		}(w.ranks[i])
+	w.mu.Unlock()
+	for {
+		w.mu.Lock()
+		r := w.dequeueLocked()
+		w.mu.Unlock()
+		if r == nil {
+			break
+		}
+		r.next()
 	}
-	wg.Wait()
 	// Join the watcher before touching w.failed: it may be mid-failLocked
 	// when the context deadline races the ranks finishing, and the reads
 	// and writes below run without w.mu.
-	if watchStop != nil {
-		close(watchStop)
-		<-watcherDone
+	watch.join()
+	if w.failed == nil {
+		w.failed = w.stallError()
 	}
 	if w.failed == nil {
 		// A silent crash whose survivors all finished still failed the
@@ -421,6 +417,127 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 	return res, nil
 }
 
+// watcher is the goroutine that turns a context event into the standard
+// teardown path: failLocked wakes every blocked rank, and running ranks
+// notice the stop flag at their next call or computation region.
+type watcher struct {
+	stop, done chan struct{}
+}
+
+func (w *World) watch(ctx context.Context) *watcher {
+	wt := &watcher{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(wt.done)
+		select {
+		case <-ctx.Done():
+			w.mu.Lock()
+			w.failLocked(&CancelError{Cause: context.Cause(ctx)})
+			w.mu.Unlock()
+		case <-wt.stop:
+		}
+	}()
+	return wt
+}
+
+// join stops the watcher and waits for it to exit. It is nil-safe and
+// idempotent, so Run both calls it and defers it.
+func (wt *watcher) join() {
+	if wt == nil || wt.stop == nil {
+		return
+	}
+	close(wt.stop)
+	<-wt.done
+	wt.stop = nil
+}
+
+// rankBody is rank r's coroutine: it runs the SPMD function and, on any
+// exit, settles the rank's state and the run's verdict.
+func (w *World) rankBody(r *Rank, app func(*Rank)) func(func(struct{}) bool) {
+	return func(yield func(struct{}) bool) {
+		r.yield = yield
+		defer w.rankExit(r)
+		app(r)
+	}
+}
+
+// rankExit is the deferred end of a rank's coroutine: it records how the
+// rank ended and turns a failure into the run's error.
+func (w *World) rankExit(r *Rank) {
+	p := recover()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	state := rsFinished
+	if _, crashed := p.(*crashPanic); crashed {
+		state = rsCrashed
+	}
+	w.setStateLocked(r, state)
+	switch pv := p.(type) {
+	case nil:
+	case *crashPanic:
+		if !pv.silent {
+			w.failLocked(mpiErrorf(ErrProcFailed, r.rank, pv.op,
+				"rank killed by fault plan at call %d", pv.call))
+		}
+	case error:
+		if pv != errAborted {
+			w.failLocked(fmt.Errorf("mpi: rank %d failed: %w", r.rank, pv))
+		}
+	default:
+		w.failLocked(fmt.Errorf("mpi: rank %d panicked: %v", r.rank, p))
+	}
+	w.checkDeadlockLocked()
+}
+
+// stallError reports the ranks left unfinished once the run queue has
+// drained, or nil when every rank finished or crashed. A stall means a
+// wake-up went missing: no wake site queued a rank whose wait became
+// ready, so the deadlock detector (which takes a ready rank for a merely
+// unscheduled one) could not fire either. Run stops the stalled ranks'
+// coroutines on return. Called after the run queue drained.
+func (w *World) stallError() error {
+	var stalled []int
+	for _, r := range w.ranks {
+		if r.state != rsFinished && r.state != rsCrashed {
+			stalled = append(stalled, r.rank)
+		}
+	}
+	if stalled == nil {
+		return nil
+	}
+	return &StallError{Ranks: stalled}
+}
+
+// queueLocked appends r to the run queue. Caller holds w.mu.
+func (w *World) queueLocked(r *Rank) {
+	w.runq[(w.runqHead+w.runqLen)%len(w.runq)] = r
+	w.runqLen++
+	r.queued = true
+}
+
+// dequeueLocked pops the next runnable rank, or returns nil when the queue
+// is empty. Caller holds w.mu.
+func (w *World) dequeueLocked() *Rank {
+	if w.runqLen == 0 {
+		return nil
+	}
+	r := w.runq[w.runqHead]
+	w.runq[w.runqHead] = nil
+	w.runqHead = (w.runqHead + 1) % len(w.runq)
+	w.runqLen--
+	r.queued = false
+	return r
+}
+
+// wakeLocked queues r if it is parked in waitCond and its wait can now
+// end: its predicate holds or the run failed. A wait's predicate, once
+// true, stays true until the rank itself acts, so a rank is resumed only
+// when it can proceed. Caller holds w.mu.
+func (w *World) wakeLocked(r *Rank) {
+	if r.parked && !r.queued && (w.aborted() || w.readyLocked(&r.wait)) {
+		w.queueLocked(r)
+	}
+}
+
 // aborted reports whether the run has failed; blocked ranks poll this after
 // wakeups so a panic on one rank unblocks the others. It reads the atomic
 // mirror of w.failed so call sites outside w.mu (and the per-call
@@ -437,7 +554,7 @@ func (w *World) failLocked(err error) {
 	w.failed = err
 	w.stop.Store(true)
 	for _, r := range w.ranks {
-		r.cond.Broadcast()
+		w.wakeLocked(r)
 	}
 }
 
@@ -532,7 +649,9 @@ func (r *Rank) pendingLocked() PendingOp {
 // waitCond blocks the rank until its wait wd is ready or the run aborts,
 // maintaining the wait-for bookkeeping the deadlock detector reads: a
 // blocked rank whose wait is already ready is merely not yet scheduled,
-// not stuck. Caller holds w.mu.
+// not stuck. While blocked the rank is parked: it releases w.mu and yields
+// to the scheduler, and a wake site queues it once it can proceed. Caller
+// holds w.mu.
 func (w *World) waitCond(r *Rank, wd waitDesc) {
 	if w.readyLocked(&wd) || w.aborted() {
 		return
@@ -541,7 +660,11 @@ func (w *World) waitCond(r *Rank, wd waitDesc) {
 	w.setStateLocked(r, rsBlocked)
 	w.checkDeadlockLocked()
 	for !w.readyLocked(&r.wait) && !w.aborted() {
-		r.cond.Wait()
+		r.parked = true
+		w.mu.Unlock()
+		r.suspend()
+		w.mu.Lock()
+		r.parked = false
 	}
 	w.setStateLocked(r, rsRunning)
 	r.wait = waitDesc{}
@@ -664,7 +787,7 @@ func (w *World) completeSlotLocked(c *Comm, key collKey, slot *collSlot) {
 	delete(w.colls, key)
 	slot.completed = true
 	for _, wr := range c.ranks {
-		w.ranks[wr].cond.Broadcast()
+		w.wakeLocked(w.ranks[wr])
 	}
 }
 

@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"sort"
 	"strconv"
 
@@ -114,6 +115,41 @@ func (r *Record) AppendKey(b []byte) []byte {
 	return b
 }
 
+// appendInternKey appends a compact binary rendering of the record to b:
+// every field in AppendKey's order, integers as zigzag varints, strings
+// and lists length-prefixed. Length prefixes make the rendering
+// unambiguous, so equal renderings mean equal fields and hence equal
+// KeyStrings. The recorder's private intern table keys by it because it
+// costs a fraction of the decimal text; KeyString stays the canonical key
+// everywhere a key leaves the recorder.
+func (r *Record) appendInternKey(b []byte) []byte {
+	appendStr := func(b []byte, s string) []byte {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		return append(b, s...)
+	}
+	appendInts := func(b []byte, vs []int) []byte {
+		b = binary.AppendUvarint(b, uint64(len(vs)))
+		for _, v := range vs {
+			b = binary.AppendVarint(b, int64(v))
+		}
+		return b
+	}
+	b = appendStr(b, r.Func)
+	for _, v := range [...]int{r.DestRel, r.SrcRel, r.Tag, r.Bytes, r.RecvTag, r.Root} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = appendStr(b, r.Op)
+	for _, v := range [...]int{r.CommPool, r.NewCommPool, r.ReqPool} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = appendInts(b, r.ReqPools)
+	b = appendInts(b, r.Counts)
+	for _, v := range [...]int{r.Color, r.Key, r.ComputeCluster, r.FilePool, r.OffsetRel} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return appendStr(b, r.FileName)
+}
+
 // Clone deep-copies the record.
 func (r *Record) Clone() *Record {
 	c := *r
@@ -176,8 +212,9 @@ type RankTrace struct {
 	Events []int     // sequence of local event ids
 	Durs   []float64 // per-instance virtual durations, parallel to Events
 	Table  []*Record // local id -> record
-	// keyIndex interns records by key while the recorder builds the
-	// trace; decoded traces leave it nil, since nothing appends to them.
+	// keyIndex interns records by their binary intern key
+	// (appendInternKey) while the recorder builds the trace; decoded
+	// traces leave it nil, since nothing appends to them.
 	keyIndex map[string]int
 	Clusters []*Cluster // local compute cluster id -> cluster
 }
@@ -192,8 +229,8 @@ func newRankTrace(rank int) *RankTrace {
 }
 
 // appendOwnedKeyed records one event instance from a caller that owns r
-// and wants to recycle its storage, with r's key already rendered into a
-// caller-owned scratch buffer. The return value reports whether the table
+// and wants to recycle its storage, with r's intern key already rendered
+// into a caller-owned scratch buffer. The return value reports whether the table
 // retained r (a new terminal — the caller must stop touching it) or r
 // duplicated an interned record and may be reused, slices and all. The
 // dedupe probe is allocation-free (the map lookup on string(key) never

@@ -65,7 +65,7 @@ type rankState struct {
 	// one per event. This is what keeps the per-event overhead flat once
 	// the terminal table saturates.
 	spare *Record
-	// keyBuf is the pooled scratch the canonical key is rendered into on
+	// keyBuf is the pooled scratch the intern key is rendered into on
 	// every commit; the intern probe reads it without building a string.
 	// Held from NewRecorder until Trace() releases it.
 	keyBuf *ByteBuf
@@ -92,7 +92,7 @@ func (rs *rankState) newRecord() *Record {
 
 // commit appends the event and reclaims the record unless the table kept it.
 func (rs *rankState) commit(r *Record) {
-	rs.keyBuf.S = r.AppendKey(rs.keyBuf.S[:0])
+	rs.keyBuf.S = r.appendInternKey(rs.keyBuf.S[:0])
 	if !rs.rt.appendOwnedKeyed(r, rs.keyBuf.S) {
 		rs.spare = r
 	}
