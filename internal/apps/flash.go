@@ -95,9 +95,10 @@ func buildFlash(p Params, problem string) (func(*mpi.Rank), error) {
 
 		guardBytes := 6 * 8 * 40960
 
+		reqs := make([]mpi.Req, 0, 2*len(neighbors))
 		for step := 0; step < steps; step++ {
 			// Guard-cell fill: exchange with the block neighbour list.
-			var reqs []*mpi.Request
+			reqs = reqs[:0]
 			for _, nb := range neighbors {
 				reqs = append(reqs, r.Irecv(c, nb, 70))
 			}

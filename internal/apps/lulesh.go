@@ -90,8 +90,9 @@ func buildLULESH(p Params) (func(*mpi.Rank), error) {
 		edgeBytes := 8 * intSqrt(side) * 16
 		cornerBytes := 8 * 8
 
+		var reqs []mpi.Req // reused by every exchange
 		exchange := func(tag int) {
-			var reqs []*mpi.Request
+			reqs = reqs[:0]
 			post := func(dx, dy, dz, bytes int) {
 				nb := neighbor(dx, dy, dz)
 				if nb == mpi.ProcNull {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"siesta/internal/obs"
 	"siesta/internal/server"
 	"siesta/internal/server/cache"
+	"siesta/internal/trace"
 )
 
 // syncBuffer is a goroutine-safe log sink for asserting on event streams.
@@ -519,6 +521,32 @@ func TestGatewayValidationAndHealth(t *testing.T) {
 	resp, _ = postBody(t, f.gwTS.URL+"/v1/synthesize", map[string]any{"app": "NOPE", "ranks": 4})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown app: %d", resp.StatusCode)
+	}
+
+	// The gateway routes an uploaded trace on its header alone. A bad
+	// header is its own 400; a trace corrupt past a sound header reaches
+	// the worker, whose full decode rejects it, and the gateway relays
+	// that 400.
+	var hdr trace.Enc
+	hdr.Str("SIESTA-TRACE1")
+	hdr.Int(2)
+	goodHeader := append(hdr.Bytes(), 0xff, 0xff, 0xff, 0xff)
+	for _, tc := range []struct {
+		name   string
+		raw    []byte
+		routes bool // the gateway derives a key and forwards
+	}{
+		{"bad magic", append([]byte("\x0dSIESTA-TRACE0"), goodHeader[14:]...), false},
+		{"corrupt past header", goodHeader, true},
+	} {
+		b64 := base64.StdEncoding.EncodeToString(tc.raw)
+		if _, err := server.RequestKey(&server.SynthesizeRequest{TraceBase64: b64}); (err == nil) != tc.routes {
+			t.Fatalf("%s: RequestKey error %v", tc.name, err)
+		}
+		resp, body := postBody(t, f.gwTS.URL+"/v1/synthesize", map[string]any{"trace_base64": b64})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trace_base64") {
+			t.Fatalf("%s: %d\n%s", tc.name, resp.StatusCode, body)
+		}
 	}
 
 	if code := getInto(t, f.gwTS.URL+"/readyz", nil); code != http.StatusOK {

@@ -387,9 +387,13 @@ func rewriteView(v server.JobView, gid string) server.JobView {
 }
 
 func (g *Gateway) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
+		writeGatewayError(w, http.StatusBadRequest, "read request: %v", err)
+		return
+	}
 	var req server.SynthesizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		writeGatewayError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -398,13 +402,9 @@ func (g *Gateway) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Re-marshal the typed request: this canonical body is what a failover
-	// re-submission starts from (with resume_base64 added).
-	body, err := json.Marshal(&req)
-	if err != nil {
-		writeGatewayError(w, http.StatusBadRequest, "encode request: %v", err)
-		return
-	}
+	// Forward the body as received: the worker decodes it the same way,
+	// and a failover re-submission starts from it (with resume_base64
+	// added).
 	rp, ok := g.place(w, r, string(key), "/v1/synthesize", body)
 	if !ok {
 		return

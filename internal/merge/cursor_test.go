@@ -306,7 +306,7 @@ func haloProgram(t *testing.T, iters int) *merge.Program {
 		c := r.World()
 		left, right := (r.Rank()+r.Size()-1)%r.Size(), (r.Rank()+1)%r.Size()
 		for it := 0; it < iters; it++ {
-			reqs := []*mpi.Request{
+			reqs := []mpi.Req{
 				r.Irecv(c, left, 0), r.Irecv(c, right, 1),
 				r.Isend(c, right, 0, 4096), r.Isend(c, left, 1, 4096),
 			}

@@ -58,21 +58,21 @@ func (r *Rank) collective(c *Comm, op netmodel.CollOp, bytes int, split [2]int, 
 
 // Barrier blocks until all ranks of c have entered it.
 func (r *Rank) Barrier(c *Comm) {
-	call := r.beginCall(Call{Func: "MPI_Barrier", Comm: c})
+	call := r.beginCall(&Call{Func: "MPI_Barrier", Comm: c})
 	r.collective(c, netmodel.Barrier, 0, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Bcast broadcasts bytes from root to all ranks of c.
 func (r *Rank) Bcast(c *Comm, root, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Bcast", Comm: c, Root: root, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Bcast", Comm: c, Root: root, Bytes: bytes})
 	r.collective(c, netmodel.Bcast, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Reduce reduces bytes from all ranks of c onto root with the given op.
 func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
-	call := r.beginCall(Call{Func: "MPI_Reduce", Comm: c, Root: root, Bytes: bytes, Op: op})
+	call := r.beginCall(&Call{Func: "MPI_Reduce", Comm: c, Root: root, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.Reduce, bytes, [2]int{}, false)
 	r.endCall(call)
 }
@@ -80,35 +80,35 @@ func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
 // Allreduce reduces bytes across all ranks of c, leaving the result
 // everywhere.
 func (r *Rank) Allreduce(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(Call{Func: "MPI_Allreduce", Comm: c, Bytes: bytes, Op: op})
+	call := r.beginCall(&Call{Func: "MPI_Allreduce", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.Allreduce, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Gather gathers bytes per rank onto root.
 func (r *Rank) Gather(c *Comm, root, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Gather", Comm: c, Root: root, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Gather", Comm: c, Root: root, Bytes: bytes})
 	r.collective(c, netmodel.Gather, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Scatter scatters bytes per rank from root.
 func (r *Rank) Scatter(c *Comm, root, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Scatter", Comm: c, Root: root, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Scatter", Comm: c, Root: root, Bytes: bytes})
 	r.collective(c, netmodel.Scatter, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Allgather gathers bytes per rank to all ranks.
 func (r *Rank) Allgather(c *Comm, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Allgather", Comm: c, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Allgather", Comm: c, Bytes: bytes})
 	r.collective(c, netmodel.Allgather, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Alltoall exchanges bytes with every rank of c.
 func (r *Rank) Alltoall(c *Comm, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Alltoall", Comm: c, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Alltoall", Comm: c, Bytes: bytes})
 	r.collective(c, netmodel.Alltoall, bytes*c.Size(), [2]int{}, false)
 	r.endCall(call)
 }
@@ -127,7 +127,7 @@ func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 	for _, n := range counts {
 		total += n
 	}
-	call := r.beginCall(Call{Func: "MPI_Alltoallv", Comm: c, Bytes: total, Counts: append([]int(nil), counts...)})
+	call := r.beginCall(&Call{Func: "MPI_Alltoallv", Comm: c, Bytes: total, Counts: append([]int(nil), counts...)})
 	r.collective(c, netmodel.Alltoall, total, [2]int{}, false)
 	r.endCall(call)
 	return nil
@@ -136,14 +136,14 @@ func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 // Allgatherv gathers per-rank byte counts to all ranks; bytes is this rank's
 // contribution.
 func (r *Rank) Allgatherv(c *Comm, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Allgatherv", Comm: c, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Allgatherv", Comm: c, Bytes: bytes})
 	r.collective(c, netmodel.Allgather, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Gatherv gathers a variable per-rank byte count onto root.
 func (r *Rank) Gatherv(c *Comm, root, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Gatherv", Comm: c, Root: root, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Gatherv", Comm: c, Root: root, Bytes: bytes})
 	r.collective(c, netmodel.Gather, bytes, [2]int{}, false)
 	r.endCall(call)
 }
@@ -152,7 +152,7 @@ func (r *Rank) Gatherv(c *Comm, root, bytes int) {
 // communicator ordered by key then world rank. A negative color returns nil
 // (MPI_UNDEFINED). New communicator ids are assigned deterministically.
 func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
-	call := r.beginCall(Call{Func: "MPI_Comm_split", Comm: c, Color: color, Key: key})
+	call := r.beginCall(&Call{Func: "MPI_Comm_split", Comm: c, Color: color, Key: key})
 	slot := r.collective(c, netmodel.Barrier, 0, [2]int{color, key}, true)
 	nc := slot.newComms[r.rank]
 	call.NewComm = nc
@@ -162,7 +162,7 @@ func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 
 // CommDup duplicates c with a fresh id.
 func (r *Rank) CommDup(c *Comm) *Comm {
-	call := r.beginCall(Call{Func: "MPI_Comm_dup", Comm: c})
+	call := r.beginCall(&Call{Func: "MPI_Comm_dup", Comm: c})
 	slot := r.collective(c, netmodel.Barrier, 0, [2]int{0, c.RankOf(r.rank)}, true)
 	nc := slot.newComms[r.rank]
 	call.NewComm = nc
@@ -174,7 +174,7 @@ func (r *Rank) CommDup(c *Comm) *Comm {
 // per-comm state worth reclaiming, but the call is intercepted so the trace
 // layer can recycle its communicator pool ids, as the paper requires.
 func (r *Rank) CommFree(c *Comm) {
-	call := r.beginCall(Call{Func: "MPI_Comm_free", Comm: c})
+	call := r.beginCall(&Call{Func: "MPI_Comm_free", Comm: c})
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
 	r.endCall(call)
 }

@@ -17,14 +17,14 @@ import (
 // receiver has posted a matching receive, regardless of message size (the
 // rendezvous path unconditionally).
 func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
-	call := r.beginCall(Call{Func: "MPI_Ssend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Ssend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	if dst != ProcNull {
 		w := r.world
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
 		dstWorld := c.WorldRank(dst)
 		m := r.buildMessage(c, dst, tag, bytes, nil, nil)
 		m.eager = false // synchronous mode: always handshake
-		req := r.ownRequest(reqSend)
+		req := r.newRequest(reqSend)
 		req.describe(dst, tag)
 		m.sendReq = req
 		m.sender = r
@@ -35,7 +35,7 @@ func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 		r.abortIfFailed()
 		r.clock.AdvanceTo(vtime.Time(req.time))
-		r.releaseRequest(req)
+		r.freeRequest(req)
 	}
 	r.endCall(call)
 }
@@ -43,7 +43,7 @@ func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
 // Probe blocks until a message matching (src, tag) is available without
 // consuming it, and returns its status.
 func (r *Rank) Probe(c *Comm, src, tag int) Status {
-	call := r.beginCall(Call{Func: "MPI_Probe", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: "MPI_Probe", Comm: c, Source: src, Tag: tag})
 	w := r.world
 	probe := &postedRecv{
 		commID: c.id, src: src, tag: tag,
@@ -69,7 +69,7 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 // Iprobe reports whether a matching message is available, without blocking
 // or consuming it.
 func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
-	call := r.beginCall(Call{Func: "MPI_Iprobe", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: "MPI_Iprobe", Comm: c, Source: src, Tag: tag})
 	w := r.world
 	probe := &postedRecv{
 		commID: c.id, src: src, tag: tag,
@@ -105,14 +105,26 @@ func (w *World) findUnexpected(pr *postedRecv) *message {
 }
 
 // Waitany blocks until at least one of the requests completes and returns
-// its index and status. Among simultaneously completed requests it picks
-// the one with the earliest virtual completion time, deterministically.
-func (r *Rank) Waitany(reqs []*Request) (int, Status) {
-	call := r.beginCall(Call{Func: "MPI_Waitany", Requests: reqs})
+// its index and status, freeing it unless it is persistent. Among
+// simultaneously completed requests it picks the one with the earliest
+// virtual completion time, deterministically. Zero and stale handles are
+// skipped; when every handle is, it returns -1 at once.
+func (r *Rank) Waitany(qs []Req) (int, Status) {
+	call := r.beginCall(&Call{Func: "MPI_Waitany", Requests: qs})
 	w := r.world
+	reqs := r.anyReqs[:0]
+	active := false
+	for _, q := range qs {
+		req := r.resolve(q, call.Func)
+		reqs = append(reqs, req)
+		active = active || req != nil
+	}
+	r.anyReqs = reqs
 	idx := -1
 	w.mu.Lock()
-	w.waitCond(r, waitDesc{kind: waitAny, reqs: reqs})
+	if active {
+		w.waitCond(r, waitDesc{kind: waitAny, reqs: reqs})
+	}
 	best := math.Inf(1)
 	for i, req := range reqs {
 		if req != nil && req.done && req.time < best {
@@ -129,22 +141,30 @@ func (r *Rank) Waitany(reqs []*Request) (int, Status) {
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
 		st = req.st
 		call.CompletedIndex = idx
-		call.Request = req
+		call.Request = qs[idx]
 	}
 	call.Bytes = st.Bytes
 	r.endCall(call)
+	if idx >= 0 {
+		r.freeCompleted(qs[idx])
+	}
 	return idx, st
 }
 
 // Testall reports whether every request has completed; when true the clock
-// absorbs all completion times (like MPI_Testall with flag=true).
-func (r *Rank) Testall(reqs []*Request) bool {
-	call := r.beginCall(Call{Func: "MPI_Testall", Requests: reqs})
+// absorbs all completion times (like MPI_Testall with flag=true) and the
+// non-persistent requests are freed. Zero and stale handles count as
+// complete.
+func (r *Rank) Testall(qs []Req) bool {
+	call := r.beginCall(&Call{Func: "MPI_Testall", Requests: qs})
 	w := r.world
+	for _, q := range qs {
+		r.resolve(q, call.Func) // a foreign handle is an error even when unread
+	}
 	w.mu.Lock()
 	all := true
-	for _, req := range reqs {
-		if req != nil && !req.done {
+	for _, q := range qs {
+		if req := q.live(); req != nil && !req.done {
 			all = false
 			break
 		}
@@ -152,8 +172,8 @@ func (r *Rank) Testall(reqs []*Request) bool {
 	w.mu.Unlock()
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	if all {
-		for _, req := range reqs {
-			if req != nil {
+		for _, q := range qs {
+			if req := q.live(); req != nil {
 				r.clock.AdvanceTo(vtime.Time(req.time))
 			}
 		}
@@ -162,20 +182,24 @@ func (r *Rank) Testall(reqs []*Request) bool {
 	r.endCall(call)
 	if !all {
 		r.pollYield()
+		return false
 	}
-	return all
+	for _, q := range qs {
+		r.freeCompleted(q)
+	}
+	return true
 }
 
 // Scan performs an inclusive prefix reduction over the communicator.
 func (r *Rank) Scan(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op})
+	call := r.beginCall(&Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.Scan, bytes, [2]int{}, false)
 	r.endCall(call)
 }
 
 // Exscan performs an exclusive prefix reduction over the communicator.
 func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op})
+	call := r.beginCall(&Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.Scan, bytes, [2]int{}, false)
 	r.endCall(call)
 }
@@ -183,7 +207,7 @@ func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
 // ReduceScatter reduces and scatters equal blocks; bytes is the per-rank
 // block size.
 func (r *Rank) ReduceScatter(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op})
+	call := r.beginCall(&Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op})
 	r.collective(c, netmodel.ReduceScatter, bytes, [2]int{}, false)
 	r.endCall(call)
 }

@@ -83,7 +83,7 @@ func TestWaitany(t *testing.T) {
 		if r.Rank() == 0 {
 			r1 := r.Irecv(c, 1, 0)
 			r2 := r.Irecv(c, 2, 0)
-			idx, st := r.Waitany([]*Request{r1, r2})
+			idx, st := r.Waitany([]Req{r1, r2})
 			if idx < 0 || st.Bytes == 0 {
 				panic("waitany resolved nothing")
 			}
@@ -115,7 +115,7 @@ func TestWaitanyPicksEarliest(t *testing.T) {
 			r1 := r.Irecv(c, 1, 0)
 			r2 := r.Irecv(c, 2, 0)
 			r.Compute(perfmodel.Kernel{IntOps: 5e9}) // let both arrive
-			idx, st := r.Waitany([]*Request{r1, r2})
+			idx, st := r.Waitany([]Req{r1, r2})
 			if idx != 0 || st.Source != 1 {
 				panic("waitany should resolve the earliest completion")
 			}
@@ -141,7 +141,7 @@ func TestTestall(t *testing.T) {
 		if r.Rank() == 0 {
 			r1 := r.Irecv(c, 1, 0)
 			r2 := r.Irecv(c, 1, 1)
-			for !r.Testall([]*Request{r1, r2}) {
+			for !r.Testall([]Req{r1, r2}) {
 				r.Compute(perfmodel.Kernel{IntOps: 1e6})
 			}
 		} else {

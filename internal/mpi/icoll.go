@@ -11,7 +11,7 @@ import (
 // communicator stay totally ordered, as the standard requires.
 
 // icollective registers arrival at a collective without blocking.
-func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *Request {
+func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *request {
 	w := r.world
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1
@@ -43,28 +43,28 @@ func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *Request {
 }
 
 // Ibarrier starts a non-blocking barrier.
-func (r *Rank) Ibarrier(c *Comm) *Request {
-	call := r.beginCall(Call{Func: "MPI_Ibarrier", Comm: c})
+func (r *Rank) Ibarrier(c *Comm) Req {
+	call := r.beginCall(&Call{Func: "MPI_Ibarrier", Comm: c})
 	req := r.icollective(c, netmodel.Barrier, 0)
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }
 
 // Ibcast starts a non-blocking broadcast.
-func (r *Rank) Ibcast(c *Comm, root, bytes int) *Request {
-	call := r.beginCall(Call{Func: "MPI_Ibcast", Comm: c, Root: root, Bytes: bytes})
+func (r *Rank) Ibcast(c *Comm, root, bytes int) Req {
+	call := r.beginCall(&Call{Func: "MPI_Ibcast", Comm: c, Root: root, Bytes: bytes})
 	req := r.icollective(c, netmodel.Bcast, bytes)
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }
 
 // Iallreduce starts a non-blocking allreduce.
-func (r *Rank) Iallreduce(c *Comm, bytes int, op ReduceOp) *Request {
-	call := r.beginCall(Call{Func: "MPI_Iallreduce", Comm: c, Bytes: bytes, Op: op})
+func (r *Rank) Iallreduce(c *Comm, bytes int, op ReduceOp) Req {
+	call := r.beginCall(&Call{Func: "MPI_Iallreduce", Comm: c, Bytes: bytes, Op: op})
 	req := r.icollective(c, netmodel.Allreduce, bytes)
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }

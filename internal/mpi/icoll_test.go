@@ -55,7 +55,7 @@ func TestIbcastIallreduce(t *testing.T) {
 		rb := r.Ibcast(c, 0, 4096)
 		ra := r.Iallreduce(c, 64, OpSum)
 		r.Compute(perfmodel.Kernel{IntOps: 1e7})
-		r.Waitall([]*Request{rb, ra})
+		r.Waitall([]Req{rb, ra})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,8 +34,8 @@ type Call struct {
 
 	Color, Key int // Comm_split arguments
 
-	Request  *Request
-	Requests []*Request // Waitall / Waitany / Testall
+	Request  Req
+	Requests []Req // Waitall / Waitany / Testall
 
 	// MPI-IO fields.
 	File     *File
@@ -57,7 +57,7 @@ type Call struct {
 	// message's size (Call.Bytes is the call argument, which persistent
 	// MPI_Start does not carry). RecvSeq/RecvSrcWorld identify the message
 	// a blocking receive completed. Wait-family calls expose completions
-	// through Request.MatchedMessage instead.
+	// through Req.MatchedMessage instead.
 	SentSeq, SentDst, SentBytes int
 	RecvSeq, RecvSrcWorld       int
 }
@@ -73,7 +73,10 @@ type Call struct {
 // Each rank reuses one Call for all its calls, so the *Call is valid only
 // from BeforeCall to the return of AfterCall: an implementation must not
 // keep the pointer past AfterCall, and copies whatever it needs later.
-// Requests and communicators the call refers to stay valid as usual.
+// Communicators the call refers to stay valid as usual. A request the call
+// completes is freed only after AfterCall returns, so AfterCall can still
+// read it through its handle; an interceptor that keeps a handle past
+// that keeps a stale one, whose ID stays valid.
 type Interceptor interface {
 	// BeforeCall fires on call entry, before any cost is charged.
 	BeforeCall(r *Rank, call *Call)

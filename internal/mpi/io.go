@@ -38,7 +38,7 @@ func (f *File) Name() string { return f.name }
 
 // FileOpen opens a file collectively on the communicator.
 func (r *Rank) FileOpen(c *Comm, name string) *File {
-	call := r.beginCall(Call{Func: "MPI_File_open", Comm: c, FileName: name})
+	call := r.beginCall(&Call{Func: "MPI_File_open", Comm: c, FileName: name})
 	slot := r.collective(c, 0 /* barrier-priced */, 0, [2]int{}, false)
 	// The first rank past the barrier allocates the group's handle; file
 	// ids are dense in open order, so the trace layer's pool renaming
@@ -74,7 +74,7 @@ func (r *Rank) checkOpen(fn string, f *File) {
 
 // FileClose closes the file collectively.
 func (r *Rank) FileClose(f *File) {
-	call := r.beginCall(Call{Func: "MPI_File_close", Comm: f.comm, File: f})
+	call := r.beginCall(&Call{Func: "MPI_File_close", Comm: f.comm, File: f})
 	r.collective(f.comm, 0, 0, [2]int{}, false)
 	r.clock.Advance(vtime.Duration(fsLatencySec / 2))
 	// Every rank of the collective marks the shared handle closed; guard
@@ -97,7 +97,7 @@ func (r *Rank) FileReadAt(f *File, offset, bytes int) {
 
 func (r *Rank) fileIndependent(fn string, f *File, offset, bytes int) {
 	r.checkOpen(fn, f)
-	call := r.beginCall(Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
+	call := r.beginCall(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
 	// An independent stream contends with every other rank of the job for
 	// the filesystem's aggregate bandwidth.
 	bw := fsStreamBwBps
@@ -123,7 +123,7 @@ func (r *Rank) FileReadAtAll(f *File, offset, bytes int) {
 
 func (r *Rank) fileCollective(fn string, f *File, offset, bytes int) {
 	r.checkOpen(fn, f)
-	call := r.beginCall(Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
+	call := r.beginCall(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
 	c := f.comm
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1

@@ -62,8 +62,11 @@ const (
 	reqRecv
 )
 
-// Request is a handle for a pending non-blocking operation.
-type Request struct {
+// request is the runtime's state for one pending operation. Callers hold
+// it through a Req handle; the router, the wait descriptors and the
+// collective slots hold it directly. Each request lives in a slot of its
+// rank's slab (Rank.reqs) and is reused by the slot's next owner.
+type request struct {
 	id    int // per-rank dense id, deterministic
 	kind  int
 	owner int // world rank that created it
@@ -71,6 +74,12 @@ type Request struct {
 	time  float64 // virtual completion time (vtime.Time), valid when done
 	st    Status  // resolved status for receives
 	nul   bool    // request on ProcNull, completes immediately
+
+	// slot is the request's index in its rank's slab, and gen the slot's
+	// generation: freeing the request bumps gen, which turns every handle
+	// made before into a stale one.
+	slot int32
+	gen  uint32
 
 	// Diagnostic coordinates for deadlock reports: the operation that
 	// created the request, its comm-rank partner (NoPeer for
@@ -93,28 +102,71 @@ type Request struct {
 	matchedSeq int
 }
 
-// Persistent reports whether the request is a persistent-communication
-// handle (created by SendInit/RecvInit).
-func (r *Request) Persistent() bool { return r.persistent != nil }
+// Req is a handle to a non-blocking or persistent request: its rank, its
+// slot in the rank's request slab, the slot's generation when the request
+// was made, and the request's per-rank dense id. The zero Req is
+// MPI_REQUEST_NULL.
+//
+// MPI's lifetime rule applies: a non-persistent request is freed when the
+// Wait or Test that completed it returns (after the interceptor's
+// AfterCall), and a persistent one at RequestFree. Its handle then goes
+// stale, and every call treats a stale handle as MPI_REQUEST_NULL: a wait
+// on it is a no-op and Test reports true. The slot's next owner gets a new
+// generation, so a stale handle can neither observe nor complete it.
+type Req struct {
+	rank *Rank
+	slot int32
+	gen  uint32
+	id   int
+}
 
-// ID reports the per-rank dense request id.
-func (r *Request) ID() int { return r.id }
+// IsZero reports whether q is the zero Req, the handle of a call that
+// names no request. A stale handle is not zero, though calls treat both
+// alike.
+func (q Req) IsZero() bool { return q.rank == nil }
 
-// Done reports whether the request has completed. It is only meaningful from
-// the owning rank's goroutine.
-func (r *Request) Done() bool { return r.done }
+// ID reports the per-rank dense request id. A stale handle keeps its id,
+// so an interceptor can rename a request it saw complete earlier.
+func (q Req) ID() int { return q.id }
+
+// live returns the request q names, or nil when q is zero or stale.
+func (q Req) live() *request {
+	if q.rank == nil || int(q.slot) >= len(q.rank.reqs) {
+		return nil
+	}
+	if req := q.rank.reqs[q.slot]; req.gen == q.gen {
+		return req
+	}
+	return nil
+}
+
+// Persistent reports whether q is a live persistent-communication handle
+// (created by SendInit/RecvInit and not yet freed).
+func (q Req) Persistent() bool {
+	req := q.live()
+	return req != nil && req.persistent != nil
+}
+
+// Done reports whether the request has completed; a zero or stale handle
+// has. It is only meaningful from the owning rank's coroutine.
+func (q Req) Done() bool {
+	req := q.live()
+	return req == nil || req.done
+}
 
 // MatchedMessage reports the message a completed receive request matched:
 // the sender's world rank and the runtime-assigned per-(src,dst) channel
-// sequence number. ok is false for send requests and receives that have
-// not matched. Like Done, it is only meaningful from the owning rank's
-// goroutine once the request has completed; persistent receives report
-// their most recent match.
-func (r *Request) MatchedMessage() (srcWorld, seq int, ok bool) {
-	if r == nil || r.matchedSeq == 0 {
+// sequence number. ok is false for send requests, receives that have not
+// matched, and zero or stale handles. Like Done, it is only meaningful from
+// the owning rank's coroutine; an interceptor reads it in AfterCall, before
+// the completing call frees the request. Persistent receives report their
+// most recent match.
+func (q Req) MatchedMessage() (srcWorld, seq int, ok bool) {
+	req := q.live()
+	if req == nil || req.matchedSeq == 0 {
 		return 0, 0, false
 	}
-	return r.matchedSrc, r.matchedSeq - 1, true
+	return req.matchedSrc, req.matchedSeq - 1, true
 }
 
 // ReduceOp names a reduction operator; the runtime carries no data so the

@@ -138,7 +138,7 @@ func TestNonblockingWaitall(t *testing.T) {
 	w := newTestWorld(4)
 	_, err := w.Run(func(r *Rank) {
 		c := r.World()
-		var reqs []*Request
+		var reqs []Req
 		for peer := 0; peer < r.Size(); peer++ {
 			if peer == r.Rank() {
 				continue
@@ -408,10 +408,14 @@ func TestTestNonblocking(t *testing.T) {
 			req := r.Irecv(c, 1, 0)
 			done, _ := r.Test(req)
 			_ = done // may or may not be done yet; must not block
-			r.Wait(req)
+			if st := r.Wait(req); st.Bytes != 48 {
+				panic("Wait resolved the wrong status")
+			}
+			// Wait freed the request: its handle is MPI_REQUEST_NULL,
+			// which tests complete with an empty status.
 			done, st := r.Test(req)
-			if !done || st.Bytes != 48 {
-				panic("Test after Wait should report completion")
+			if !done || st != (Status{}) {
+				panic("Test after Wait should report a completed null request")
 			}
 		} else {
 			r.Send(c, 0, 0, 48)
@@ -561,7 +565,7 @@ func TestDeterministicExecTime(t *testing.T) {
 
 func TestWaitOnForeignRequestPanics(t *testing.T) {
 	w := newTestWorld(2)
-	share := make(chan *Request, 1)
+	share := make(chan Req, 1)
 	_, err := w.Run(func(r *Rank) {
 		c := r.World()
 		if r.Rank() == 0 {

@@ -66,7 +66,7 @@ func (w *World) postMessage(m *message) int {
 	seq := w.msgCount.next(m.srcWorld, m.dstWorld)
 	m.seq = seq
 	if !w.routeFaults(m) {
-		putMessage(m)
+		w.putMessage(m)
 		return seq
 	}
 	queue := w.posted[m.dstWorld]
@@ -74,8 +74,8 @@ func (w *World) postMessage(m *message) int {
 		if pr.matches(m) {
 			w.posted[m.dstWorld] = removeAt(queue, i)
 			w.completeMatch(m, pr)
-			putMessage(m)
-			putPostedRecv(pr)
+			w.putMessage(m)
+			w.putPostedRecv(pr)
 			return seq
 		}
 	}
@@ -94,8 +94,8 @@ func (w *World) postRecv(pr *postedRecv) {
 		if pr.matches(m) {
 			w.mailbox[pr.owner.rank] = removeAt(box, i)
 			w.completeMatch(m, pr)
-			putMessage(m)
-			putPostedRecv(pr)
+			w.putMessage(m)
+			w.putPostedRecv(pr)
 			return
 		}
 	}
@@ -114,27 +114,21 @@ func removeAt[T any](q []*T, i int) []*T {
 
 // buildMessage prices and assembles an outgoing message (drawn from the
 // free-list; the router recycles it on match). dst is a rank in c.
-func (r *Rank) buildMessage(c *Comm, dst, tag, bytes int, payload []byte, req *Request) *message {
+func (r *Rank) buildMessage(c *Comm, dst, tag, bytes int, payload []byte, req *request) *message {
 	w := r.world
 	dstWorld := c.WorldRank(dst)
 	var data []byte
 	if payload != nil {
 		data = append([]byte(nil), payload...)
 	}
-	m := getMessage()
-	*m = message{
-		commID:    c.id,
-		srcComm:   c.RankOf(r.rank),
-		srcWorld:  r.rank,
-		dstWorld:  dstWorld,
-		tag:       tag,
-		bytes:     bytes,
-		payload:   data,
-		eager:     w.cfg.Impl.Eager(bytes),
-		readyTime: r.clock.Now(),
-		wire:      vtime.Duration(float64(w.cfg.Impl.WireTime(w.cfg.Platform, r.rank, dstWorld, bytes)) * w.commJitter),
-		sendReq:   req,
-	}
+	// Field by field rather than by a composite literal, which the
+	// compiler builds on the stack and copies: every field is set.
+	m := w.getMessage()
+	m.commID, m.srcComm, m.srcWorld, m.dstWorld = c.id, c.RankOf(r.rank), r.rank, dstWorld
+	m.tag, m.bytes, m.seq, m.payload = tag, bytes, 0, data
+	m.eager, m.readyTime = w.cfg.Impl.Eager(bytes), r.clock.Now()
+	m.wire = vtime.Duration(float64(w.cfg.Impl.WireTime(w.cfg.Platform, r.rank, dstWorld, bytes)) * w.commJitter)
+	m.sendReq, m.sender = req, nil
 	return m
 }
 
@@ -152,7 +146,7 @@ func (r *Rank) SendBytes(c *Comm, dst, tag int, data []byte) {
 }
 
 func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
-	call := r.beginCall(Call{Func: "MPI_Send", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+	call := r.beginCall(&Call{Func: "MPI_Send", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	if dst != ProcNull {
 		w := r.world
 		dstWorld := c.WorldRank(dst)
@@ -164,7 +158,7 @@ func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
 			w.mu.Unlock()
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 		} else {
-			req := r.ownRequest(reqSend)
+			req := r.newRequest(reqSend)
 			req.describe(dst, tag)
 			m.sendReq = req
 			m.sender = r
@@ -175,7 +169,7 @@ func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 			r.abortIfFailed()
 			r.clock.AdvanceTo(vtime.Time(req.time))
-			r.releaseRequest(req)
+			r.freeRequest(req)
 		}
 	}
 	r.endCall(call)
@@ -193,13 +187,13 @@ func (r *Rank) RecvBytes(c *Comm, src, tag int, buf []byte) Status {
 }
 
 func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
-	call := r.beginCall(Call{Func: "MPI_Recv", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: "MPI_Recv", Comm: c, Source: src, Tag: tag})
 	var st Status
 	if src != ProcNull {
 		w := r.world
-		req := r.ownRequest(reqRecv)
+		req := r.newRequest(reqRecv)
 		req.describe(src, tag)
-		pr := getPostedRecv()
+		pr := w.getPostedRecv()
 		*pr = postedRecv{
 			commID: c.id, src: src, tag: tag,
 			postTime: r.clock.Now(), req: req, owner: r, buf: buf,
@@ -213,7 +207,7 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
 		st = req.st
 		call.RecvSrcWorld, call.RecvSeq = req.matchedSrc, req.matchedSeq
-		r.releaseRequest(req)
+		r.freeRequest(req)
 	}
 	call.Bytes = st.Bytes
 	call.SourceResolved = st.Source
@@ -222,8 +216,8 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 }
 
 // Isend starts a non-blocking send and returns its request.
-func (r *Rank) Isend(c *Comm, dst, tag, bytes int) *Request {
-	call := r.beginCall(Call{Func: "MPI_Isend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+func (r *Rank) Isend(c *Comm, dst, tag, bytes int) Req {
+	call := r.beginCall(&Call{Func: "MPI_Isend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	w := r.world
 	req := r.newRequest(reqSend)
 	if dst == ProcNull {
@@ -246,14 +240,14 @@ func (r *Rank) Isend(c *Comm, dst, tag, bytes int) *Request {
 		w.mu.Unlock()
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 	}
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }
 
 // Irecv starts a non-blocking receive and returns its request.
-func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
-	call := r.beginCall(Call{Func: "MPI_Irecv", Comm: c, Source: src, Tag: tag})
+func (r *Rank) Irecv(c *Comm, src, tag int) Req {
+	call := r.beginCall(&Call{Func: "MPI_Irecv", Comm: c, Source: src, Tag: tag})
 	w := r.world
 	req := r.newRequest(reqRecv)
 	if src == ProcNull {
@@ -262,7 +256,7 @@ func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
 	} else {
 		req.describe(src, tag)
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
-		pr := getPostedRecv()
+		pr := w.getPostedRecv()
 		*pr = postedRecv{
 			commID: c.id, src: src, tag: tag,
 			postTime: r.clock.Now(), req: req, owner: r,
@@ -271,37 +265,41 @@ func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
 		w.postRecv(pr)
 		w.mu.Unlock()
 	}
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }
 
 // Wait blocks until the request completes and returns its status (zero for
-// sends).
-func (r *Rank) Wait(req *Request) Status {
-	call := r.beginCall(Call{Func: "MPI_Wait", Request: req})
-	st := r.waitOne(req)
+// sends). A non-persistent request is freed on return; waiting on a zero
+// or stale handle returns at once.
+func (r *Rank) Wait(q Req) Status {
+	call := r.beginCall(&Call{Func: "MPI_Wait", Request: q})
+	st := r.waitOne(r.resolve(q, call.Func))
 	call.Bytes = st.Bytes
 	r.endCall(call)
+	r.freeCompleted(q)
 	return st
 }
 
-// Waitall blocks until every request completes.
-func (r *Rank) Waitall(reqs []*Request) {
-	call := r.beginCall(Call{Func: "MPI_Waitall", Requests: reqs})
-	for _, req := range reqs {
-		r.waitOne(req)
+// Waitall blocks until every request completes, then frees the
+// non-persistent ones.
+func (r *Rank) Waitall(qs []Req) {
+	call := r.beginCall(&Call{Func: "MPI_Waitall", Requests: qs})
+	for _, q := range qs {
+		r.waitOne(r.resolve(q, call.Func))
 	}
 	r.endCall(call)
+	for _, q := range qs {
+		r.freeCompleted(q)
+	}
 }
 
-func (r *Rank) waitOne(req *Request) Status {
+// waitOne blocks until req completes and absorbs its completion time; a
+// nil req (a zero or stale handle) is a no-op.
+func (r *Rank) waitOne(req *request) Status {
 	if req == nil {
 		return Status{}
-	}
-	if req.owner != r.rank {
-		panic(mpiErrorf(ErrRequest, r.rank, callName(r.curCall),
-			"waiting on a request owned by rank %d", req.owner))
 	}
 	w := r.world
 	w.mu.Lock()
@@ -316,16 +314,21 @@ func (r *Rank) waitOne(req *Request) Status {
 }
 
 // Test reports whether the request has completed, without blocking. When it
-// has, the rank's clock absorbs the completion time, as MPI_Test does.
-func (r *Rank) Test(req *Request) (bool, Status) {
-	call := r.beginCall(Call{Func: "MPI_Test", Request: req})
+// has, the rank's clock absorbs the completion time, as MPI_Test does, and
+// a non-persistent request is freed. A zero or stale handle tests true.
+func (r *Rank) Test(q Req) (bool, Status) {
+	call := r.beginCall(&Call{Func: "MPI_Test", Request: q})
 	w := r.world
-	w.mu.Lock()
-	done := req.done
-	w.mu.Unlock()
+	req := r.resolve(q, call.Func)
+	done := true
+	if req != nil {
+		w.mu.Lock()
+		done = req.done
+		w.mu.Unlock()
+	}
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	var st Status
-	if done {
+	if done && req != nil {
 		r.clock.AdvanceTo(vtime.Time(req.time))
 		st = req.st
 	}
@@ -334,6 +337,8 @@ func (r *Rank) Test(req *Request) (bool, Status) {
 	r.endCall(call)
 	if !done {
 		r.pollYield()
+	} else {
+		r.freeCompleted(q)
 	}
 	return done, st
 }
@@ -342,15 +347,15 @@ func (r *Rank) Test(req *Request) (bool, Status) {
 // standard (implemented as Isend+Irecv+Waitall internally, priced as one
 // call).
 func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Status {
-	call := r.beginCall(Call{
+	call := r.beginCall(&Call{
 		Func: "MPI_Sendrecv", Comm: c,
 		Dest: dst, Tag: sendTag, Bytes: sendBytes,
 		Source: src, RecvTag: recvTag,
 	})
 	w := r.world
-	var sreq, rreq *Request
+	var sreq, rreq *request
 	if dst != ProcNull {
-		sreq = r.ownRequest(reqSend)
+		sreq = r.newRequest(reqSend)
 		sreq.describe(dst, sendTag)
 		dstWorld := c.WorldRank(dst)
 		m := r.buildMessage(c, dst, sendTag, sendBytes, nil, sreq)
@@ -366,9 +371,9 @@ func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Stat
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, sendBytes
 	}
 	if src != ProcNull {
-		rreq = r.ownRequest(reqRecv)
+		rreq = r.newRequest(reqRecv)
 		rreq.describe(src, recvTag)
-		pr := getPostedRecv()
+		pr := w.getPostedRecv()
 		*pr = postedRecv{
 			commID: c.id, src: src, tag: recvTag,
 			postTime: r.clock.Now(), req: rreq, owner: r,
@@ -380,12 +385,12 @@ func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Stat
 	var st Status
 	if sreq != nil {
 		r.waitOne(sreq)
-		r.releaseRequest(sreq)
+		r.freeRequest(sreq)
 	}
 	if rreq != nil {
 		st = r.waitOne(rreq)
 		call.RecvSrcWorld, call.RecvSeq = rreq.matchedSrc, rreq.matchedSeq
-		r.releaseRequest(rreq)
+		r.freeRequest(rreq)
 	}
 	call.SourceResolved = st.Source
 	call.RecvBytes = st.Bytes

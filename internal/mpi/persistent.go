@@ -1,9 +1,5 @@
 package mpi
 
-import (
-	"siesta/internal/vtime"
-)
-
 // Persistent-request support (MPI_Send_init / MPI_Recv_init / MPI_Start /
 // MPI_Request_free): production codes hoist fixed communication patterns
 // into persistent requests, so a credible tracer must carry them. A
@@ -20,44 +16,41 @@ type persistentArgs struct {
 }
 
 // SendInit creates an inactive persistent send request.
-func (r *Rank) SendInit(c *Comm, dst, tag, bytes int) *Request {
-	call := r.beginCall(Call{Func: "MPI_Send_init", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+func (r *Rank) SendInit(c *Comm, dst, tag, bytes int) Req {
+	call := r.beginCall(&Call{Func: "MPI_Send_init", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	req := r.newRequest(reqSend)
 	req.describe(dst, tag)
 	req.persistent = &persistentArgs{comm: c, peer: dst, tag: tag, bytes: bytes}
 	req.done = true // inactive persistent requests are "complete"
 	req.time = float64(r.clock.Now())
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }
 
 // RecvInit creates an inactive persistent receive request.
-func (r *Rank) RecvInit(c *Comm, src, tag int) *Request {
-	call := r.beginCall(Call{Func: "MPI_Recv_init", Comm: c, Source: src, Tag: tag})
+func (r *Rank) RecvInit(c *Comm, src, tag int) Req {
+	call := r.beginCall(&Call{Func: "MPI_Recv_init", Comm: c, Source: src, Tag: tag})
 	req := r.newRequest(reqRecv)
 	req.describe(src, tag)
 	req.persistent = &persistentArgs{comm: c, peer: src, tag: tag}
 	req.done = true
 	req.time = float64(r.clock.Now())
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
-	call.Request = req
+	call.Request = r.handle(req)
 	r.endCall(call)
-	return req
+	return call.Request
 }
 
 // Start activates a persistent request, like Isend/Irecv with the bound
 // parameters.
-func (r *Rank) Start(req *Request) {
+func (r *Rank) Start(q Req) {
+	req := r.resolve(q, "MPI_Start")
 	if req == nil || req.persistent == nil {
 		panic(mpiErrorf(ErrRequest, r.rank, "MPI_Start", "request is not persistent"))
 	}
-	if req.owner != r.rank {
-		panic(mpiErrorf(ErrRequest, r.rank, "MPI_Start",
-			"starting a request owned by rank %d", req.owner))
-	}
-	call := r.beginCall(Call{Func: "MPI_Start", Request: req})
+	call := r.beginCall(&Call{Func: "MPI_Start", Request: q})
 	w := r.world
 	pa := req.persistent
 	req.done = false
@@ -86,7 +79,7 @@ func (r *Rank) Start(req *Request) {
 			req.done, req.nul = true, true
 			req.time = float64(r.clock.Now())
 		} else {
-			pr := getPostedRecv()
+			pr := w.getPostedRecv()
 			*pr = postedRecv{
 				commID: pa.comm.id, src: pa.peer, tag: pa.tag,
 				postTime: r.clock.Now(), req: req, owner: r,
@@ -100,27 +93,36 @@ func (r *Rank) Start(req *Request) {
 }
 
 // Startall activates a set of persistent requests.
-func (r *Rank) Startall(reqs []*Request) {
-	for _, req := range reqs {
-		r.Start(req)
+func (r *Rank) Startall(qs []Req) {
+	for _, q := range qs {
+		r.Start(q)
 	}
 }
 
-// RequestFree releases a persistent request. (Non-persistent requests are
-// freed implicitly by Wait, as in MPI.)
-func (r *Rank) RequestFree(req *Request) {
-	call := r.beginCall(Call{Func: "MPI_Request_free", Request: req})
+// RequestFree frees a request, persistent or not, and turns its handle
+// stale. (Non-persistent requests are freed implicitly by the Wait or Test
+// that completes them, as in MPI.) A request still in flight is detached
+// from its slot first: the router completes the old object, which nothing
+// reads any more, and the slot's next owner gets a fresh one.
+func (r *Rank) RequestFree(q Req) {
+	req := r.resolve(q, "MPI_Request_free")
+	call := r.beginCall(&Call{Func: "MPI_Request_free", Request: q})
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
-	req.persistent = nil
 	r.endCall(call)
+	if req == nil {
+		return
+	}
+	if !req.done {
+		r.reqs[req.slot] = &request{slot: req.slot, gen: req.gen}
+		req = r.reqs[req.slot]
+	}
+	r.freeRequest(req)
 }
 
 // resetIfPersistent returns a completed persistent request to the inactive
 // state after a successful Wait, preserving its identity for the next Start.
-func resetIfPersistent(req *Request) {
+func resetIfPersistent(req *request) {
 	if req != nil && req.persistent != nil {
 		req.done = true // inactive again, immediately waitable
 	}
 }
-
-var _ = vtime.Duration(0)

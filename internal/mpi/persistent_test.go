@@ -7,7 +7,7 @@ func TestPersistentRequestLifecycle(t *testing.T) {
 	_, err := w.Run(func(r *Rank) {
 		c := r.World()
 		other := 1 - r.Rank()
-		var sreq, rreq *Request
+		var sreq, rreq Req
 		if r.Rank() == 0 {
 			sreq = r.SendInit(c, other, 5, 2048)
 			if !sreq.Persistent() {
@@ -93,7 +93,7 @@ func TestStartallAndWaitall(t *testing.T) {
 		c := r.World()
 		next := (r.Rank() + 1) % r.Size()
 		prev := (r.Rank() - 1 + r.Size()) % r.Size()
-		reqs := []*Request{
+		reqs := []Req{
 			r.RecvInit(c, prev, 9),
 			r.SendInit(c, next, 9, 512),
 		}

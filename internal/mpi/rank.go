@@ -41,10 +41,14 @@ type Rank struct {
 	// beginCall, read only from the rank's own goroutine); the deadlock
 	// detector's pending-operation records are built from it.
 	curCall *Call
-	// freeReqs holds the requests blocking calls made for themselves and
-	// released on return (ownRequest, releaseRequest). Only the rank's
-	// own goroutine touches it.
-	freeReqs []*Request
+	// reqs is the rank's request slab: slot i's request is allocated once
+	// and then reused by every request the slot holds. freeSlots lists the
+	// slots whose request was freed, and anyReqs is Waitany's scratch for
+	// the requests its handles resolve to. Only the rank's own coroutine
+	// touches them.
+	reqs      []*request
+	freeSlots []int32
+	anyReqs   []*request
 
 	// Deadlock-detector state, guarded by world.mu.
 	state rankState
@@ -113,42 +117,26 @@ func (r *Rank) Elapse(d vtime.Duration) {
 	}
 }
 
-// newRequest allocates a deterministic per-rank request, stamped with the
-// creating call's name and communicator for deadlock diagnostics.
-func (r *Rank) newRequest(kind int) *Request {
-	req := new(Request)
-	r.initRequest(req, kind)
-	return req
-}
-
-// ownRequest is newRequest for a request a blocking call makes for itself
-// and never hands out: it comes from the rank's free list, and the call
-// gives it back with releaseRequest once it has read the result. Ids stay
-// fresh and dense either way, so deadlock reports do not change.
-func (r *Rank) ownRequest(kind int) *Request {
-	n := len(r.freeReqs)
-	if n == 0 {
-		return r.newRequest(kind)
+// newRequest takes a slot from the rank's slab for a fresh request,
+// stamped with the creating call's name and communicator for deadlock
+// diagnostics. Ids stay dense and deterministic however slots are reused,
+// so deadlock reports and the recorder's pool renaming do not change.
+func (r *Rank) newRequest(kind int) *request {
+	var req *request
+	if n := len(r.freeSlots); n > 0 {
+		req = r.reqs[r.freeSlots[n-1]]
+		r.freeSlots = r.freeSlots[:n-1]
+	} else {
+		req = &request{slot: int32(len(r.reqs)), gen: 1}
+		r.reqs = append(r.reqs, req)
 	}
-	req := r.freeReqs[n-1]
-	r.freeReqs = r.freeReqs[:n-1]
-	r.initRequest(req, kind)
-	return req
-}
-
-// releaseRequest returns an ownRequest request to the free list. The
-// caller holds the last reference: the router dropped its own when the
-// request completed.
-func (r *Rank) releaseRequest(req *Request) {
-	if releaseHook != nil {
-		releaseHook(req)
-	}
-	r.freeReqs = append(r.freeReqs, req)
-}
-
-// initRequest overwrites every field of req with a fresh request's.
-func (r *Rank) initRequest(req *Request, kind int) {
-	*req = Request{id: r.nextReqID, kind: kind, owner: r.rank, peer: NoPeer, tag: AnyTag, commID: -1}
+	// Field by field rather than by a composite literal, which the
+	// compiler builds on the stack and copies: every field but slot and
+	// gen is set.
+	req.id, req.kind, req.owner = r.nextReqID, kind, r.rank
+	req.done, req.time, req.st, req.nul = false, 0, Status{}, false
+	req.op, req.peer, req.tag, req.commID = "", NoPeer, AnyTag, -1
+	req.persistent, req.matchedSrc, req.matchedSeq = nil, 0, 0
 	r.nextReqID++
 	if c := r.curCall; c != nil {
 		req.op = c.Func
@@ -156,20 +144,61 @@ func (r *Rank) initRequest(req *Request, kind int) {
 			req.commID = c.Comm.id
 		}
 	}
+	return req
+}
+
+// handle returns the caller's handle to req.
+func (r *Rank) handle(req *request) Req {
+	return Req{rank: r, slot: req.slot, gen: req.gen, id: req.id}
+}
+
+// freeRequest puts req's slot back on the free list and bumps its
+// generation, so every handle to req goes stale. The router must hold no
+// reference to req: it drops its own when the request completes, and
+// RequestFree detaches a request still in flight first.
+func (r *Rank) freeRequest(req *request) {
+	slot, gen := req.slot, req.gen+1
+	if releaseHook != nil {
+		releaseHook(req)
+	}
+	req.slot, req.gen = slot, gen
+	r.freeSlots = append(r.freeSlots, slot)
+}
+
+// resolve returns the live request q names, nil for a zero or stale
+// handle. A handle another rank made is an MPI_ERR_REQUEST: requests are
+// process-local.
+func (r *Rank) resolve(q Req, fn string) *request {
+	if q.rank != nil && q.rank != r {
+		panic(mpiErrorf(ErrRequest, r.rank, fn, "using a request owned by rank %d", q.rank.rank))
+	}
+	return q.live()
+}
+
+// freeCompleted frees the request behind q once the Wait or Test that
+// completed it is over, unless it is persistent: those stay live until
+// RequestFree. The calls invoke it after endCall, so AfterCall still reads
+// the request. It goes by the handle, so a request a Waitall names twice
+// is freed once.
+func (r *Rank) freeCompleted(q Req) {
+	if req := q.live(); req != nil && req.done && req.persistent == nil {
+		r.freeRequest(req)
+	}
 }
 
 // describe records a request's point-to-point partner for deadlock
 // diagnostics; peer is a comm rank, AnySource, or ProcNull.
-func (req *Request) describe(peer, tag int) {
+func (req *request) describe(peer, tag int) {
 	req.peer, req.tag = peer, tag
 }
 
 // beginCall notes a call start for the interceptor and accounting, and
-// returns the rank's reused Call holding c. It is also the fault plan's
-// call-granularity trigger point: a scheduled rank crash fires here,
-// before the call does anything.
-func (r *Rank) beginCall(c Call) *Call {
-	r.call = c
+// returns the rank's reused Call holding a copy of *c. It takes c by
+// pointer so the caller's literal, which stays on its stack, is copied
+// once. It is also the fault plan's call-granularity trigger point: a
+// scheduled rank crash fires here, before the call does anything.
+func (r *Rank) beginCall(c *Call) *Call {
+	r.call = *c
 	call := &r.call
 	call.Start = r.clock.Now()
 	r.calls++

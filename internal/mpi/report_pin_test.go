@@ -51,7 +51,7 @@ var reportPrograms = []struct {
 				return
 			}
 			c := r.World()
-			reqs := []*Request{r.Irecv(c, 1, 1), r.Irecv(c, 1, 2)}
+			reqs := []Req{r.Irecv(c, 1, 1), r.Irecv(c, 1, 2)}
 			r.Waitany(reqs)
 		},
 	},

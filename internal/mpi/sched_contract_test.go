@@ -34,7 +34,7 @@ func pollingApp(r *mpi.Rank) {
 		sq := r.Isend(c, next, it, 1<<20)
 		for done, _ := r.Test(sq); !done; done, _ = r.Test(sq) {
 		}
-		for !r.Testall([]*mpi.Request{rq}) {
+		for !r.Testall([]mpi.Req{rq}) {
 		}
 		switch me {
 		case 0:

@@ -16,7 +16,7 @@ import (
 func TestRunQueueDrainStall(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := newTestWorld(2)
-	req := &Request{owner: 0, peer: NoPeer, commID: -1}
+	req := &request{owner: 0, peer: NoPeer, commID: -1}
 	unwound := false
 	_, err := w.Run(func(r *Rank) {
 		if r.Rank() == 0 {

@@ -77,6 +77,10 @@ type World struct {
 	posted  [][]*postedRecv // posted receives per destination world rank
 	colls   map[collKey]*collSlot
 
+	// Free lists of matched messages and posted receives; see getMessage.
+	freeMsgs  []*message
+	freeRecvs []*postedRecv
+
 	world      *Comm
 	nextCommID int
 	nextFileID int
@@ -127,7 +131,7 @@ type message struct {
 	eager     bool
 	readyTime vtime.Time     // when the sender's data became available
 	wire      vtime.Duration // transfer duration once underway
-	sendReq   *Request       // resolves when transfer completes (rendezvous)
+	sendReq   *request       // resolves when transfer completes (rendezvous)
 	sender    *Rank          // for waking a blocked rendezvous sender
 }
 
@@ -137,48 +141,64 @@ type postedRecv struct {
 	src      int // comm rank or AnySource
 	tag      int // or AnyTag
 	postTime vtime.Time
-	req      *Request
+	req      *request
 	owner    *Rank
 	buf      []byte
 }
 
-// message and postedRecv structs churn once per point-to-point call, which
-// at 64 ranks is the dominant allocation inside w.mu. Both have a clean
-// lifetime: a matched (message, postedRecv) pair dies inside
+// message and postedRecv structs churn once per point-to-point call. Both
+// have a clean lifetime: a matched (message, postedRecv) pair dies inside
 // postMessage/postRecv the moment completeMatch returns, so the match
-// functions recycle them there — under w.mu, after the last field read.
-// Callers follow one discipline: once a struct is posted it is never
-// touched again (postMessage returns the assigned seq so senders do not
-// read m.seq afterwards). Structs that never reach a match — mailbox
-// residue at teardown, probe templates — simply fall to the GC; recycling
-// is an optimization, never an obligation.
-var msgPool = sync.Pool{New: func() any { return new(message) }}
+// functions recycle them there, after the last field read, onto the
+// world's free lists. Callers follow one discipline: once a struct is
+// posted it is never touched again (postMessage returns the assigned seq
+// so senders do not read m.seq afterwards). Structs that never reach a
+// match — mailbox residue at teardown, probe templates — simply fall to
+// the GC; recycling is an optimization, never an obligation.
+//
+// The free lists belong to the world and are touched only from rank
+// coroutines, which Run drives one at a time; the context watcher never
+// recycles. So they need no lock, and a get or put is a slice pop or push.
 
-func getMessage() *message { return msgPool.Get().(*message) }
+func (w *World) getMessage() *message {
+	n := len(w.freeMsgs)
+	if n == 0 {
+		return new(message)
+	}
+	m := w.freeMsgs[n-1]
+	w.freeMsgs = w.freeMsgs[:n-1]
+	return m
+}
 
-func putMessage(m *message) {
+func (w *World) putMessage(m *message) {
 	*m = message{}
 	if releaseHook != nil {
 		releaseHook(m)
 	}
-	msgPool.Put(m)
+	w.freeMsgs = append(w.freeMsgs, m)
 }
 
-var prPool = sync.Pool{New: func() any { return new(postedRecv) }}
+func (w *World) getPostedRecv() *postedRecv {
+	n := len(w.freeRecvs)
+	if n == 0 {
+		return new(postedRecv)
+	}
+	pr := w.freeRecvs[n-1]
+	w.freeRecvs = w.freeRecvs[:n-1]
+	return pr
+}
 
-func getPostedRecv() *postedRecv { return prPool.Get().(*postedRecv) }
-
-func putPostedRecv(pr *postedRecv) {
+func (w *World) putPostedRecv(pr *postedRecv) {
 	*pr = postedRecv{}
 	if releaseHook != nil {
 		releaseHook(pr)
 	}
-	prPool.Put(pr)
+	w.freeRecvs = append(w.freeRecvs, pr)
 }
 
-// releaseHook, when set, sees every message, posted receive and
-// ownRequest request as it is recycled. Only tests set it (to poison
-// released objects), and never while a world runs.
+// releaseHook, when set, sees every message, posted receive and request
+// as it is recycled. Only tests set it (to poison released objects), and
+// never while a world runs.
 var releaseHook func(any)
 
 // flatChanCutoff is the world size up to which per-channel message
@@ -238,7 +258,7 @@ type collSlot struct {
 	// file-open bookkeeping: the handle shared by the group
 	sharedFile *File
 	// non-blocking collective requests resolved at completion
-	waiters []*Request
+	waiters []*request
 }
 
 // NewWorld creates a simulated MPI job. It panics on invalid configuration
@@ -587,8 +607,8 @@ const (
 type waitDesc struct {
 	kind   waitKind
 	detail string      // waitPeer: the PendingOp detail ("" for a receive)
-	req    *Request    // waitPeer, waitRequest
-	reqs   []*Request  // waitAny
+	req    *request    // waitPeer, waitRequest
+	reqs   []*request  // waitAny
 	probe  *postedRecv // waitProbe
 	slot   *collSlot   // waitColl
 	comm   int         // waitColl: communicator id

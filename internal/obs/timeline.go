@@ -28,10 +28,13 @@ type Timeline struct {
 
 type tlRank struct {
 	events []Event
-	// lastFlow dedups flow-end emission per request: persistent requests
-	// complete once per Start, and MPI_Test can observe the same completed
-	// request repeatedly.
-	lastFlow map[*mpi.Request]int
+	// lastFlow dedups flow-end emission per request id: a persistent
+	// request completes once per Start, and each completion must end its
+	// own message edge exactly once.
+	lastFlow map[int]int
+	// one is completedRecvs' scratch for a call that completes a single
+	// request.
+	one [1]mpi.Req
 }
 
 // NewTimeline registers a runtime timeline for a run over numRanks ranks.
@@ -50,7 +53,7 @@ func (t *Tracer) NewTimeline(name string, numRanks int) *Timeline {
 	}
 	tl := &Timeline{name: name, ranks: make([]tlRank, numRanks)}
 	for i := range tl.ranks {
-		tl.ranks[i].lastFlow = make(map[*mpi.Request]int)
+		tl.ranks[i].lastFlow = make(map[int]int)
 	}
 	t.mu.Lock()
 	tl.index = len(t.timelines)
@@ -167,9 +170,9 @@ func (tl *Timeline) AfterCall(r *mpi.Rank, call *mpi.Call) {
 	if call.RecvSeq > 0 {
 		tl.flowEnd(rs, me, call.RecvSrcWorld, call.RecvSeq-1, float64(call.End))
 	}
-	for _, req := range completedRecvs(call) {
-		if src, seq, ok := req.MatchedMessage(); ok && rs.lastFlow[req] != seq+1 {
-			rs.lastFlow[req] = seq + 1
+	for _, req := range rs.completedRecvs(call) {
+		if src, seq, ok := req.MatchedMessage(); ok && rs.lastFlow[req.ID()] != seq+1 {
+			rs.lastFlow[req.ID()] = seq + 1
 			tl.flowEnd(rs, me, src, seq, float64(call.End))
 		}
 	}
@@ -185,13 +188,14 @@ func (tl *Timeline) flowEnd(rs *tlRank, me, src, seq int, at float64) {
 }
 
 // completedRecvs lists the requests a wait/test call is known to have
-// completed by its end. Calls that complete nothing return nil.
-func completedRecvs(call *mpi.Call) []*mpi.Request {
+// completed by its end. Calls that complete nothing return nil. The call
+// frees those requests only after AfterCall, so their handles still
+// resolve here.
+func (rs *tlRank) completedRecvs(call *mpi.Call) []mpi.Req {
 	switch call.Func {
 	case "MPI_Wait":
-		if call.Request != nil {
-			return []*mpi.Request{call.Request}
-		}
+		rs.one[0] = call.Request
+		return rs.one[:]
 	case "MPI_Waitall":
 		return call.Requests
 	case "MPI_Waitany":
@@ -199,8 +203,9 @@ func completedRecvs(call *mpi.Call) []*mpi.Request {
 			return call.Requests[call.CompletedIndex : call.CompletedIndex+1]
 		}
 	case "MPI_Test":
-		if call.Flag && call.Request != nil {
-			return []*mpi.Request{call.Request}
+		if call.Flag {
+			rs.one[0] = call.Request
+			return rs.one[:]
 		}
 	case "MPI_Testall":
 		if call.Flag {

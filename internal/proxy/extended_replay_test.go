@@ -44,12 +44,12 @@ func extendedFull(r *mpi.Rank) {
 		b := r.Irecv(c, next, 4)
 		r.Isend(c, next, 3, 256)
 		r.Isend(c, prev, 4, 256)
-		idx, _ := r.Waitany([]*mpi.Request{a, b})
+		idx, _ := r.Waitany([]mpi.Req{a, b})
 		rest := a
 		if idx == 0 {
 			rest = b
 		}
-		for !r.Testall([]*mpi.Request{rest}) {
+		for !r.Testall([]mpi.Req{rest}) {
 			r.Compute(perfmodel.Kernel{IntOps: 1e5})
 		}
 

@@ -13,6 +13,7 @@ import (
 	"siesta/internal/codegen"
 	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/perfmodel"
 	"siesta/internal/vtime"
 )
 
@@ -39,14 +40,26 @@ type App struct {
 // New returns a proxy app in ComputeBlocks mode.
 func New(gen *codegen.Generated) *App { return &App{Gen: gen} }
 
-// RankFunc returns the SPMD function that replays the proxy on each rank.
-// Divergence between the generated program and what the runtime can replay
-// — a malformed grammar included — surfaces as a *DivergenceError panic,
-// which mpi.World.Run absorbs into a wrapped error return (so errors.As
-// still finds it).
+// RankFunc returns the SPMD function that replays the proxy on each rank
+// of one world. Divergence between the generated program and what the
+// runtime can replay — a malformed grammar included — surfaces as a
+// *DivergenceError panic, which mpi.World.Run absorbs into a wrapped error
+// return (so errors.As still finds it).
+//
+// The function computes each cluster's block kernel once, for the platform
+// of the first rank it runs, and its ranks share the table: a world runs
+// one rank at a time and every rank has the world's platform. So each
+// world needs its own RankFunc.
 func (a *App) RankFunc() func(*mpi.Rank) {
 	shared, sharedErr := merge.NewCursor(a.Gen.Prog)
+	var kernels []perfmodel.Kernel
 	return func(r *mpi.Rank) {
+		if a.Mode == ComputeBlocks && kernels == nil {
+			kernels = make([]perfmodel.Kernel, len(a.Gen.Combos))
+			for i, combo := range a.Gen.Combos {
+				kernels[i] = combo.Kernel(r.Platform())
+			}
+		}
 		cur, err := shared, sharedErr
 		if err == nil {
 			cur = shared.Clone()
@@ -66,7 +79,7 @@ func (a *App) RankFunc() func(*mpi.Rank) {
 			}
 			switch a.Mode {
 			case ComputeBlocks:
-				r.Compute(a.Gen.Combos[rec.ComputeCluster].Kernel(r.Platform()))
+				r.Compute(kernels[rec.ComputeCluster])
 			case SleepReplay:
 				r.Elapse(vtime.Duration(a.Gen.SleepTimes[rec.ComputeCluster]))
 			case NoCompute:

@@ -73,7 +73,7 @@ func RandomProgram(seed int64, phases int) func(*mpi.Rank) {
 				case 4:
 					r.Sendrecv(c, next, pi, ph.bytes, prev, pi)
 				case 5: // non-blocking halo
-					reqs := []*mpi.Request{
+					reqs := []mpi.Req{
 						r.Irecv(c, prev, 100+pi),
 						r.Irecv(c, next, 200+pi),
 						r.Isend(c, next, 100+pi, ph.bytes),
@@ -111,7 +111,7 @@ func RandomProgram(seed int64, phases int) func(*mpi.Rank) {
 				case 13: // non-blocking allreduce + bcast pair
 					ra := r.Iallreduce(c, ph.bytes%256+8, mpi.OpSum)
 					rb := r.Ibcast(c, 0, ph.bytes%1024+8)
-					r.Waitall([]*mpi.Request{ra, rb})
+					r.Waitall([]mpi.Req{ra, rb})
 				}
 			}
 		}

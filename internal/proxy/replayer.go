@@ -11,8 +11,11 @@ import (
 // executor and the baseline replayers (ScalaBench, Pilgrim).
 type Replayer struct {
 	comms map[int]*mpi.Comm
-	reqs  map[int]*mpi.Request
+	reqs  map[int]mpi.Req
 	files map[int]*mpi.File
+	// batch is the reused argument of Waitall and Testall; the runtime
+	// reads it only during the call.
+	batch []mpi.Req
 }
 
 // NewReplayer starts a replay session with the world communicator bound to
@@ -20,7 +23,7 @@ type Replayer struct {
 func NewReplayer(world *mpi.Comm) *Replayer {
 	return &Replayer{
 		comms: map[int]*mpi.Comm{0: world},
-		reqs:  map[int]*mpi.Request{},
+		reqs:  map[int]mpi.Req{},
 		files: map[int]*mpi.File{},
 	}
 }
@@ -89,16 +92,16 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 			delete(rp.reqs, rec.ReqPool)
 		}
 	case "MPI_Waitall":
-		reqs := make([]*mpi.Request, 0, len(rec.ReqPools))
+		rp.batch = rp.batch[:0]
 		for _, q := range rec.ReqPools {
 			if req, ok := rp.reqs[q]; ok {
-				reqs = append(reqs, req)
+				rp.batch = append(rp.batch, req)
 				if !req.Persistent() {
 					delete(rp.reqs, q)
 				}
 			}
 		}
-		r.Waitall(reqs)
+		r.Waitall(rp.batch)
 	case "MPI_Test":
 		if req, ok := rp.reqs[rec.ReqPool]; ok {
 			if done, _ := r.Test(req); done {
@@ -115,13 +118,13 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 		r.Wait(req)
 		delete(rp.reqs, rec.ReqPool)
 	case "MPI_Testall":
-		reqs := make([]*mpi.Request, 0, len(rec.ReqPools))
+		rp.batch = rp.batch[:0]
 		for _, q := range rec.ReqPools {
 			if req, ok := rp.reqs[q]; ok {
-				reqs = append(reqs, req)
+				rp.batch = append(rp.batch, req)
 			}
 		}
-		if r.Testall(reqs) {
+		if r.Testall(rp.batch) {
 			for _, q := range rec.ReqPools {
 				delete(rp.reqs, q)
 			}

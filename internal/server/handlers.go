@@ -219,9 +219,11 @@ type input struct {
 }
 
 // resolve validates a request's input and derives its options and cache
-// key: the shared root of prepare and RequestKey. The status is the HTTP
-// code for a validation failure.
-func resolve(req *SynthesizeRequest) (*input, int, error) {
+// key: the shared root of prepare and RequestKey. An uploaded trace is
+// decoded in full only when decode is set; the key needs just the rank
+// count from its header. The status is the HTTP code for a validation
+// failure.
+func resolve(req *SynthesizeRequest, decode bool) (*input, int, error) {
 	if (req.App == "") == (req.TraceBase64 == "") {
 		return nil, http.StatusBadRequest, errors.New("exactly one of app or trace_base64 is required")
 	}
@@ -244,21 +246,28 @@ func resolve(req *SynthesizeRequest) (*input, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
 	}
-	tr, err := trace.Decode(raw)
+	in := &input{}
+	ranks, err := trace.DecodeNumRanks(raw)
+	if err == nil && decode {
+		in.tr, err = trace.Decode(raw)
+	}
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
 	}
-	opts = traceOptions(opts, len(tr.Ranks))
-	return &input{opts: opts, key: traceCacheKey(raw, opts), tr: tr}, 0, nil
+	in.opts = traceOptions(opts, ranks)
+	in.key = traceCacheKey(raw, in.opts)
+	return in, 0, nil
 }
 
 // RequestKey computes the content-addressed artifact cache key a request
 // resolves to — the same derivation prepare uses — without building the
 // job. The fleet gateway consistent-hash routes every request on it, which
 // is what makes routing agree with caching: the worker that owns a key on
-// the ring is the worker whose cache fills with it.
+// the ring is the worker whose cache fills with it. An uploaded trace is
+// checked only up to its header; the worker's full decode rejects one
+// that is corrupt past it.
 func RequestKey(req *SynthesizeRequest) (cache.Key, error) {
-	in, _, err := resolve(req)
+	in, _, err := resolve(req, false)
 	if err != nil {
 		return "", err
 	}
@@ -288,7 +297,7 @@ func (s *Server) clamp(timeoutMS int64, parallelism int, maxRetries *int) (time.
 // its cache key. The returned status is the HTTP code for a validation
 // failure.
 func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
-	in, status, err := resolve(req)
+	in, status, err := resolve(req, true)
 	if err != nil {
 		return nil, status, err
 	}

@@ -79,7 +79,7 @@ func TestUploadKeyNamesServedProxy(t *testing.T) {
 	if art == nil {
 		t.Fatalf("one-shot job: %s (%s)", v.Status, v.Error)
 	}
-	in, _, err := resolve(&req)
+	in, _, err := resolve(&req, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestScaledTraceUploadMatchesCore(t *testing.T) {
 	if art == nil {
 		t.Fatalf("scaled job: %s (%s)", v.Status, v.Error)
 	}
-	in, _, err := resolve(&req)
+	in, _, err := resolve(&req, true)
 	if err != nil {
 		t.Fatal(err)
 	}

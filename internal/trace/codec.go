@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -94,34 +95,73 @@ func intsLen(v []int) int {
 	return n
 }
 
-// Dec decodes what Enc produced.
+// Dec decodes what Enc produced. It reads straight from the byte slice it
+// wraps; its errors are those of encoding/binary's stream readers: io.EOF
+// when the input ends before a value starts, io.ErrUnexpectedEOF when it
+// ends inside one, and errVarintOverflow for a varint longer than 64 bits.
 type Dec struct {
-	r *bytes.Reader
+	buf []byte
+	off int
 }
 
+// errVarintOverflow reports a varint that does not fit 64 bits, in the
+// words of binary.ReadUvarint.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
 // NewDec wraps encoded bytes for reading.
-func NewDec(data []byte) *Dec { return &Dec{r: bytes.NewReader(data)} }
+func NewDec(data []byte) *Dec { return &Dec{buf: data} }
 
 // Remaining reports the unread byte count — the upper bound any sane length
 // prefix must respect. Decoders check prefixes against it before allocating,
 // so corrupted or hostile inputs fail with an error instead of exhausting
 // memory.
-func (d *Dec) Remaining() int { return d.r.Len() }
+func (d *Dec) Remaining() int { return len(d.buf) - d.off }
 
 // boundedLen validates a length prefix against the remaining input (each
 // encoded element consumes at least one byte).
 func (d *Dec) boundedLen(n int) error {
-	if n < 0 || n > d.r.Len() {
-		return fmt.Errorf("trace: length prefix %d exceeds remaining input %d", n, d.r.Len())
+	if n < 0 || n > d.Remaining() {
+		return fmt.Errorf("trace: length prefix %d exceeds remaining input %d", n, d.Remaining())
 	}
 	return nil
 }
 
+// varintErr turns binary.Uvarint's failure count n (0: no complete
+// varint in the input, negative: overflow) into the stream readers' error,
+// consuming what a stream reader would have read: a varint still open
+// after MaxVarintLen64 bytes overflows there too.
+func (d *Dec) varintErr(n int) error {
+	switch rem := d.Remaining(); {
+	case n < 0 || rem >= binary.MaxVarintLen64:
+		d.off += binary.MaxVarintLen64
+		return errVarintOverflow
+	case rem == 0:
+		return io.EOF
+	default:
+		d.off = len(d.buf)
+		return io.ErrUnexpectedEOF
+	}
+}
+
 // Uvarint reads an unsigned varint.
-func (d *Dec) Uvarint() (uint64, error) { return binary.ReadUvarint(d.r) }
+func (d *Dec) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 {
+		return 0, d.varintErr(n)
+	}
+	d.off += n
+	return v, nil
+}
 
 // Varint reads a signed varint.
-func (d *Dec) Varint() (int64, error) { return binary.ReadVarint(d.r) }
+func (d *Dec) Varint() (int64, error) {
+	v, n := binary.Varint(d.buf[d.off:])
+	if n <= 0 {
+		return 0, d.varintErr(n)
+	}
+	d.off += n
+	return v, nil
+}
 
 // Int reads a signed int.
 func (d *Dec) Int() (int, error) {
@@ -131,14 +171,19 @@ func (d *Dec) Int() (int, error) {
 
 // Float reads a float64.
 func (d *Dec) Float() (float64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(d.r, tmp[:]); err != nil {
-		return 0, err
+	if d.Remaining() < 8 {
+		if d.Remaining() == 0 {
+			return 0, io.EOF
+		}
+		d.off = len(d.buf)
+		return 0, io.ErrUnexpectedEOF
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
+	d.off += 8
+	return v, nil
 }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string, copying its bytes once.
 func (d *Dec) Str() (string, error) {
 	n, err := d.Uvarint()
 	if err != nil {
@@ -147,11 +192,9 @@ func (d *Dec) Str() (string, error) {
 	if err := d.boundedLen(int(n)); err != nil {
 		return "", err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	s := string(d.buf[d.off : d.off+int(n)])
+	d.off += int(n)
+	return s, nil
 }
 
 // Ints reads a length-prefixed int slice.
@@ -336,18 +379,35 @@ func (t *Trace) Encode() []byte {
 	return e.Bytes()
 }
 
+// DecodeNumRanks reads the rank count from the header of a trace produced
+// by Encode, with Decode's magic and bound checks, and decodes nothing
+// else: a trace corrupt past its header passes here and fails Decode.
+func DecodeNumRanks(data []byte) (int, error) {
+	return decodeHeader(NewDec(data))
+}
+
+// decodeHeader reads a trace's magic and rank count.
+func decodeHeader(d *Dec) (int, error) {
+	magic, err := d.Str()
+	if err != nil || magic != "SIESTA-TRACE1" {
+		return 0, fmt.Errorf("trace: bad magic %q: %v", magic, err)
+	}
+	n, err := d.Int()
+	if err != nil {
+		return 0, err
+	}
+	if err := d.boundedLen(n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 // Decode parses a trace produced by Encode.
 func Decode(data []byte) (*Trace, error) {
 	d := NewDec(data)
-	magic, err := d.Str()
-	if err != nil || magic != "SIESTA-TRACE1" {
-		return nil, fmt.Errorf("trace: bad magic %q: %v", magic, err)
-	}
 	t := &Trace{}
-	if t.NumRanks, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if err := d.boundedLen(t.NumRanks); err != nil {
+	var err error
+	if t.NumRanks, err = decodeHeader(d); err != nil {
 		return nil, err
 	}
 	if t.Platform, err = d.Str(); err != nil {

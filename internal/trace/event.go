@@ -9,7 +9,8 @@
 package trace
 
 import (
-	"encoding/binary"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -72,10 +73,11 @@ func (r *Record) IsCompute() bool { return r.Func == "MPI_Compute" }
 func (r *Record) KeyString() string { return string(r.AppendKey(nil)) }
 
 // AppendKey appends the canonical key to b and returns the extended slice.
-// The recorder's and the merge leaf tables' hot paths build keys into a
-// reused scratch buffer and probe their intern tables via map[string(b)] —
-// which the compiler compiles without materializing a string — so only
-// genuinely new terminals pay a string allocation.
+// The merge leaf tables' hot path builds keys into a reused scratch buffer
+// and probes its intern table via map[string(b)] — which the compiler
+// compiles without materializing a string — so only genuinely new
+// terminals pay a string allocation. The recorder interns by field hash
+// instead (internTable) and renders no key at all.
 func (r *Record) AppendKey(b []byte) []byte {
 	appendInt := func(b []byte, tag string, v int) []byte {
 		b = append(b, tag...)
@@ -115,39 +117,113 @@ func (r *Record) AppendKey(b []byte) []byte {
 	return b
 }
 
-// appendInternKey appends a compact binary rendering of the record to b:
-// every field in AppendKey's order, integers as zigzag varints, strings
-// and lists length-prefixed. Length prefixes make the rendering
-// unambiguous, so equal renderings mean equal fields and hence equal
-// KeyStrings. The recorder's private intern table keys by it because it
-// costs a fraction of the decimal text; KeyString stays the canonical key
-// everywhere a key leaves the recorder.
-func (r *Record) appendInternKey(b []byte) []byte {
-	appendStr := func(b []byte, s string) []byte {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		return append(b, s...)
-	}
-	appendInts := func(b []byte, vs []int) []byte {
-		b = binary.AppendUvarint(b, uint64(len(vs)))
-		for _, v := range vs {
-			b = binary.AppendVarint(b, int64(v))
-		}
-		return b
-	}
-	b = appendStr(b, r.Func)
+// internSeed keys the string half of internHash. Hash values differ
+// between processes, but interned ids follow insertion order, so every
+// table comes out the same.
+var internSeed = maphash.MakeSeed()
+
+// internHash hashes every field KeyString renders, in AppendKey's order,
+// with list lengths mixed in. Equal fields hash equal; the recorder's
+// intern table confirms each hash hit with sameFields, so the hash only
+// has to spread records, never to tell them apart.
+func (r *Record) internHash() uint64 {
+	h := maphash.String(internSeed, r.Func)
 	for _, v := range [...]int{r.DestRel, r.SrcRel, r.Tag, r.Bytes, r.RecvTag, r.Root} {
-		b = binary.AppendVarint(b, int64(v))
+		h = mixHash(h, uint64(v))
 	}
-	b = appendStr(b, r.Op)
-	for _, v := range [...]int{r.CommPool, r.NewCommPool, r.ReqPool} {
-		b = binary.AppendVarint(b, int64(v))
+	if r.Op != "" {
+		h = mixHash(h, maphash.String(internSeed, r.Op))
 	}
-	b = appendInts(b, r.ReqPools)
-	b = appendInts(b, r.Counts)
+	for _, v := range [...]int{r.CommPool, r.NewCommPool, r.ReqPool, len(r.ReqPools)} {
+		h = mixHash(h, uint64(v))
+	}
+	for _, v := range r.ReqPools {
+		h = mixHash(h, uint64(v))
+	}
+	h = mixHash(h, uint64(len(r.Counts)))
+	for _, v := range r.Counts {
+		h = mixHash(h, uint64(v))
+	}
 	for _, v := range [...]int{r.Color, r.Key, r.ComputeCluster, r.FilePool, r.OffsetRel} {
-		b = binary.AppendVarint(b, int64(v))
+		h = mixHash(h, uint64(v))
 	}
-	return appendStr(b, r.FileName)
+	if r.FileName != "" {
+		h = mixHash(h, maphash.String(internSeed, r.FileName))
+	}
+	return h
+}
+
+// mixHash folds v into h with one splitmix64 round.
+func mixHash(h, v uint64) uint64 {
+	h = (h ^ v) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// sameFields reports whether r and o agree on every field KeyString
+// renders, so equal fields mean equal KeyStrings.
+func (r *Record) sameFields(o *Record) bool {
+	return r.Func == o.Func && r.DestRel == o.DestRel && r.SrcRel == o.SrcRel &&
+		r.Tag == o.Tag && r.Bytes == o.Bytes && r.RecvTag == o.RecvTag &&
+		r.Root == o.Root && r.Op == o.Op && r.CommPool == o.CommPool &&
+		r.NewCommPool == o.NewCommPool && r.ReqPool == o.ReqPool &&
+		slices.Equal(r.ReqPools, o.ReqPools) && slices.Equal(r.Counts, o.Counts) &&
+		r.Color == o.Color && r.Key == o.Key && r.ComputeCluster == o.ComputeCluster &&
+		r.FilePool == o.FilePool && r.OffsetRel == o.OffsetRel && r.FileName == o.FileName
+}
+
+// internTable interns one rank's records by field hash while the recorder
+// builds its trace: an open-addressed table of (hash, id+1) slots probed
+// linearly, where a slot whose hash matches is confirmed by comparing
+// fields. A hash collision costs one comparison, never a wrong id, and no
+// probe renders a key.
+type internTable struct {
+	slots []internSlot // a power of two long; id 0 marks an empty slot
+	n     int
+}
+
+type internSlot struct {
+	hash uint64
+	id   int // table id + 1
+}
+
+// minInternSlots is a new table's size.
+const minInternSlots = 64
+
+// find returns r's id in table, or -1 and the empty slot where r goes.
+func (t *internTable) find(h uint64, r *Record, table []*Record) (id, at int) {
+	mask := len(t.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s.id == 0 {
+			return -1, i
+		}
+		if s.hash == h && table[s.id-1].sameFields(r) {
+			return s.id - 1, i
+		}
+	}
+}
+
+// insert fills the empty slot at with (h, id), doubling the table once it
+// is half full.
+func (t *internTable) insert(at int, h uint64, id int) {
+	t.slots[at] = internSlot{hash: h, id: id + 1}
+	t.n++
+	if 2*t.n <= len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]internSlot, 2*len(old))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.id == 0 {
+			continue
+		}
+		i := int(s.hash) & mask
+		for t.slots[i].id != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
 }
 
 // Clone deep-copies the record.
@@ -212,38 +288,37 @@ type RankTrace struct {
 	Events []int     // sequence of local event ids
 	Durs   []float64 // per-instance virtual durations, parallel to Events
 	Table  []*Record // local id -> record
-	// keyIndex interns records by their binary intern key
-	// (appendInternKey) while the recorder builds the trace; decoded
-	// traces leave it nil, since nothing appends to them.
-	keyIndex map[string]int
+	// intern finds a record's id by its fields while the recorder builds
+	// the trace; decoded traces leave it empty, since nothing appends to
+	// them.
+	intern   internTable
 	Clusters []*Cluster // local compute cluster id -> cluster
 }
 
 func newRankTrace(rank int) *RankTrace {
 	return &RankTrace{
-		Rank:     rank,
-		Events:   make([]int, 0, 512),
-		Durs:     make([]float64, 0, 512),
-		keyIndex: make(map[string]int),
+		Rank:   rank,
+		Events: make([]int, 0, 512),
+		Durs:   make([]float64, 0, 512),
+		intern: internTable{slots: make([]internSlot, minInternSlots)},
 	}
 }
 
-// appendOwnedKeyed records one event instance from a caller that owns r
-// and wants to recycle its storage, with r's intern key already rendered
-// into a caller-owned scratch buffer. The return value reports whether the table
+// appendOwned records one event instance from a caller that owns r and
+// wants to recycle its storage. The return value reports whether the table
 // retained r (a new terminal — the caller must stop touching it) or r
 // duplicated an interned record and may be reused, slices and all. The
-// dedupe probe is allocation-free (the map lookup on string(key) never
-// materializes a string); only a new terminal converts the key for
-// insertion.
-func (rt *RankTrace) appendOwnedKeyed(r *Record, key []byte) bool {
-	if id, ok := rt.keyIndex[string(key)]; ok {
+// probe hashes r's fields and allocates nothing.
+func (rt *RankTrace) appendOwned(r *Record) bool {
+	h := r.internHash()
+	id, at := rt.intern.find(h, r, rt.Table)
+	if id >= 0 {
 		rt.Events = append(rt.Events, id)
 		return false
 	}
-	id := len(rt.Table)
+	id = len(rt.Table)
 	rt.Table = append(rt.Table, r)
-	rt.keyIndex[string(key)] = id
+	rt.intern.insert(at, h, id)
 	rt.Events = append(rt.Events, id)
 	return true
 }

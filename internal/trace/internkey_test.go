@@ -3,7 +3,9 @@ package trace
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"siesta/internal/apps"
@@ -42,26 +44,108 @@ func panelRecords(t *testing.T) []*Record {
 	return out
 }
 
-// TestInternKeyAgreesWithKeyString: over the sample records and every
-// record of the recorded panel traces, two records share a binary intern
-// key exactly when they share a KeyString, so interning by either key
-// builds the same tables.
+// internClones interns clones of recs into one fresh rank table, as the
+// recorder does, and returns each record's id.
+func internClones(recs []*Record) []int {
+	rt := newRankTrace(0)
+	for _, r := range recs {
+		rt.appendOwned(r.Clone())
+	}
+	return rt.Events
+}
+
+// TestInternKeyAgreesWithKeyString: over the sample records and every record
+// of the recorded panel traces, two records get the same intern id exactly
+// when they share a KeyString, so interning by field hash builds the same
+// tables as interning by the canonical key.
 func TestInternKeyAgreesWithKeyString(t *testing.T) {
 	recs := append(sampleRecords(), panelRecords(t)...)
-	textOf := map[string]string{} // intern key -> KeyString
-	internOf := map[string]string{}
-	for _, r := range recs {
-		bin, text := string(r.appendInternKey(nil)), r.KeyString()
-		if prev, ok := textOf[bin]; ok && prev != text {
-			t.Fatalf("intern key collision: %q and %q", prev, text)
+	ids := internClones(recs)
+	textOf := map[int]string{} // intern id -> KeyString
+	idOf := map[string]int{}
+	for i, r := range recs {
+		id, text := ids[i], r.KeyString()
+		if prev, ok := textOf[id]; ok && prev != text {
+			t.Fatalf("intern id %d holds %q and %q", id, prev, text)
 		}
-		if prev, ok := internOf[text]; ok && prev != bin {
-			t.Fatalf("KeyString %q has two intern keys", text)
+		if prev, ok := idOf[text]; ok && prev != id {
+			t.Fatalf("KeyString %q has intern ids %d and %d", text, prev, id)
 		}
-		textOf[bin], internOf[text] = text, bin
+		textOf[id], idOf[text] = text, id
 	}
 	if len(textOf) < 100 {
 		t.Fatalf("only %d distinct terminals: the panel did not record", len(textOf))
+	}
+}
+
+// internOneHash interns recs into a table that files every record under
+// one hash, so only the field comparison tells them apart.
+func internOneHash(recs []*Record) []int {
+	it := internTable{slots: make([]internSlot, minInternSlots)}
+	var table []*Record
+	ids := make([]int, len(recs))
+	for i, r := range recs {
+		id, at := it.find(0, r, table)
+		if id < 0 {
+			id = len(table)
+			table = append(table, r)
+			it.insert(at, 0, id)
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
+// TestInternTellsEveryFieldApart perturbs each field of a record in turn,
+// found by reflection so a field added later is covered too: each variant
+// renders its own KeyString and interns to its own id, both by field hash
+// and under one shared hash, so the field comparison skips no field.
+func TestInternTellsEveryFieldApart(t *testing.T) {
+	base := sampleRecords()[1] // a Waitall: both lists can grow from it
+	recs := []*Record{base}
+	rt := reflect.TypeOf(*base)
+	for i := 0; i < rt.NumField(); i++ {
+		r := base.Clone()
+		f := reflect.ValueOf(r).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Slice:
+			f.Set(reflect.Append(f, reflect.ValueOf(1)))
+		default:
+			t.Fatalf("field %s has kind %s; teach the test to perturb it", rt.Field(i).Name, f.Kind())
+		}
+		recs = append(recs, r)
+	}
+	for _, ids := range [][]int{internClones(recs), internOneHash(recs)} {
+		seen := map[int]string{}
+		for i, id := range ids {
+			if prev, ok := seen[id]; ok {
+				t.Fatalf("record %d (%s) interned onto %s", i, recs[i].KeyString(), prev)
+			}
+			seen[id] = recs[i].KeyString()
+		}
+	}
+}
+
+// TestInternTableCollisions files distinct records under one hash, so each
+// probe walks a chain of equal hashes: they keep distinct ids through the
+// table's growth, and each is found again.
+func TestInternTableCollisions(t *testing.T) {
+	base := sampleRecords()
+	recs := append([]*Record(nil), base...)
+	for i := 0; i < 3*minInternSlots; i++ {
+		r := base[i%len(base)].Clone()
+		r.Tag = 1000 + i
+		recs = append(recs, r)
+	}
+	ids := internOneHash(append(recs, recs...))
+	for i, id := range ids {
+		if want := i % len(recs); id != want {
+			t.Fatalf("record %d interned as %d, want %d", i, id, want)
+		}
 	}
 }
 
@@ -101,69 +185,29 @@ func fuzzRecord(data []byte) *Record {
 	return r
 }
 
-// parseInternKey inverts appendInternKey, or reports false.
-func parseInternKey(b []byte) (*Record, bool) {
-	ok := true
-	num := func() int {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			ok = false
-			return 0
-		}
-		b = b[n:]
-		return int(v)
-	}
-	length := func() int {
-		v, n := binary.Uvarint(b)
-		if n <= 0 || v > uint64(len(b)-n) {
-			ok = false
-			return 0
-		}
-		b = b[n:]
-		return int(v)
-	}
-	str := func() string {
-		n := length()
-		s := string(b[:n])
-		b = b[n:]
-		return s
-	}
-	ints := func() []int {
-		var vs []int
-		for n := length(); n > 0 && ok; n-- {
-			vs = append(vs, num())
-		}
-		return vs
-	}
-	r := &Record{Func: str(), DestRel: num(), SrcRel: num(), Tag: num(), Bytes: num(),
-		RecvTag: num(), Root: num(), Op: str(), CommPool: num(), NewCommPool: num(), ReqPool: num()}
-	r.ReqPools, r.Counts = ints(), ints()
-	r.Color, r.Key, r.ComputeCluster, r.FilePool, r.OffsetRel = num(), num(), num(), num(), num()
-	r.FileName = str()
-	return r, ok && len(b) == 0
-}
-
-// FuzzInternKey: equal intern keys imply equal KeyStrings, and each intern
-// key parses back to a record with its record's KeyString, so the
-// rendering is injective on every record the fuzzer builds.
+// FuzzInternKey: two records the fuzzer builds share an intern id only when
+// they share a KeyString, and share one whenever their KeyStrings agree
+// and their strings hold no KeyString separator (with separators, distinct
+// fields can render one KeyString, and field interning keeps them apart
+// as the merge's canonical key would not). Each record interns again to
+// its own id.
 func FuzzInternKey(f *testing.F) {
 	f.Add([]byte("\x10MPI_Send\x06\x00"), []byte("\x10MPI_Send\x06\x00"))
 	f.Add([]byte("\x02a|\x02\x04"), []byte("\x02a\x02|\x04"))
 	f.Add([]byte("\x06MPI_Compute\x01\x02\x03"), []byte{})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ra, rb := fuzzRecord(a), fuzzRecord(b)
-		ka, kb := ra.appendInternKey(nil), rb.appendInternKey(nil)
-		if string(ka) == string(kb) && ra.KeyString() != rb.KeyString() {
-			t.Fatalf("equal intern keys, different KeyStrings %q and %q", ra.KeyString(), rb.KeyString())
+		ids := internClones([]*Record{ra, rb, ra, rb})
+		ka, kb := ra.KeyString(), rb.KeyString()
+		if ids[0] == ids[1] && ka != kb {
+			t.Fatalf("one intern id, different KeyStrings %q and %q", ka, kb)
 		}
-		for _, p := range []struct {
-			r   *Record
-			key []byte
-		}{{ra, ka}, {rb, kb}} {
-			back, ok := parseInternKey(p.key)
-			if !ok || back.KeyString() != p.r.KeyString() {
-				t.Fatalf("intern key of %q parses back to %v, %v", p.r.KeyString(), back, ok)
-			}
+		plain := func(r *Record) bool { return !strings.Contains(r.Func+r.Op+r.FileName, "|") }
+		if ka == kb && plain(ra) && plain(rb) && ids[0] != ids[1] {
+			t.Fatalf("KeyString %q has intern ids %d and %d", ka, ids[0], ids[1])
+		}
+		if ids[2] != ids[0] || ids[3] != ids[1] {
+			t.Fatalf("re-interning gave ids %v", ids)
 		}
 	})
 }

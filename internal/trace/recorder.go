@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"siesta/internal/mpi"
 	"siesta/internal/perfmodel"
 	"siesta/internal/vtime"
@@ -65,10 +67,6 @@ type rankState struct {
 	// one per event. This is what keeps the per-event overhead flat once
 	// the terminal table saturates.
 	spare *Record
-	// keyBuf is the pooled scratch the intern key is rendered into on
-	// every commit; the intern probe reads it without building a string.
-	// Held from NewRecorder until Trace() releases it.
-	keyBuf *ByteBuf
 }
 
 // newRecord hands out a Record initialized to the sentinel defaults,
@@ -92,8 +90,7 @@ func (rs *rankState) newRecord() *Record {
 
 // commit appends the event and reclaims the record unless the table kept it.
 func (rs *rankState) commit(r *Record) {
-	rs.keyBuf.S = r.appendInternKey(rs.keyBuf.S[:0])
-	if !rs.rt.appendOwnedKeyed(r, rs.keyBuf.S) {
+	if !rs.rt.appendOwned(r) {
 		rs.spare = r
 	}
 }
@@ -107,7 +104,6 @@ func NewRecorder(numRanks int, cfg Config) *Recorder {
 			reqPool:  NewPool(),
 			commPool: NewPool(),
 			filePool: NewPool(),
-			keyBuf:   GetBytes(0),
 		}
 		rs.commPool.Acquire(0) // MPI_COMM_WORLD is pool number 0
 		rec.ranks[i] = rs
@@ -168,6 +164,9 @@ func (rec *Recorder) AfterCall(r *mpi.Rank, call *mpi.Call) {
 	case "MPI_Wait":
 		rec7.ReqPool = rs.releaseReq(call.Request)
 	case "MPI_Waitall":
+		// Sized up front: a new terminal keeps its list, so the next
+		// record starts from none.
+		rec7.ReqPools = slices.Grow(rec7.ReqPools, len(call.Requests))
 		for _, q := range call.Requests {
 			rec7.ReqPools = append(rec7.ReqPools, rs.releaseReq(q))
 		}
@@ -177,13 +176,13 @@ func (rec *Recorder) AfterCall(r *mpi.Rank, call *mpi.Call) {
 				rec7.ReqPools = append(rec7.ReqPools, id)
 			}
 		}
-		if call.Request != nil {
+		if !call.Request.IsZero() {
 			rec7.ReqPool = rs.reqPool.Release(call.Request.ID())
 		}
 	case "MPI_Testall":
 		all := call.Flag
 		for _, q := range call.Requests {
-			if q == nil {
+			if q.IsZero() {
 				continue
 			}
 			if all {
@@ -278,9 +277,11 @@ func encodeTag(tag int) int {
 }
 
 // releaseReq frees an ordinary request's pool number; persistent requests
-// stay pooled until MPI_Request_free, as in MPI.
-func (rs *rankState) releaseReq(q *mpi.Request) int {
-	if q == nil {
+// stay pooled until MPI_Request_free, as in MPI. AfterCall runs before the
+// waiting call frees the request, so a live handle still knows whether it
+// is persistent; a stale one is an ordinary request completed earlier.
+func (rs *rankState) releaseReq(q mpi.Req) int {
+	if q.IsZero() {
 		return -1
 	}
 	if q.Persistent() {
@@ -322,10 +323,6 @@ func (rec *Recorder) Trace(platformName, implName string) *Trace {
 	}
 	for i, rs := range rec.ranks {
 		t.Ranks[i] = rs.rt
-		// The run is over: return the key scratch to the pool. Unref is
-		// nil-safe, so a second Trace() call is harmless.
-		rs.keyBuf.Unref()
-		rs.keyBuf = nil
 	}
 	return t
 }

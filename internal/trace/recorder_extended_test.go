@@ -41,12 +41,12 @@ func TestRecorderExtendedCalls(t *testing.T) {
 		r.Isend(c, other, 3, 16)
 		r.Isend(c, other, 4, 16)
 		r.Barrier(c)
-		idx, _ := r.Waitany([]*mpi.Request{a, b})
+		idx, _ := r.Waitany([]mpi.Req{a, b})
 		rest := a
 		if idx == 0 {
 			rest = b
 		}
-		for !r.Testall([]*mpi.Request{rest}) {
+		for !r.Testall([]mpi.Req{rest}) {
 			r.Compute(perfmodel.Kernel{IntOps: 1e5})
 		}
 
