@@ -3,6 +3,7 @@ package siesta
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,41 +417,87 @@ func pipelineTrace(b *testing.B, ranks int) *trace.Trace {
 // gateBatch and counts the mean time per call, so a leg of 100 µs is timed
 // over hundreds of calls instead of one. The legs alternate, so garbage one
 // leg leaves behind is collected during both rather than always during the
-// second. At GOMAXPROCS < 2 the legs cannot run concurrently, so it reports
+// second. Beside each verdict it reports the box's own calibration,
+// spinSpeedup, so a red gate says whether the box or the code is at fault.
+// At GOMAXPROCS < 2 the legs cannot run concurrently, so it reports
 // without asserting; CI's bench job refuses such a runner.
-// gateBatch is the least wall time one timed batch of a gate leg runs.
-const gateBatch = 20 * time.Millisecond
-
 func gateSpeedup(b *testing.B, min float64, serial, parallel func()) {
 	b.Helper()
-	timed := func(fn func(), best *time.Duration) {
-		start := time.Now()
-		var elapsed time.Duration
-		calls := 0
-		for elapsed < gateBatch {
-			fn()
-			calls++
-			elapsed = time.Since(start)
-		}
-		if d := elapsed / time.Duration(calls); d < *best {
-			*best = d
-		}
-	}
 	for i := 0; i < b.N; i++ {
 		s, p := time.Duration(1<<63-1), time.Duration(1<<63-1)
 		for j := 0; j < 3; j++ {
-			timed(serial, &s)
-			timed(parallel, &p)
+			gateTimed(serial, &s)
+			gateTimed(parallel, &p)
 		}
-		speedup := float64(s) / float64(p)
+		speedup, spin := float64(s)/float64(p), spinSpeedup()
 		b.ReportMetric(speedup, "speedup")
+		b.ReportMetric(spin, "spin-speedup")
 		if runtime.GOMAXPROCS(0) < 2 {
 			b.Logf("GOMAXPROCS=1: %.2fx not asserted", speedup)
 		} else if speedup < min {
-			b.Fatalf("parallel leg only %.2fx the serial one (serial %v, parallel %v); the gate requires %.1fx",
-				speedup, s, p, min)
+			b.Fatalf("parallel leg only %.2fx the serial one (serial %v, parallel %v); the gate requires %.1fx; a two-goroutine spin reads %.2fx on this box",
+				speedup, s, p, min, spin)
 		}
 	}
+}
+
+// gateBatch is the least wall time one timed batch of a gate leg runs.
+const gateBatch = 20 * time.Millisecond
+
+// gateTimed runs one batch of fn and lowers best to its mean time per call
+// if that is faster.
+func gateTimed(fn func(), best *time.Duration) {
+	start := time.Now()
+	var elapsed time.Duration
+	calls := 0
+	for elapsed < gateBatch {
+		fn()
+		calls++
+		elapsed = time.Since(start)
+	}
+	if d := elapsed / time.Duration(calls); d < *best {
+		*best = d
+	}
+}
+
+// spinSink keeps the calibration spin's result live.
+var spinSink float64
+
+// spinSpeedup is the gates' calibration leg: the speed-up of a
+// pure-arithmetic spin split over two goroutines against the same spin on
+// one, timed like a gate (best of 3 alternated batches). The spin shares
+// no memory and allocates nothing, so it reads near 2x on a box that runs
+// two goroutines at once and near 1x on one that does not, whatever the
+// code under the gate does.
+func spinSpeedup() float64 {
+	spin := func(n int) float64 {
+		x := 1.0
+		for i := 0; i < n; i++ {
+			x = x*0.999999 + 1e-6
+		}
+		return x
+	}
+	const n = 1 << 20
+	serial := func() { spinSink = spin(2 * n) }
+	parallel := func() {
+		var wg sync.WaitGroup
+		var half [2]float64
+		for g := range half {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				half[g] = spin(n)
+			}()
+		}
+		wg.Wait()
+		spinSink = half[0] + half[1]
+	}
+	s, p := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for j := 0; j < 3; j++ {
+		gateTimed(serial, &s)
+		gateTimed(parallel, &p)
+	}
+	return float64(s) / float64(p)
 }
 
 // BenchmarkGlobalize times the tree-reduction terminal-table merge serial

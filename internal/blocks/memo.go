@@ -45,7 +45,21 @@ type memoEntry struct {
 	key   memoKey
 	combo Combination
 	err   error
+	// state is guarded by Memo.mu. An entry a miss inserts starts
+	// reserved, turns solving when a lookup of its key starts the solve,
+	// and solved when combo and err hold the result; done closes then.
+	// Imported entries are born solved, with no done channel.
+	state entryState
+	done  chan struct{}
 }
+
+type entryState uint8
+
+const (
+	entrySolved entryState = iota
+	entryReserved
+	entrySolving
+)
 
 // DefaultMemoCap is the size of the process-global memo. An entry is ~200
 // bytes, so the default retains every distinct cluster of several hundred
@@ -122,43 +136,103 @@ func quantize(v float64) float64 {
 // up, and solved on a miss. A nil memo uses DefaultMemo. Errors are cached
 // too — a target the QP cannot fit will not fit on retry either.
 func CachedSearch(m *Memo, bm *qp.Matrix, target perfmodel.Counters) (Combination, error) {
+	return m.Lookup(bm, target).Result()
+}
+
+// Lookup is one memo lookup, counted as a hit or a miss when it is made.
+// A miss inserts the key's entry at once, unsolved, so a later lookup of
+// the key counts as a hit and shares the one solve, and the memo's recency
+// order is the order the lookups were made in, not the order their solves
+// finish. That is what lets a caller make a batch of lookups in order and
+// solve them concurrently: the counts and Export's snapshot are those of
+// the serial loop.
+type Lookup struct {
+	m  *Memo
+	el *list.Element // the entry this lookup's miss inserted; nil on a hit
+	e  *memoEntry
+	bm *qp.Matrix
+	qt perfmodel.Counters // the quantized target the entry is solved on
+}
+
+// Lookup quantizes target and looks it up. A nil memo uses DefaultMemo.
+// Every Lookup must end in Result, or in Release when its result is no
+// longer wanted.
+func (m *Memo) Lookup(bm *qp.Matrix, target perfmodel.Counters) Lookup {
 	if m == nil {
 		m = DefaultMemo
 	}
-	var qt perfmodel.Counters
+	l := Lookup{m: m, bm: bm}
 	key := memoKey{bm: hashB(bm)}
 	for i, v := range target {
-		qt[i] = quantize(v)
-		key.target[i] = math.Float64bits(qt[i])
+		l.qt[i] = quantize(v)
+		key.target[i] = math.Float64bits(l.qt[i])
 	}
-
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if el, ok := m.byKey[key]; ok {
 		m.hits++
 		m.lru.MoveToFront(el)
-		e := el.Value.(*memoEntry)
-		m.mu.Unlock()
-		return e.combo, e.err
+		l.e = el.Value.(*memoEntry)
+		return l
 	}
 	m.misses++
-	m.mu.Unlock()
+	l.e = &memoEntry{key: key, state: entryReserved, done: make(chan struct{})}
+	l.el = m.lru.PushFront(l.e)
+	m.byKey[key] = l.el
+	m.evict()
+	return l
+}
 
-	// Solve outside the lock: concurrent misses on the same key may solve
-	// twice, but purity guarantees they compute the same entry, so whichever
-	// insert lands second is a harmless overwrite.
-	combo, err := Search(bm, qt)
-
+// Result returns the looked-up combination. A solved entry answers at
+// once and an entry another goroutine is solving is waited for; an
+// unsolved one is solved here, by whichever lookup of its key asks first.
+// The solve runs outside the lock, on the quantized target, so the entry
+// is the same whoever solves it.
+func (l Lookup) Result() (Combination, error) {
+	m, e := l.m, l.e
 	m.mu.Lock()
-	if el, ok := m.byKey[key]; ok {
-		m.lru.MoveToFront(el)
-	} else {
-		m.byKey[key] = m.lru.PushFront(&memoEntry{key: key, combo: combo, err: err})
-		for m.lru.Len() > m.cap {
-			oldest := m.lru.Back()
-			m.lru.Remove(oldest)
-			delete(m.byKey, oldest.Value.(*memoEntry).key)
-		}
+	switch e.state {
+	case entrySolved:
+		m.mu.Unlock()
+		return e.combo, e.err
+	case entrySolving:
+		m.mu.Unlock()
+		<-e.done
+		return e.combo, e.err
 	}
+	e.state = entrySolving
 	m.mu.Unlock()
+	combo, err := Search(l.bm, l.qt)
+	m.mu.Lock()
+	e.combo, e.err, e.state = combo, err, entrySolved
+	m.mu.Unlock()
+	close(e.done)
 	return combo, err
+}
+
+// Release gives up a lookup whose result is no longer wanted. An entry its
+// miss inserted that no lookup has started solving leaves the memo, so no
+// later lookup counts a hit on a solve nobody makes; a hit, or an entry
+// already solving or solved, is left as it is.
+func (l Lookup) Release() {
+	if l.el == nil {
+		return
+	}
+	m := l.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if l.e.state == entryReserved && m.byKey[l.e.key] == l.el {
+		m.lru.Remove(l.el)
+		delete(m.byKey, l.e.key)
+	}
+}
+
+// evict drops least recently used entries down to the cap. An evicted
+// entry still being solved completes for the lookups holding it.
+func (m *Memo) evict() {
+	for m.lru.Len() > m.cap {
+		oldest := m.lru.Back()
+		m.lru.Remove(oldest)
+		delete(m.byKey, oldest.Value.(*memoEntry).key)
+	}
 }

@@ -20,13 +20,13 @@ const memoSnapshotMagic = "SIESTA-MEMO1"
 // compact binary format, least recently used first (so importing into a
 // bounded memo evicts in the same order the source would have). Errored
 // entries are skipped: re-deriving an error is cheap and keeps snapshots
-// free of stale failure modes.
+// free of stale failure modes. So are entries whose solve has not landed.
 func (m *Memo) Export() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var entries []*memoEntry
 	for el := m.lru.Back(); el != nil; el = el.Prev() {
-		if e := el.Value.(*memoEntry); e.err == nil {
+		if e := el.Value.(*memoEntry); e.state == entrySolved && e.err == nil {
 			entries = append(entries, e)
 		}
 	}
@@ -90,11 +90,7 @@ func (m *Memo) Import(data []byte) (int, error) {
 			continue
 		}
 		m.byKey[key] = m.lru.PushFront(&memoEntry{key: key, combo: combo})
-		for m.lru.Len() > m.cap {
-			oldest := m.lru.Back()
-			m.lru.Remove(oldest)
-			delete(m.byKey, oldest.Value.(*memoEntry).key)
-		}
+		m.evict()
 		added++
 	}
 	return added, nil

@@ -1,6 +1,7 @@
 package blocks
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -168,5 +169,59 @@ func TestMemoConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// Lookups count and order the memo as they are made, before any solve:
+// solving them out of order leaves the snapshot the serial loop leaves.
+func TestLookupOrdersTheMemoBeforeSolving(t *testing.T) {
+	bm := MeasureB(platform.A, nil)
+	targets := []perfmodel.Counters{
+		{3e8, 1e9, 2e8, 1e7, 5e6, 1e5},
+		{6e8, 1e9, 2e8, 1e7, 5e6, 1e5},
+		{3e8, 1e9, 2e8, 1e7, 5e6, 1e5},
+	}
+	serial := NewMemo(0)
+	for _, tg := range targets {
+		if _, err := CachedSearch(serial, bm, tg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewMemo(0)
+	var ls []Lookup
+	for _, tg := range targets {
+		ls = append(ls, m.Lookup(bm, tg))
+	}
+	if h, mi := m.Stats(); h != 1 || mi != 2 {
+		t.Fatalf("lookups counted %d hits / %d misses, want 1 / 2", h, mi)
+	}
+	if got := m.Export(); !bytes.Equal(got, NewMemo(0).Export()) {
+		t.Error("Export included unsolved entries")
+	}
+	for i := len(ls) - 1; i >= 0; i-- {
+		if _, err := ls[i].Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(m.Export(), serial.Export()) {
+		t.Error("snapshot after out-of-order solves differs from the serial loop's")
+	}
+}
+
+// A released miss leaves the memo; a hit already holding its entry still
+// gets the cold solve's combination.
+func TestLookupRelease(t *testing.T) {
+	bm := MeasureB(platform.A, nil)
+	tg := perfmodel.Counters{3e8, 1e9, 2e8, 1e7, 5e6, 1e5}
+	m := NewMemo(0)
+	miss, hit := m.Lookup(bm, tg), m.Lookup(bm, tg)
+	miss.Release()
+	if m.Len() != 0 {
+		t.Fatalf("released miss left %d entries", m.Len())
+	}
+	got, err := hit.Result()
+	want, _ := CachedSearch(NewMemo(0), bm, tg)
+	if err != nil || got != want {
+		t.Errorf("hit on a released entry: %v, %v; want %v", got, err, want)
 	}
 }

@@ -7,7 +7,6 @@
 package codegen
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -32,7 +31,7 @@ type Options struct {
 	// readings would; nil measures exactly.
 	BenchNoise *perfmodel.Noise
 	// BMatrix, when non-nil, is a pre-measured micro-benchmark matrix and
-	// Generate skips its own blocks.MeasureB call. core.Synthesize warms
+	// the search skips its own blocks.MeasureB call. core.Synthesize warms
 	// it concurrently with the overlapped simulated runs; the caller must
 	// have measured it from the same Platform and BenchNoise state that
 	// Generate would have used, so results are byte-identical either way.
@@ -282,39 +281,36 @@ func maxFloat(a, b float64) float64 {
 	return b
 }
 
-// Generate runs the full code-generation stage.
+func (o Options) withDefaults() Options {
+	if o.Platform == nil {
+		o.Platform = platform.A
+	}
+	if o.Scale <= 0 {
+		o.Scale = 1
+	}
+	return o
+}
+
+// Generate runs the full code-generation stage: the computation-proxy
+// searches, then GenerateFrom over their table.
 func Generate(prog *merge.Program, opts Options) (*Generated, error) {
-	if opts.Platform == nil {
-		opts.Platform = platform.A
+	px, err := StartSearch(prog, opts, 0).Wait()
+	if err != nil {
+		return nil, err
 	}
-	if opts.Scale <= 0 {
-		opts.Scale = 1
-	}
+	return GenerateFrom(prog, px, opts), nil
+}
+
+// GenerateFrom generates the proxy from a computation-proxy table already
+// searched for prog under the same options (see StartSearch).
+func GenerateFrom(prog *merge.Program, px *Proxies, opts Options) *Generated {
+	opts = opts.withDefaults()
 	g := &Generated{
 		Prog:        prog,
+		Combos:      px.Combos,
+		SleepTimes:  px.SleepTimes,
 		Scale:       opts.Scale,
 		GeneratedOn: opts.Platform.Name,
-	}
-
-	// Computation proxies: one constrained-QP search per cluster (§2.4),
-	// against targets divided by the scaling factor (§2.7).
-	bm := opts.BMatrix
-	if bm == nil {
-		bm = blocks.MeasureB(opts.Platform, opts.BenchNoise)
-	}
-	g.Combos = make([]blocks.Combination, len(prog.Clusters))
-	g.SleepTimes = make([]float64, len(prog.Clusters))
-	for i, cl := range prog.Clusters {
-		target := cl.Target()
-		if opts.Scale != 1 {
-			target = target.Scale(1 / opts.Scale)
-		}
-		combo, err := blocks.CachedSearch(opts.SearchMemo, bm, target)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: cluster %d: %w", i, err)
-		}
-		g.Combos[i] = combo
-		g.SleepTimes[i] = cl.MeanTime() / opts.Scale
 	}
 
 	// Communication shrinking (§2.7): fit blocking-call time against
@@ -338,7 +334,7 @@ func Generate(prog *merge.Program, opts Options) (*Generated, error) {
 	}
 
 	g.SizeC = len(g.Prog.Encode()) + len(encodeCombos(g.Combos))
-	return g, nil
+	return g
 }
 
 // shrinkProgram clones the program with blocking-communication volumes

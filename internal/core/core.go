@@ -46,7 +46,8 @@ type Options struct {
 
 	// Tracer, when non-nil, records the run's observability data: one
 	// wall-clock span per pipeline phase (baseline, trace, merge, check,
-	// codegen) with rank-count, parallelism, and artifact-size attributes,
+	// codegen, and when parallelism overlaps them the warmup and search
+	// spans) with rank-count, parallelism, and artifact-size attributes,
 	// plus per-rank virtual-time timelines for the baseline run (and the
 	// proxy replay, via Result.RunProxy). The server attaches an observer
 	// for per-phase structured logs and metrics; the trace CLI verb
@@ -79,8 +80,9 @@ type Options struct {
 
 	// Parallelism bounds the worker count for the synthesis pipeline's
 	// parallel stages: the overlapped baseline/traced simulated runs, the
-	// tree-reduction terminal merge, per-rank grammar inference, and the
-	// losslessness check. 0 (or negative) selects GOMAXPROCS; 1 runs fully
+	// tree-reduction terminal merge, per-rank grammar inference, the
+	// losslessness check, and the computation-proxy searches overlapped
+	// with the static check. 0 (or negative) selects GOMAXPROCS; 1 runs fully
 	// sequentially. Like Context, it participates in neither JSON encoding
 	// nor OptionsFingerprint: the parallel stages are deterministic by
 	// construction, so two runs differing only in Parallelism produce
@@ -474,13 +476,14 @@ func (r *run) simulate(app func(*mpi.Rank)) error {
 	return nil
 }
 
-// tail is the back half every entry shares (DESIGN.md §11, §15): the
+// tail is the back half every entry shares (DESIGN.md §9, §11, §15): the
 // merged program — restored from resume when that is a merge checkpoint
-// whose program decodes, else built — passes the static verification gate,
-// is checkpointed at the merge boundary, and is generated into C source
-// and a proxy. resume has passed the entry's own checks (nil when there
-// is none); the tail needs nothing from it but the program and, from a
-// post-search checkpoint, the solved searches.
+// whose program decodes, else built — passes the static verification gate
+// while its computation-proxy searches run beside it, is checkpointed at
+// the merge boundary, and is generated into C source and a proxy. resume
+// has passed the entry's own checks (nil when there is none); the tail
+// needs nothing from it but the program and, from a post-search
+// checkpoint, the solved searches.
 func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) error {
 	opts, res := r.opts, r.res
 	if p := resumeProgram(resume, r.fp); p != nil {
@@ -507,6 +510,34 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 			return fmt.Errorf("core: merge: %w", err)
 		}
 	}
+
+	// The computation-proxy searches need only the program, so they start
+	// now and run beside the gate on the job's idle workers; the caller
+	// joins them after it. A post-search checkpoint pre-loads the memo
+	// first so every cluster's QP solve is a cache hit; memo purity
+	// guarantees the replayed solutions are byte-identical to cold ones.
+	r.memo = opts.SearchMemo
+	if res.ResumedFrom == PhaseSearch && len(resume.MemoBytes) > 0 {
+		if r.memo == nil {
+			r.memo = blocks.DefaultMemo
+		}
+		// An undecodable snapshot degrades to cold solves; results are
+		// unchanged either way.
+		r.memo.Import(resume.MemoBytes)
+	}
+	genOpts := codegen.Options{
+		Platform:    opts.Platform,
+		Scale:       opts.Scale,
+		BenchNoise:  opts.BenchNoise,
+		BMatrix:     r.bmatrix,
+		SearchMemo:  r.memo,
+		CommSamples: r.samples,
+	}
+	search, searchSpan := r.startSearch(genOpts)
+	defer func() {
+		search.Stop()
+		searchSpan.End()
+	}()
 
 	// Static verification gate: the traced run completed, so the merged
 	// program must verify cleanly — an error here means grammar extraction
@@ -545,38 +576,41 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 		}
 	}
 
-	// Code generation. A post-search checkpoint pre-loads the memo so
-	// every cluster's QP solve is a cache hit; memo purity guarantees the
-	// replayed solutions are byte-identical to cold ones.
-	r.memo = opts.SearchMemo
-	if res.ResumedFrom == PhaseSearch && len(resume.MemoBytes) > 0 {
-		if r.memo == nil {
-			r.memo = blocks.DefaultMemo
-		}
-		// An undecodable snapshot degrades to cold solves; results are
-		// unchanged either way.
-		r.memo.Import(resume.MemoBytes)
-	}
+	// Code generation: the caller solves whatever searches are left, then
+	// emits the proxy from their table.
 	if err := r.phase("codegen"); err != nil {
 		return fmt.Errorf("core: generate: %w", err)
 	}
-	genOpts := codegen.Options{
-		Platform:    opts.Platform,
-		Scale:       opts.Scale,
-		BenchNoise:  opts.BenchNoise,
-		BMatrix:     r.bmatrix,
-		SearchMemo:  r.memo,
-		Check:       res.Check,
-		CommSamples: r.samples,
-	}
-	if res.Generated, err = codegen.Generate(res.Program, genOpts); err != nil {
+	px, err := search.Wait()
+	searchSpan.End()
+	if err != nil {
 		return fmt.Errorf("core: generate: %w", err)
 	}
+	genOpts.Check = res.Check
+	res.Generated = codegen.GenerateFrom(res.Program, px, genOpts)
 	if opts.Tracer != nil {
 		r.cur.SetAttrs(obs.Int("size_c", res.Generated.SizeC))
 	}
 	res.Proxy = proxy.New(res.Generated)
 	return nil
+}
+
+// startSearch starts the program's computation-proxy searches on
+// min(Parallelism−1, clusters) workers, leaving the caller free for the
+// gate. With any worker it opens the searches' own span, tagged as
+// overlapped like the simulated legs; at Parallelism 1 the caller solves
+// every cluster, in cluster order, inside the codegen phase.
+func (r *run) startSearch(genOpts codegen.Options) (*codegen.Search, *obs.Span) {
+	clusters := len(r.res.Program.Clusters)
+	workers := min(r.opts.Parallelism-1, clusters)
+	var sp *obs.Span
+	if tr := r.opts.Tracer; tr != nil && workers > 0 {
+		sp = tr.Phase("search",
+			obs.Int("clusters", clusters),
+			obs.Int("parallelism", r.opts.Parallelism),
+			obs.Bool("overlap", true))
+	}
+	return codegen.StartSearch(r.res.Program, genOpts, workers), sp
 }
 
 // VerifyError is the static verification gate's verdict on a merged

@@ -109,8 +109,9 @@ func TestMetamorphicNoiseSeed(t *testing.T) {
 // observability layer — phase coverage and complete timeline event
 // streams (times included: they are virtual) must match. Wall-clock span
 // *order* is only pinned for the sequential pipeline: a parallel run
-// overlaps baseline/trace (plus a B-matrix warmup span), so its ladder is
-// compared as a set with the warmup span allowed.
+// overlaps baseline/trace (plus a B-matrix warmup span) and the searches
+// with the check gate (a search span), so its ladder is compared as a set
+// with those two spans allowed.
 func TestMetamorphicParallelismObservability(t *testing.T) {
 	resA, trA := synthesizeCG(t, 1, 1)
 	resB, trB := synthesizeCG(t, 1, 4)
@@ -137,12 +138,22 @@ func TestMetamorphicParallelismObservability(t *testing.T) {
 				n, setB[n], namesB)
 		}
 	}
-	if extra := len(namesB) - len(want); extra > 1 || (extra == 1 && setB["warmup"] != 1) {
+	if setB["warmup"] != 1 || setB["search"] != 1 || len(namesB) != len(want)+2 {
 		t.Fatalf("parallel phase ladder has unexpected spans: %v", namesB)
+	}
+	var tail []string
+	for _, p := range trB.Phases() {
+		if p.Name == "search" {
+			if attrMap(p.Attrs)["overlap"] != true {
+				t.Errorf("search span not tagged overlap: %v", p.Attrs)
+			}
+			continue
+		}
+		tail = append(tail, p.Name)
 	}
 	// The pure phases after the overlapped segment still end in pipeline
 	// order.
-	tail := namesB[len(namesB)-3:]
+	tail = tail[len(tail)-3:]
 	if !reflect.DeepEqual(tail, []string{"merge", "check", "codegen"}) {
 		t.Fatalf("parallel phase ladder tail = %v, want [merge check codegen]", tail)
 	}

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,6 +147,47 @@ func TestReplayRejectsMalformedPrograms(t *testing.T) {
 			}
 			if div.Reason != want {
 				t.Errorf("divergence reason %q, want %q", div.Reason, want)
+			}
+		})
+	}
+}
+
+// A decoded program may name any pool id. One past the replay's bound
+// ends the replay with a DivergenceError instead of growing a handle pool
+// to that size.
+func TestReplayRejectsHugePoolIDs(t *testing.T) {
+	all := rankset.Range(0, 2)
+	for _, rec := range []*trace.Record{
+		{Func: "MPI_Isend", DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: 1 << 40},
+		{Func: "MPI_Comm_dup", DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: 1 << 40, ReqPool: -1},
+		{Func: "MPI_Irecv", DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: maxPoolID},
+	} {
+		t.Run(rec.Func, func(t *testing.T) {
+			p := &merge.Program{
+				NumRanks:  2,
+				Terminals: []*trace.Record{rec},
+				Rules:     [][]merge.Sym{},
+				Mains: []merge.Main{{Ranks: all, Body: []merge.MainSym{
+					{Sym: merge.Sym{Ref: 0, Count: 1}, Ranks: all},
+				}}},
+			}
+			dec, err := merge.Decode(p.Encode())
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = New(&codegen.Generated{Prog: dec}).Run(mpi.Config{})
+			runtime.ReadMemStats(&after)
+			var div *DivergenceError
+			if !errors.As(err, &div) {
+				t.Fatalf("run returned %v, want a wrapped DivergenceError", err)
+			}
+			if !strings.Contains(div.Reason, "out of range") {
+				t.Errorf("divergence reason %q, want an out-of-range pool id", div.Reason)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Errorf("replay allocated %d bytes for one record", grew)
 			}
 		})
 	}

@@ -10,8 +10,8 @@ import (
 // trace layer's pool renaming presumes. It is shared by the Siesta proxy
 // executor and the baseline replayers (ScalaBench, Pilgrim).
 type Replayer struct {
-	comms map[int]*mpi.Comm
-	reqs  map[int]mpi.Req
+	comms handles[*mpi.Comm]
+	reqs  handles[mpi.Req]
 	files map[int]*mpi.File
 	// batch is the reused argument of Waitall and Testall; the runtime
 	// reads it only during the call.
@@ -21,11 +21,66 @@ type Replayer struct {
 // NewReplayer starts a replay session with the world communicator bound to
 // pool id 0.
 func NewReplayer(world *mpi.Comm) *Replayer {
-	return &Replayer{
-		comms: map[int]*mpi.Comm{0: world},
-		reqs:  map[int]mpi.Req{},
-		files: map[int]*mpi.File{},
+	rp := &Replayer{files: map[int]*mpi.File{}}
+	rp.comms.put(0, world)
+	return rp
+}
+
+// maxPoolID bounds the pool ids a replay binds. The trace layer numbers
+// handles with the smallest free id (trace.Pool), so a recorded program's
+// ids stay below its peak count of live handles; a larger id comes from a
+// corrupt or hostile program, and diverges instead of growing a pool to it.
+const maxPoolID = 1 << 16
+
+// handles is one handle pool, indexed by pool id.
+type handles[T any] []handle[T]
+
+type handle[T any] struct {
+	v    T
+	live bool
+}
+
+func (h handles[T]) get(id int) (T, bool) {
+	if uint(id) < uint(len(h)) && h[id].live {
+		return h[id].v, true
 	}
+	var zero T
+	return zero, false
+}
+
+// put binds id to v, reporting false for an id outside [0, maxPoolID).
+func (h *handles[T]) put(id int, v T) bool {
+	if uint(id) >= maxPoolID {
+		return false
+	}
+	if id >= len(*h) {
+		*h = append(*h, make([]handle[T], id+1-len(*h))...)
+	}
+	(*h)[id] = handle[T]{v, true}
+	return true
+}
+
+func (h handles[T]) del(id int) {
+	if uint(id) < uint(len(h)) {
+		h[id] = handle[T]{}
+	}
+}
+
+// putReq binds a request a record created to the record's pool id.
+func (rp *Replayer) putReq(r *mpi.Rank, rec *trace.Record, q mpi.Req) error {
+	if !rp.reqs.put(rec.ReqPool, q) {
+		return divergef(r.Rank(), rec.Func, "request pool id %d out of range", rec.ReqPool)
+	}
+	return nil
+}
+
+// putComm binds a communicator a record created to the record's new pool
+// id.
+func (rp *Replayer) putComm(r *mpi.Rank, rec *trace.Record, c *mpi.Comm) error {
+	if !rp.comms.put(rec.NewCommPool, c) {
+		return divergef(r.Rank(), rec.Func, "communicator pool id %d out of range", rec.NewCommPool)
+	}
+	return nil
 }
 
 // decodeRel turns a relative-rank encoding back into a comm rank for this
@@ -62,7 +117,7 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 	if rec.IsCompute() {
 		return divergef(r.Rank(), rec.Func, "ExecComm called with a computation record")
 	}
-	c, ok := rp.comms[rec.CommPool]
+	c, ok := rp.comms.get(rec.CommPool)
 	if !ok {
 		return divergef(r.Rank(), rec.Func, "dangling communicator pool id %d", rec.CommPool)
 	}
@@ -79,54 +134,54 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 	case "MPI_Recv":
 		r.Recv(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag))
 	case "MPI_Isend":
-		rp.reqs[rec.ReqPool] = r.Isend(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes)
+		return rp.putReq(r, rec, r.Isend(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes))
 	case "MPI_Irecv":
-		rp.reqs[rec.ReqPool] = r.Irecv(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag))
+		return rp.putReq(r, rec, r.Irecv(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag)))
 	case "MPI_Wait":
-		req, ok := rp.reqs[rec.ReqPool]
+		req, ok := rp.reqs.get(rec.ReqPool)
 		if !ok {
 			return divergef(r.Rank(), rec.Func, "dangling request pool id %d", rec.ReqPool)
 		}
 		r.Wait(req)
 		if !req.Persistent() {
-			delete(rp.reqs, rec.ReqPool)
+			rp.reqs.del(rec.ReqPool)
 		}
 	case "MPI_Waitall":
 		rp.batch = rp.batch[:0]
 		for _, q := range rec.ReqPools {
-			if req, ok := rp.reqs[q]; ok {
+			if req, ok := rp.reqs.get(q); ok {
 				rp.batch = append(rp.batch, req)
 				if !req.Persistent() {
-					delete(rp.reqs, q)
+					rp.reqs.del(q)
 				}
 			}
 		}
 		r.Waitall(rp.batch)
 	case "MPI_Test":
-		if req, ok := rp.reqs[rec.ReqPool]; ok {
+		if req, ok := rp.reqs.get(rec.ReqPool); ok {
 			if done, _ := r.Test(req); done {
-				delete(rp.reqs, rec.ReqPool)
+				rp.reqs.del(rec.ReqPool)
 			}
 		}
 	case "MPI_Waitany":
 		// Replay deterministically waits on the request the trace saw
 		// complete; the others stay pending.
-		req, ok := rp.reqs[rec.ReqPool]
+		req, ok := rp.reqs.get(rec.ReqPool)
 		if !ok {
 			return divergef(r.Rank(), rec.Func, "dangling request pool id %d", rec.ReqPool)
 		}
 		r.Wait(req)
-		delete(rp.reqs, rec.ReqPool)
+		rp.reqs.del(rec.ReqPool)
 	case "MPI_Testall":
 		rp.batch = rp.batch[:0]
 		for _, q := range rec.ReqPools {
-			if req, ok := rp.reqs[q]; ok {
+			if req, ok := rp.reqs.get(q); ok {
 				rp.batch = append(rp.batch, req)
 			}
 		}
 		if r.Testall(rp.batch) {
 			for _, q := range rec.ReqPools {
-				delete(rp.reqs, q)
+				rp.reqs.del(q)
 			}
 		}
 	case "MPI_Sendrecv":
@@ -170,36 +225,36 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 	case "MPI_Comm_split":
 		nc := r.CommSplit(c, rec.Color, rec.Key)
 		if rec.NewCommPool >= 0 && nc != nil {
-			rp.comms[rec.NewCommPool] = nc
+			return rp.putComm(r, rec, nc)
 		}
 	case "MPI_Comm_dup":
 		nc := r.CommDup(c)
 		if rec.NewCommPool >= 0 {
-			rp.comms[rec.NewCommPool] = nc
+			return rp.putComm(r, rec, nc)
 		}
 	case "MPI_Comm_free":
 		r.CommFree(c)
-		delete(rp.comms, rec.CommPool)
+		rp.comms.del(rec.CommPool)
 	case "MPI_Ibarrier":
-		rp.reqs[rec.ReqPool] = r.Ibarrier(c)
+		return rp.putReq(r, rec, r.Ibarrier(c))
 	case "MPI_Ibcast":
-		rp.reqs[rec.ReqPool] = r.Ibcast(c, rec.Root, rec.Bytes)
+		return rp.putReq(r, rec, r.Ibcast(c, rec.Root, rec.Bytes))
 	case "MPI_Iallreduce":
-		rp.reqs[rec.ReqPool] = r.Iallreduce(c, rec.Bytes, mpi.ReduceOp(rec.Op))
+		return rp.putReq(r, rec, r.Iallreduce(c, rec.Bytes, mpi.ReduceOp(rec.Op)))
 	case "MPI_Send_init":
-		rp.reqs[rec.ReqPool] = r.SendInit(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes)
+		return rp.putReq(r, rec, r.SendInit(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes))
 	case "MPI_Recv_init":
-		rp.reqs[rec.ReqPool] = r.RecvInit(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag))
+		return rp.putReq(r, rec, r.RecvInit(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag)))
 	case "MPI_Start":
-		req, ok := rp.reqs[rec.ReqPool]
+		req, ok := rp.reqs.get(rec.ReqPool)
 		if !ok {
 			return divergef(r.Rank(), rec.Func, "dangling request pool id %d", rec.ReqPool)
 		}
 		r.Start(req)
 	case "MPI_Request_free":
-		if req, ok := rp.reqs[rec.ReqPool]; ok {
+		if req, ok := rp.reqs.get(rec.ReqPool); ok {
 			r.RequestFree(req)
-			delete(rp.reqs, rec.ReqPool)
+			rp.reqs.del(rec.ReqPool)
 		}
 	case "MPI_File_open":
 		rp.files[rec.FilePool] = r.FileOpen(c, rec.FileName)

@@ -309,17 +309,31 @@ func newKernel(m *Matrix) *kernel {
 	return &kernel{rows: m.Rows, cols: m.Cols, a: m.Data, at: at}
 }
 
-// dotRows sets y[i] = Σₖ m[i·len(x)+k]·x[k] for every i < len(y). Four rows
-// run at once, each in its own accumulator that sums k in ascending order
-// exactly as a one-row loop does, so the result is bit-identical to one:
-// the blocking only lets four independent add chains overlap. A short last
-// block computes its final row more than once, identically, rather than
-// branching per element.
+// dotRows sets y[i] = Σₖ m[i·len(x)+k]·x[k] for every i < len(y). Rows
+// run in exact blocks of six, then at most one block each of four, two
+// and one — the 6×11 search matrix is one block of six, its transpose
+// six, four and one — each row in its own accumulator that sums k in
+// ascending order exactly as a one-row loop does, so the result is
+// bit-identical to one: the blocking only lets independent add chains
+// overlap, and no row is computed twice.
 func dotRows(y, m, x []float64) {
-	n, last := len(x), len(y)-1
-	for i := 0; i <= last; i += 4 {
-		i1, i2, i3 := min(i+1, last), min(i+2, last), min(i+3, last)
-		m0, m1, m2, m3 := m[i*n:][:n], m[i1*n:][:n], m[i2*n:][:n], m[i3*n:][:n]
+	n, i := len(x), 0
+	for ; i+6 <= len(y); i += 6 {
+		m0, m1, m2 := m[i*n:][:n], m[(i+1)*n:][:n], m[(i+2)*n:][:n]
+		m3, m4, m5 := m[(i+3)*n:][:n], m[(i+4)*n:][:n], m[(i+5)*n:][:n]
+		var s0, s1, s2, s3, s4, s5 float64
+		for k, xk := range x {
+			s0 += m0[k] * xk
+			s1 += m1[k] * xk
+			s2 += m2[k] * xk
+			s3 += m3[k] * xk
+			s4 += m4[k] * xk
+			s5 += m5[k] * xk
+		}
+		y[i], y[i+1], y[i+2], y[i+3], y[i+4], y[i+5] = s0, s1, s2, s3, s4, s5
+	}
+	if i+4 <= len(y) {
+		m0, m1, m2, m3 := m[i*n:][:n], m[(i+1)*n:][:n], m[(i+2)*n:][:n], m[(i+3)*n:][:n]
 		var s0, s1, s2, s3 float64
 		for k, xk := range x {
 			s0 += m0[k] * xk
@@ -327,7 +341,26 @@ func dotRows(y, m, x []float64) {
 			s2 += m2[k] * xk
 			s3 += m3[k] * xk
 		}
-		y[i], y[i1], y[i2], y[i3] = s0, s1, s2, s3
+		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
+		i += 4
+	}
+	if i+2 <= len(y) {
+		m0, m1 := m[i*n:][:n], m[(i+1)*n:][:n]
+		var s0, s1 float64
+		for k, xk := range x {
+			s0 += m0[k] * xk
+			s1 += m1[k] * xk
+		}
+		y[i], y[i+1] = s0, s1
+		i += 2
+	}
+	if i < len(y) {
+		m0 := m[i*n:][:n]
+		var s0 float64
+		for k, xk := range x {
+			s0 += m0[k] * xk
+		}
+		y[i] = s0
 	}
 }
 
