@@ -1,10 +1,10 @@
 // Command lint runs the stdlib-only analyzers, the hermetic stand-in for
-// `go vet -vettool`: ranklock (world-lock discipline and typed panics,
+// `go vet -vettool`: ranklock (mutex discipline and typed panics,
 // DESIGN.md §7) and maporder (map iteration order kept out of ordered
 // output, DESIGN.md §12). Usage: lint [dir ...]. Named directories get both
-// analyzers; with none, ranklock covers internal/mpi, proxy and fleet, and
-// maporder internal/merge, codegen, check, statics, core and fleet. Exits
-// non-zero if any finding is reported.
+// analyzers; with none, ranklock covers internal/mpi, proxy, fleet, server
+// and server/cache, and maporder internal/merge, codegen, check, statics,
+// core and fleet. Exits non-zero if any finding is reported.
 package main
 
 import (
@@ -26,7 +26,7 @@ var analyzers = []struct {
 	dirs []string
 	run  func(fset *token.FileSet, files []*ast.File, pkg string) []string
 }{
-	{"ranklock", []string{"internal/mpi", "internal/proxy", "internal/fleet"},
+	{"ranklock", ranklock.DefaultDirs,
 		func(fset *token.FileSet, files []*ast.File, pkg string) []string {
 			return render(ranklock.RankLock.Run(&ranklock.Pass{Fset: fset, Files: files, PkgName: pkg}))
 		}},

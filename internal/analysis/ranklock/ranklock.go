@@ -1,8 +1,8 @@
-// Package ranklock is a static analyzer for the simulated runtime's two
-// concurrency-and-failure invariants:
+// Package ranklock is a static analyzer for two concurrency-and-failure
+// invariants of the runtime and the services around it:
 //
-//  1. Functions whose name ends in "Locked" require the caller to hold the
-//     world mutex. A call to one is flagged unless the enclosing function
+//  1. Functions whose name ends in "Locked" require the caller to hold a
+//     mutex. A call to one is flagged unless the enclosing function
 //     (a) itself ends in "Locked", (b) acquires a mutex in its own body, or
 //     (c) is documented as running under the lock ("caller holds ... mu").
 //
@@ -55,9 +55,14 @@ type Analyzer = struct {
 // RankLock is the exported analyzer instance.
 var RankLock = &Analyzer{
 	Name: "ranklock",
-	Doc:  "check world-lock discipline for *Locked calls and typed panics in the runtime",
+	Doc:  "check mutex discipline for *Locked calls and typed panics in the runtime",
 	Run:  run,
 }
+
+// DefaultDirs are the directories, relative to the module root, that
+// cmd/lint checks when given none and that the repo's own test keeps clean.
+var DefaultDirs = []string{"internal/mpi", "internal/proxy", "internal/fleet",
+	"internal/server", "internal/server/cache"}
 
 // panicPackages are the packages where rule 2 (typed panics) applies: their
 // goroutine recovery handlers only understand typed panic values.
@@ -114,7 +119,7 @@ func checkFunc(pass *Pass, fd *ast.FuncDecl, okLines map[int]bool) []Finding {
 			out = append(out, Finding{
 				Pos:  pos,
 				Rule: "locked-call",
-				Message: fmt.Sprintf("%s requires the world lock, but %s neither holds it "+
+				Message: fmt.Sprintf("%s requires a mutex held, but %s neither holds it "+
 					"(no Locked suffix, no lock-holding doc comment) nor acquires a mutex",
 					name, fd.Name.Name),
 			})

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -109,10 +110,11 @@ func helper() { panic("not a runtime package") }
 `))
 }
 
-// TestRepoIsClean runs the analyzer over the real runtime packages; this is
-// the same gate CI's lint job enforces through cmd/lint.
+// TestRepoIsClean runs the analyzer over the packages cmd/lint checks by
+// default; this is the same gate CI's lint job enforces through cmd/lint.
 func TestRepoIsClean(t *testing.T) {
-	for _, dir := range []string{"../../mpi", "../../proxy"} {
+	for _, dir := range DefaultDirs {
+		dir = filepath.Join("../../..", dir)
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")

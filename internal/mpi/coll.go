@@ -16,18 +16,13 @@ func (r *Rank) collective(c *Comm, op netmodel.CollOp, bytes int, split [2]int, 
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1
 
-	w.mu.Lock()
-	if w.aborted() {
-		// The job already failed. Entering anyway would create a fresh
-		// slot after failLocked closed the existing ones — a slot nothing
-		// will ever complete — so unwind before touching w.colls.
-		w.mu.Unlock()
-		r.abortIfFailed()
-	}
+	// If the job already failed, entering anyway would create a fresh slot
+	// after fail closed the existing ones — a slot nothing will ever
+	// complete — so unwind before touching w.colls.
+	r.abortIfFailed()
 	key := collKey{commID: c.id, seq: seq}
 	slot := w.collectiveSlot(c, seq, op)
 	if slot.op != op {
-		w.mu.Unlock()
 		panic(mpiErrorf(ErrComm, r.rank, callName(r.curCall),
 			"collective mismatch on comm %d seq %d: %v arrives while %v is in progress",
 			c.id, seq, op, slot.op))
@@ -50,7 +45,6 @@ func (r *Rank) collective(c *Comm, op netmodel.CollOp, bytes int, split [2]int, 
 	} else {
 		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
 	}
-	w.mu.Unlock()
 	r.abortIfFailed()
 	r.clock.AdvanceTo(slot.outTime)
 	return slot

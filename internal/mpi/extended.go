@@ -28,10 +28,8 @@ func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
 		req.describe(dst, tag)
 		m.sendReq = req
 		m.sender = r
-		w.mu.Lock()
 		seq := w.postMessage(m)
 		w.waitCond(r, waitDesc{kind: waitPeer, detail: "synchronous handshake", req: req})
-		w.mu.Unlock()
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 		r.abortIfFailed()
 		r.clock.AdvanceTo(vtime.Time(req.time))
@@ -50,14 +48,12 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 		postTime: r.clock.Now(), owner: r,
 	}
 	var st Status
-	w.mu.Lock()
 	w.waitCond(r, waitDesc{kind: waitProbe, probe: probe})
 	if m := w.findUnexpected(probe); m != nil {
 		st = Status{Source: m.srcComm, Tag: m.tag, Bytes: m.bytes}
 		// The probe observes the message once it could have arrived.
 		r.clock.AdvanceTo(resolveRecv(m, probe.postTime))
 	}
-	w.mu.Unlock()
 	r.abortIfFailed()
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	call.Bytes = st.Bytes
@@ -77,12 +73,10 @@ func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
 	}
 	var st Status
 	found := false
-	w.mu.Lock()
 	if m := w.findUnexpected(probe); m != nil {
 		found = true
 		st = Status{Source: m.srcComm, Tag: m.tag, Bytes: m.bytes}
 	}
-	w.mu.Unlock()
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	call.Bytes = st.Bytes
 	call.Flag = found
@@ -94,7 +88,7 @@ func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
 }
 
 // findUnexpected scans the caller's mailbox for the first match without
-// consuming it. Caller holds w.mu.
+// consuming it.
 func (w *World) findUnexpected(pr *postedRecv) *message {
 	for _, m := range w.mailbox[pr.owner.rank] {
 		if pr.matches(m) {
@@ -121,7 +115,6 @@ func (r *Rank) Waitany(qs []Req) (int, Status) {
 	}
 	r.anyReqs = reqs
 	idx := -1
-	w.mu.Lock()
 	if active {
 		w.waitCond(r, waitDesc{kind: waitAny, reqs: reqs})
 	}
@@ -132,7 +125,6 @@ func (r *Rank) Waitany(qs []Req) (int, Status) {
 			idx = i
 		}
 	}
-	w.mu.Unlock()
 	r.abortIfFailed()
 	var st Status
 	if idx >= 0 {
@@ -161,7 +153,6 @@ func (r *Rank) Testall(qs []Req) bool {
 	for _, q := range qs {
 		r.resolve(q, call.Func) // a foreign handle is an error even when unread
 	}
-	w.mu.Lock()
 	all := true
 	for _, q := range qs {
 		if req := q.live(); req != nil && !req.done {
@@ -169,7 +160,6 @@ func (r *Rank) Testall(qs []Req) bool {
 			break
 		}
 	}
-	w.mu.Unlock()
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	if all {
 		for _, q := range qs {

@@ -10,7 +10,7 @@ import (
 )
 
 // Repro: rank 0 crashes loud before rank 1 enters a fresh collective.
-// The slot is created after failLocked already ran, so nothing ever
+// The slot is created after fail already ran, so nothing ever
 // closes slot.done and World.Run hangs.
 func TestHangReproCollectiveAfterAbort(t *testing.T) {
 	w := NewWorld(Config{

@@ -18,13 +18,9 @@ func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *request {
 	req := r.newRequest(reqRecv)
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 
-	w.mu.Lock()
-	if w.aborted() {
-		// Same guard as the blocking path: a slot created after
-		// failLocked would never complete.
-		w.mu.Unlock()
-		r.abortIfFailed()
-	}
+	// Same guard as the blocking path: a slot created after fail would
+	// never complete.
+	r.abortIfFailed()
 	key := collKey{commID: c.id, seq: seq}
 	slot := w.collectiveSlot(c, seq, op)
 	slot.arrived++
@@ -38,7 +34,6 @@ func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *request {
 	if slot.arrived == slot.expected {
 		w.finishCollective(c, key, slot)
 	}
-	w.mu.Unlock()
 	return req
 }
 

@@ -46,8 +46,7 @@ type Call struct {
 	CompletedIndex int
 
 	// Flag is the boolean outcome of Test/Testall/Iprobe, recorded by the
-	// runtime so interceptors need not touch live request state from
-	// outside the lock.
+	// runtime so interceptors need not touch live request state.
 	Flag bool
 
 	// Message-edge coordinates for the observability layer (package obs).

@@ -44,13 +44,11 @@ func (r *Rank) FileOpen(c *Comm, name string) *File {
 	// ids are dense in open order, so the trace layer's pool renaming
 	// reproduces them.
 	w := r.world
-	w.mu.Lock()
 	if slot.sharedFile == nil {
 		slot.sharedFile = &File{id: w.nextFileID, name: name, comm: c}
 		w.nextFileID++
 	}
 	f := slot.sharedFile
-	w.mu.Unlock()
 	r.clock.Advance(vtime.Duration(fsLatencySec)) // open round trip
 	call.File = f
 	r.endCall(call)
@@ -58,16 +56,12 @@ func (r *Rank) FileOpen(c *Comm, name string) *File {
 }
 
 // checkOpen raises an MPI_ERR_FILE error (as a typed panic absorbed by
-// World.Run) if the file is nil or already closed, reading the shared flag
-// under the world lock.
+// World.Run) if the file is nil or already closed.
 func (r *Rank) checkOpen(fn string, f *File) {
 	if f == nil {
 		panic(mpiErrorf(ErrFile, r.rank, fn, "operation on nil file"))
 	}
-	r.world.mu.Lock()
-	closed := f.closed
-	r.world.mu.Unlock()
-	if closed {
+	if f.closed {
 		panic(mpiErrorf(ErrFile, r.rank, fn, "operation on closed file %q", f.name))
 	}
 }
@@ -77,11 +71,8 @@ func (r *Rank) FileClose(f *File) {
 	call := r.beginCall(&Call{Func: "MPI_File_close", Comm: f.comm, File: f})
 	r.collective(f.comm, 0, 0, [2]int{}, false)
 	r.clock.Advance(vtime.Duration(fsLatencySec / 2))
-	// Every rank of the collective marks the shared handle closed; guard
-	// the write so concurrent closers do not race.
-	r.world.mu.Lock()
+	// Every rank of the collective marks the shared handle closed.
 	f.closed = true
-	r.world.mu.Unlock()
 	r.endCall(call)
 }
 
@@ -128,13 +119,9 @@ func (r *Rank) fileCollective(fn string, f *File, offset, bytes int) {
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1
 	w := r.world
-	w.mu.Lock()
-	if w.aborted() {
-		// Same guard as the blocking collective path: a slot created
-		// after failLocked would never complete.
-		w.mu.Unlock()
-		r.abortIfFailed()
-	}
+	// Same guard as the blocking collective path: a slot created after
+	// fail would never complete.
+	r.abortIfFailed()
 	key := collKey{commID: c.id, seq: seq}
 	slot := w.collectiveSlot(c, seq, 0)
 	slot.arrived++
@@ -146,11 +133,10 @@ func (r *Rank) fileCollective(fn string, f *File, offset, bytes int) {
 		total := float64(slot.maxBytes)
 		cost := fsLatencySec + total/fsAggregateBwBps
 		slot.outTime = slot.maxIn.Add(vtime.Duration(cost * w.commJitter))
-		w.completeSlotLocked(c, key, slot)
+		w.completeSlot(c, key, slot)
 	} else {
 		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
 	}
-	w.mu.Unlock()
 	r.abortIfFailed()
 	r.clock.AdvanceTo(slot.outTime)
 	r.endCall(call)

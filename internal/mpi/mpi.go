@@ -95,9 +95,9 @@ type request struct {
 
 	// Message-edge coordinates for the observability layer (package obs):
 	// the sender's world rank and the channel sequence number (1-based;
-	// 0 = none) of the message this receive request matched, written
-	// under World.mu by completeMatch. Persistent receives keep the most
-	// recent match — readers dedup by sequence number.
+	// 0 = none) of the message this receive request matched, written by
+	// completeMatch. Persistent receives keep the most recent match —
+	// readers dedup by sequence number.
 	matchedSrc int
 	matchedSeq int
 }

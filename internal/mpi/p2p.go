@@ -16,8 +16,8 @@ func resolveRecv(m *message, recvPost vtime.Time) vtime.Time {
 }
 
 // completeMatch finalizes a (message, posted receive) pair and wakes the
-// receiver. Caller holds w.mu. For rendezvous transfers it also resolves
-// the send request and wakes the sender.
+// receiver. For rendezvous transfers it also resolves the send request
+// and wakes the sender.
 func (w *World) completeMatch(m *message, pr *postedRecv) {
 	done := resolveRecv(m, pr.postTime)
 	pr.req.done = true
@@ -27,12 +27,12 @@ func (w *World) completeMatch(m *message, pr *postedRecv) {
 	if pr.buf != nil && m.payload != nil {
 		copy(pr.buf, m.payload)
 	}
-	w.wakeLocked(pr.owner)
+	w.wake(pr.owner)
 	if !m.eager && m.sendReq != nil {
 		m.sendReq.done = true
 		m.sendReq.time = float64(done)
 		if m.sender != nil {
-			w.wakeLocked(m.sender)
+			w.wake(m.sender)
 		}
 	}
 }
@@ -52,11 +52,11 @@ func (pr *postedRecv) matches(m *message) bool {
 }
 
 // postMessage routes a newly sent message: match against posted receives in
-// post order, or enqueue as unexpected. Caller holds w.mu. The destination
-// rank is woken either way — an unmatched arrival may still be what a
-// blocked Probe is waiting for. A message the fault plan drops vanishes
-// here: the receiver keeps waiting (and a rendezvous sender keeps waiting
-// for the handshake), which the deadlock detector then reports.
+// post order, or enqueue as unexpected. The destination rank is woken
+// either way — an unmatched arrival may still be what a blocked Probe is
+// waiting for. A message the fault plan drops vanishes here: the receiver
+// keeps waiting (and a rendezvous sender keeps waiting for the
+// handshake), which the deadlock detector then reports.
 //
 // It returns the message's per-channel sequence number: posting hands
 // ownership of m to the router (a matched message is recycled on the
@@ -80,14 +80,14 @@ func (w *World) postMessage(m *message) int {
 		}
 	}
 	w.mailbox[m.dstWorld] = append(w.mailbox[m.dstWorld], m)
-	w.wakeLocked(w.ranks[m.dstWorld])
+	w.wake(w.ranks[m.dstWorld])
 	return seq
 }
 
 // postRecv registers a receive: match against unexpected messages in arrival
-// order, or enqueue. Caller holds w.mu. Posting hands ownership of pr to
-// the router — an immediate match recycles it, so callers must not touch
-// pr afterwards (completion is observed through pr.req).
+// order, or enqueue. Posting hands ownership of pr to the router — an
+// immediate match recycles it, so callers must not touch pr afterwards
+// (completion is observed through pr.req).
 func (w *World) postRecv(pr *postedRecv) {
 	box := w.mailbox[pr.owner.rank]
 	for i, m := range box {
@@ -153,19 +153,15 @@ func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
 		r.clock.Advance(w.cfg.Impl.SendLocalCost(w.cfg.Platform, r.rank, dstWorld, bytes))
 		m := r.buildMessage(c, dst, tag, bytes, payload, nil)
 		if m.eager {
-			w.mu.Lock()
 			seq := w.postMessage(m)
-			w.mu.Unlock()
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 		} else {
 			req := r.newRequest(reqSend)
 			req.describe(dst, tag)
 			m.sendReq = req
 			m.sender = r
-			w.mu.Lock()
 			seq := w.postMessage(m)
 			w.waitCond(r, waitDesc{kind: waitPeer, detail: "rendezvous handshake", req: req})
-			w.mu.Unlock()
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 			r.abortIfFailed()
 			r.clock.AdvanceTo(vtime.Time(req.time))
@@ -198,10 +194,8 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 			commID: c.id, src: src, tag: tag,
 			postTime: r.clock.Now(), req: req, owner: r, buf: buf,
 		}
-		w.mu.Lock()
 		w.postRecv(pr)
 		w.waitCond(r, waitDesc{kind: waitPeer, req: req})
-		w.mu.Unlock()
 		r.abortIfFailed()
 		r.clock.AdvanceTo(vtime.Time(req.time))
 		r.clock.Advance(w.cfg.Impl.CallOverhead())
@@ -235,9 +229,7 @@ func (r *Rank) Isend(c *Comm, dst, tag, bytes int) Req {
 			req.time = float64(r.clock.Now())
 			m.sendReq = nil
 		}
-		w.mu.Lock()
 		seq := w.postMessage(m)
-		w.mu.Unlock()
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
 	}
 	call.Request = r.handle(req)
@@ -261,9 +253,7 @@ func (r *Rank) Irecv(c *Comm, src, tag int) Req {
 			commID: c.id, src: src, tag: tag,
 			postTime: r.clock.Now(), req: req, owner: r,
 		}
-		w.mu.Lock()
 		w.postRecv(pr)
-		w.mu.Unlock()
 	}
 	call.Request = r.handle(req)
 	r.endCall(call)
@@ -302,9 +292,7 @@ func (r *Rank) waitOne(req *request) Status {
 		return Status{}
 	}
 	w := r.world
-	w.mu.Lock()
 	w.waitCond(r, waitDesc{kind: waitRequest, req: req})
-	w.mu.Unlock()
 	r.abortIfFailed()
 	r.clock.AdvanceTo(vtime.Time(req.time))
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
@@ -322,9 +310,7 @@ func (r *Rank) Test(q Req) (bool, Status) {
 	req := r.resolve(q, call.Func)
 	done := true
 	if req != nil {
-		w.mu.Lock()
 		done = req.done
-		w.mu.Unlock()
 	}
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	var st Status
@@ -365,9 +351,7 @@ func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Stat
 			sreq.time = float64(r.clock.Now())
 			m.sendReq = nil
 		}
-		w.mu.Lock()
 		seq := w.postMessage(m)
-		w.mu.Unlock()
 		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, sendBytes
 	}
 	if src != ProcNull {
@@ -378,9 +362,7 @@ func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Stat
 			commID: c.id, src: src, tag: recvTag,
 			postTime: r.clock.Now(), req: rreq, owner: r,
 		}
-		w.mu.Lock()
 		w.postRecv(pr)
-		w.mu.Unlock()
 	}
 	var st Status
 	if sreq != nil {

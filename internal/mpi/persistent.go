@@ -69,9 +69,7 @@ func (r *Rank) Start(q Req) {
 				req.time = float64(r.clock.Now())
 				m.sendReq = nil
 			}
-			w.mu.Lock()
 			seq := w.postMessage(m)
-			w.mu.Unlock()
 			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, pa.bytes
 		}
 	} else {
@@ -84,9 +82,7 @@ func (r *Rank) Start(q Req) {
 				commID: pa.comm.id, src: pa.peer, tag: pa.tag,
 				postTime: r.clock.Now(), req: req, owner: r,
 			}
-			w.mu.Lock()
 			w.postRecv(pr)
-			w.mu.Unlock()
 		}
 	}
 	r.endCall(call)

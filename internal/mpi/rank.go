@@ -22,8 +22,8 @@ type Rank struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	// Scheduler state, guarded by world.mu: queued while the rank sits in
-	// the run queue, parked while it is suspended in waitCond.
+	// Scheduler state: queued while the rank sits in the run queue, parked
+	// while it is suspended in waitCond.
 	queued bool
 	parked bool
 
@@ -38,7 +38,7 @@ type Rank struct {
 	// pointer past AfterCall (see Interceptor).
 	call Call
 	// curCall is the MPI call the rank is currently inside (set by
-	// beginCall, read only from the rank's own goroutine); the deadlock
+	// beginCall, read only from the rank's own coroutine); the deadlock
 	// detector's pending-operation records are built from it.
 	curCall *Call
 	// reqs is the rank's request slab: slot i's request is allocated once
@@ -50,7 +50,7 @@ type Rank struct {
 	freeSlots []int32
 	anyReqs   []*request
 
-	// Deadlock-detector state, guarded by world.mu.
+	// Deadlock-detector state.
 	state rankState
 	wait  waitDesc // what the rank waits for while rsBlocked
 
@@ -229,24 +229,23 @@ func (r *Rank) endCall(call *Call) {
 // configured budget, reporting whatever the other ranks were blocked on.
 // It doubles as the cancellation poll for running ranks: it is invoked at
 // every MPI call and computation region, so a context cancellation (or any
-// other failure) recorded by failLocked unwinds this rank at its next
-// event instead of letting it run to completion.
+// other failure recorded by fail) unwinds this rank at its next event
+// instead of letting it run to completion.
 func (r *Rank) checkDeadline() {
-	if r.world.aborted() {
+	w := r.world
+	w.pollCancel()
+	if w.aborted() {
 		panic(errAborted)
 	}
-	d := r.world.cfg.Deadline
+	d := w.cfg.Deadline
 	if d <= 0 || vtime.Duration(r.clock.Now()) <= d {
 		return
 	}
-	w := r.world
-	w.mu.Lock()
-	w.failLocked(&DeadlockError{
+	w.fail(&DeadlockError{
 		Reason: fmt.Sprintf("virtual-time deadline %v exceeded on rank %d in %s",
 			d, r.rank, callName(r.curCall)),
-		Blocked: w.blockedOpsLocked(),
+		Blocked: w.blockedOps(),
 	})
-	w.mu.Unlock()
 	panic(errAborted)
 }
 
@@ -284,10 +283,7 @@ func (r *Rank) suspend() {
 // loop waits for its peers to act instead of spinning, and the number of
 // polls is a function of the program rather than of timing.
 func (r *Rank) pollYield() {
-	w := r.world
-	w.mu.Lock()
-	w.queueLocked(r)
-	w.mu.Unlock()
+	r.world.queue(r)
 	r.suspend()
 }
 

@@ -125,7 +125,7 @@ func TestInterceptorCallbacksNeverOverlap(t *testing.T) {
 }
 
 // TestRunLeavesNoGoroutines: however a run fails, Run returns only once
-// every rank's coroutine and the context watcher are gone.
+// every rank's coroutine is gone.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	ring := func(r *mpi.Rank) { // every rank receives first: deadlock
 		r.Recv(r.World(), (r.Rank()+1)%r.Size(), 0)

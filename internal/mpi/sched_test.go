@@ -21,14 +21,10 @@ func TestRunQueueDrainStall(t *testing.T) {
 	_, err := w.Run(func(r *Rank) {
 		if r.Rank() == 0 {
 			defer func() { unwound = true }()
-			w.mu.Lock()
 			w.waitCond(r, waitDesc{kind: waitRequest, req: req})
-			w.mu.Unlock()
 			return
 		}
-		w.mu.Lock()
-		req.done = true // no wakeLocked: rank 0 stays parked
-		w.mu.Unlock()
+		req.done = true // no wake: rank 0 stays parked
 	})
 	var se *StallError
 	if !errors.As(err, &se) {

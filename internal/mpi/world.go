@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"siesta/internal/fault"
 	"siesta/internal/netmodel"
@@ -45,10 +43,12 @@ type Config struct {
 	// structural deadlock detector cannot see.
 	Deadline vtime.Duration
 	// Ctx, when non-nil, bounds the run in wall-clock terms: canceling it
-	// (or passing its deadline) tears the run down promptly — blocked
-	// ranks are woken and running ranks stop at their next MPI call or
-	// computation region — and Run returns a *CancelError matching
-	// ErrCanceled. A nil Ctx never cancels.
+	// (or passing its deadline) tears the run down promptly — the running
+	// rank stops at its next MPI call or computation region, and parked
+	// ranks unwind when next resumed — and Run returns a *CancelError
+	// matching ErrCanceled. Run polls Ctx at those points and before
+	// every resume; it starts no goroutine to watch it. A nil Ctx never
+	// cancels.
 	Ctx context.Context
 }
 
@@ -57,22 +57,26 @@ type Config struct {
 //
 // Run drives the ranks as coroutines from its caller's goroutine, one rank
 // at a time: a rank runs until it blocks (or polls without success) and
-// then yields to the next rank in a FIFO run queue. Only the context
-// watcher crosses goroutines, so w.mu is never contended.
+// then yields to the next rank in a FIFO run queue. Nothing else touches
+// the world while it runs — a context cancellation is polled, not posted
+// — so its state needs no lock.
 type World struct {
 	cfg        Config
 	commJitter float64 // per-run network weather factor
-	mu         sync.Mutex
 	ranks      []*Rank
 
-	// runq is the FIFO ring of runnable ranks, guarded by mu. A rank is
-	// queued at most once (Rank.queued), so the ring holds one slot per
-	// rank and never grows.
+	// done is cfg.Ctx.Done(), cached for the cancellation polls; nil when
+	// the run cannot be canceled.
+	done <-chan struct{}
+
+	// runq is the FIFO ring of runnable ranks. A rank is queued at most
+	// once (Rank.queued), so the ring holds one slot per rank and never
+	// grows.
 	runq     []*Rank
 	runqHead int
 	runqLen  int
 
-	// Message routing state, all guarded by mu.
+	// Message routing state.
 	mailbox [][]*message    // unexpected messages per destination world rank
 	posted  [][]*postedRecv // posted receives per destination world rank
 	colls   map[collKey]*collSlot
@@ -93,19 +97,15 @@ type World struct {
 	// msgCount numbers every point-to-point message per (src, dst)
 	// channel in post order, independent of the fault plan's counter:
 	// the observability layer joins send and receive events into message
-	// edges by (src, dst, seq). Guarded by mu.
+	// edges by (src, dst, seq).
 	msgCount *chanCounter
 
 	// running counts ranks in rsRunning, so the deadlock detector can
-	// return at once while any rank may still act. Guarded by mu and
-	// written only by setStateLocked.
+	// return at once while any rank may still act. Written only by
+	// setState.
 	running int
 
 	failed error
-	// stop mirrors failed != nil as an atomic flag so rank goroutines can
-	// poll for teardown (abortIfFailed, per-call cancellation checks)
-	// without taking w.mu on the hot path.
-	stop atomic.Bool
 }
 
 // rankState tracks where a rank is for the deadlock detector.
@@ -157,8 +157,8 @@ type postedRecv struct {
 // the GC; recycling is an optimization, never an obligation.
 //
 // The free lists belong to the world and are touched only from rank
-// coroutines, which Run drives one at a time; the context watcher never
-// recycles. So they need no lock, and a get or put is a slice pop or push.
+// coroutines, which Run drives one at a time, so a get or put is a slice
+// pop or push.
 
 func (w *World) getMessage() *message {
 	n := len(w.freeMsgs)
@@ -203,8 +203,8 @@ var releaseHook func(any)
 
 // flatChanCutoff is the world size up to which per-channel message
 // counters use a dense size×size array instead of a map: one indexed add
-// per message instead of a map probe inside w.mu. 256 ranks cost 512KiB
-// per counter, well under the per-rank goroutine stacks at that scale.
+// per message instead of a map probe. 256 ranks cost 512KiB per counter,
+// well under the per-rank coroutine stacks at that scale.
 const flatChanCutoff = 256
 
 // chanCounter numbers messages per directed (src, dst) channel.
@@ -224,8 +224,7 @@ func newChanCounter(size int) *chanCounter {
 	return cc
 }
 
-// next returns the channel's current count and increments it. Caller holds
-// w.mu.
+// next returns the channel's current count and increments it.
 func (cc *chanCounter) next(src, dst int) int {
 	if cc.flat != nil {
 		i := src*cc.size + dst
@@ -251,7 +250,7 @@ type collSlot struct {
 	maxBytes  int
 	op        netmodel.CollOp
 	outTime   vtime.Time
-	completed bool // set under w.mu once the last member arrives
+	completed bool // set once the last member arrives
 	// split bookkeeping
 	splitArgs map[int][2]int // world rank -> (color, key)
 	newComms  map[int]*Comm  // world rank -> resulting comm
@@ -364,13 +363,11 @@ func (r *RunResult) TotalCompute() perfmodel.Counters {
 // time, so the SPMD function must not block on another rank outside MPI (a
 // channel receive that another rank fills would stop the whole world).
 func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
-	var watch *watcher
 	if ctx := w.cfg.Ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, &CancelError{Cause: context.Cause(ctx)}
 		}
-		watch = w.watch(ctx)
-		defer watch.join()
+		w.done = ctx.Done()
 	}
 	// Stopping a finished coroutine is a no-op; stopping a suspended one
 	// unwinds it (its yield returns false), so no rank outlives Run — not
@@ -382,27 +379,14 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 			}
 		}
 	}()
-	// The watcher may already be failing the run, and failLocked queues
-	// ranks, so the initial ranks are queued under the lock too.
-	w.mu.Lock()
 	for _, r := range w.ranks {
 		r.next, r.stop = newCoro(w.rankBody(r, app))
-		w.queueLocked(r)
+		w.queue(r)
 	}
-	w.mu.Unlock()
-	for {
-		w.mu.Lock()
-		r := w.dequeueLocked()
-		w.mu.Unlock()
-		if r == nil {
-			break
-		}
-		r.next()
+	for w.runqLen > 0 {
+		w.pollCancel()
+		w.dequeue().next()
 	}
-	// Join the watcher before touching w.failed: it may be mid-failLocked
-	// when the context deadline races the ranks finishing, and the reads
-	// and writes below run without w.mu.
-	watch.join()
 	if w.failed == nil {
 		w.failed = w.stallError()
 	}
@@ -437,37 +421,20 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 	return res, nil
 }
 
-// watcher is the goroutine that turns a context event into the standard
-// teardown path: failLocked wakes every blocked rank, and running ranks
-// notice the stop flag at their next call or computation region.
-type watcher struct {
-	stop, done chan struct{}
-}
-
-func (w *World) watch(ctx context.Context) *watcher {
-	wt := &watcher{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(wt.done)
-		select {
-		case <-ctx.Done():
-			w.mu.Lock()
-			w.failLocked(&CancelError{Cause: context.Cause(ctx)})
-			w.mu.Unlock()
-		case <-wt.stop:
-		}
-	}()
-	return wt
-}
-
-// join stops the watcher and waits for it to exit. It is nil-safe and
-// idempotent, so Run both calls it and defers it.
-func (wt *watcher) join() {
-	if wt == nil || wt.stop == nil {
+// pollCancel fails the run with a *CancelError once its context is done.
+// It never blocks. Run calls it before every resume and Rank.checkDeadline
+// at every call and computation region; fail then queues every parked
+// rank, so the running rank unwinds at its next event and the parked ones
+// when next resumed.
+func (w *World) pollCancel() {
+	if w.done == nil {
 		return
 	}
-	close(wt.stop)
-	<-wt.done
-	wt.stop = nil
+	select {
+	case <-w.done:
+		w.fail(&CancelError{Cause: context.Cause(w.cfg.Ctx)})
+	default:
+	}
 }
 
 // rankBody is rank r's coroutine: it runs the SPMD function and, on any
@@ -484,28 +451,26 @@ func (w *World) rankBody(r *Rank, app func(*Rank)) func(func(struct{}) bool) {
 // rank ended and turns a failure into the run's error.
 func (w *World) rankExit(r *Rank) {
 	p := recover()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	state := rsFinished
 	if _, crashed := p.(*crashPanic); crashed {
 		state = rsCrashed
 	}
-	w.setStateLocked(r, state)
+	w.setState(r, state)
 	switch pv := p.(type) {
 	case nil:
 	case *crashPanic:
 		if !pv.silent {
-			w.failLocked(mpiErrorf(ErrProcFailed, r.rank, pv.op,
+			w.fail(mpiErrorf(ErrProcFailed, r.rank, pv.op,
 				"rank killed by fault plan at call %d", pv.call))
 		}
 	case error:
 		if pv != errAborted {
-			w.failLocked(fmt.Errorf("mpi: rank %d failed: %w", r.rank, pv))
+			w.fail(fmt.Errorf("mpi: rank %d failed: %w", r.rank, pv))
 		}
 	default:
-		w.failLocked(fmt.Errorf("mpi: rank %d panicked: %v", r.rank, p))
+		w.fail(fmt.Errorf("mpi: rank %d panicked: %v", r.rank, p))
 	}
-	w.checkDeadlockLocked()
+	w.checkDeadlock()
 }
 
 // stallError reports the ranks left unfinished once the run queue has
@@ -527,19 +492,15 @@ func (w *World) stallError() error {
 	return &StallError{Ranks: stalled}
 }
 
-// queueLocked appends r to the run queue. Caller holds w.mu.
-func (w *World) queueLocked(r *Rank) {
+// queue appends r to the run queue.
+func (w *World) queue(r *Rank) {
 	w.runq[(w.runqHead+w.runqLen)%len(w.runq)] = r
 	w.runqLen++
 	r.queued = true
 }
 
-// dequeueLocked pops the next runnable rank, or returns nil when the queue
-// is empty. Caller holds w.mu.
-func (w *World) dequeueLocked() *Rank {
-	if w.runqLen == 0 {
-		return nil
-	}
+// dequeue pops the next runnable rank. The queue must not be empty.
+func (w *World) dequeue() *Rank {
 	r := w.runq[w.runqHead]
 	w.runq[w.runqHead] = nil
 	w.runqHead = (w.runqHead + 1) % len(w.runq)
@@ -548,39 +509,36 @@ func (w *World) dequeueLocked() *Rank {
 	return r
 }
 
-// wakeLocked queues r if it is parked in waitCond and its wait can now
+// wake queues r if it is parked in waitCond and its wait can now
 // end: its predicate holds or the run failed. A wait's predicate, once
 // true, stays true until the rank itself acts, so a rank is resumed only
-// when it can proceed. Caller holds w.mu.
-func (w *World) wakeLocked(r *Rank) {
-	if r.parked && !r.queued && (w.aborted() || w.readyLocked(&r.wait)) {
-		w.queueLocked(r)
+// when it can proceed.
+func (w *World) wake(r *Rank) {
+	if r.parked && !r.queued && (w.aborted() || w.ready(&r.wait)) {
+		w.queue(r)
 	}
 }
 
 // aborted reports whether the run has failed; blocked ranks poll this after
-// wakeups so a panic on one rank unblocks the others. It reads the atomic
-// mirror of w.failed so call sites outside w.mu (and the per-call
-// cancellation checks) stay race-free.
-func (w *World) aborted() bool { return w.stop.Load() }
+// wakeups so a panic on one rank unblocks the others.
+func (w *World) aborted() bool { return w.failed != nil }
 
-// failLocked records the run's first failure and wakes every blocked rank
+// fail records the run's first failure and wakes every blocked rank
 // so the job tears down promptly. Later failures are ignored (first error
-// wins, as with MPI_Abort racing). Caller holds w.mu.
-func (w *World) failLocked(err error) {
+// wins, as with MPI_Abort racing).
+func (w *World) fail(err error) {
 	if w.failed != nil {
 		return
 	}
 	w.failed = err
-	w.stop.Store(true)
 	for _, r := range w.ranks {
-		w.wakeLocked(r)
+		w.wake(r)
 	}
 }
 
-// setStateLocked moves r to state s and keeps w.running in step. It is
-// the only writer of Rank.state. Caller holds w.mu.
-func (w *World) setStateLocked(r *Rank, s rankState) {
+// setState moves r to state s and keeps w.running in step. It is
+// the only writer of Rank.state.
+func (w *World) setState(r *Rank, s rankState) {
 	if r.state == rsRunning {
 		w.running--
 	}
@@ -601,8 +559,8 @@ const (
 	waitColl                        // the collective slot completes
 )
 
-// waitDesc is a blocked rank's wait: its enabling predicate (readyLocked)
-// and, once a deadlock is proved, its PendingOp (pendingLocked) both derive
+// waitDesc is a blocked rank's wait: its enabling predicate (ready)
+// and, once a deadlock is proved, its PendingOp (pending) both derive
 // from it, so blocking builds neither a closure nor a report.
 type waitDesc struct {
 	kind   waitKind
@@ -615,8 +573,8 @@ type waitDesc struct {
 	seq    int         // waitColl: collective sequence number
 }
 
-// readyLocked evaluates the wait's enabling predicate. Caller holds w.mu.
-func (w *World) readyLocked(wd *waitDesc) bool {
+// ready evaluates the wait's enabling predicate.
+func (w *World) ready(wd *waitDesc) bool {
 	switch wd.kind {
 	case waitPeer, waitRequest:
 		return wd.req.done
@@ -634,11 +592,11 @@ func (w *World) readyLocked(wd *waitDesc) bool {
 	return false
 }
 
-// pendingLocked describes the rank's wait for a deadlock or deadline
+// pending describes the rank's wait for a deadlock or deadline
 // report. It runs only when a report is actually produced, so its
 // description (e.g. collective arrival counts) reflects the state at
-// report time, not at block time. Caller holds w.mu.
-func (r *Rank) pendingLocked() PendingOp {
+// report time, not at block time.
+func (r *Rank) pending() PendingOp {
 	wd := &r.wait
 	switch wd.kind {
 	case waitPeer:
@@ -669,42 +627,38 @@ func (r *Rank) pendingLocked() PendingOp {
 // waitCond blocks the rank until its wait wd is ready or the run aborts,
 // maintaining the wait-for bookkeeping the deadlock detector reads: a
 // blocked rank whose wait is already ready is merely not yet scheduled,
-// not stuck. While blocked the rank is parked: it releases w.mu and yields
-// to the scheduler, and a wake site queues it once it can proceed. Caller
-// holds w.mu.
+// not stuck. While blocked the rank is parked: it yields to the scheduler,
+// and a wake site queues it once it can proceed.
 func (w *World) waitCond(r *Rank, wd waitDesc) {
-	if w.readyLocked(&wd) || w.aborted() {
+	if w.ready(&wd) || w.aborted() {
 		return
 	}
 	r.wait = wd
-	w.setStateLocked(r, rsBlocked)
-	w.checkDeadlockLocked()
-	for !w.readyLocked(&r.wait) && !w.aborted() {
+	w.setState(r, rsBlocked)
+	w.checkDeadlock()
+	for !w.ready(&r.wait) && !w.aborted() {
 		r.parked = true
-		w.mu.Unlock()
 		r.suspend()
-		w.mu.Lock()
 		r.parked = false
 	}
-	w.setStateLocked(r, rsRunning)
+	w.setState(r, rsRunning)
 	r.wait = waitDesc{}
 }
 
-// checkDeadlockLocked declares a deadlock when no rank can make progress:
+// checkDeadlock declares a deadlock when no rank can make progress:
 // every rank is blocked (with its enabling predicate false), finished, or
 // crashed, and at least one is blocked. The runtime has no external event
 // sources — message delivery and collective completion happen
-// synchronously under w.mu on some rank's call path — so this condition
-// is stable: nothing will ever wake a blocked rank again. It runs on
-// every rank state transition, making detection immediate rather than
-// timeout-based. Caller holds w.mu.
+// synchronously on some rank's call path — so this condition is stable:
+// nothing will ever wake a blocked rank again. It runs on every rank
+// state transition, making detection immediate rather than timeout-based.
 //
 // The check costs nothing while the running count is nonzero. Otherwise a
 // first pass evaluates only the enabling predicates and returns at the
 // first blocked rank that is ready; the report, which formats every
 // blocked rank's PendingOp from its wait descriptor, is built in a second
 // pass only once that pass has proved the deadlock.
-func (w *World) checkDeadlockLocked() {
+func (w *World) checkDeadlock() {
 	if w.failed != nil || w.running > 0 {
 		return
 	}
@@ -713,7 +667,7 @@ func (w *World) checkDeadlockLocked() {
 		if r.state != rsBlocked {
 			continue
 		}
-		if w.readyLocked(&r.wait) {
+		if w.ready(&r.wait) {
 			return // enabled transition: the rank just hasn't woken yet
 		}
 		stuck = true
@@ -726,7 +680,7 @@ func (w *World) checkDeadlockLocked() {
 	for _, r := range w.ranks {
 		switch r.state {
 		case rsBlocked:
-			blocked = append(blocked, r.pendingLocked())
+			blocked = append(blocked, r.pending())
 		case rsCrashed:
 			crashed = append(crashed, r.rank)
 		}
@@ -735,18 +689,17 @@ func (w *World) checkDeadlockLocked() {
 	if len(crashed) > 0 {
 		reason = "no surviving rank can make progress"
 	}
-	w.failLocked(&DeadlockError{Reason: reason, Blocked: blocked, Crashed: crashed})
+	w.fail(&DeadlockError{Reason: reason, Blocked: blocked, Crashed: crashed})
 }
 
-// blockedOpsLocked snapshots the pending operations of currently blocked
+// blockedOps snapshots the pending operations of currently blocked
 // ranks, for deadline reports. Ranks whose enabling predicate already
-// holds are merely unscheduled, not stuck, and are omitted. Caller holds
-// w.mu.
-func (w *World) blockedOpsLocked() []PendingOp {
+// holds are merely unscheduled, not stuck, and are omitted.
+func (w *World) blockedOps() []PendingOp {
 	var ops []PendingOp
 	for _, r := range w.ranks {
-		if r.state == rsBlocked && !w.readyLocked(&r.wait) {
-			ops = append(ops, r.pendingLocked())
+		if r.state == rsBlocked && !w.ready(&r.wait) {
+			ops = append(ops, r.pending())
 		}
 	}
 	return ops
@@ -754,8 +707,8 @@ func (w *World) blockedOpsLocked() []PendingOp {
 
 // routeFaults applies the fault plan to an outgoing message: it may be
 // dropped (never delivered) or have its wire time stretched. Returns
-// false when the message is dropped. Caller holds w.mu; the per-channel
-// sequence number makes decisions deterministic in send order.
+// false when the message is dropped. The per-channel sequence number makes
+// decisions deterministic in send order.
 func (w *World) routeFaults(m *message) bool {
 	plan := w.cfg.Faults
 	if plan == nil {
@@ -770,7 +723,7 @@ func (w *World) routeFaults(m *message) bool {
 }
 
 // collectiveSlot returns (creating if needed) the slot for a collective
-// instance. Caller holds w.mu.
+// instance.
 func (w *World) collectiveSlot(c *Comm, seq int, op netmodel.CollOp) *collSlot {
 	key := collKey{commID: c.id, seq: seq}
 	slot, ok := w.colls[key]
@@ -785,7 +738,6 @@ func (w *World) collectiveSlot(c *Comm, seq int, op netmodel.CollOp) *collSlot {
 }
 
 // finishCollective completes a slot once all ranks have arrived.
-// Caller holds w.mu.
 func (w *World) finishCollective(c *Comm, key collKey, slot *collSlot) {
 	cost := w.cfg.Impl.CollectiveCost(w.cfg.Platform, slot.op, slot.maxBytes, len(c.ranks), c.inter)
 	cost = vtime.Duration(float64(cost) * w.commJitter)
@@ -797,23 +749,23 @@ func (w *World) finishCollective(c *Comm, key collKey, slot *collSlot) {
 		req.done = true
 		req.time = float64(slot.outTime)
 	}
-	w.completeSlotLocked(c, key, slot)
+	w.completeSlot(c, key, slot)
 }
 
-// completeSlotLocked retires a finished slot and wakes its communicator's
+// completeSlot retires a finished slot and wakes its communicator's
 // members: those blocked in the collective, and those waiting on one of
-// its non-blocking requests. Caller holds w.mu.
-func (w *World) completeSlotLocked(c *Comm, key collKey, slot *collSlot) {
+// its non-blocking requests.
+func (w *World) completeSlot(c *Comm, key collKey, slot *collSlot) {
 	delete(w.colls, key)
 	slot.completed = true
 	for _, wr := range c.ranks {
-		w.wakeLocked(w.ranks[wr])
+		w.wake(w.ranks[wr])
 	}
 }
 
 // resolveSplit groups split participants by color, orders them by key then
 // world rank, and assigns new communicator ids deterministically in
-// ascending color order. Caller holds w.mu.
+// ascending color order.
 func (w *World) resolveSplit(c *Comm, slot *collSlot) {
 	byColor := map[int][]int{} // color -> world ranks
 	var colors []int
