@@ -1,17 +1,24 @@
 package mpi
 
-import (
-	"siesta/internal/netmodel"
-	"siesta/internal/vtime"
-)
+import "siesta/internal/netmodel"
 
-// collective runs the shared synchronization for one collective instance:
-// all ranks of c must call it with the same sequence number; the slot
-// completes when the last rank arrives, and every rank leaves at
-// max(arrival times) + modelled cost. A rank arriving with a different
-// operation than the slot's (two ranks disagreeing on the collective call
-// sequence) raises an MPIError instead of silently merging the calls.
-func (r *Rank) collective(c *Comm, op netmodel.CollOp, bytes int, split [2]int, isSplit bool) *collSlot {
+// fileIO is the runtime-local pricing op of collective file I/O: its slot
+// sums the members' bytes (the aggregate volume) instead of taking their
+// maximum, and finishCollective prices it with the filesystem model.
+const fileIO netmodel.CollOp = -1
+
+// collective registers rank r's arrival at its next collective on c, the
+// one step every collective shares: blocking, non-blocking,
+// communicator-creating and file I/O. All ranks of c must arrive with the
+// same sequence number; the slot completes when the last one does, and
+// every rank leaves at max(arrival times) + modelled cost. A blocking
+// caller (req nil) waits for that; a non-blocking one returns at once,
+// and the slot completes req. split, when non-nil, is the rank's
+// (color, key) for a communicator-creating call. A rank whose call, root
+// or reduction op differs from the first arrival's (two ranks disagreeing
+// on the collective call sequence) raises an MPIError instead of silently
+// merging the calls.
+func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, split *[2]int, req *request) *collSlot {
 	w := r.world
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1
@@ -20,54 +27,60 @@ func (r *Rank) collective(c *Comm, op netmodel.CollOp, bytes int, split [2]int, 
 	// after fail closed the existing ones — a slot nothing will ever
 	// complete — so unwind before touching w.colls.
 	r.abortIfFailed()
-	key := collKey{commID: c.id, seq: seq}
-	slot := w.collectiveSlot(c, seq, op)
-	if slot.op != op {
-		panic(mpiErrorf(ErrComm, r.rank, callName(r.curCall),
-			"collective mismatch on comm %d seq %d: %v arrives while %v is in progress",
-			c.id, seq, op, slot.op))
+	call := r.curCall
+	slot := w.collectiveSlot(c, seq, price, call)
+	if call.Func != slot.fn || call.Root != slot.root || call.Op != slot.op {
+		panic(mpiErrorf(ErrComm, r.rank, call.Func,
+			"collective mismatch on comm %d seq %d: %s (root %d, op %q) arrives while %s (root %d, op %q) is in progress",
+			c.id, seq, call.Func, call.Root, call.Op, slot.fn, slot.root, slot.op))
 	}
 	slot.arrived++
 	if t := r.clock.Now(); t > slot.maxIn {
 		slot.maxIn = t
 	}
-	if bytes > slot.maxBytes {
-		slot.maxBytes = bytes
+	if price == fileIO {
+		slot.bytes += bytes
+	} else if bytes > slot.bytes {
+		slot.bytes = bytes
 	}
-	if isSplit {
+	if split != nil {
 		if slot.splitArgs == nil {
 			slot.splitArgs = map[int][2]int{}
 		}
-		slot.splitArgs[r.rank] = split
+		slot.splitArgs[r.rank] = *split
+	}
+	if req != nil {
+		slot.waiters = append(slot.waiters, req)
 	}
 	if slot.arrived == slot.expected {
-		w.finishCollective(c, key, slot)
-	} else {
-		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
+		w.finishCollective(c, seq, slot)
 	}
-	r.abortIfFailed()
-	r.clock.AdvanceTo(slot.outTime)
+	if req == nil {
+		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
+		r.abortIfFailed()
+		r.clock.AdvanceTo(slot.outTime)
+	}
 	return slot
 }
 
 // Barrier blocks until all ranks of c have entered it.
 func (r *Rank) Barrier(c *Comm) {
 	call := r.beginCall(&Call{Func: "MPI_Barrier", Comm: c})
-	r.collective(c, netmodel.Barrier, 0, [2]int{}, false)
+	r.collective(c, netmodel.Barrier, 0, nil, nil)
 	r.endCall(call)
 }
 
 // Bcast broadcasts bytes from root to all ranks of c.
 func (r *Rank) Bcast(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Bcast", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Bcast, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Bcast, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Reduce reduces bytes from all ranks of c onto root with the given op.
 func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Reduce", Comm: c, Root: root, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Reduce, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Reduce, bytes, nil, nil)
 	r.endCall(call)
 }
 
@@ -75,35 +88,35 @@ func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
 // everywhere.
 func (r *Rank) Allreduce(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Allreduce", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Allreduce, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Allreduce, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Gather gathers bytes per rank onto root.
 func (r *Rank) Gather(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Gather", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Gather, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Gather, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Scatter scatters bytes per rank from root.
 func (r *Rank) Scatter(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Scatter", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Scatter, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Scatter, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Allgather gathers bytes per rank to all ranks.
 func (r *Rank) Allgather(c *Comm, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Allgather", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Allgather, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Allgather, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Alltoall exchanges bytes with every rank of c.
 func (r *Rank) Alltoall(c *Comm, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Alltoall", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Alltoall, bytes*c.Size(), [2]int{}, false)
+	r.collective(c, netmodel.Alltoall, bytes*c.Size(), nil, nil)
 	r.endCall(call)
 }
 
@@ -122,7 +135,7 @@ func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 		total += n
 	}
 	call := r.beginCall(&Call{Func: "MPI_Alltoallv", Comm: c, Bytes: total, Counts: append([]int(nil), counts...)})
-	r.collective(c, netmodel.Alltoall, total, [2]int{}, false)
+	r.collective(c, netmodel.Alltoall, total, nil, nil)
 	r.endCall(call)
 	return nil
 }
@@ -131,14 +144,14 @@ func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 // contribution.
 func (r *Rank) Allgatherv(c *Comm, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Allgatherv", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Allgather, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Allgather, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Gatherv gathers a variable per-rank byte count onto root.
 func (r *Rank) Gatherv(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Gatherv", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Gather, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Gather, bytes, nil, nil)
 	r.endCall(call)
 }
 
@@ -147,7 +160,7 @@ func (r *Rank) Gatherv(c *Comm, root, bytes int) {
 // (MPI_UNDEFINED). New communicator ids are assigned deterministically.
 func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 	call := r.beginCall(&Call{Func: "MPI_Comm_split", Comm: c, Color: color, Key: key})
-	slot := r.collective(c, netmodel.Barrier, 0, [2]int{color, key}, true)
+	slot := r.collective(c, netmodel.Barrier, 0, &[2]int{color, key}, nil)
 	nc := slot.newComms[r.rank]
 	call.NewComm = nc
 	r.endCall(call)
@@ -157,7 +170,7 @@ func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 // CommDup duplicates c with a fresh id.
 func (r *Rank) CommDup(c *Comm) *Comm {
 	call := r.beginCall(&Call{Func: "MPI_Comm_dup", Comm: c})
-	slot := r.collective(c, netmodel.Barrier, 0, [2]int{0, c.RankOf(r.rank)}, true)
+	slot := r.collective(c, netmodel.Barrier, 0, &[2]int{0, c.RankOf(r.rank)}, nil)
 	nc := slot.newComms[r.rank]
 	call.NewComm = nc
 	r.endCall(call)
@@ -175,5 +188,3 @@ func (r *Rank) CommFree(c *Comm) {
 
 // Wtime mirrors MPI_Wtime: the rank's virtual time in seconds.
 func (r *Rank) Wtime() float64 { return float64(r.clock.Now()) }
-
-var _ = vtime.Duration(0)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -179,22 +180,62 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestCollectiveOpMismatch(t *testing.T) {
 	// Two ranks enter different collectives on the same communicator at the
-	// same sequence number: an ordering bug MPI would corrupt data on. The
-	// runtime raises MPI_ERR_COMM instead.
-	_, err := newTestWorld(2).Run(func(r *Rank) {
-		c := r.World()
-		if r.Rank() == 0 {
-			r.Barrier(c)
-		} else {
-			r.Allreduce(c, 64, OpSum)
-		}
-	})
-	var mpiErr *MPIError
-	if !errors.As(err, &mpiErr) || mpiErr.Class != ErrComm {
-		t.Fatalf("mismatched collectives returned %v, want MPI_ERR_COMM", err)
+	// same sequence number, or the same one with a different root or
+	// reduction op: an ordering bug MPI would corrupt data on. The runtime
+	// raises MPI_ERR_COMM instead, whichever rank arrives first (rank 0
+	// runs first, so the two orders swap which side rank 0 takes).
+	cases := []struct {
+		name string
+		side [2]func(r *Rank, c *Comm)
+	}{
+		{"Barrier-Allreduce", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Barrier(c) },
+			func(r *Rank, c *Comm) { r.Allreduce(c, 64, OpSum) },
+		}},
+		{"Allreduce-Ibarrier", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Allreduce(c, 64, OpSum) },
+			func(r *Rank, c *Comm) { r.Wait(r.Ibarrier(c)) },
+		}},
+		{"Barrier-Comm_dup", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Barrier(c) },
+			func(r *Rank, c *Comm) { r.CommDup(c) },
+		}},
+		{"Scan-Exscan", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Scan(c, 8, OpSum) },
+			func(r *Rank, c *Comm) { r.Exscan(c, 8, OpSum) },
+		}},
+		{"File_write_at_all-Barrier", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.FileWriteAtAll(r.FileOpen(c, "m.dat"), 0, 64) },
+			func(r *Rank, c *Comm) { r.FileOpen(c, "m.dat"); r.Barrier(c) },
+		}},
+		{"Alltoall-Alltoallv", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Alltoall(c, 16) },
+			func(r *Rank, c *Comm) { r.Alltoallv(c, []int{16, 16}) },
+		}},
+		{"Reduce-two-roots", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Reduce(c, 0, 64, OpSum) },
+			func(r *Rank, c *Comm) { r.Reduce(c, 1, 64, OpSum) },
+		}},
+		{"Allreduce-two-ops", [2]func(*Rank, *Comm){
+			func(r *Rank, c *Comm) { r.Allreduce(c, 64, OpSum) },
+			func(r *Rank, c *Comm) { r.Allreduce(c, 64, OpMax) },
+		}},
 	}
-	if !strings.Contains(mpiErr.Msg, "mismatch") {
-		t.Errorf("error %q should describe the mismatch", mpiErr.Msg)
+	for _, tc := range cases {
+		for first := 0; first < 2; first++ {
+			t.Run(fmt.Sprintf("%s-rank0-side%d", tc.name, first), func(t *testing.T) {
+				_, err := newTestWorld(2).Run(func(r *Rank) {
+					tc.side[(r.Rank()+first)%2](r, r.World())
+				})
+				var mpiErr *MPIError
+				if !errors.As(err, &mpiErr) || mpiErr.Class != ErrComm {
+					t.Fatalf("mismatched collectives returned %v, want MPI_ERR_COMM", err)
+				}
+				if !strings.Contains(mpiErr.Msg, "mismatch") {
+					t.Errorf("error %q should describe the mismatch", mpiErr.Msg)
+				}
+			})
+		}
 	}
 }
 

@@ -17,42 +17,27 @@ import (
 // receiver has posted a matching receive, regardless of message size (the
 // rendezvous path unconditionally).
 func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Ssend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
-	if dst != ProcNull {
-		w := r.world
-		r.clock.Advance(w.cfg.Impl.CallOverhead())
-		dstWorld := c.WorldRank(dst)
-		m := r.buildMessage(c, dst, tag, bytes, nil, nil)
-		m.eager = false // synchronous mode: always handshake
-		req := r.newRequest(reqSend)
-		req.describe(dst, tag)
-		m.sendReq = req
-		m.sender = r
-		seq := w.postMessage(m)
-		w.waitCond(r, waitDesc{kind: waitPeer, detail: "synchronous handshake", req: req})
-		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
-		r.abortIfFailed()
-		r.clock.AdvanceTo(vtime.Time(req.time))
-		r.freeRequest(req)
-	}
-	r.endCall(call)
+	r.send(c, dst, tag, bytes, nil, true)
 }
 
 // Probe blocks until a message matching (src, tag) is available without
-// consuming it, and returns its status.
+// consuming it, and returns its status. A probe of ProcNull completes at
+// once with the status a receive from ProcNull returns.
 func (r *Rank) Probe(c *Comm, src, tag int) Status {
 	call := r.beginCall(&Call{Func: "MPI_Probe", Comm: c, Source: src, Tag: tag})
 	w := r.world
-	probe := &postedRecv{
-		commID: c.id, src: src, tag: tag,
-		postTime: r.clock.Now(), owner: r,
-	}
 	var st Status
-	w.waitCond(r, waitDesc{kind: waitProbe, probe: probe})
-	if m := w.findUnexpected(probe); m != nil {
-		st = Status{Source: m.srcComm, Tag: m.tag, Bytes: m.bytes}
-		// The probe observes the message once it could have arrived.
-		r.clock.AdvanceTo(resolveRecv(m, probe.postTime))
+	if src != ProcNull {
+		probe := &postedRecv{
+			commID: c.id, src: src, tag: tag,
+			postTime: r.clock.Now(), owner: r,
+		}
+		w.waitCond(r, waitDesc{kind: waitProbe, probe: probe})
+		if m := w.findUnexpected(probe); m != nil {
+			st = Status{Source: m.srcComm, Tag: m.tag, Bytes: m.bytes}
+			// The probe observes the message once it could have arrived.
+			r.clock.AdvanceTo(resolveRecv(m, probe.postTime))
+		}
 	}
 	r.abortIfFailed()
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
@@ -63,17 +48,14 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 }
 
 // Iprobe reports whether a matching message is available, without blocking
-// or consuming it.
+// or consuming it. A probe of ProcNull finds at once, with the status a
+// receive from ProcNull returns.
 func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
 	call := r.beginCall(&Call{Func: "MPI_Iprobe", Comm: c, Source: src, Tag: tag})
 	w := r.world
-	probe := &postedRecv{
-		commID: c.id, src: src, tag: tag,
-		postTime: r.clock.Now(), owner: r,
-	}
 	var st Status
-	found := false
-	if m := w.findUnexpected(probe); m != nil {
+	found := src == ProcNull
+	if m := w.findUnexpected(&postedRecv{commID: c.id, src: src, tag: tag, owner: r}); m != nil {
 		found = true
 		st = Status{Source: m.srcComm, Tag: m.tag, Bytes: m.bytes}
 	}
@@ -183,14 +165,14 @@ func (r *Rank) Testall(qs []Req) bool {
 // Scan performs an inclusive prefix reduction over the communicator.
 func (r *Rank) Scan(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Scan, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Scan, bytes, nil, nil)
 	r.endCall(call)
 }
 
 // Exscan performs an exclusive prefix reduction over the communicator.
 func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Scan, bytes, [2]int{}, false)
+	r.collective(c, netmodel.Scan, bytes, nil, nil)
 	r.endCall(call)
 }
 
@@ -198,7 +180,7 @@ func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
 // block size.
 func (r *Rank) ReduceScatter(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.ReduceScatter, bytes, [2]int{}, false)
+	r.collective(c, netmodel.ReduceScatter, bytes, nil, nil)
 	r.endCall(call)
 }
 

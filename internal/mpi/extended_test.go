@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -73,6 +74,48 @@ func TestIprobe(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestProbeProcNull(t *testing.T) {
+	// A probe of MPI_PROC_NULL completes at once, with the status a
+	// receive from MPI_PROC_NULL returns; no rank ever sends to it.
+	_, err := newTestWorld(2).Run(func(r *Rank) {
+		c := r.World()
+		want := r.Recv(c, ProcNull, 3)
+		if st := r.Probe(c, ProcNull, 3); st != want {
+			panic(fmt.Sprintf("Probe(ProcNull) status %+v, want %+v", st, want))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIprobeProcNull(t *testing.T) {
+	// An Iprobe of MPI_PROC_NULL finds at once. The deadline ends the run
+	// should it poll instead.
+	w := NewWorld(Config{Size: 1, Deadline: vtime.Duration(10e-3)})
+	polls := 0
+	_, err := w.Run(func(r *Rank) {
+		c := r.World()
+		want := r.Recv(c, ProcNull, AnyTag)
+		for {
+			polls++
+			found, st := r.Iprobe(c, ProcNull, AnyTag)
+			if found {
+				if st != want {
+					panic(fmt.Sprintf("Iprobe(ProcNull) status %+v, want %+v", st, want))
+				}
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("after %d polls: %v", polls, err)
+	}
+	if polls != 1 {
+		t.Errorf("Iprobe(ProcNull) found after %d polls, want 1", polls)
 	}
 }
 

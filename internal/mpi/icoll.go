@@ -1,39 +1,18 @@
 package mpi
 
-import (
-	"siesta/internal/netmodel"
-)
+import "siesta/internal/netmodel"
 
 // Non-blocking collectives (MPI-3): the caller registers its arrival and
 // receives a request that completes when every rank of the communicator has
-// entered the operation. The collective sequencer is shared with the
-// blocking path, so blocking and non-blocking collectives on one
-// communicator stay totally ordered, as the standard requires.
+// entered the operation. They arrive through the blocking collectives' own
+// step, so blocking and non-blocking collectives on one communicator stay
+// totally ordered, as the standard requires.
 
 // icollective registers arrival at a collective without blocking.
-func (r *Rank) icollective(c *Comm, op netmodel.CollOp, bytes int) *request {
-	w := r.world
-	seq := r.seqs[c.id]
-	r.seqs[c.id] = seq + 1
+func (r *Rank) icollective(c *Comm, price netmodel.CollOp, bytes int) *request {
 	req := r.newRequest(reqRecv)
-	r.clock.Advance(w.cfg.Impl.CallOverhead())
-
-	// Same guard as the blocking path: a slot created after fail would
-	// never complete.
-	r.abortIfFailed()
-	key := collKey{commID: c.id, seq: seq}
-	slot := w.collectiveSlot(c, seq, op)
-	slot.arrived++
-	if t := r.clock.Now(); t > slot.maxIn {
-		slot.maxIn = t
-	}
-	if bytes > slot.maxBytes {
-		slot.maxBytes = bytes
-	}
-	slot.waiters = append(slot.waiters, req)
-	if slot.arrived == slot.expected {
-		w.finishCollective(c, key, slot)
-	}
+	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
+	r.collective(c, price, bytes, nil, req)
 	return req
 }
 

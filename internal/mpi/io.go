@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"siesta/internal/netmodel"
 	"siesta/internal/vtime"
 )
 
@@ -39,7 +40,7 @@ func (f *File) Name() string { return f.name }
 // FileOpen opens a file collectively on the communicator.
 func (r *Rank) FileOpen(c *Comm, name string) *File {
 	call := r.beginCall(&Call{Func: "MPI_File_open", Comm: c, FileName: name})
-	slot := r.collective(c, 0 /* barrier-priced */, 0, [2]int{}, false)
+	slot := r.collective(c, netmodel.Barrier, 0, nil, nil)
 	// The first rank past the barrier allocates the group's handle; file
 	// ids are dense in open order, so the trace layer's pool renaming
 	// reproduces them.
@@ -69,7 +70,7 @@ func (r *Rank) checkOpen(fn string, f *File) {
 // FileClose closes the file collectively.
 func (r *Rank) FileClose(f *File) {
 	call := r.beginCall(&Call{Func: "MPI_File_close", Comm: f.comm, File: f})
-	r.collective(f.comm, 0, 0, [2]int{}, false)
+	r.collective(f.comm, netmodel.Barrier, 0, nil, nil)
 	r.clock.Advance(vtime.Duration(fsLatencySec / 2))
 	// Every rank of the collective marks the shared handle closed.
 	f.closed = true
@@ -115,29 +116,6 @@ func (r *Rank) FileReadAtAll(f *File, offset, bytes int) {
 func (r *Rank) fileCollective(fn string, f *File, offset, bytes int) {
 	r.checkOpen(fn, f)
 	call := r.beginCall(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
-	c := f.comm
-	seq := r.seqs[c.id]
-	r.seqs[c.id] = seq + 1
-	w := r.world
-	// Same guard as the blocking collective path: a slot created after
-	// fail would never complete.
-	r.abortIfFailed()
-	key := collKey{commID: c.id, seq: seq}
-	slot := w.collectiveSlot(c, seq, 0)
-	slot.arrived++
-	if t := r.clock.Now(); t > slot.maxIn {
-		slot.maxIn = t
-	}
-	slot.maxBytes += bytes // aggregate volume
-	if slot.arrived == slot.expected {
-		total := float64(slot.maxBytes)
-		cost := fsLatencySec + total/fsAggregateBwBps
-		slot.outTime = slot.maxIn.Add(vtime.Duration(cost * w.commJitter))
-		w.completeSlot(c, key, slot)
-	} else {
-		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
-	}
-	r.abortIfFailed()
-	r.clock.AdvanceTo(slot.outTime)
+	r.collective(f.comm, fileIO, bytes, nil, nil)
 	r.endCall(call)
 }

@@ -31,9 +31,7 @@ func (w *World) completeMatch(m *message, pr *postedRecv) {
 	if !m.eager && m.sendReq != nil {
 		m.sendReq.done = true
 		m.sendReq.time = float64(done)
-		if m.sender != nil {
-			w.wake(m.sender)
-		}
+		w.wake(m.sender)
 	}
 }
 
@@ -66,7 +64,7 @@ func (w *World) postMessage(m *message) int {
 	seq := w.msgCount.next(m.srcWorld, m.dstWorld)
 	m.seq = seq
 	if !w.routeFaults(m) {
-		w.putMessage(m)
+		w.msgs.put(m)
 		return seq
 	}
 	queue := w.posted[m.dstWorld]
@@ -74,8 +72,8 @@ func (w *World) postMessage(m *message) int {
 		if pr.matches(m) {
 			w.posted[m.dstWorld] = removeAt(queue, i)
 			w.completeMatch(m, pr)
-			w.putMessage(m)
-			w.putPostedRecv(pr)
+			w.msgs.put(m)
+			w.recvs.put(pr)
 			return seq
 		}
 	}
@@ -94,8 +92,8 @@ func (w *World) postRecv(pr *postedRecv) {
 		if pr.matches(m) {
 			w.mailbox[pr.owner.rank] = removeAt(box, i)
 			w.completeMatch(m, pr)
-			w.putMessage(m)
-			w.putPostedRecv(pr)
+			w.msgs.put(m)
+			w.recvs.put(pr)
 			return
 		}
 	}
@@ -112,63 +110,115 @@ func removeAt[T any](q []*T, i int) []*T {
 	return q[:len(q)-1]
 }
 
-// buildMessage prices and assembles an outgoing message (drawn from the
-// free-list; the router recycles it on match). dst is a rank in c.
-func (r *Rank) buildMessage(c *Comm, dst, tag, bytes int, payload []byte, req *request) *message {
+// buildMessage prices and assembles an outgoing message from r to
+// dstWorld on c (drawn from the free list; the router recycles it on
+// match). A sync message always takes the handshake; any other is eager
+// when the implementation sends its size eagerly.
+func (r *Rank) buildMessage(c *Comm, dstWorld, tag, bytes int, payload []byte, sync bool) *message {
 	w := r.world
-	dstWorld := c.WorldRank(dst)
 	var data []byte
 	if payload != nil {
 		data = append([]byte(nil), payload...)
 	}
 	// Field by field rather than by a composite literal, which the
 	// compiler builds on the stack and copies: every field is set.
-	m := w.getMessage()
+	m := w.msgs.get()
 	m.commID, m.srcComm, m.srcWorld, m.dstWorld = c.id, c.RankOf(r.rank), r.rank, dstWorld
 	m.tag, m.bytes, m.seq, m.payload = tag, bytes, 0, data
-	m.eager, m.readyTime = w.cfg.Impl.Eager(bytes), r.clock.Now()
+	m.eager, m.readyTime = !sync && w.cfg.Impl.Eager(bytes), r.clock.Now()
 	m.wire = vtime.Duration(float64(w.cfg.Impl.WireTime(w.cfg.Platform, r.rank, dstWorld, bytes)) * w.commJitter)
-	m.sendReq, m.sender = req, nil
+	m.sendReq, m.sender = nil, r
 	return m
 }
 
-// Send performs a blocking standard-mode send of bytes to dst (rank in c)
-// with the given tag. Eager messages complete locally; rendezvous messages
-// block until the receiver matches, exactly like a real large send.
-func (r *Rank) Send(c *Comm, dst, tag, bytes int) {
-	r.sendPayload(c, dst, tag, bytes, nil)
-}
-
-// SendBytes is Send with an actual payload, for examples and tests that
-// want data to arrive. len(data) is used as the message size.
-func (r *Rank) SendBytes(c *Comm, dst, tag int, data []byte) {
-	r.sendPayload(c, dst, tag, len(data), data)
-}
-
-func (r *Rank) sendPayload(c *Comm, dst, tag, bytes int, payload []byte) {
-	call := r.beginCall(&Call{Func: "MPI_Send", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+// send is the one blocking send: Send, SendBytes and Ssend. An eager
+// message completes locally and takes no request; a rendezvous or
+// synchronous one blocks until the receiver matches, exactly like a real
+// large send, on a handshake request made for it alone.
+func (r *Rank) send(c *Comm, dst, tag, bytes int, payload []byte, sync bool) {
+	fn := "MPI_Send"
+	if sync {
+		fn = "MPI_Ssend"
+	}
+	call := r.beginCall(&Call{Func: fn, Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	if dst != ProcNull {
 		w := r.world
 		dstWorld := c.WorldRank(dst)
-		r.clock.Advance(w.cfg.Impl.SendLocalCost(w.cfg.Platform, r.rank, dstWorld, bytes))
-		m := r.buildMessage(c, dst, tag, bytes, payload, nil)
-		if m.eager {
-			seq := w.postMessage(m)
-			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
+		if sync {
+			r.clock.Advance(w.cfg.Impl.CallOverhead())
 		} else {
-			req := r.newRequest(reqSend)
+			r.clock.Advance(w.cfg.Impl.SendLocalCost(w.cfg.Platform, r.rank, dstWorld, bytes))
+		}
+		m := r.buildMessage(c, dstWorld, tag, bytes, payload, sync)
+		var req *request
+		if !m.eager {
+			req = r.newRequest(reqSend)
 			req.describe(dst, tag)
 			m.sendReq = req
-			m.sender = r
-			seq := w.postMessage(m)
-			w.waitCond(r, waitDesc{kind: waitPeer, detail: "rendezvous handshake", req: req})
-			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
+		}
+		seq := w.postMessage(m)
+		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
+		if req != nil {
+			detail := "rendezvous handshake"
+			if sync {
+				detail = "synchronous handshake"
+			}
+			w.waitCond(r, waitDesc{kind: waitPeer, detail: detail, req: req})
 			r.abortIfFailed()
 			r.clock.AdvanceTo(vtime.Time(req.time))
 			r.freeRequest(req)
 		}
 	}
 	r.endCall(call)
+}
+
+// isend is the one request-carrying send post: Isend, Sendrecv's send half
+// and Start. It posts a message to dst (a rank in c, not ProcNull) that
+// req tracks; an eager one completes req at once.
+func (r *Rank) isend(call *Call, c *Comm, dst, tag, bytes int, req *request) {
+	req.describe(dst, tag)
+	dstWorld := c.WorldRank(dst)
+	m := r.buildMessage(c, dstWorld, tag, bytes, nil, false)
+	if m.eager {
+		req.done = true
+		req.time = float64(r.clock.Now())
+	} else {
+		m.sendReq = req
+	}
+	seq := r.world.postMessage(m)
+	call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
+}
+
+// irecv is the one receive post: Recv, Irecv, Sendrecv's receive half and
+// Start. It posts a receive from src (a rank in c or AnySource, not
+// ProcNull) that req tracks, copying any payload into buf.
+func (r *Rank) irecv(c *Comm, src, tag int, buf []byte, req *request) {
+	req.describe(src, tag)
+	pr := r.world.recvs.get()
+	*pr = postedRecv{
+		commID: c.id, src: src, tag: tag,
+		postTime: r.clock.Now(), req: req, owner: r, buf: buf,
+	}
+	r.world.postRecv(pr)
+}
+
+// completeNull completes a request on ProcNull at once.
+func (r *Rank) completeNull(req *request) {
+	req.done, req.nul = true, true
+	req.time = float64(r.clock.Now())
+}
+
+// Send performs a blocking standard-mode send of bytes to dst (rank in c)
+// with the given tag. Eager messages complete locally; rendezvous messages
+// block until the receiver matches.
+func (r *Rank) Send(c *Comm, dst, tag, bytes int) {
+	r.send(c, dst, tag, bytes, nil, false)
+}
+
+// SendBytes is Send with an actual payload, for examples and tests that
+// want data to arrive. len(data) is used as the message size.
+func (r *Rank) SendBytes(c *Comm, dst, tag int, data []byte) {
+	r.send(c, dst, tag, len(data), data, false)
 }
 
 // Recv performs a blocking receive from src (rank in c, or AnySource) with
@@ -186,20 +236,9 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 	call := r.beginCall(&Call{Func: "MPI_Recv", Comm: c, Source: src, Tag: tag})
 	var st Status
 	if src != ProcNull {
-		w := r.world
 		req := r.newRequest(reqRecv)
-		req.describe(src, tag)
-		pr := w.getPostedRecv()
-		*pr = postedRecv{
-			commID: c.id, src: src, tag: tag,
-			postTime: r.clock.Now(), req: req, owner: r, buf: buf,
-		}
-		w.postRecv(pr)
-		w.waitCond(r, waitDesc{kind: waitPeer, req: req})
-		r.abortIfFailed()
-		r.clock.AdvanceTo(vtime.Time(req.time))
-		r.clock.Advance(w.cfg.Impl.CallOverhead())
-		st = req.st
+		r.irecv(c, src, tag, buf, req)
+		st = r.waitOne(req, waitPeer)
 		call.RecvSrcWorld, call.RecvSeq = req.matchedSrc, req.matchedSeq
 		r.freeRequest(req)
 	}
@@ -212,25 +251,12 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 // Isend starts a non-blocking send and returns its request.
 func (r *Rank) Isend(c *Comm, dst, tag, bytes int) Req {
 	call := r.beginCall(&Call{Func: "MPI_Isend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
-	w := r.world
 	req := r.newRequest(reqSend)
 	if dst == ProcNull {
-		req.done, req.nul = true, true
-		req.time = float64(r.clock.Now())
+		r.completeNull(req)
 	} else {
-		req.describe(dst, tag)
-		r.clock.Advance(w.cfg.Impl.CallOverhead())
-		dstWorld := c.WorldRank(dst)
-		m := r.buildMessage(c, dst, tag, bytes, nil, req)
-		m.sender = r
-		if m.eager {
-			// Eager non-blocking sends complete immediately.
-			req.done = true
-			req.time = float64(r.clock.Now())
-			m.sendReq = nil
-		}
-		seq := w.postMessage(m)
-		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, bytes
+		r.clock.Advance(r.world.cfg.Impl.CallOverhead())
+		r.isend(call, c, dst, tag, bytes, req)
 	}
 	call.Request = r.handle(req)
 	r.endCall(call)
@@ -240,20 +266,12 @@ func (r *Rank) Isend(c *Comm, dst, tag, bytes int) Req {
 // Irecv starts a non-blocking receive and returns its request.
 func (r *Rank) Irecv(c *Comm, src, tag int) Req {
 	call := r.beginCall(&Call{Func: "MPI_Irecv", Comm: c, Source: src, Tag: tag})
-	w := r.world
 	req := r.newRequest(reqRecv)
 	if src == ProcNull {
-		req.done, req.nul = true, true
-		req.time = float64(r.clock.Now())
+		r.completeNull(req)
 	} else {
-		req.describe(src, tag)
-		r.clock.Advance(w.cfg.Impl.CallOverhead())
-		pr := w.getPostedRecv()
-		*pr = postedRecv{
-			commID: c.id, src: src, tag: tag,
-			postTime: r.clock.Now(), req: req, owner: r,
-		}
-		w.postRecv(pr)
+		r.clock.Advance(r.world.cfg.Impl.CallOverhead())
+		r.irecv(c, src, tag, nil, req)
 	}
 	call.Request = r.handle(req)
 	r.endCall(call)
@@ -265,7 +283,7 @@ func (r *Rank) Irecv(c *Comm, src, tag int) Req {
 // or stale handle returns at once.
 func (r *Rank) Wait(q Req) Status {
 	call := r.beginCall(&Call{Func: "MPI_Wait", Request: q})
-	st := r.waitOne(r.resolve(q, call.Func))
+	st := r.waitOne(r.resolve(q, call.Func), waitRequest)
 	call.Bytes = st.Bytes
 	r.endCall(call)
 	r.freeCompleted(q)
@@ -277,7 +295,7 @@ func (r *Rank) Wait(q Req) Status {
 func (r *Rank) Waitall(qs []Req) {
 	call := r.beginCall(&Call{Func: "MPI_Waitall", Requests: qs})
 	for _, q := range qs {
-		r.waitOne(r.resolve(q, call.Func))
+		r.waitOne(r.resolve(q, call.Func), waitRequest)
 	}
 	r.endCall(call)
 	for _, q := range qs {
@@ -285,20 +303,19 @@ func (r *Rank) Waitall(qs []Req) {
 	}
 }
 
-// waitOne blocks until req completes and absorbs its completion time; a
-// nil req (a zero or stale handle) is a no-op.
-func (r *Rank) waitOne(req *request) Status {
+// waitOne blocks until req completes, as a wait of the given kind, and
+// absorbs its completion time; a nil req (a zero or stale handle) is a
+// no-op.
+func (r *Rank) waitOne(req *request, kind waitKind) Status {
 	if req == nil {
 		return Status{}
 	}
 	w := r.world
-	w.waitCond(r, waitDesc{kind: waitRequest, req: req})
+	w.waitCond(r, waitDesc{kind: kind, req: req})
 	r.abortIfFailed()
 	r.clock.AdvanceTo(vtime.Time(req.time))
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
-	st := req.st
-	resetIfPersistent(req)
-	return st
+	return req.st
 }
 
 // Test reports whether the request has completed, without blocking. When it
@@ -330,47 +347,30 @@ func (r *Rank) Test(q Req) (bool, Status) {
 }
 
 // Sendrecv performs a combined send and receive, deadlock-free as per the
-// standard (implemented as Isend+Irecv+Waitall internally, priced as one
-// call).
+// standard (both halves are posted before either is waited on, priced as
+// one call).
 func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Status {
 	call := r.beginCall(&Call{
 		Func: "MPI_Sendrecv", Comm: c,
 		Dest: dst, Tag: sendTag, Bytes: sendBytes,
 		Source: src, RecvTag: recvTag,
 	})
-	w := r.world
 	var sreq, rreq *request
 	if dst != ProcNull {
 		sreq = r.newRequest(reqSend)
-		sreq.describe(dst, sendTag)
-		dstWorld := c.WorldRank(dst)
-		m := r.buildMessage(c, dst, sendTag, sendBytes, nil, sreq)
-		m.sender = r
-		if m.eager {
-			sreq.done = true
-			sreq.time = float64(r.clock.Now())
-			m.sendReq = nil
-		}
-		seq := w.postMessage(m)
-		call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, sendBytes
+		r.isend(call, c, dst, sendTag, sendBytes, sreq)
 	}
 	if src != ProcNull {
 		rreq = r.newRequest(reqRecv)
-		rreq.describe(src, recvTag)
-		pr := w.getPostedRecv()
-		*pr = postedRecv{
-			commID: c.id, src: src, tag: recvTag,
-			postTime: r.clock.Now(), req: rreq, owner: r,
-		}
-		w.postRecv(pr)
+		r.irecv(c, src, recvTag, nil, rreq)
 	}
 	var st Status
 	if sreq != nil {
-		r.waitOne(sreq)
+		r.waitOne(sreq, waitRequest)
 		r.freeRequest(sreq)
 	}
 	if rreq != nil {
-		st = r.waitOne(rreq)
+		st = r.waitOne(rreq, waitRequest)
 		call.RecvSrcWorld, call.RecvSeq = rreq.matchedSrc, rreq.matchedSeq
 		r.freeRequest(rreq)
 	}

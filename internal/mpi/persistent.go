@@ -18,24 +18,22 @@ type persistentArgs struct {
 // SendInit creates an inactive persistent send request.
 func (r *Rank) SendInit(c *Comm, dst, tag, bytes int) Req {
 	call := r.beginCall(&Call{Func: "MPI_Send_init", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
-	req := r.newRequest(reqSend)
-	req.describe(dst, tag)
-	req.persistent = &persistentArgs{comm: c, peer: dst, tag: tag, bytes: bytes}
-	req.done = true // inactive persistent requests are "complete"
-	req.time = float64(r.clock.Now())
-	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
-	call.Request = r.handle(req)
-	r.endCall(call)
-	return call.Request
+	return r.requestInit(call, reqSend, persistentArgs{comm: c, peer: dst, tag: tag, bytes: bytes})
 }
 
 // RecvInit creates an inactive persistent receive request.
 func (r *Rank) RecvInit(c *Comm, src, tag int) Req {
 	call := r.beginCall(&Call{Func: "MPI_Recv_init", Comm: c, Source: src, Tag: tag})
-	req := r.newRequest(reqRecv)
-	req.describe(src, tag)
-	req.persistent = &persistentArgs{comm: c, peer: src, tag: tag}
-	req.done = true
+	return r.requestInit(call, reqRecv, persistentArgs{comm: c, peer: src, tag: tag})
+}
+
+// requestInit ends an init call with an inactive persistent request of
+// the given kind bound to pa.
+func (r *Rank) requestInit(call *Call, kind int, pa persistentArgs) Req {
+	req := r.newRequest(kind)
+	req.describe(pa.peer, pa.tag)
+	req.persistent = &pa
+	req.done = true // inactive persistent requests are "complete"
 	req.time = float64(r.clock.Now())
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
 	call.Request = r.handle(req)
@@ -51,39 +49,17 @@ func (r *Rank) Start(q Req) {
 		panic(mpiErrorf(ErrRequest, r.rank, "MPI_Start", "request is not persistent"))
 	}
 	call := r.beginCall(&Call{Func: "MPI_Start", Request: q})
-	w := r.world
 	pa := req.persistent
 	req.done = false
 	req.st = Status{}
-	r.clock.Advance(w.cfg.Impl.CallOverhead())
-	if req.kind == reqSend {
-		if pa.peer == ProcNull {
-			req.done, req.nul = true, true
-			req.time = float64(r.clock.Now())
-		} else {
-			dstWorld := pa.comm.WorldRank(pa.peer)
-			m := r.buildMessage(pa.comm, pa.peer, pa.tag, pa.bytes, nil, req)
-			m.sender = r
-			if m.eager {
-				req.done = true
-				req.time = float64(r.clock.Now())
-				m.sendReq = nil
-			}
-			seq := w.postMessage(m)
-			call.SentSeq, call.SentDst, call.SentBytes = seq+1, dstWorld, pa.bytes
-		}
-	} else {
-		if pa.peer == ProcNull {
-			req.done, req.nul = true, true
-			req.time = float64(r.clock.Now())
-		} else {
-			pr := w.getPostedRecv()
-			*pr = postedRecv{
-				commID: pa.comm.id, src: pa.peer, tag: pa.tag,
-				postTime: r.clock.Now(), req: req, owner: r,
-			}
-			w.postRecv(pr)
-		}
+	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
+	switch {
+	case pa.peer == ProcNull:
+		r.completeNull(req)
+	case req.kind == reqSend:
+		r.isend(call, pa.comm, pa.peer, pa.tag, pa.bytes, req)
+	default:
+		r.irecv(pa.comm, pa.peer, pa.tag, nil, req)
 	}
 	r.endCall(call)
 }
@@ -113,12 +89,4 @@ func (r *Rank) RequestFree(q Req) {
 		req = r.reqs[req.slot]
 	}
 	r.freeRequest(req)
-}
-
-// resetIfPersistent returns a completed persistent request to the inactive
-// state after a successful Wait, preserving its identity for the next Start.
-func resetIfPersistent(req *request) {
-	if req != nil && req.persistent != nil {
-		req.done = true // inactive again, immediately waitable
-	}
 }

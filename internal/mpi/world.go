@@ -81,9 +81,9 @@ type World struct {
 	posted  [][]*postedRecv // posted receives per destination world rank
 	colls   map[collKey]*collSlot
 
-	// Free lists of matched messages and posted receives; see getMessage.
-	freeMsgs  []*message
-	freeRecvs []*postedRecv
+	// Free lists of matched messages and posted receives; see freeList.
+	msgs  freeList[message]
+	recvs freeList[postedRecv]
 
 	world      *Comm
 	nextCommID int
@@ -159,41 +159,27 @@ type postedRecv struct {
 // The free lists belong to the world and are touched only from rank
 // coroutines, which Run drives one at a time, so a get or put is a slice
 // pop or push.
+type freeList[T any] []*T
 
-func (w *World) getMessage() *message {
-	n := len(w.freeMsgs)
+// get pops a recycled object, or allocates a zero one.
+func (fl *freeList[T]) get() *T {
+	n := len(*fl)
 	if n == 0 {
-		return new(message)
+		return new(T)
 	}
-	m := w.freeMsgs[n-1]
-	w.freeMsgs = w.freeMsgs[:n-1]
-	return m
+	x := (*fl)[n-1]
+	*fl = (*fl)[:n-1]
+	return x
 }
 
-func (w *World) putMessage(m *message) {
-	*m = message{}
+// put zeroes x and pushes it for the next get.
+func (fl *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
 	if releaseHook != nil {
-		releaseHook(m)
+		releaseHook(x)
 	}
-	w.freeMsgs = append(w.freeMsgs, m)
-}
-
-func (w *World) getPostedRecv() *postedRecv {
-	n := len(w.freeRecvs)
-	if n == 0 {
-		return new(postedRecv)
-	}
-	pr := w.freeRecvs[n-1]
-	w.freeRecvs = w.freeRecvs[:n-1]
-	return pr
-}
-
-func (w *World) putPostedRecv(pr *postedRecv) {
-	*pr = postedRecv{}
-	if releaseHook != nil {
-		releaseHook(pr)
-	}
-	w.freeRecvs = append(w.freeRecvs, pr)
+	*fl = append(*fl, x)
 }
 
 // releaseHook, when set, sees every message, posted receive and request
@@ -244,11 +230,16 @@ type collKey struct {
 
 // collSlot synchronizes one collective operation instance.
 type collSlot struct {
-	expected  int
-	arrived   int
-	maxIn     vtime.Time
-	maxBytes  int
-	op        netmodel.CollOp
+	expected int
+	arrived  int
+	maxIn    vtime.Time
+	bytes    int             // the members' maximum, or their sum for fileIO
+	price    netmodel.CollOp // the cost model's op
+	// The first arrival's call, root and reduction op, which every member
+	// must repeat.
+	fn        string
+	root      int
+	op        ReduceOp
 	outTime   vtime.Time
 	completed bool // set once the last member arrives
 	// split bookkeeping
@@ -723,25 +714,35 @@ func (w *World) routeFaults(m *message) bool {
 }
 
 // collectiveSlot returns (creating if needed) the slot for a collective
-// instance.
-func (w *World) collectiveSlot(c *Comm, seq int, op netmodel.CollOp) *collSlot {
+// instance; a new slot takes its pricing op and the call its members must
+// agree on from the first arrival.
+func (w *World) collectiveSlot(c *Comm, seq int, price netmodel.CollOp, call *Call) *collSlot {
 	key := collKey{commID: c.id, seq: seq}
 	slot, ok := w.colls[key]
 	if !ok {
 		slot = &collSlot{
 			expected: len(c.ranks),
-			op:       op,
+			price:    price,
+			fn:       call.Func,
+			root:     call.Root,
+			op:       call.Op,
 		}
 		w.colls[key] = slot
 	}
 	return slot
 }
 
-// finishCollective completes a slot once all ranks have arrived.
-func (w *World) finishCollective(c *Comm, key collKey, slot *collSlot) {
-	cost := w.cfg.Impl.CollectiveCost(w.cfg.Platform, slot.op, slot.maxBytes, len(c.ranks), c.inter)
-	cost = vtime.Duration(float64(cost) * w.commJitter)
-	slot.outTime = slot.maxIn.Add(cost)
+// finishCollective completes a slot once all ranks have arrived, retires
+// it and wakes its communicator's members: those blocked in the
+// collective, and those waiting on one of its non-blocking requests.
+func (w *World) finishCollective(c *Comm, seq int, slot *collSlot) {
+	var cost vtime.Duration
+	if slot.price == fileIO {
+		cost = vtime.Duration(fsLatencySec + float64(slot.bytes)/fsAggregateBwBps)
+	} else {
+		cost = w.cfg.Impl.CollectiveCost(w.cfg.Platform, slot.price, slot.bytes, len(c.ranks), c.inter)
+	}
+	slot.outTime = slot.maxIn.Add(vtime.Duration(float64(cost) * w.commJitter))
 	if slot.splitArgs != nil {
 		w.resolveSplit(c, slot)
 	}
@@ -749,14 +750,7 @@ func (w *World) finishCollective(c *Comm, key collKey, slot *collSlot) {
 		req.done = true
 		req.time = float64(slot.outTime)
 	}
-	w.completeSlot(c, key, slot)
-}
-
-// completeSlot retires a finished slot and wakes its communicator's
-// members: those blocked in the collective, and those waiting on one of
-// its non-blocking requests.
-func (w *World) completeSlot(c *Comm, key collKey, slot *collSlot) {
-	delete(w.colls, key)
+	delete(w.colls, collKey{commID: c.id, seq: seq})
 	slot.completed = true
 	for _, wr := range c.ranks {
 		w.wake(w.ranks[wr])
