@@ -31,10 +31,12 @@ type Options struct {
 	// readings would; nil measures exactly.
 	BenchNoise *perfmodel.Noise
 	// BMatrix, when non-nil, is a pre-measured micro-benchmark matrix and
-	// the search skips its own blocks.MeasureB call. core.Synthesize warms
-	// it concurrently with the overlapped simulated runs; the caller must
-	// have measured it from the same Platform and BenchNoise state that
-	// Generate would have used, so results are byte-identical either way.
+	// the search skips its own blocks.MeasureB call. core.Synthesize
+	// leaves it nil at every Parallelism, so StartSearch measures B; a
+	// caller that times the measurement on its own (perfbench's split
+	// pipeline) sets it, and must have measured it from the same Platform
+	// and BenchNoise state that Generate would have used, so results are
+	// byte-identical either way.
 	BMatrix *qp.Matrix
 	// CommSamples are (function, bytes, duration) observations from the
 	// trace, used to fit the blocking-communication regression that

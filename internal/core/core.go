@@ -6,11 +6,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"siesta/internal/blocks"
 	"siesta/internal/check"
@@ -23,7 +23,6 @@ import (
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/proxy"
-	"siesta/internal/qp"
 	"siesta/internal/statics"
 	"siesta/internal/trace"
 	"siesta/internal/vtime"
@@ -46,12 +45,12 @@ type Options struct {
 
 	// Tracer, when non-nil, records the run's observability data: one
 	// wall-clock span per pipeline phase (baseline, trace, merge, check,
-	// codegen, and when parallelism overlaps them the warmup and search
-	// spans) with rank-count, parallelism, and artifact-size attributes,
-	// plus per-rank virtual-time timelines for the baseline run (and the
-	// proxy replay, via Result.RunProxy). The server attaches an observer
-	// for per-phase structured logs and metrics; the trace CLI verb
-	// exports it. Recording never perturbs the simulated runs' virtual
+	// codegen, and the search span when parallelism overlaps the searches
+	// with the check) with rank-count, parallelism, and artifact-size
+	// attributes, plus per-rank virtual-time timelines for the baseline
+	// run (and the proxy replay, via Result.RunProxy). The server attaches
+	// an observer for per-phase structured logs and metrics; the trace CLI
+	// verb exports it. Recording never perturbs the simulated runs' virtual
 	// times. Like Context, it is excluded from JSON encoding and the
 	// fingerprint — two runs differing only in Tracer are the same
 	// synthesis.
@@ -83,10 +82,13 @@ type Options struct {
 	// tree-reduction terminal merge, per-rank grammar inference, the
 	// losslessness check, and the computation-proxy searches overlapped
 	// with the static check. 0 (or negative) selects GOMAXPROCS; 1 runs fully
-	// sequentially. Like Context, it participates in neither JSON encoding
-	// nor OptionsFingerprint: the parallel stages are deterministic by
-	// construction, so two runs differing only in Parallelism produce
-	// byte-identical programs and proxies.
+	// sequentially. The merge stages always take this value: withDefaults
+	// overwrites Merge.Parallelism with it. At every value codegen
+	// measures the B matrix itself when its searches start. Like Context,
+	// it participates in neither JSON encoding nor OptionsFingerprint: the
+	// parallel stages are deterministic by construction, so two runs
+	// differing only in Parallelism produce byte-identical programs and
+	// proxies.
 	Parallelism int
 
 	// SearchMemo caches computation-proxy QP solves (see blocks.Memo).
@@ -121,7 +123,8 @@ type Options struct {
 	// participates in neither JSON encoding nor OptionsFingerprint.
 	Analyze bool `json:"-"`
 
-	// Pipeline knobs.
+	// Pipeline knobs. Merge.Parallelism is not a knob of its own: the
+	// job's Parallelism replaces it.
 	Trace trace.Config
 	Merge merge.Options
 	Scale float64 // proxy shrink factor; 0/1 = unscaled
@@ -154,9 +157,7 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.Merge.Parallelism == 0 {
-		o.Merge.Parallelism = o.Parallelism
-	}
+	o.Merge.Parallelism = o.Parallelism
 	return o
 }
 
@@ -284,9 +285,6 @@ type run struct {
 	// once. traceBytes stays nil outside Synthesize, which is what keeps
 	// the other entries' merge checkpoints program-only.
 	traceBytes, progBytes []byte
-	// bmatrix is the micro-benchmark B matrix an overlapped front half
-	// warmed, nil when codegen measures it itself.
-	bmatrix *qp.Matrix
 	// memo is the search memo codegen solved through.
 	memo *blocks.Memo
 	// samples are the communication timings a scaled run's codegen fits
@@ -314,15 +312,26 @@ func (r *run) end() {
 // covers the pure phases (merge, check, codegen) between them.
 func (r *run) phase(name string) error {
 	r.end()
-	if tr := r.opts.Tracer; tr != nil {
-		r.cur = tr.Phase(name,
-			obs.Int("ranks", r.opts.Ranks),
-			obs.Int("parallelism", r.opts.Parallelism))
-	}
+	r.cur = r.open(name, false)
 	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
 		return &mpi.CancelError{Cause: context.Cause(ctx)}
 	}
 	return nil
+}
+
+// open starts a phase span with the run's rank count and parallelism,
+// tagged overlap when it runs beside another phase; nil without a tracer,
+// so the disabled path allocates nothing.
+func (r *run) open(name string, overlap bool) *obs.Span {
+	tr := r.opts.Tracer
+	if tr == nil {
+		return nil
+	}
+	attrs := []obs.Attr{obs.Int("ranks", r.opts.Ranks), obs.Int("parallelism", r.opts.Parallelism)}
+	if overlap {
+		attrs = append(attrs, obs.Bool("overlap", true))
+	}
+	return tr.Phase(name, attrs...)
 }
 
 // save persists a checkpoint at a completed boundary: build fills the
@@ -360,119 +369,69 @@ func (r *run) sample(tr *trace.Trace) {
 }
 
 // simulate is Synthesize's front half: the uninstrumented baseline run
-// (ground truth) and the traced run, overlapped when parallelism allows.
+// (ground truth) and the traced run. The two worlds share seeds but no
+// mutable state, so when parallelism allows, the traced leg runs on a
+// second goroutine while the caller runs the baseline, and the segment
+// costs max(baseline, traced) instead of their sum. Otherwise the traced
+// leg follows a baseline that succeeded.
 func (r *run) simulate(app func(*mpi.Rank)) error {
-	opts, res, tr := r.opts, r.res, r.opts.Tracer
-	baseCfg := mpi.Config{
+	opts := r.opts
+	cfg := mpi.Config{
 		Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
 		NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation, Seed: opts.Seed,
 		Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
 	}
-	if tl := tr.NewTimeline("baseline", opts.Ranks); tl != nil {
-		baseCfg.Interceptor = tl
+	overlap := opts.Parallelism > 1
+	var done chan error
+	if overlap {
+		done = make(chan error, 1)
+		go func() { done <- r.traced(app, cfg, true) }()
 	}
-	rec := trace.NewRecorder(opts.Ranks, opts.Trace)
-	tracedCfg := mpi.Config{
-		Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
-		NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation,
-		Seed: opts.Seed, Interceptor: rec,
-		Faults: opts.Faults, Deadline: opts.Deadline, Ctx: opts.Context,
+	err := r.baseline(app, cfg, overlap)
+	if overlap {
+		err = cmp.Or(err, <-done)
+	} else if err == nil {
+		err = r.traced(app, cfg, false)
 	}
+	if err != nil {
+		return err
+	}
+	r.res.Overhead = relDiff(float64(r.res.TracedRun.ExecTime), float64(r.res.BaselineRun.ExecTime))
+	return nil
+}
 
-	if opts.Parallelism <= 1 {
-		// Ground-truth run, without instrumentation (the timeline
-		// observer charges no virtual-time cost, so the run stays
-		// bit-identical).
-		var err error
-		if err := r.phase("baseline"); err != nil {
-			return fmt.Errorf("core: baseline run: %w", err)
-		}
-		if res.BaselineRun, err = mpi.NewWorld(baseCfg).Run(app); err != nil {
-			return fmt.Errorf("core: baseline run: %w", err)
-		}
+// baseline is the ground-truth run, without instrumentation (the timeline
+// observer charges no virtual-time cost, so the run stays bit-identical).
+func (r *run) baseline(app func(*mpi.Rank), cfg mpi.Config, overlap bool) error {
+	sp := r.open("baseline", overlap)
+	defer sp.End()
+	if tl := r.opts.Tracer.NewTimeline("baseline", r.opts.Ranks); tl != nil {
+		cfg.Interceptor = tl
+	}
+	var err error
+	if r.res.BaselineRun, err = mpi.NewWorld(cfg).Run(app); err != nil {
+		return fmt.Errorf("core: baseline run: %w", err)
+	}
+	return nil
+}
 
-		// Traced run: same seeds, plus the PMPI recorder.
-		if err := r.phase("trace"); err != nil {
-			return fmt.Errorf("core: traced run: %w", err)
-		}
-		if res.TracedRun, err = mpi.NewWorld(tracedCfg).Run(app); err != nil {
-			return fmt.Errorf("core: traced run: %w", err)
-		}
-		res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
-		res.Trace = rec.Trace(opts.Platform.Name, opts.Impl.Name)
-		if tr != nil {
-			r.cur.SetAttrs(
-				obs.Int("events", res.Trace.TotalEvents()),
-				obs.Int("raw_bytes", res.Trace.RawSize()))
-		}
-		return nil
+// traced is the same run under the PMPI recorder, whose trace the back
+// half merges.
+func (r *run) traced(app func(*mpi.Rank), cfg mpi.Config, overlap bool) error {
+	sp := r.open("trace", overlap)
+	defer sp.End()
+	rec := trace.NewRecorder(r.opts.Ranks, r.opts.Trace)
+	cfg.Interceptor = rec
+	var err error
+	if r.res.TracedRun, err = mpi.NewWorld(cfg).Run(app); err != nil {
+		return fmt.Errorf("core: traced run: %w", err)
 	}
-
-	// Overlapped runs: the baseline and traced worlds share seeds but no
-	// mutable state, so they execute concurrently — the segment costs
-	// max(baseline, traced) instead of their sum — while a third worker
-	// warms the codegen B matrix. It is the first (and only) consumer of
-	// opts.BenchNoise, so the warmed matrix is identical to the one
-	// codegen would measure itself. Each run still owns a full phase span;
-	// the spans overlap in wall clock and are tagged so exports and
-	// metrics can tell.
-	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
-		return fmt.Errorf("core: baseline run: %w",
-			&mpi.CancelError{Cause: context.Cause(ctx)})
+	r.res.Trace = rec.Trace(r.opts.Platform.Name, r.opts.Impl.Name)
+	if sp != nil {
+		sp.SetAttrs(
+			obs.Int("events", r.res.Trace.TotalEvents()),
+			obs.Int("raw_bytes", r.res.Trace.RawSize()))
 	}
-	var baseSpan, traceSpan, warmSpan *obs.Span
-	if tr != nil {
-		baseSpan = tr.Phase("baseline",
-			obs.Int("ranks", opts.Ranks),
-			obs.Int("parallelism", opts.Parallelism),
-			obs.Bool("overlap", true))
-		traceSpan = tr.Phase("trace",
-			obs.Int("ranks", opts.Ranks),
-			obs.Int("parallelism", opts.Parallelism),
-			obs.Bool("overlap", true))
-		warmSpan = tr.Phase("warmup",
-			obs.Int("parallelism", opts.Parallelism),
-			obs.Bool("overlap", true))
-	}
-	var wg sync.WaitGroup
-	var baseErr, traceErr error
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		defer baseSpan.End()
-		var e error
-		if res.BaselineRun, e = mpi.NewWorld(baseCfg).Run(app); e != nil {
-			baseErr = fmt.Errorf("core: baseline run: %w", e)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		defer traceSpan.End()
-		var e error
-		if res.TracedRun, e = mpi.NewWorld(tracedCfg).Run(app); e != nil {
-			traceErr = fmt.Errorf("core: traced run: %w", e)
-			return
-		}
-		res.Trace = rec.Trace(opts.Platform.Name, opts.Impl.Name)
-		if tr != nil {
-			traceSpan.SetAttrs(
-				obs.Int("events", res.Trace.TotalEvents()),
-				obs.Int("raw_bytes", res.Trace.RawSize()))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		defer warmSpan.End()
-		r.bmatrix = blocks.MeasureB(opts.Platform, opts.BenchNoise)
-	}()
-	wg.Wait()
-	if baseErr != nil {
-		return baseErr
-	}
-	if traceErr != nil {
-		return traceErr
-	}
-	res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
 	return nil
 }
 
@@ -529,7 +488,6 @@ func (r *run) tail(resume *Checkpoint, build func() (*merge.Program, error)) err
 		Platform:    opts.Platform,
 		Scale:       opts.Scale,
 		BenchNoise:  opts.BenchNoise,
-		BMatrix:     r.bmatrix,
 		SearchMemo:  r.memo,
 		CommSamples: r.samples,
 	}

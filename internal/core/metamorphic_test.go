@@ -109,9 +109,9 @@ func TestMetamorphicNoiseSeed(t *testing.T) {
 // observability layer — phase coverage and complete timeline event
 // streams (times included: they are virtual) must match. Wall-clock span
 // *order* is only pinned for the sequential pipeline: a parallel run
-// overlaps baseline/trace (plus a B-matrix warmup span) and the searches
-// with the check gate (a search span), so its ladder is compared as a set
-// with those two spans allowed.
+// overlaps baseline with trace and the searches with the check gate (a
+// search span), so its ladder is compared as a set with that one span
+// added, and the overlapped spans must say so.
 func TestMetamorphicParallelismObservability(t *testing.T) {
 	resA, trA := synthesizeCG(t, 1, 1)
 	resB, trB := synthesizeCG(t, 1, 4)
@@ -132,24 +132,31 @@ func TestMetamorphicParallelismObservability(t *testing.T) {
 	for _, n := range namesB {
 		setB[n]++
 	}
-	for _, n := range want {
+	for _, n := range append(want, "search") {
 		if setB[n] != 1 {
 			t.Fatalf("parallel run recorded phase %q %d times, want exactly once (ladder %v)",
 				n, setB[n], namesB)
 		}
 	}
-	if setB["warmup"] != 1 || setB["search"] != 1 || len(namesB) != len(want)+2 {
+	if len(namesB) != len(want)+1 {
 		t.Fatalf("parallel phase ladder has unexpected spans: %v", namesB)
+	}
+	for _, p := range trA.Phases() {
+		if _, ok := attrMap(p.Attrs)["overlap"]; ok {
+			t.Errorf("serial %s span carries an overlap attribute: %v", p.Name, p.Attrs)
+		}
 	}
 	var tail []string
 	for _, p := range trB.Phases() {
-		if p.Name == "search" {
+		switch p.Name {
+		case "baseline", "trace", "search":
 			if attrMap(p.Attrs)["overlap"] != true {
-				t.Errorf("search span not tagged overlap: %v", p.Attrs)
+				t.Errorf("parallel %s span not tagged overlap: %v", p.Name, p.Attrs)
 			}
-			continue
 		}
-		tail = append(tail, p.Name)
+		if p.Name != "search" {
+			tail = append(tail, p.Name)
+		}
 	}
 	// The pure phases after the overlapped segment still end in pipeline
 	// order.

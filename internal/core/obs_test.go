@@ -29,7 +29,7 @@ func synthesizeTraced(t testing.TB, ranks int, tracer *obs.Tracer) *core.Result 
 		t.Fatal(err)
 	}
 	// Parallelism 1 pins the ordered five-phase ladder this test asserts;
-	// the overlapped ladder (with its warmup span) is covered by the
+	// the overlapped ladder (with its search span) is covered by the
 	// metamorphic observability test.
 	res, err := core.Synthesize(fn, core.Options{Ranks: ranks, Seed: 1, Tracer: tracer, Parallelism: 1})
 	if err != nil {

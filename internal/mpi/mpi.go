@@ -1,6 +1,7 @@
 // Package mpi is an in-process simulated MPI runtime: the substrate that
-// replaces real MPI clusters in this reproduction. Ranks run as goroutines
-// and communicate through a message router with true MPI matching semantics
+// replaces real MPI clusters in this reproduction. Ranks run as coroutines
+// on the goroutine that calls World.Run, one at a time, and communicate
+// through a message router with true MPI matching semantics
 // (communicator + source + tag, FIFO per channel, wildcards, eager vs
 // rendezvous protocols, non-blocking requests, collectives). Time is
 // virtual: each rank owns a vtime.Clock advanced by analytic cost models

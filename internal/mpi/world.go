@@ -89,15 +89,10 @@ type World struct {
 	nextCommID int
 	nextFileID int
 
-	// msgSeq counts point-to-point messages per (src, dst) channel so
-	// fault decisions are deterministic in send order; nil when no fault
-	// plan is active.
-	msgSeq *chanCounter
-
 	// msgCount numbers every point-to-point message per (src, dst)
-	// channel in post order, independent of the fault plan's counter:
-	// the observability layer joins send and receive events into message
-	// edges by (src, dst, seq).
+	// channel in post order: the observability layer joins send and
+	// receive events into message edges by (src, dst, seq), and the fault
+	// plan decides drops and delays by the same number.
 	msgCount *chanCounter
 
 	// running counts ranks in rsRunning, so the deadlock detector can
@@ -281,9 +276,6 @@ func NewWorld(cfg Config) *World {
 		runq:       make([]*Rank, cfg.Size),
 		nextCommID: 1,
 		running:    cfg.Size, // every rank starts in rsRunning
-	}
-	if cfg.Faults != nil {
-		w.msgSeq = newChanCounter(cfg.Size)
 	}
 	ranks := make([]int, cfg.Size)
 	for i := range ranks {
@@ -698,18 +690,17 @@ func (w *World) blockedOps() []PendingOp {
 
 // routeFaults applies the fault plan to an outgoing message: it may be
 // dropped (never delivered) or have its wire time stretched. Returns
-// false when the message is dropped. The per-channel sequence number makes
-// decisions deterministic in send order.
+// false when the message is dropped. Deciding by the message's per-channel
+// sequence number keeps decisions deterministic in send order.
 func (w *World) routeFaults(m *message) bool {
 	plan := w.cfg.Faults
 	if plan == nil {
 		return true
 	}
-	n := w.msgSeq.next(m.srcWorld, m.dstWorld)
-	if plan.DropMessage(m.srcWorld, m.dstWorld, m.tag, n) {
+	if plan.DropMessage(m.srcWorld, m.dstWorld, m.tag, m.seq) {
 		return false
 	}
-	m.wire = plan.DelayFor(m.srcWorld, m.dstWorld, m.tag, n, m.wire)
+	m.wire = plan.DelayFor(m.srcWorld, m.dstWorld, m.tag, m.seq, m.wire)
 	return true
 }
 
