@@ -5,6 +5,7 @@ import (
 
 	"siesta/internal/apps"
 	"siesta/internal/check"
+	"siesta/internal/merge"
 )
 
 // verifyAllocsCG64 bounds check.Verify's allocation count per call on the
@@ -19,15 +20,7 @@ func TestVerifyAllocsCG64(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	spec, err := apps.ByName("CG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := spec.Build(apps.Params{Ranks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := traceAndMerge(t, fn, 64)
+	p := cgProgram(t, 64, 0)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := check.Verify(p, check.Options{ExactBytes: true}); err != nil {
 			t.Fatal(err)
@@ -36,6 +29,45 @@ func TestVerifyAllocsCG64(t *testing.T) {
 	t.Logf("check.Verify on CG/64: %.0f allocs per call", allocs)
 	if allocs > verifyAllocsCG64 {
 		t.Errorf("check.Verify allocates %.0f times per call on CG/64, above the ceiling of %d", allocs, verifyAllocsCG64)
+	}
+}
+
+// cgProgram traces and merges CG on the given ranks and iterations.
+func cgProgram(t *testing.T, ranks, iters int) *merge.Program {
+	t.Helper()
+	spec, err := apps.ByName("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, err := spec.Build(apps.Params{Ranks: ranks, Iters: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traceAndMerge(t, fn, ranks)
+}
+
+// TestVerifyAllocsFlatInIters pins that Verify's allocation count does not
+// grow with the iteration count: on CG/16, eight times the iterations may
+// not add an allocation. A collective step that gives up capacity of a
+// communicator's slot window when it closes a slot costs one allocation
+// per step.
+func TestVerifyAllocsFlatInIters(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	verifyAllocs := func(iters int) float64 {
+		p := cgProgram(t, 16, iters)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := check.Verify(p, check.Options{ExactBytes: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const k = 5
+	small, large := verifyAllocs(k), verifyAllocs(8*k)
+	t.Logf("check.Verify on CG/16: %.0f allocs at %d iterations, %.0f at %d", small, k, large, 8*k)
+	if large > small {
+		t.Errorf("check.Verify allocates %.0f times at %d iterations, more than the %.0f at %d", large, 8*k, small, k)
 	}
 }
 
@@ -48,16 +80,8 @@ func TestVerifyBytesFlatInIters(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	spec, err := apps.ByName("CG")
-	if err != nil {
-		t.Fatal(err)
-	}
 	verifyBytes := func(iters int) (int64, int) {
-		fn, err := spec.Build(apps.Params{Ranks: 16, Iters: iters})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := traceAndMerge(t, fn, 16)
+		p := cgProgram(t, 16, iters)
 		var events int
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()

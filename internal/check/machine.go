@@ -979,13 +979,17 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 	return slot
 }
 
-// closeSlot takes a full slot off the communicator's open window.
+// closeSlot takes a full slot off the communicator's open window. The
+// window's closed head is copied down rather than resliced away, so its
+// capacity is kept and arrive appends without reallocating.
 func (c *vcomm) closeSlot(at int) {
 	c.slots[at] = nil
-	for len(c.slots) > 0 && c.slots[0] == nil {
-		c.slots = c.slots[1:]
-		c.slotBase++
+	k := 0
+	for k < len(c.slots) && c.slots[k] == nil {
+		k++
 	}
+	c.slots = c.slots[:copy(c.slots, c.slots[k:])]
+	c.slotBase += k
 }
 
 // resolveSlot computes a full slot's shared results: split/dup groups

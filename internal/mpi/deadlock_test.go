@@ -146,8 +146,8 @@ func TestDeadlockDetection(t *testing.T) {
 			fn: func(r *Rank) {
 				// Rank 1's eager send completes rank 0's request on rank
 				// 1's own call path; rank 1 then finishes immediately. The
-				// detector must see rank 0's predicate as satisfied even
-				// while it is still marked blocked.
+				// match must queue the parked rank 0, or the run queue
+				// drains with it unfinished.
 				c := r.World()
 				if r.Rank() == 0 {
 					req := r.Irecv(c, 1, 0)

@@ -107,7 +107,7 @@ func TestNoPlanMatchesEmptyPlan(t *testing.T) {
 // TestChaosModeNeverHangs is the robustness acceptance test: 100 seeded
 // chaos runs with drops, delays and crashes. Every run must terminate with
 // either success or a structured error — no panics (World.Run absorbs rank
-// panics into errors) and no hangs (the deadlock detector plus the
+// panics into errors) and no hangs (the drained-queue verdict plus the
 // virtual-time deadline bound every schedule; the test binary's own timeout
 // backstops that claim). Each seed is run twice to confirm the outcome is a
 // pure function of the plan.

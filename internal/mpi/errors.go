@@ -144,9 +144,9 @@ func (e *DeadlockError) Error() string {
 }
 
 // StallError reports that World.Run's run queue drained while ranks were
-// unfinished and no deadlock had been declared: some wake site failed to
-// queue a rank whose wait had become ready. It marks a runtime bug, never
-// an application error. Ranks lists the unfinished world ranks in
+// unfinished and one of them was parked on a wait that could already end:
+// some wake site failed to queue it. It marks a runtime bug, never an
+// application error. Ranks lists the unfinished world ranks in
 // ascending order; Run stops their coroutines before returning.
 type StallError struct {
 	Ranks []int

@@ -28,7 +28,8 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 	w := r.world
 	var st Status
 	if src != ProcNull {
-		probe := &postedRecv{
+		probe := w.recvs.get()
+		*probe = postedRecv{
 			commID: c.id, src: src, tag: tag,
 			postTime: r.clock.Now(), owner: r,
 		}
@@ -38,8 +39,8 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 			// The probe observes the message once it could have arrived.
 			r.clock.AdvanceTo(resolveRecv(m, probe.postTime))
 		}
+		w.recvs.put(probe)
 	}
-	r.abortIfFailed()
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	call.Bytes = st.Bytes
 	call.SourceResolved = st.Source
@@ -107,7 +108,6 @@ func (r *Rank) Waitany(qs []Req) (int, Status) {
 			idx = i
 		}
 	}
-	r.abortIfFailed()
 	var st Status
 	if idx >= 0 {
 		req := reqs[idx]

@@ -164,7 +164,6 @@ func (r *Rank) send(c *Comm, dst, tag, bytes int, payload []byte, sync bool) {
 				detail = "synchronous handshake"
 			}
 			w.waitCond(r, waitDesc{kind: waitPeer, detail: detail, req: req})
-			r.abortIfFailed()
 			r.clock.AdvanceTo(vtime.Time(req.time))
 			r.freeRequest(req)
 		}
@@ -312,7 +311,6 @@ func (r *Rank) waitOne(req *request, kind waitKind) Status {
 	}
 	w := r.world
 	w.waitCond(r, waitDesc{kind: kind, req: req})
-	r.abortIfFailed()
 	r.clock.AdvanceTo(vtime.Time(req.time))
 	r.clock.Advance(w.cfg.Impl.CallOverhead())
 	return req.st

@@ -50,9 +50,11 @@ type Rank struct {
 	freeSlots []int32
 	anyReqs   []*request
 
-	// Deadlock-detector state.
+	// state is how the rank's coroutine ended, set once by rankExit;
+	// wait is what the rank waits for while parked. Run's drain verdict
+	// and the deadline report read both.
 	state rankState
-	wait  waitDesc // what the rank waits for while rsBlocked
+	wait  waitDesc
 
 	// accumulated results
 	commTime     vtime.Duration
@@ -226,15 +228,14 @@ func (r *Rank) endCall(call *Call) {
 }
 
 // checkDeadline aborts the run once the rank's virtual clock passes the
-// configured budget, reporting whatever the other ranks were blocked on.
-// It doubles as the cancellation poll for running ranks: it is invoked at
-// every MPI call and computation region, so a context cancellation (or any
-// other failure recorded by fail) unwinds this rank at its next event
-// instead of letting it run to completion.
+// configured budget, reporting whatever the other ranks are parked on.
+// It doubles as the cancellation poll for the running rank: it is invoked
+// at every MPI call and computation region, so a context cancellation
+// unwinds this rank at its next event instead of letting it run to
+// completion.
 func (r *Rank) checkDeadline() {
 	w := r.world
-	w.pollCancel()
-	if w.aborted() {
+	if w.pollCancel(); w.failed != nil {
 		panic(errAborted)
 	}
 	d := w.cfg.Deadline
@@ -285,12 +286,4 @@ func (r *Rank) suspend() {
 func (r *Rank) pollYield() {
 	r.world.queue(r)
 	r.suspend()
-}
-
-// abortIfFailed panics if another rank already tore the world down, so that
-// blocked ranks unwind promptly. The panic is absorbed by World.Run.
-func (r *Rank) abortIfFailed() {
-	if r.world.aborted() {
-		panic(errAborted)
-	}
 }

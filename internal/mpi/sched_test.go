@@ -9,10 +9,10 @@ import (
 )
 
 // TestRunQueueDrainStall completes a parked rank's wait behind the
-// scheduler's back, so no wake site queues it: the deadlock detector takes
-// the ready rank for an unscheduled one, the run queue drains, and Run
-// must report the stall as a *StallError and unwind the parked coroutine
-// rather than return success or leak it.
+// scheduler's back, so no wake site queues it: the run queue drains with a
+// parked rank that could proceed, and Run must report the stall as a
+// *StallError, not a deadlock, and unwind the parked coroutine rather than
+// return success or leak it.
 func TestRunQueueDrainStall(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := newTestWorld(2)

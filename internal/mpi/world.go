@@ -95,22 +95,16 @@ type World struct {
 	// plan decides drops and delays by the same number.
 	msgCount *chanCounter
 
-	// running counts ranks in rsRunning, so the deadlock detector can
-	// return at once while any rank may still act. Written only by
-	// setState.
-	running int
-
 	failed error
 }
 
-// rankState tracks where a rank is for the deadlock detector.
+// rankState records how a rank's coroutine ended, for Run's verdict.
 type rankState int
 
 const (
-	rsRunning  rankState = iota
-	rsBlocked            // inside a blocking MPI call, wait condition unmet
-	rsFinished           // returned from the app function
-	rsCrashed            // removed by a silent fault-injected crash
+	rsRunning  rankState = iota // still inside the app function
+	rsFinished                  // returned from the app function
+	rsCrashed                   // removed by a fault-injected crash
 )
 
 // message is one in-flight point-to-point message.
@@ -147,9 +141,11 @@ type postedRecv struct {
 // functions recycle them there, after the last field read, onto the
 // world's free lists. Callers follow one discipline: once a struct is
 // posted it is never touched again (postMessage returns the assigned seq
-// so senders do not read m.seq afterwards). Structs that never reach a
-// match — mailbox residue at teardown, probe templates — simply fall to
-// the GC; recycling is an optimization, never an obligation.
+// so senders do not read m.seq afterwards). A blocking probe's template
+// is never posted; Probe recycles it after its last read. Structs that
+// never reach a match — mailbox residue and the templates of probers
+// unwound at teardown — simply fall to the GC; recycling is an
+// optimization, never an obligation.
 //
 // The free lists belong to the world and are touched only from rank
 // coroutines, which Run drives one at a time, so a get or put is a slice
@@ -275,7 +271,6 @@ func NewWorld(cfg Config) *World {
 		msgCount:   newChanCounter(cfg.Size),
 		runq:       make([]*Rank, cfg.Size),
 		nextCommID: 1,
-		running:    cfg.Size, // every rank starts in rsRunning
 	}
 	ranks := make([]int, cfg.Size)
 	for i := range ranks {
@@ -337,10 +332,11 @@ func (r *RunResult) TotalCompute() perfmodel.Counters {
 
 // Run executes the SPMD function on every rank and returns the per-rank
 // results. A rank failure — a panic, an MPIError raised by the runtime, a
-// fault-injected crash, or a detected deadlock — aborts the run and is
-// reported as a structured error: panics carrying an error value (the
-// idiom for propagating typed errors out of the SPMD function) are wrapped
-// with %w so errors.As sees through them.
+// fault-injected crash, or a deadlock — aborts the run and is reported as
+// a structured error: panics carrying an error value (the idiom for
+// propagating typed errors out of the SPMD function) are wrapped with %w
+// so errors.As sees through them. Once the run has failed no rank is
+// resumed again; the parked ones are unwound on return.
 //
 // The ranks run as coroutines driven from the calling goroutine, one at a
 // time, so the SPMD function must not block on another rank outside MPI (a
@@ -354,7 +350,8 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 	}
 	// Stopping a finished coroutine is a no-op; stopping a suspended one
 	// unwinds it (its yield returns false), so no rank outlives Run — not
-	// after a stall, and not when a rank's Goexit unwinds the caller.
+	// after a failure or a drained queue, and not when a rank's Goexit
+	// unwinds the caller.
 	defer func() {
 		for _, r := range w.ranks {
 			if r.stop != nil {
@@ -367,11 +364,13 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 		w.queue(r)
 	}
 	for w.runqLen > 0 {
-		w.pollCancel()
+		if w.pollCancel(); w.failed != nil {
+			break
+		}
 		w.dequeue().next()
 	}
 	if w.failed == nil {
-		w.failed = w.stallError()
+		w.failed = w.drainError()
 	}
 	if w.failed == nil {
 		// A silent crash whose survivors all finished still failed the
@@ -406,9 +405,8 @@ func (w *World) Run(app func(r *Rank)) (*RunResult, error) {
 
 // pollCancel fails the run with a *CancelError once its context is done.
 // It never blocks. Run calls it before every resume and Rank.checkDeadline
-// at every call and computation region; fail then queues every parked
-// rank, so the running rank unwinds at its next event and the parked ones
-// when next resumed.
+// at every call and computation region, so the running rank unwinds at
+// its next event and Run resumes no other.
 func (w *World) pollCancel() {
 	if w.done == nil {
 		return
@@ -434,11 +432,10 @@ func (w *World) rankBody(r *Rank, app func(*Rank)) func(func(struct{}) bool) {
 // rank ended and turns a failure into the run's error.
 func (w *World) rankExit(r *Rank) {
 	p := recover()
-	state := rsFinished
+	r.state = rsFinished
 	if _, crashed := p.(*crashPanic); crashed {
-		state = rsCrashed
+		r.state = rsCrashed
 	}
-	w.setState(r, state)
 	switch pv := p.(type) {
 	case nil:
 	case *crashPanic:
@@ -453,26 +450,38 @@ func (w *World) rankExit(r *Rank) {
 	default:
 		w.fail(fmt.Errorf("mpi: rank %d panicked: %v", r.rank, p))
 	}
-	w.checkDeadlock()
 }
 
-// stallError reports the ranks left unfinished once the run queue has
-// drained, or nil when every rank finished or crashed. A stall means a
-// wake-up went missing: no wake site queued a rank whose wait became
-// ready, so the deadlock detector (which takes a ready rank for a merely
-// unscheduled one) could not fire either. Run stops the stalled ranks'
-// coroutines on return. Called after the run queue drained.
-func (w *World) stallError() error {
-	var stalled []int
+// drainError is the verdict on a run whose queue drained before it
+// failed: nil when every rank finished or crashed. The runtime has no
+// event source but its ranks — message delivery and collective completion
+// happen on some rank's call path — so once no rank is runnable, none will
+// ever be again, and every unfinished rank is parked. If no parked rank's
+// wait can end, that is a deadlock, reported with each one's pending
+// operation in rank order. If one of them could proceed, a wake site
+// failed to queue it, and the stall is a runtime bug.
+func (w *World) drainError() error {
+	var unfinished, crashed []int
 	for _, r := range w.ranks {
-		if r.state != rsFinished && r.state != rsCrashed {
-			stalled = append(stalled, r.rank)
+		switch r.state {
+		case rsRunning:
+			unfinished = append(unfinished, r.rank)
+		case rsCrashed:
+			crashed = append(crashed, r.rank)
 		}
 	}
-	if stalled == nil {
+	if unfinished == nil {
 		return nil
 	}
-	return &StallError{Ranks: stalled}
+	blocked := w.blockedOps()
+	if len(blocked) < len(unfinished) {
+		return &StallError{Ranks: unfinished}
+	}
+	reason := "no rank can make progress"
+	if crashed != nil {
+		reason = "no surviving rank can make progress"
+	}
+	return &DeadlockError{Reason: reason, Blocked: blocked, Crashed: crashed}
 }
 
 // queue appends r to the run queue.
@@ -492,43 +501,21 @@ func (w *World) dequeue() *Rank {
 	return r
 }
 
-// wake queues r if it is parked in waitCond and its wait can now
-// end: its predicate holds or the run failed. A wait's predicate, once
-// true, stays true until the rank itself acts, so a rank is resumed only
-// when it can proceed.
+// wake queues r if it is parked in waitCond and its predicate holds. A
+// wait's predicate, once true, stays true until the rank itself acts, so
+// a rank is resumed only when it can proceed.
 func (w *World) wake(r *Rank) {
-	if r.parked && !r.queued && (w.aborted() || w.ready(&r.wait)) {
+	if r.parked && !r.queued && w.ready(&r.wait) {
 		w.queue(r)
 	}
 }
 
-// aborted reports whether the run has failed; blocked ranks poll this after
-// wakeups so a panic on one rank unblocks the others.
-func (w *World) aborted() bool { return w.failed != nil }
-
-// fail records the run's first failure and wakes every blocked rank
-// so the job tears down promptly. Later failures are ignored (first error
-// wins, as with MPI_Abort racing).
+// fail records the run's first failure; later ones are ignored (first
+// error wins, as with MPI_Abort racing). Run resumes no rank after it.
 func (w *World) fail(err error) {
-	if w.failed != nil {
-		return
+	if w.failed == nil {
+		w.failed = err
 	}
-	w.failed = err
-	for _, r := range w.ranks {
-		w.wake(r)
-	}
-}
-
-// setState moves r to state s and keeps w.running in step. It is
-// the only writer of Rank.state.
-func (w *World) setState(r *Rank, s rankState) {
-	if r.state == rsRunning {
-		w.running--
-	}
-	if s == rsRunning {
-		w.running++
-	}
-	r.state = s
 }
 
 // waitKind names what a blocked rank waits for.
@@ -542,9 +529,9 @@ const (
 	waitColl                        // the collective slot completes
 )
 
-// waitDesc is a blocked rank's wait: its enabling predicate (ready)
-// and, once a deadlock is proved, its PendingOp (pending) both derive
-// from it, so blocking builds neither a closure nor a report.
+// waitDesc is a parked rank's wait: its enabling predicate (ready)
+// and, in a deadlock or deadline report, its PendingOp (pending) both
+// derive from it, so blocking builds neither a closure nor a report.
 type waitDesc struct {
 	kind   waitKind
 	detail string      // waitPeer: the PendingOp detail ("" for a receive)
@@ -607,81 +594,31 @@ func (r *Rank) pending() PendingOp {
 	}
 }
 
-// waitCond blocks the rank until its wait wd is ready or the run aborts,
-// maintaining the wait-for bookkeeping the deadlock detector reads: a
-// blocked rank whose wait is already ready is merely not yet scheduled,
-// not stuck. While blocked the rank is parked: it yields to the scheduler,
-// and a wake site queues it once it can proceed.
+// waitCond blocks the rank until its wait wd is ready. Until then the
+// rank is parked: it yields to the scheduler, and a wake site queues it
+// once it can proceed. A parked rank whose wait is already ready is merely
+// not yet scheduled, not stuck. If the run fails meanwhile, the rank is
+// never resumed; Run unwinds it.
 func (w *World) waitCond(r *Rank, wd waitDesc) {
-	if w.ready(&wd) || w.aborted() {
+	if w.ready(&wd) {
 		return
 	}
 	r.wait = wd
-	w.setState(r, rsBlocked)
-	w.checkDeadlock()
-	for !w.ready(&r.wait) && !w.aborted() {
+	for !w.ready(&r.wait) {
 		r.parked = true
 		r.suspend()
 		r.parked = false
 	}
-	w.setState(r, rsRunning)
 	r.wait = waitDesc{}
 }
 
-// checkDeadlock declares a deadlock when no rank can make progress:
-// every rank is blocked (with its enabling predicate false), finished, or
-// crashed, and at least one is blocked. The runtime has no external event
-// sources — message delivery and collective completion happen
-// synchronously on some rank's call path — so this condition is stable:
-// nothing will ever wake a blocked rank again. It runs on every rank
-// state transition, making detection immediate rather than timeout-based.
-//
-// The check costs nothing while the running count is nonzero. Otherwise a
-// first pass evaluates only the enabling predicates and returns at the
-// first blocked rank that is ready; the report, which formats every
-// blocked rank's PendingOp from its wait descriptor, is built in a second
-// pass only once that pass has proved the deadlock.
-func (w *World) checkDeadlock() {
-	if w.failed != nil || w.running > 0 {
-		return
-	}
-	stuck := false
-	for _, r := range w.ranks {
-		if r.state != rsBlocked {
-			continue
-		}
-		if w.ready(&r.wait) {
-			return // enabled transition: the rank just hasn't woken yet
-		}
-		stuck = true
-	}
-	if !stuck {
-		return
-	}
-	var blocked []PendingOp
-	var crashed []int
-	for _, r := range w.ranks {
-		switch r.state {
-		case rsBlocked:
-			blocked = append(blocked, r.pending())
-		case rsCrashed:
-			crashed = append(crashed, r.rank)
-		}
-	}
-	reason := "no rank can make progress"
-	if len(crashed) > 0 {
-		reason = "no surviving rank can make progress"
-	}
-	w.fail(&DeadlockError{Reason: reason, Blocked: blocked, Crashed: crashed})
-}
-
-// blockedOps snapshots the pending operations of currently blocked
-// ranks, for deadline reports. Ranks whose enabling predicate already
+// blockedOps snapshots the pending operations of the parked ranks, for
+// deadlock and deadline reports. Ranks whose enabling predicate already
 // holds are merely unscheduled, not stuck, and are omitted.
 func (w *World) blockedOps() []PendingOp {
 	var ops []PendingOp
 	for _, r := range w.ranks {
-		if r.state == rsBlocked && !w.ready(&r.wait) {
+		if r.parked && !w.ready(&r.wait) {
 			ops = append(ops, r.pending())
 		}
 	}
