@@ -2,7 +2,9 @@ package siesta
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"siesta/internal/experiments"
 	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/netmodel"
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/qp"
@@ -358,6 +361,52 @@ func BenchmarkMPIRuntime(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ranks*iters*2), "calls/op")
+}
+
+// BenchmarkRecorder measures what the PMPI recorder adds to a run, the
+// leg that sets a synthesis job's overlapped front half: LULESH/64 with
+// the synth-apps panel's mpi.Config (platform A, Open MPI, its noise and
+// run variation, the panel's seed for the entry), run untraced and then
+// traced, alternated so that drift and garbage fall on both legs alike.
+// It reports the traced leg's wall time over the untraced one's
+// (traced/baseline) and the difference per recorded event (rec-ns/event),
+// and asserts neither.
+func BenchmarkRecorder(b *testing.B) {
+	const app, ranks = "LULESH", 64
+	spec, err := apps.ByName(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn, err := spec.Build(apps.Params{Ranks: ranks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(app + "/" + strconv.Itoa(ranks)))
+	cfg := mpi.Config{
+		Platform: platform.A, Impl: netmodel.OpenMPI, Size: ranks,
+		NoiseSigma: 0.004, RunVariation: 0.02, Seed: h.Sum64()%1_000_000 + 1,
+	}
+	var base, traced time.Duration
+	events := 0
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if _, err := mpi.NewWorld(cfg).Run(fn); err != nil {
+			b.Fatal(err)
+		}
+		base += time.Since(start)
+		start = time.Now()
+		rec := trace.NewRecorder(ranks, trace.Config{})
+		tcfg := cfg
+		tcfg.Interceptor = rec
+		if _, err := mpi.NewWorld(tcfg).Run(fn); err != nil {
+			b.Fatal(err)
+		}
+		traced += time.Since(start)
+		events += rec.Trace(platform.A.Name, netmodel.OpenMPI.Name).TotalEvents()
+	}
+	b.ReportMetric(float64(traced)/float64(base), "traced/baseline")
+	b.ReportMetric(float64(traced-base)/float64(events), "rec-ns/event")
 }
 
 // BenchmarkEndToEnd measures one full synthesis (trace → grammar → QP →

@@ -7,19 +7,31 @@ import "siesta/internal/netmodel"
 // maximum, and finishCollective prices it with the filesystem model.
 const fileIO netmodel.CollOp = -1
 
-// collective registers rank r's arrival at its next collective on c, the
-// one step every collective shares: blocking, non-blocking,
-// communicator-creating and file I/O. All ranks of c must arrive with the
-// same sequence number; the slot completes when the last one does, and
-// every rank leaves at max(arrival times) + modelled cost. A blocking
-// caller (req nil) waits for that; a non-blocking one returns at once,
-// and the slot completes req. split, when non-nil, is the rank's
-// (color, key) for a communicator-creating call. A rank whose call, root
-// or reduction op differs from the first arrival's (two ranks disagreeing
-// on the collective call sequence) raises an MPIError instead of silently
+// collective registers rank r's arrival at its next collective on c and,
+// for a blocking caller (req nil), waits for its completion; see arrive.
+func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, req *request) {
+	if slot := r.arrive(c, price, bytes, nil, req); slot != nil {
+		r.world.leave(slot)
+	}
+}
+
+// arrive is the one step every collective shares: blocking,
+// non-blocking, communicator-creating and file I/O. All ranks of c must
+// arrive with the same sequence number; the slot completes when the last
+// one does, and every rank leaves at max(arrival times) + modelled cost.
+// A blocking caller (req nil) waits for that and gets the completed slot
+// back, which it must hand to World.leave after its last read; a
+// non-blocking one returns nil at once, and the slot completes req.
+// split, when non-nil, is the rank's (color, key) for a
+// communicator-creating call. A rank whose call, root or reduction op
+// differs from the first arrival's (two ranks disagreeing on the
+// collective call sequence) raises an MPIError instead of silently
 // merging the calls.
-func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, split *[2]int, req *request) *collSlot {
+func (r *Rank) arrive(c *Comm, price netmodel.CollOp, bytes int, split *[2]int, req *request) *collSlot {
 	w := r.world
+	for len(r.seqs) <= c.id {
+		r.seqs = append(r.seqs, 0)
+	}
 	seq := r.seqs[c.id]
 	r.seqs[c.id] = seq + 1
 
@@ -47,35 +59,38 @@ func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, split *[2]i
 	}
 	if req != nil {
 		slot.waiters = append(slot.waiters, req)
+	} else {
+		slot.readers++
 	}
 	if slot.arrived == slot.expected {
 		w.finishCollective(c, seq, slot)
 	}
-	if req == nil {
-		w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
-		r.clock.AdvanceTo(slot.outTime)
+	if req != nil {
+		return nil
 	}
+	w.waitCond(r, waitDesc{kind: waitColl, slot: slot, comm: c.id, seq: seq})
+	r.clock.AdvanceTo(slot.outTime)
 	return slot
 }
 
 // Barrier blocks until all ranks of c have entered it.
 func (r *Rank) Barrier(c *Comm) {
 	call := r.beginCall(&Call{Func: "MPI_Barrier", Comm: c})
-	r.collective(c, netmodel.Barrier, 0, nil, nil)
+	r.collective(c, netmodel.Barrier, 0, nil)
 	r.endCall(call)
 }
 
 // Bcast broadcasts bytes from root to all ranks of c.
 func (r *Rank) Bcast(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Bcast", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Bcast, bytes, nil, nil)
+	r.collective(c, netmodel.Bcast, bytes, nil)
 	r.endCall(call)
 }
 
 // Reduce reduces bytes from all ranks of c onto root with the given op.
 func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Reduce", Comm: c, Root: root, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Reduce, bytes, nil, nil)
+	r.collective(c, netmodel.Reduce, bytes, nil)
 	r.endCall(call)
 }
 
@@ -83,35 +98,35 @@ func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
 // everywhere.
 func (r *Rank) Allreduce(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Allreduce", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Allreduce, bytes, nil, nil)
+	r.collective(c, netmodel.Allreduce, bytes, nil)
 	r.endCall(call)
 }
 
 // Gather gathers bytes per rank onto root.
 func (r *Rank) Gather(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Gather", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Gather, bytes, nil, nil)
+	r.collective(c, netmodel.Gather, bytes, nil)
 	r.endCall(call)
 }
 
 // Scatter scatters bytes per rank from root.
 func (r *Rank) Scatter(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Scatter", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Scatter, bytes, nil, nil)
+	r.collective(c, netmodel.Scatter, bytes, nil)
 	r.endCall(call)
 }
 
 // Allgather gathers bytes per rank to all ranks.
 func (r *Rank) Allgather(c *Comm, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Allgather", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Allgather, bytes, nil, nil)
+	r.collective(c, netmodel.Allgather, bytes, nil)
 	r.endCall(call)
 }
 
 // Alltoall exchanges bytes with every rank of c.
 func (r *Rank) Alltoall(c *Comm, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Alltoall", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Alltoall, bytes*c.Size(), nil, nil)
+	r.collective(c, netmodel.Alltoall, bytes*c.Size(), nil)
 	r.endCall(call)
 }
 
@@ -130,7 +145,7 @@ func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 		total += n
 	}
 	call := r.beginCall(&Call{Func: "MPI_Alltoallv", Comm: c, Bytes: total, Counts: append([]int(nil), counts...)})
-	r.collective(c, netmodel.Alltoall, total, nil, nil)
+	r.collective(c, netmodel.Alltoall, total, nil)
 	r.endCall(call)
 	return nil
 }
@@ -139,14 +154,14 @@ func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 // contribution.
 func (r *Rank) Allgatherv(c *Comm, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Allgatherv", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Allgather, bytes, nil, nil)
+	r.collective(c, netmodel.Allgather, bytes, nil)
 	r.endCall(call)
 }
 
 // Gatherv gathers a variable per-rank byte count onto root.
 func (r *Rank) Gatherv(c *Comm, root, bytes int) {
 	call := r.beginCall(&Call{Func: "MPI_Gatherv", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Gather, bytes, nil, nil)
+	r.collective(c, netmodel.Gather, bytes, nil)
 	r.endCall(call)
 }
 
@@ -155,8 +170,9 @@ func (r *Rank) Gatherv(c *Comm, root, bytes int) {
 // (MPI_UNDEFINED). New communicator ids are assigned deterministically.
 func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 	call := r.beginCall(&Call{Func: "MPI_Comm_split", Comm: c, Color: color, Key: key})
-	slot := r.collective(c, netmodel.Barrier, 0, &[2]int{color, key}, nil)
+	slot := r.arrive(c, netmodel.Barrier, 0, &[2]int{color, key}, nil)
 	nc := slot.newComms[r.rank]
+	r.world.leave(slot)
 	call.NewComm = nc
 	r.endCall(call)
 	return nc
@@ -165,8 +181,9 @@ func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 // CommDup duplicates c with a fresh id.
 func (r *Rank) CommDup(c *Comm) *Comm {
 	call := r.beginCall(&Call{Func: "MPI_Comm_dup", Comm: c})
-	slot := r.collective(c, netmodel.Barrier, 0, &[2]int{0, c.RankOf(r.rank)}, nil)
+	slot := r.arrive(c, netmodel.Barrier, 0, &[2]int{0, c.RankOf(r.rank)}, nil)
 	nc := slot.newComms[r.rank]
+	r.world.leave(slot)
 	call.NewComm = nc
 	r.endCall(call)
 	return nc

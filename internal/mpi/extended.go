@@ -165,14 +165,14 @@ func (r *Rank) Testall(qs []Req) bool {
 // Scan performs an inclusive prefix reduction over the communicator.
 func (r *Rank) Scan(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Scan, bytes, nil, nil)
+	r.collective(c, netmodel.Scan, bytes, nil)
 	r.endCall(call)
 }
 
 // Exscan performs an exclusive prefix reduction over the communicator.
 func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Scan, bytes, nil, nil)
+	r.collective(c, netmodel.Scan, bytes, nil)
 	r.endCall(call)
 }
 
@@ -180,7 +180,7 @@ func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
 // block size.
 func (r *Rank) ReduceScatter(c *Comm, bytes int, op ReduceOp) {
 	call := r.beginCall(&Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.ReduceScatter, bytes, nil, nil)
+	r.collective(c, netmodel.ReduceScatter, bytes, nil)
 	r.endCall(call)
 }
 

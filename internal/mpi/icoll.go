@@ -12,7 +12,7 @@ import "siesta/internal/netmodel"
 func (r *Rank) icollective(c *Comm, price netmodel.CollOp, bytes int) *request {
 	req := r.newRequest(reqRecv)
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
-	r.collective(c, price, bytes, nil, req)
+	r.collective(c, price, bytes, req)
 	return req
 }
 

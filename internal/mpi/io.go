@@ -40,7 +40,7 @@ func (f *File) Name() string { return f.name }
 // FileOpen opens a file collectively on the communicator.
 func (r *Rank) FileOpen(c *Comm, name string) *File {
 	call := r.beginCall(&Call{Func: "MPI_File_open", Comm: c, FileName: name})
-	slot := r.collective(c, netmodel.Barrier, 0, nil, nil)
+	slot := r.arrive(c, netmodel.Barrier, 0, nil, nil)
 	// The first rank past the barrier allocates the group's handle; file
 	// ids are dense in open order, so the trace layer's pool renaming
 	// reproduces them.
@@ -50,6 +50,7 @@ func (r *Rank) FileOpen(c *Comm, name string) *File {
 		w.nextFileID++
 	}
 	f := slot.sharedFile
+	w.leave(slot)
 	r.clock.Advance(vtime.Duration(fsLatencySec)) // open round trip
 	call.File = f
 	r.endCall(call)
@@ -70,7 +71,7 @@ func (r *Rank) checkOpen(fn string, f *File) {
 // FileClose closes the file collectively.
 func (r *Rank) FileClose(f *File) {
 	call := r.beginCall(&Call{Func: "MPI_File_close", Comm: f.comm, File: f})
-	r.collective(f.comm, netmodel.Barrier, 0, nil, nil)
+	r.collective(f.comm, netmodel.Barrier, 0, nil)
 	r.clock.Advance(vtime.Duration(fsLatencySec / 2))
 	// Every rank of the collective marks the shared handle closed.
 	f.closed = true
@@ -116,6 +117,6 @@ func (r *Rank) FileReadAtAll(f *File, offset, bytes int) {
 func (r *Rank) fileCollective(fn string, f *File, offset, bytes int) {
 	r.checkOpen(fn, f)
 	call := r.beginCall(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
-	r.collective(f.comm, fileIO, bytes, nil, nil)
+	r.collective(f.comm, fileIO, bytes, nil)
 	r.endCall(call)
 }

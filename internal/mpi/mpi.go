@@ -34,7 +34,11 @@ type Status struct {
 type Comm struct {
 	id    int
 	ranks []int // comm rank -> world rank
-	index map[int]int
+	// index is the inverse of ranks: world rank -> comm rank, -1 for a
+	// non-member. A slice over the whole world (8 B × world size per
+	// communicator) makes RankOf, run once per recorded event, message
+	// and replayed call, an index instead of a map probe.
+	index []int
 	inter bool // true if any pair of members crosses node boundaries
 }
 
@@ -49,12 +53,13 @@ func (c *Comm) Size() int { return len(c.ranks) }
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
 
-// RankOf translates a world rank to a communicator rank, or -1.
+// RankOf translates a world rank to a communicator rank, or -1 for a
+// rank outside the communicator or the world. It is one slice index.
 func (c *Comm) RankOf(world int) int {
-	if r, ok := c.index[world]; ok {
-		return r
+	if world < 0 || world >= len(c.index) {
+		return -1
 	}
-	return -1
+	return c.index[world]
 }
 
 // Request kinds.

@@ -31,7 +31,7 @@ type Rank struct {
 	straggle float64 // fault-injected computation slowdown (1 = nominal)
 
 	nextReqID int
-	seqs      map[int]int // per-communicator collective sequence numbers
+	seqs      []int // collective sequence numbers by communicator id
 
 	// call is the rank's reused Call: every MPI method fills it in place
 	// of allocating one, which is sound because no Interceptor keeps the

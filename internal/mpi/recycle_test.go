@@ -20,9 +20,9 @@ var poisonReq = &request{id: poison, kind: poison, owner: poison, time: math.NaN
 	st: Status{Source: poison, Tag: poison, Bytes: poison}, op: "poisoned",
 	peer: poison, tag: poison, commID: poison, matchedSrc: poison, matchedSeq: poison}
 
-// poisonReleased fills every message, posted receive and request the
-// runtime recycles with poison and counts them by kind. The caller must
-// restore before another test runs a world.
+// poisonReleased fills every message, posted receive, request and
+// collective slot the runtime recycles with poison and counts them by
+// kind. The caller must restore before another test runs a world.
 func poisonReleased(released map[string]int) (restore func()) {
 	var mu sync.Mutex
 	count := func(kind string) {
@@ -45,6 +45,15 @@ func poisonReleased(released map[string]int) (restore func()) {
 			count("request")
 			count("request " + x.op)
 			*x = *poisonReq
+		case *collSlot:
+			// A completed slot at +Inf: a stale reader's clock jumps
+			// there, and a stale arrival's time is swallowed by maxIn.
+			*x = collSlot{expected: poison, arrived: poison, maxIn: vtime.Time(math.Inf(1)),
+				bytes: poison, price: poison, fn: "poisoned", root: poison, op: "poisoned",
+				outTime: vtime.Time(math.Inf(1)), completed: true, readers: poison,
+				splitArgs: map[int][2]int{}, newComms: map[int]*Comm{},
+				sharedFile: &File{id: poison, name: "poisoned"}, waiters: []*request{poisonReq}}
+			count("collSlot")
 		}
 	}
 	return func() { releaseHook = nil }
@@ -67,13 +76,16 @@ func (cl *callLog) AfterCall(r *Rank, call *Call) {
 // Sendrecv, blocking rendezvous Send/Recv, wildcard receives, Ssend with
 // Probe, Waitany over pending receives followed by a Waitall that re-waits
 // its stale handle, Test and Testall polling, persistent requests,
-// blocking and non-blocking collectives and a split communicator.
+// blocking and non-blocking collectives, split and duplicated
+// communicators and collective file I/O.
 func recycleApp(r *Rank) {
 	c := r.World()
 	n, me := r.Size(), r.Rank()
 	right, left := (me+1)%n, (me+n-1)%n
 	const big = 1 << 20 // rendezvous on every implementation model
 	half := r.CommSplit(c, me%2, me)
+	dup := r.CommDup(half)
+	f := r.FileOpen(c, "recycle.dat")
 	psend, precv := r.SendInit(c, right, 30, 2048), r.RecvInit(c, left, 30)
 	for it := 0; it < 4; it++ {
 		r.Compute(perfmodel.Kernel{IntOps: 1e5 * int64(1+me), Loads: 4e4})
@@ -109,12 +121,15 @@ func recycleApp(r *Rank) {
 		r.Wait(r.Iallreduce(c, 8, OpSum))
 		r.Allreduce(c, 8, OpSum)
 		r.Allreduce(half, 64, OpMax)
+		r.Bcast(dup, 0, 32)
+		r.FileWriteAtAll(f, (it*n+me)*64, 64)
 		ib := r.Ibarrier(c)
 		r.Compute(perfmodel.Kernel{FPOps: 5e4})
 		r.Wait(ib)
 	}
 	r.RequestFree(psend)
 	r.RequestFree(precv)
+	r.FileClose(f)
 }
 
 func runRecycleApp(t *testing.T, seed uint64) (*RunResult, [][]Call) {
@@ -159,7 +174,7 @@ func TestRuntimeRecyclePoison(t *testing.T) {
 	}
 	t.Run("reports", TestDeadlockAndFaultReportsPinned)
 	t.Run("deadlocks", TestDeadlockDetection)
-	for _, kind := range []string{"message", "postedRecv", "request",
+	for _, kind := range []string{"message", "postedRecv", "request", "collSlot",
 		"request MPI_Sendrecv", "request MPI_Isend", "request MPI_Irecv",
 		"request MPI_Iallreduce", "request MPI_Ibarrier",
 		"request MPI_Send_init", "request MPI_Recv_init"} {

@@ -81,9 +81,11 @@ type World struct {
 	posted  [][]*postedRecv // posted receives per destination world rank
 	colls   map[collKey]*collSlot
 
-	// Free lists of matched messages and posted receives; see freeList.
+	// Free lists of matched messages, posted receives and retired
+	// collective slots; see freeList and World.leave.
 	msgs  freeList[message]
 	recvs freeList[postedRecv]
+	slots freeList[collSlot]
 
 	world      *Comm
 	nextCommID int
@@ -173,9 +175,9 @@ func (fl *freeList[T]) put(x *T) {
 	*fl = append(*fl, x)
 }
 
-// releaseHook, when set, sees every message, posted receive and request
-// as it is recycled. Only tests set it (to poison released objects), and
-// never while a world runs.
+// releaseHook, when set, sees every message, posted receive, request and
+// collective slot as it is recycled. Only tests set it (to poison
+// released objects), and never while a world runs.
 var releaseHook func(any)
 
 // flatChanCutoff is the world size up to which per-channel message
@@ -233,6 +235,7 @@ type collSlot struct {
 	op        ReduceOp
 	outTime   vtime.Time
 	completed bool // set once the last member arrives
+	readers   int  // blocking members that have not yet left; see World.leave
 	// split bookkeeping
 	splitArgs map[int][2]int // world rank -> (color, key)
 	newComms  map[int]*Comm  // world rank -> resulting comm
@@ -285,14 +288,16 @@ func NewWorld(cfg Config) *World {
 			noise:    perfmodel.NewNoise(cfg.NoiseSigma, cfg.Seed^uint64(i)*0x9e3779b97f4a7c15+uint64(i)),
 			jitter:   perfmodel.JitterFactor(cfg.RunVariation, cfg.Seed+0x7e57*uint64(i+1)),
 			straggle: cfg.Faults.SlowdownFor(i),
-			seqs:     map[int]int{},
 		}
 	}
 	return w
 }
 
 func (w *World) newComm(id int, worldRanks []int) *Comm {
-	c := &Comm{id: id, ranks: worldRanks, index: make(map[int]int, len(worldRanks))}
+	c := &Comm{id: id, ranks: worldRanks, index: make([]int, w.cfg.Size)}
+	for i := range c.index {
+		c.index[i] = -1
+	}
 	for i, wr := range worldRanks {
 		c.index[wr] = i
 	}
@@ -648,7 +653,8 @@ func (w *World) collectiveSlot(c *Comm, seq int, price netmodel.CollOp, call *Ca
 	key := collKey{commID: c.id, seq: seq}
 	slot, ok := w.colls[key]
 	if !ok {
-		slot = &collSlot{
+		slot = w.slots.get()
+		*slot = collSlot{
 			expected: len(c.ranks),
 			price:    price,
 			fn:       call.Func,
@@ -658,6 +664,19 @@ func (w *World) collectiveSlot(c *Comm, seq int, price netmodel.CollOp, call *Ca
 		w.colls[key] = slot
 	}
 	return slot
+}
+
+// leave is a blocking member's last touch of its completed collective
+// slot: after the last reader leaves, the slot is recycled. A blocked
+// member reads the slot (outTime, its new communicator, the shared file)
+// when it resumes, after finishCollective has run, so completion is not
+// the end of the slot's life; a slot whose members all arrived
+// non-blocking is recycled at completion instead. A slot that never
+// completes, or whose readers are unwound at teardown, falls to the GC.
+func (w *World) leave(slot *collSlot) {
+	if slot.readers--; slot.readers == 0 {
+		w.slots.put(slot)
+	}
 }
 
 // finishCollective completes a slot once all ranks have arrived, retires
@@ -682,6 +701,9 @@ func (w *World) finishCollective(c *Comm, seq int, slot *collSlot) {
 	slot.completed = true
 	for _, wr := range c.ranks {
 		w.wake(w.ranks[wr])
+	}
+	if slot.readers == 0 {
+		w.slots.put(slot)
 	}
 }
 
