@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -160,23 +161,23 @@ func diffTraces(a, b *trace.Trace) {
 
 // describe renders one record compactly.
 func describe(r *trace.Record) string {
-	switch {
-	case r.IsCompute():
+	switch r.Func {
+	case mpicall.Compute:
 		return fmt.Sprintf("MPI_Compute(cluster=%d)", r.ComputeCluster)
-	case r.Func == "MPI_Send" || r.Func == "MPI_Isend":
+	case mpicall.Send, mpicall.Isend:
 		return fmt.Sprintf("%s(dest=me+%d, tag=%d, bytes=%d, comm=%d)", r.Func, r.DestRel, r.Tag, r.Bytes, r.CommPool)
-	case r.Func == "MPI_Recv" || r.Func == "MPI_Irecv":
+	case mpicall.Recv, mpicall.Irecv:
 		src := fmt.Sprintf("me+%d", r.SrcRel)
 		if r.SrcRel == trace.Wildcard {
 			src = "ANY"
 		}
 		return fmt.Sprintf("%s(src=%s, tag=%d, comm=%d)", r.Func, src, r.Tag, r.CommPool)
-	case r.Func == "MPI_Sendrecv":
+	case mpicall.Sendrecv:
 		return fmt.Sprintf("MPI_Sendrecv(dest=me+%d, tag=%d, bytes=%d, src=me+%d, rtag=%d, comm=%d)",
 			r.DestRel, r.Tag, r.Bytes, r.SrcRel, r.RecvTag, r.CommPool)
-	case r.Func == "MPI_Wait":
+	case mpicall.Wait:
 		return fmt.Sprintf("MPI_Wait(req=%d)", r.ReqPool)
-	case r.Func == "MPI_Waitall":
+	case mpicall.Waitall:
 		return fmt.Sprintf("MPI_Waitall(reqs=%v)", r.ReqPools)
 	default:
 		if r.Root != trace.NoRank {

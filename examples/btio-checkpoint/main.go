@@ -17,6 +17,7 @@ import (
 
 	"siesta/internal/apps"
 	"siesta/internal/core"
+	"siesta/internal/mpicall"
 )
 
 func main() {
@@ -37,8 +38,8 @@ func main() {
 
 	h := res.Trace.FuncHistogram()
 	fmt.Println("traced I/O events:")
-	for _, f := range []string{"MPI_File_open", "MPI_File_write_at_all", "MPI_File_read_at_all", "MPI_File_close"} {
-		fmt.Printf("  %-24s %6d\n", f, h[f])
+	for _, f := range []mpicall.Func{mpicall.FileOpen, mpicall.FileWriteAtAll, mpicall.FileReadAtAll, mpicall.FileClose} {
+		fmt.Printf("  %-24s %6d\n", f, h[f.String()])
 	}
 
 	prox, err := res.RunProxy(nil, nil)

@@ -8,49 +8,22 @@
 // genuinely order-independent (or that sort what they collected before it
 // escapes) carry a "//maporder:ok" comment on the range line.
 //
-// Like ranklock, the implementation mirrors golang.org/x/tools/go/analysis
-// but depends only on the standard library, so it builds hermetically;
-// cmd/lint is the standalone driver CI runs. Without go/types the map
-// detection is syntactic: an expression is treated as a map when its
-// declaration is visible in the package — a local `make(map[...])` or map
-// literal, a `var`/parameter/receiver-field of map type, a package-level
-// map var, or a call to a package function returning a map.
+// Without go/types (see package analysis) the map detection is syntactic:
+// an expression is treated as a map when its declaration is visible in the
+// package — a local `make(map[...])` or map literal, a
+// `var`/parameter/receiver-field of map type, a package-level map var, or a
+// call to a package function returning a map.
 package maporder
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
-	"strings"
+
+	"siesta/internal/analysis"
 )
 
-// Finding is one reported violation.
-type Finding struct {
-	Pos     token.Position
-	Rule    string // always "map-iteration-order"
-	Message string
-}
-
-func (f Finding) String() string {
-	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Rule, f.Message)
-}
-
-// Pass bundles one package's parsed files, in the shape of analysis.Pass.
-type Pass struct {
-	Fset    *token.FileSet
-	Files   []*ast.File
-	PkgName string
-}
-
-// Analyzer describes the checker, in the shape of analysis.Analyzer.
-type Analyzer = struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) []Finding
-}
-
 // MapOrder is the exported analyzer instance.
-var MapOrder = &Analyzer{
+var MapOrder = &analysis.Analyzer{
 	Name: "maporder",
 	Doc:  "flag map iteration whose body emits ordered output in deterministic packages",
 	Run:  run,
@@ -72,11 +45,11 @@ type index struct {
 	pkgNames map[string]bool // package-level vars of map type
 }
 
-func run(pass *Pass) []Finding {
+func run(pass *analysis.Pass) []analysis.Finding {
 	idx := buildIndex(pass.Files)
-	var out []Finding
+	var out []analysis.Finding
 	for _, file := range pass.Files {
-		okLines := annotatedLines(pass.Fset, file)
+		okLines := analysis.AnnotatedLines(pass.Fset, file, "maporder:ok")
 		ast.Inspect(file, func(n ast.Node) bool {
 			fd, ok := n.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -87,19 +60,6 @@ func run(pass *Pass) []Finding {
 		})
 	}
 	return out
-}
-
-// annotatedLines collects the lines carrying a "//maporder:ok" marker.
-func annotatedLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "maporder:ok") {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
 }
 
 // buildIndex records every name the package declares with a map type:
@@ -285,9 +245,9 @@ func emitsOrdered(body *ast.BlockStmt) string {
 	return desc
 }
 
-func checkFunc(pass *Pass, fd *ast.FuncDecl, idx *index, okLines map[int]bool) []Finding {
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, idx *index, okLines map[int]bool) []analysis.Finding {
 	local := localMaps(fd, idx)
-	var out []Finding
+	var out []analysis.Finding
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -301,7 +261,7 @@ func checkFunc(pass *Pass, fd *ast.FuncDecl, idx *index, okLines map[int]bool) [
 			return true
 		}
 		if call := emitsOrdered(rng.Body); call != "" {
-			out = append(out, Finding{
+			out = append(out, analysis.Finding{
 				Pos:  pos,
 				Rule: "map-iteration-order",
 				Message: fmt.Sprintf("map iteration order reaches ordered output (%s inside the loop) "+

@@ -7,19 +7,21 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"siesta/internal/analysis"
 )
 
-func analyzeSrc(t *testing.T, pkgName, src string) []Finding {
+func analyzeSrc(t *testing.T, pkgName, src string) []analysis.Finding {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "test.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return MapOrder.Run(&Pass{Fset: fset, Files: []*ast.File{f}, PkgName: pkgName})
+	return MapOrder.Run(&analysis.Pass{Fset: fset, Files: []*ast.File{f}, PkgName: pkgName})
 }
 
-func wantFindings(t *testing.T, findings []Finding, n int) {
+func wantFindings(t *testing.T, findings []analysis.Finding, n int) {
 	t.Helper()
 	if len(findings) != n {
 		t.Fatalf("got %d findings, want %d: %v", len(findings), n, findings)
@@ -148,7 +150,7 @@ func TestDeterministicPackagesAreClean(t *testing.T) {
 			for _, f := range pkg.Files {
 				files = append(files, f)
 			}
-			for _, f := range MapOrder.Run(&Pass{Fset: fset, Files: files, PkgName: name}) {
+			for _, f := range MapOrder.Run(&analysis.Pass{Fset: fset, Files: files, PkgName: name}) {
 				t.Errorf("%s", f)
 			}
 		}

@@ -13,10 +13,7 @@
 //     harness. Intentional exceptions carry a "//ranklock:ok" comment on
 //     the same line.
 //
-// The implementation deliberately mirrors golang.org/x/tools/go/analysis
-// (an Analyzer value with a Run function over a Pass) but depends only on
-// the standard library, so it builds in hermetic environments; cmd/lint
-// is the standalone driver CI runs in place of `go vet -vettool`.
+// Findings carry the rule "locked-call" or "untyped-panic".
 package ranklock
 
 import (
@@ -25,35 +22,12 @@ import (
 	"go/token"
 	"regexp"
 	"strings"
+
+	"siesta/internal/analysis"
 )
 
-// Finding is one reported violation.
-type Finding struct {
-	Pos     token.Position
-	Rule    string // "locked-call" or "untyped-panic"
-	Message string
-}
-
-func (f Finding) String() string {
-	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Rule, f.Message)
-}
-
-// Pass bundles one package's parsed files, in the shape of analysis.Pass.
-type Pass struct {
-	Fset    *token.FileSet
-	Files   []*ast.File
-	PkgName string
-}
-
-// Analyzer describes the checker, in the shape of analysis.Analyzer.
-type Analyzer = struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) []Finding
-}
-
 // RankLock is the exported analyzer instance.
-var RankLock = &Analyzer{
+var RankLock = &analysis.Analyzer{
 	Name: "ranklock",
 	Doc:  "check mutex discipline for *Locked calls and typed panics in the runtime",
 	Run:  run,
@@ -72,10 +46,10 @@ var panicPackages = map[string]bool{"mpi": true, "proxy": true}
 // e.g. "Caller holds w.mu." or "callers hold the world mu".
 var holdsLockDoc = regexp.MustCompile(`(?i)caller[s]? (must )?hold[s]? .*mu`)
 
-func run(pass *Pass) []Finding {
-	var out []Finding
+func run(pass *analysis.Pass) []analysis.Finding {
+	var out []analysis.Finding
 	for _, file := range pass.Files {
-		okLines := annotatedLines(pass.Fset, file)
+		okLines := analysis.AnnotatedLines(pass.Fset, file, "ranklock:ok")
 		ast.Inspect(file, func(n ast.Node) bool {
 			fd, ok := n.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -88,21 +62,8 @@ func run(pass *Pass) []Finding {
 	return out
 }
 
-// annotatedLines collects the lines carrying a "//ranklock:ok" marker.
-func annotatedLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "ranklock:ok") {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
-}
-
-func checkFunc(pass *Pass, fd *ast.FuncDecl, okLines map[int]bool) []Finding {
-	var out []Finding
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, okLines map[int]bool) []analysis.Finding {
+	var out []analysis.Finding
 	holdsLock := strings.HasSuffix(fd.Name.Name, "Locked") ||
 		(fd.Doc != nil && holdsLockDoc.MatchString(fd.Doc.Text())) ||
 		acquiresMutex(fd.Body)
@@ -116,7 +77,7 @@ func checkFunc(pass *Pass, fd *ast.FuncDecl, okLines map[int]bool) []Finding {
 			return true
 		}
 		if name := calleeName(call); strings.HasSuffix(name, "Locked") && !holdsLock {
-			out = append(out, Finding{
+			out = append(out, analysis.Finding{
 				Pos:  pos,
 				Rule: "locked-call",
 				Message: fmt.Sprintf("%s requires a mutex held, but %s neither holds it "+
@@ -126,7 +87,7 @@ func checkFunc(pass *Pass, fd *ast.FuncDecl, okLines map[int]bool) []Finding {
 		}
 		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" &&
 			panicPackages[pass.PkgName] && len(call.Args) == 1 && !typedPanicArg(call.Args[0]) {
-			out = append(out, Finding{
+			out = append(out, analysis.Finding{
 				Pos:  pos,
 				Rule: "untyped-panic",
 				Message: fmt.Sprintf("panic in package %s must carry a typed value "+

@@ -8,19 +8,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"siesta/internal/analysis"
 )
 
-func analyzeSrc(t *testing.T, pkgName, src string) []Finding {
+func analyzeSrc(t *testing.T, pkgName, src string) []analysis.Finding {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "test.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return RankLock.Run(&Pass{Fset: fset, Files: []*ast.File{f}, PkgName: pkgName})
+	return RankLock.Run(&analysis.Pass{Fset: fset, Files: []*ast.File{f}, PkgName: pkgName})
 }
 
-func wantRules(t *testing.T, findings []Finding, rules ...string) {
+func wantRules(t *testing.T, findings []analysis.Finding, rules ...string) {
 	t.Helper()
 	if len(findings) != len(rules) {
 		t.Fatalf("got %d findings, want %d: %v", len(findings), len(rules), findings)
@@ -127,7 +129,7 @@ func TestRepoIsClean(t *testing.T) {
 			for _, f := range pkg.Files {
 				files = append(files, f)
 			}
-			for _, f := range RankLock.Run(&Pass{Fset: fset, Files: files, PkgName: name}) {
+			for _, f := range RankLock.Run(&analysis.Pass{Fset: fset, Files: files, PkgName: name}) {
 				t.Errorf("%s", f)
 			}
 		}

@@ -27,6 +27,7 @@ import (
 	"math/bits"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/proxy"
 	"siesta/internal/trace"
 	"siesta/internal/vtime"
@@ -181,8 +182,7 @@ func Generate(tr *trace.Trace, opts Options) (*Proxy, error) {
 	// Reject communicator management up front (ScalaTrace limitation).
 	for _, rt := range tr.Ranks {
 		for _, r := range rt.Table {
-			switch r.Func {
-			case "MPI_Comm_split", "MPI_Comm_dup", "MPI_Comm_free":
+			if r.Func.Desc().Kind == mpicall.KindComm {
 				return nil, fmt.Errorf("scalabench: cannot compress communicator operation %s", r.Func)
 			}
 		}
@@ -190,7 +190,7 @@ func Generate(tr *trace.Trace, opts Options) (*Proxy, error) {
 
 	// Pass 1: build the per-function volume histograms and the compute
 	// interval histogram over the whole job.
-	volumes := map[string]*histogram{}
+	volumes := map[mpicall.Func]*histogram{}
 	sleeps := newHistogram()
 	for _, rt := range tr.Ranks {
 		if len(rt.Durs) != len(rt.Events) {

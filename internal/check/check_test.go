@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -17,8 +18,12 @@ import (
 
 // rec builds a Record with the tracing layer's default sentinel fields.
 func rec(fn string, mut func(*trace.Record)) *trace.Record {
+	f, ok := mpicall.Parse(fn)
+	if !ok {
+		panic("rec: unknown call " + fn)
+	}
 	r := &trace.Record{
-		Func:        fn,
+		Func:        f,
 		DestRel:     trace.NoRank,
 		SrcRel:      trace.NoRank,
 		Tag:         trace.NoRank,

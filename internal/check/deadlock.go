@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -65,20 +66,20 @@ func (m *machine) blockInfo(r *lrank) (string, []int) {
 			slotEdges(slot)
 	}
 	switch rec.Func {
-	case "MPI_Probe":
+	case mpicall.Probe:
 		if c := r.comms.get(rec.CommPool); c != nil {
 			if src, ok := m.peerOf(c, r.rank, rec.SrcRel); ok {
 				return fmt.Sprintf("MPI_Probe from %s tag %s", peerName(src), tagName(rec.Tag)),
 					recvEdges(&vrecv{owner: r.rank, comm: c, src: src})
 			}
 		}
-		return "MPI_Probe", nil
-	case "MPI_Wait", "MPI_Waitany":
+		return mpicall.Probe.String(), nil
+	case mpicall.Wait, mpicall.Waitany:
 		if req := r.reqs.get(rec.ReqPool); req != nil {
 			desc, to := reqBlock(req)
 			return fmt.Sprintf("%s on %s", rec.Func, desc), to
 		}
-	case "MPI_Waitall":
+	case mpicall.Waitall:
 		var to []int
 		var pending []string
 		for _, q := range rec.ReqPools {
@@ -90,14 +91,14 @@ func (m *machine) blockInfo(r *lrank) (string, []int) {
 		}
 		return fmt.Sprintf("MPI_Waitall on %s", strings.Join(pending, ", ")), to
 	}
-	return rec.Func, nil
+	return rec.Func.String(), nil
 }
 
 // reqBlock describes an undone request and its match-order edges.
 func reqBlock(req *vreq) (string, []int) {
 	fn := "request"
 	if req.rec != nil {
-		fn = req.rec.Func
+		fn = req.rec.Func.String()
 	}
 	switch req.kind {
 	case rkRecv:

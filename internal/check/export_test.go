@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -48,7 +49,10 @@ var HandBuiltCorpus = []struct {
 // changes a report.
 const poison = -0x5eedbad
 
-var poisonRecord = &trace.Record{Func: "poisoned", Bytes: poison, Tag: poison}
+var poisonRecord = &trace.Record{Func: poisonFunc, Bytes: poison, Tag: poison}
+
+// poisonFunc is a call outside the table.
+const poisonFunc = mpicall.Func(0xff)
 
 // PoisonReleased fills every object the machine releases with poison and
 // tells released its kind ("vmsg", "vrecv", "vreq" or "vslot"). The caller
@@ -74,7 +78,7 @@ func PoisonReleased(released func(kind string)) (restore func()) {
 			for i := range arrived {
 				arrived[i] = poisonRecord
 			}
-			*x = vslot{seq: poison, fn: "poisoned", root: poison, op: "poisoned", firstEv: evRef{poison, poison},
+			*x = vslot{seq: poison, fn: poisonFunc, root: poison, op: "poisoned", firstEv: evRef{poison, poison},
 				arrived: arrived, arrivedN: poison, full: true, flagged: true, refs: poison}
 			released("vslot")
 		}

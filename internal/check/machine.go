@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -17,7 +18,9 @@ import (
 // clean verdict means every blocking operation can be discharged in some
 // schedule — the greedy fixpoint below finds one if it exists, because every
 // abstract transition is monotone (executing one rank never disables
-// another's enabled transition).
+// another's enabled transition). Every record names a call of the mpicall
+// table, since decoding refuses a trace that names any other, so step
+// gives every call its semantics and skips none.
 
 const (
 	anyPeer  = trace.Wildcard // wildcard source / tag sentinel, as traced
@@ -112,7 +115,7 @@ type vreq struct {
 type vslot struct {
 	comm     *vcomm
 	seq      int
-	fn       string
+	fn       mpicall.Func
 	root     int
 	op       string
 	firstEv  evRef
@@ -351,20 +354,20 @@ func (m *machine) step(r *lrank) bool {
 	ev := evRef{r.rank, r.pc}
 
 	switch rec.Func {
-	case "MPI_Compute", "MPI_Iprobe":
+	case mpicall.Compute, mpicall.Iprobe:
 		return m.advance(r)
 
-	case "MPI_Send", "MPI_Isend":
+	case mpicall.Send, mpicall.Isend:
 		c := m.commOf(r, rec, ev)
 		if c != nil {
 			m.emitSend(r, c, rec, ev, false)
 		}
-		if rec.Func == "MPI_Isend" {
+		if rec.Func == mpicall.Isend {
 			m.acquireReq(r, rec.ReqPool, m.newReq(vreq{kind: rkSend, rec: rec, ev: ev}), ev)
 		}
 		return m.advance(r)
 
-	case "MPI_Ssend":
+	case mpicall.Ssend:
 		if !r.inited {
 			c := m.commOf(r, rec, ev)
 			if c == nil {
@@ -381,7 +384,7 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return false
 
-	case "MPI_Recv":
+	case mpicall.Recv:
 		if !r.inited {
 			c := m.commOf(r, rec, ev)
 			if c == nil {
@@ -399,7 +402,7 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return false
 
-	case "MPI_Irecv":
+	case mpicall.Irecv:
 		// Irecv traces record Bytes=0 (the size is only known at match
 		// time), so the receive side's expected size is unknown here.
 		c := m.commOf(r, rec, ev)
@@ -413,7 +416,7 @@ func (m *machine) step(r *lrank) bool {
 		m.acquireReq(r, rec.ReqPool, req, ev)
 		return m.advance(r)
 
-	case "MPI_Probe":
+	case mpicall.Probe:
 		c := m.commOf(r, rec, ev)
 		if c == nil {
 			return m.advance(r)
@@ -434,7 +437,7 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return false
 
-	case "MPI_Sendrecv":
+	case mpicall.Sendrecv:
 		if !r.inited {
 			c := m.commOf(r, rec, ev)
 			if c == nil {
@@ -453,7 +456,7 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return false
 
-	case "MPI_Wait", "MPI_Waitany":
+	case mpicall.Wait, mpicall.Waitany:
 		q := rec.ReqPool
 		if q < 0 {
 			return m.advance(r)
@@ -470,7 +473,7 @@ func (m *machine) step(r *lrank) bool {
 		m.releaseReq(r, q, req)
 		return m.advance(r)
 
-	case "MPI_Waitall":
+	case mpicall.Waitall:
 		for _, q := range rec.ReqPools {
 			if q < 0 {
 				continue
@@ -489,13 +492,13 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return m.advance(r)
 
-	case "MPI_Test":
+	case mpicall.Test:
 		if req := r.reqs.get(rec.ReqPool); req != nil {
 			req.polled = true
 		}
 		return m.advance(r)
 
-	case "MPI_Testall":
+	case mpicall.Testall:
 		for _, q := range rec.ReqPools {
 			if req := r.reqs.get(q); req != nil {
 				req.polled = true
@@ -503,22 +506,22 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return m.advance(r)
 
-	case "MPI_Request_free":
+	case mpicall.RequestFree:
 		if req := r.reqs.get(rec.ReqPool); req != nil {
 			r.reqs.set(rec.ReqPool, nil)
 			m.dropReq(req)
 		}
 		return m.advance(r)
 
-	case "MPI_Send_init", "MPI_Recv_init":
+	case mpicall.SendInit, mpicall.RecvInit:
 		kind := rkSend
-		if rec.Func == "MPI_Recv_init" {
+		if rec.Func == mpicall.RecvInit {
 			kind = rkRecv
 		}
 		m.acquireReq(r, rec.ReqPool, m.newReq(vreq{kind: kind, persistent: true, rec: rec, ev: ev}), ev)
 		return m.advance(r)
 
-	case "MPI_Start":
+	case mpicall.Start:
 		q := rec.ReqPool
 		if q < 0 {
 			return m.advance(r)
@@ -550,7 +553,7 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return m.advance(r)
 
-	case "MPI_Comm_free":
+	case mpicall.CommFree:
 		pool := rec.CommPool
 		switch {
 		case pool == 0:
@@ -564,14 +567,14 @@ func (m *machine) step(r *lrank) bool {
 		}
 		return m.advance(r)
 
-	case "MPI_File_write_at", "MPI_File_read_at":
+	case mpicall.FileWriteAt, mpicall.FileReadAt:
 		if r.files.get(rec.FilePool) == nil {
 			m.diag(Error, RuleHandleFile, []int{r.rank}, ev,
 				"%s on file pool %d with no open file", rec.Func, rec.FilePool)
 		}
 		return m.advance(r)
 
-	case "MPI_Ibarrier", "MPI_Ibcast", "MPI_Iallreduce":
+	case mpicall.Ibarrier, mpicall.Ibcast, mpicall.Iallreduce:
 		c := m.commOf(r, rec, ev)
 		req := m.newReq(vreq{kind: rkColl, rec: rec, ev: ev})
 		if c != nil {
@@ -579,15 +582,14 @@ func (m *machine) step(r *lrank) bool {
 		}
 		m.acquireReq(r, rec.ReqPool, req, ev)
 		return m.advance(r)
-	}
 
-	if isBlockingCollective(rec.Func) {
+	default: // the calls whose descriptor is BlockingColl
 		if !r.inited {
 			c := m.commOf(r, rec, ev)
 			if c == nil {
 				return m.advance(r)
 			}
-			if isFileFunc(rec.Func) && rec.Func != "MPI_File_open" && r.files.get(rec.FilePool) == nil {
+			if rec.Func.Desc().Kind == mpicall.KindFile && rec.Func != mpicall.FileOpen && r.files.get(rec.FilePool) == nil {
 				m.diag(Error, RuleHandleFile, []int{r.rank}, ev,
 					"%s on file pool %d with no open file", rec.Func, rec.FilePool)
 				return m.advance(r)
@@ -600,36 +602,6 @@ func (m *machine) step(r *lrank) bool {
 		m.completeColl(r, rec, r.curSlot, ev)
 		return m.advance(r)
 	}
-
-	// Unknown functions are skipped: the checker must stay permissive as the
-	// runtime's call surface grows.
-	return m.advance(r)
-}
-
-// isBlockingCollective is a switch rather than a map lookup: the machine
-// asks at every collective arrival, and hashing the name showed as a tenth
-// of statics.Analyze's profile.
-func isBlockingCollective(fn string) bool {
-	switch fn {
-	case "MPI_Barrier", "MPI_Bcast", "MPI_Reduce",
-		"MPI_Allreduce", "MPI_Gather", "MPI_Gatherv",
-		"MPI_Scatter", "MPI_Allgather", "MPI_Allgatherv",
-		"MPI_Alltoall", "MPI_Alltoallv", "MPI_Scan",
-		"MPI_Exscan", "MPI_Reduce_scatter",
-		"MPI_Comm_split", "MPI_Comm_dup",
-		"MPI_File_open", "MPI_File_close",
-		"MPI_File_write_at_all", "MPI_File_read_at_all":
-		return true
-	}
-	return false
-}
-
-func isFileFunc(fn string) bool {
-	switch fn {
-	case "MPI_File_open", "MPI_File_close", "MPI_File_write_at_all", "MPI_File_read_at_all":
-		return true
-	}
-	return false
 }
 
 // commOf resolves the record's communicator pool for rank r.
@@ -940,7 +912,7 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 				rec.Func, seq, r.rank, rec.Op, slot.firstEv.rank, slot.op)
 		}
 	}
-	if rec.Func == "MPI_Alltoallv" && len(rec.Counts) != len(c.members) {
+	if rec.Func == mpicall.Alltoallv && len(rec.Counts) != len(c.members) {
 		term := r.term
 		if !m.cntSeen[term] {
 			m.cntSeen[term] = true
@@ -950,12 +922,12 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 		}
 	}
 	switch rec.Func {
-	case "MPI_Comm_split":
+	case mpicall.CommSplit:
 		if slot.splitArgs == nil {
 			slot.splitArgs = map[int][2]int{}
 		}
 		slot.splitArgs[r.rank] = [2]int{rec.Color, rec.Key}
-	case "MPI_Comm_dup":
+	case mpicall.CommDup:
 		if slot.splitArgs == nil {
 			slot.splitArgs = map[int][2]int{}
 		}
@@ -965,7 +937,7 @@ func (m *machine) arrive(r *lrank, c *vcomm, rec *trace.Record, ev evRef) *vslot
 		slot.arrived[cr] = rec
 		slot.arrivedN++
 		if m.hooks != nil {
-			m.hooks.CollArrive(r.rank, ev.idx, c.id, c.members, seq, isBlockingCollective(rec.Func), rec)
+			m.hooks.CollArrive(r.rank, ev.idx, c.id, c.members, seq, rec.Func.Desc().BlockingColl, rec)
 		}
 		if slot.arrivedN == len(c.members) {
 			slot.full = true
@@ -1025,7 +997,7 @@ func (m *machine) resolveSlot(slot *vslot) {
 			}
 		}
 	}
-	if slot.fn == "MPI_File_open" {
+	if slot.fn == mpicall.FileOpen {
 		if cr := slot.comm.index[slot.firstEv.rank]; cr >= 0 {
 			if rec := slot.arrived[cr]; rec != nil {
 				slot.file = &vfile{comm: slot.comm, name: rec.FileName}
@@ -1037,7 +1009,7 @@ func (m *machine) resolveSlot(slot *vslot) {
 // completeColl applies rank-local effects of a completed collective.
 func (m *machine) completeColl(r *lrank, rec *trace.Record, slot *vslot, ev evRef) {
 	switch rec.Func {
-	case "MPI_Comm_split", "MPI_Comm_dup":
+	case mpicall.CommSplit, mpicall.CommDup:
 		if rec.NewCommPool < 0 {
 			return
 		}
@@ -1050,13 +1022,13 @@ func (m *machine) completeColl(r *lrank, rec *trace.Record, slot *vslot, ev evRe
 				"communicator pool %d overwritten while its previous communicator is still live", rec.NewCommPool)
 		}
 		r.comms.set(rec.NewCommPool, nc)
-	case "MPI_File_open":
+	case mpicall.FileOpen:
 		if old := r.files.get(rec.FilePool); old != nil {
 			m.diag(Error, RuleHandleFile, []int{r.rank}, ev,
 				"file pool %d overwritten while its previous file is still open", rec.FilePool)
 		}
 		r.files.set(rec.FilePool, slot.file)
-	case "MPI_File_close":
+	case mpicall.FileClose:
 		r.files.set(rec.FilePool, nil)
 	}
 }
@@ -1075,7 +1047,7 @@ func (m *machine) finishRank(r *lrank) {
 		}
 		fn := "nonblocking operation"
 		if req.rec != nil {
-			fn = req.rec.Func
+			fn = req.rec.Func.String()
 		}
 		m.diag(Error, RuleRequestLeak, []int{r.rank}, req.ev,
 			"%s request (pool %d) escapes rank %d without a matching wait", fn, q, r.rank)

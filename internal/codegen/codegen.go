@@ -13,6 +13,7 @@ import (
 	"siesta/internal/blocks"
 	"siesta/internal/check"
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/qp"
@@ -61,7 +62,7 @@ type Options struct {
 
 // CommSample is one blocking-communication timing observation.
 type CommSample struct {
-	Func  string
+	Func  mpicall.Func
 	Bytes int
 	Dur   float64
 }
@@ -107,7 +108,7 @@ type Generated struct {
 	// SleepTimes are the per-cluster mean durations, retained so the
 	// sleep-replay ablation can run from the same artifact.
 	SleepTimes  []float64
-	Regressions map[string]Regression
+	Regressions map[mpicall.Func]Regression
 	// SizeC is the exported representation size: encoded program plus the
 	// computation code-block table (paper Table 3's size_C).
 	SizeC int
@@ -118,26 +119,15 @@ type Generated struct {
 	GeneratedOn string
 }
 
-// blockingFuncs are the calls whose duration scales with volume and which
-// communication shrinking therefore rewrites. Non-blocking calls "take tiny
-// execution time and can be neglected" (paper §2.7).
-var blockingFuncs = map[string]bool{
-	"MPI_Send": true, "MPI_Recv": true, "MPI_Sendrecv": true,
-	"MPI_Isend": true, // transfers expose at Wait once computation shrinks
-	"MPI_Bcast": true, "MPI_Reduce": true, "MPI_Allreduce": true,
-	"MPI_Gather": true, "MPI_Scatter": true, "MPI_Allgather": true,
-	"MPI_Alltoall": true, "MPI_Alltoallv": true, "MPI_Gatherv": true,
-	"MPI_Allgatherv": true,
-}
-
 // CollectCommSamples gathers blocking-communication timing samples from a
 // trace for the shrink regression, reduced to what the fit uses: the
 // minimum duration per (function, bytes), sorted. Fitting the reduction
 // gives the fit of the raw samples bit for bit, so a checkpoint can carry
-// it in place of the timed trace. Non-blocking calls are excluded: their
-// call duration measures only software overhead, not the transfer, so they
-// would poison the fit — their volumes are still shrunk (through the
-// matching blocking fit) because the transfers they start expose at Wait.
+// it in place of the timed trace. Only calls whose descriptor is Sampled
+// feed it: a non-blocking call's duration measures only software
+// overhead, not the transfer, so it would poison the fit — MPI_Isend's
+// volumes are still shrunk (through the blocking-send fit) because the
+// transfers it starts expose at Wait.
 // A nil trace, or one without timings (decoded from its encoding), has no
 // samples.
 func CollectCommSamples(tr *trace.Trace) []CommSample {
@@ -151,7 +141,7 @@ func CollectCommSamples(tr *trace.Trace) []CommSample {
 		}
 		for i, id := range rt.Events {
 			r := rt.Table[id]
-			if blockingFuncs[r.Func] && r.Func != "MPI_Isend" {
+			if r.Func.Desc().Sampled {
 				out = append(out, CommSample{Func: r.Func, Bytes: r.Bytes, Dur: rt.Durs[i]})
 			}
 		}
@@ -165,13 +155,14 @@ func CollectCommSamples(tr *trace.Trace) []CommSample {
 // the transfer cost the shrink model needs. The result is sorted by
 // function, then volume: the fit's accumulator folds sum floats, so the
 // fold order — and with it the last ulp of the fitted coefficients — must
-// not depend on map iteration order.
+// not depend on map iteration order. Functions sort by MPI name, the order
+// checkpoints store them in.
 func commMinima(samples []CommSample) []CommSample {
 	if len(samples) == 0 {
 		return nil
 	}
 	type key struct {
-		f string
+		f mpicall.Func
 		b int
 	}
 	mins := map[key]float64{}
@@ -187,7 +178,7 @@ func commMinima(samples []CommSample) []CommSample {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Func != out[j].Func {
-			return out[i].Func < out[j].Func
+			return out[i].Func.String() < out[j].Func.String()
 		}
 		return out[i].Bytes < out[j].Bytes
 	})
@@ -199,7 +190,7 @@ func commMinima(samples []CommSample) []CommSample {
 // function at a single message size (a fixed halo width, say), which makes
 // the per-function fit degenerate; those functions fall back to a pooled
 // fit over all blocking samples, which spans the trace's full volume range.
-func fitRegressions(samples []CommSample) map[string]Regression {
+func fitRegressions(samples []CommSample) map[mpicall.Func]Regression {
 	samples = commMinima(samples)
 	type acc struct {
 		n                float64
@@ -227,7 +218,7 @@ func fitRegressions(samples []CommSample) map[string]Regression {
 		}
 		return rg, false
 	}
-	accs := map[string]*acc{}
+	accs := map[mpicall.Func]*acc{}
 	var pooled acc
 	add := func(a *acc, x, y float64) {
 		if a.n == 0 || x < a.minx {
@@ -252,7 +243,7 @@ func fitRegressions(samples []CommSample) map[string]Regression {
 		add(&pooled, float64(s.Bytes), s.Dur)
 	}
 	pooledFit, pooledOK := fit(&pooled)
-	out := map[string]Regression{}
+	out := map[mpicall.Func]Regression{}
 	for f, a := range accs {
 		rg, ok := fit(a)
 		if !ok && pooledOK {
@@ -268,10 +259,10 @@ func fitRegressions(samples []CommSample) map[string]Regression {
 	}
 	// Non-blocking sends shrink through the blocking-send fit: the
 	// transfer they start is priced the same on the wire.
-	if sendRg, ok := out["MPI_Send"]; ok && sendRg.Beta > 0 {
-		out["MPI_Isend"] = sendRg
+	if sendRg, ok := out[mpicall.Send]; ok && sendRg.Beta > 0 {
+		out[mpicall.Isend] = sendRg
 	} else if pooledOK {
-		out["MPI_Isend"] = pooledFit
+		out[mpicall.Isend] = pooledFit
 	}
 	return out
 }
@@ -339,13 +330,15 @@ func GenerateFrom(prog *merge.Program, px *Proxies, opts Options) *Generated {
 	return g
 }
 
-// shrinkProgram clones the program with blocking-communication volumes
-// rewritten through the regressions.
-func shrinkProgram(p *merge.Program, regs map[string]Regression, scale float64) *merge.Program {
+// shrinkProgram clones the program with the volumes of the calls whose
+// descriptor is Shrunk rewritten through the regressions. Non-blocking
+// calls "take tiny execution time and can be neglected" (paper §2.7),
+// except MPI_Isend, whose transfer exposes at Wait once computation shrinks.
+func shrinkProgram(p *merge.Program, regs map[mpicall.Func]Regression, scale float64) *merge.Program {
 	out := *p
 	out.Terminals = make([]*trace.Record, len(p.Terminals))
 	for i, r := range p.Terminals {
-		if !blockingFuncs[r.Func] {
+		if !r.Func.Desc().Shrunk {
 			out.Terminals[i] = r
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"siesta/internal/apps"
 	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/platform"
 	"siesta/internal/trace"
 )
@@ -118,7 +119,7 @@ func TestGenerateScaledShrinksCommunication(t *testing.T) {
 		if r.Func != orig.Func {
 			t.Fatal("terminal order changed")
 		}
-		if blockingFuncs[r.Func] && orig.Bytes > 1024 && r.Bytes < orig.Bytes {
+		if r.Func.Desc().Shrunk && orig.Bytes > 1024 && r.Bytes < orig.Bytes {
 			shrunk = true
 		}
 		if r.Bytes > orig.Bytes {
@@ -132,12 +133,12 @@ func TestGenerateScaledShrinksCommunication(t *testing.T) {
 
 func TestRegression(t *testing.T) {
 	samples := []CommSample{
-		{Func: "MPI_Send", Bytes: 1000, Dur: 2e-6},
-		{Func: "MPI_Send", Bytes: 2000, Dur: 3e-6},
-		{Func: "MPI_Send", Bytes: 4000, Dur: 5e-6},
+		{Func: mpicall.Send, Bytes: 1000, Dur: 2e-6},
+		{Func: mpicall.Send, Bytes: 2000, Dur: 3e-6},
+		{Func: mpicall.Send, Bytes: 4000, Dur: 5e-6},
 	}
 	regs := fitRegressions(samples)
-	rg := regs["MPI_Send"]
+	rg := regs[mpicall.Send]
 	if rg.N != 3 {
 		t.Fatalf("N = %d", rg.N)
 	}
@@ -151,7 +152,7 @@ func TestRegression(t *testing.T) {
 		t.Errorf("shrunk volume %d mispredicts", nb)
 	}
 	// Degenerate fits fall back to identity.
-	one := fitRegressions(samples[:1])["MPI_Send"]
+	one := fitRegressions(samples[:1])[mpicall.Send]
 	if one.ShrinkBytes(500, 10) != 500 {
 		t.Error("single-sample regression must not shrink")
 	}
@@ -189,7 +190,7 @@ func TestShrinkProgramKeepsNonzeroCounts(t *testing.T) {
 	// Plant a v-collective with small nonzero per-destination counts so an
 	// aggressive shrink would round them to zero.
 	prog.Terminals = append(prog.Terminals, &trace.Record{
-		Func: "MPI_Alltoallv", Bytes: 4096, Counts: []int{1, 1, 4094},
+		Func: mpicall.Alltoallv, Bytes: 4096, Counts: []int{1, 1, 4094},
 	})
 	gen, err := Generate(prog, Options{Scale: 1e6, CommSamples: CollectCommSamples(tr)})
 	if err != nil {
@@ -295,8 +296,8 @@ func TestCollectCommSamples(t *testing.T) {
 		t.Fatal("no samples collected")
 	}
 	for _, s := range samples {
-		if !blockingFuncs[s.Func] {
-			t.Errorf("non-blocking function sampled: %s", s.Func)
+		if !s.Func.Desc().Sampled {
+			t.Errorf("unsampled function sampled: %s", s.Func)
 		}
 		if s.Dur < 0 {
 			t.Error("negative duration")
@@ -312,5 +313,48 @@ func TestSizeCIncludesCombos(t *testing.T) {
 	}
 	if gen.SizeC <= len(prog.Encode()) {
 		t.Error("SizeC should include the computation block table")
+	}
+}
+
+// TestShrinkSetPinned pins, call by call over the whole table, which calls
+// communication shrinking rewrites and which feed its regression. MPI_Isend
+// is rewritten but not sampled: its duration is software overhead, while
+// its transfer exposes at Wait.
+func TestShrinkSetPinned(t *testing.T) {
+	rewritten := map[mpicall.Func]bool{
+		mpicall.Send: true, mpicall.Recv: true, mpicall.Sendrecv: true, mpicall.Isend: true,
+		mpicall.Bcast: true, mpicall.Reduce: true, mpicall.Allreduce: true,
+		mpicall.Gather: true, mpicall.Gatherv: true, mpicall.Scatter: true,
+		mpicall.Allgather: true, mpicall.Allgatherv: true,
+		mpicall.Alltoall: true, mpicall.Alltoallv: true,
+		// Whether these four shrink is still open (ROADMAP item 12): the
+		// runtime and the check machine support them, but no panel app
+		// calls them. Deciding moves the C proxy's bytes, so it belongs in
+		// a change of its own.
+		mpicall.Ssend: false, mpicall.Scan: false, mpicall.Exscan: false, mpicall.ReduceScatter: false,
+	}
+	const bytes = 1 << 20
+	all := mpicall.All()
+	rt := &trace.RankTrace{}
+	prog := &merge.Program{NumRanks: 1}
+	regs := map[mpicall.Func]Regression{}
+	for i, f := range all {
+		r := &trace.Record{Func: f, Bytes: bytes}
+		rt.Table, rt.Events, rt.Durs = append(rt.Table, r), append(rt.Events, i), append(rt.Durs, 1e-3)
+		prog.Terminals = append(prog.Terminals, r)
+		regs[f] = Regression{Beta: 1e-9, N: 2}
+	}
+	shrunk := shrinkProgram(prog, regs, 10)
+	sampled := map[mpicall.Func]bool{}
+	for _, s := range CollectCommSamples(&trace.Trace{NumRanks: 1, Ranks: []*trace.RankTrace{rt}}) {
+		sampled[s.Func] = true
+	}
+	for i, f := range all {
+		if got := shrunk.Terminals[i].Bytes < bytes; got != rewritten[f] {
+			t.Errorf("%s: rewritten %t, want %t", f, got, rewritten[f])
+		}
+		if want := rewritten[f] && f != mpicall.Isend; sampled[f] != want {
+			t.Errorf("%s: sampled %t, want %t", f, sampled[f], want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/rankset"
 	"siesta/internal/trace"
 )
@@ -13,7 +14,7 @@ import (
 // one terminal per supported function, so the C emitter's every branch is
 // exercised and inspected.
 func programWithEveryTerminal() *merge.Program {
-	mk := func(f string, mut func(*trace.Record)) *trace.Record {
+	mk := func(f mpicall.Func, mut func(*trace.Record)) *trace.Record {
 		r := &trace.Record{
 			Func: f, DestRel: trace.NoRank, SrcRel: trace.NoRank,
 			Tag: 0, RecvTag: 0, Root: 0, NewCommPool: -1, ReqPool: -1,
@@ -24,47 +25,47 @@ func programWithEveryTerminal() *merge.Program {
 		return r
 	}
 	terms := []*trace.Record{
-		mk("MPI_Compute", func(r *trace.Record) { r.ComputeCluster = 0 }),
-		mk("MPI_Send", func(r *trace.Record) { r.DestRel = 1; r.Bytes = 100 }),
-		mk("MPI_Ssend", func(r *trace.Record) { r.DestRel = 2; r.Bytes = 200 }),
-		mk("MPI_Recv", func(r *trace.Record) { r.SrcRel = trace.Wildcard; r.Tag = trace.Wildcard }),
-		mk("MPI_Probe", func(r *trace.Record) { r.SrcRel = 1 }),
-		mk("MPI_Iprobe", func(r *trace.Record) { r.SrcRel = 1 }),
-		mk("MPI_Isend", func(r *trace.Record) { r.DestRel = 0; r.Bytes = 64; r.ReqPool = 0 }),
-		mk("MPI_Irecv", func(r *trace.Record) { r.SrcRel = 3; r.ReqPool = 1 }),
-		mk("MPI_Wait", func(r *trace.Record) { r.ReqPool = 0 }),
-		mk("MPI_Waitall", func(r *trace.Record) { r.ReqPools = []int{0, 1} }),
-		mk("MPI_Waitany", func(r *trace.Record) { r.ReqPool = 1; r.ReqPools = []int{0, 1} }),
-		mk("MPI_Test", func(r *trace.Record) { r.ReqPool = 0 }),
-		mk("MPI_Testall", func(r *trace.Record) { r.ReqPools = []int{0} }),
-		mk("MPI_Send_init", func(r *trace.Record) { r.DestRel = 1; r.Bytes = 128; r.ReqPool = 2 }),
-		mk("MPI_Recv_init", func(r *trace.Record) { r.SrcRel = 1; r.ReqPool = 3 }),
-		mk("MPI_Start", func(r *trace.Record) { r.ReqPool = 2 }),
-		mk("MPI_Request_free", func(r *trace.Record) { r.ReqPool = 2 }),
-		mk("MPI_Sendrecv", func(r *trace.Record) { r.DestRel = 1; r.SrcRel = 7; r.Bytes = 99 }),
-		mk("MPI_Barrier", nil),
-		mk("MPI_Bcast", func(r *trace.Record) { r.Bytes = 10 }),
-		mk("MPI_Reduce", func(r *trace.Record) { r.Op = "max"; r.Bytes = 8 }),
-		mk("MPI_Allreduce", func(r *trace.Record) { r.Op = "min"; r.Bytes = 8 }),
-		mk("MPI_Scan", func(r *trace.Record) { r.Op = "sum"; r.Bytes = 8 }),
-		mk("MPI_Exscan", func(r *trace.Record) { r.Op = ""; r.Bytes = 8 }),
-		mk("MPI_Reduce_scatter", func(r *trace.Record) { r.Op = "sum"; r.Bytes = 8 }),
-		mk("MPI_Gather", func(r *trace.Record) { r.Bytes = 16 }),
-		mk("MPI_Gatherv", func(r *trace.Record) { r.Bytes = 16 }),
-		mk("MPI_Scatter", func(r *trace.Record) { r.Bytes = 16 }),
-		mk("MPI_Allgather", func(r *trace.Record) { r.Bytes = 16 }),
-		mk("MPI_Allgatherv", func(r *trace.Record) { r.Bytes = 16 }),
-		mk("MPI_Alltoall", func(r *trace.Record) { r.Bytes = 16 }),
-		mk("MPI_Alltoallv", func(r *trace.Record) { r.Counts = []int{1, 2, 3, 4} }),
-		mk("MPI_Comm_split", func(r *trace.Record) { r.Color = 1; r.Key = 0; r.NewCommPool = 1 }),
-		mk("MPI_Comm_dup", func(r *trace.Record) { r.NewCommPool = 2 }),
-		mk("MPI_Comm_free", func(r *trace.Record) { r.CommPool = 2 }),
-		mk("MPI_File_open", func(r *trace.Record) { r.FileName = "chk.dat"; r.FilePool = 0 }),
-		mk("MPI_File_write_at", func(r *trace.Record) { r.Bytes = 4096; r.OffsetRel = 128 }),
-		mk("MPI_File_read_at", func(r *trace.Record) { r.Bytes = 4096 }),
-		mk("MPI_File_write_at_all", func(r *trace.Record) { r.Bytes = 4096 }),
-		mk("MPI_File_read_at_all", func(r *trace.Record) { r.Bytes = 4096 }),
-		mk("MPI_File_close", nil),
+		mk(mpicall.Compute, func(r *trace.Record) { r.ComputeCluster = 0 }),
+		mk(mpicall.Send, func(r *trace.Record) { r.DestRel = 1; r.Bytes = 100 }),
+		mk(mpicall.Ssend, func(r *trace.Record) { r.DestRel = 2; r.Bytes = 200 }),
+		mk(mpicall.Recv, func(r *trace.Record) { r.SrcRel = trace.Wildcard; r.Tag = trace.Wildcard }),
+		mk(mpicall.Probe, func(r *trace.Record) { r.SrcRel = 1 }),
+		mk(mpicall.Iprobe, func(r *trace.Record) { r.SrcRel = 1 }),
+		mk(mpicall.Isend, func(r *trace.Record) { r.DestRel = 0; r.Bytes = 64; r.ReqPool = 0 }),
+		mk(mpicall.Irecv, func(r *trace.Record) { r.SrcRel = 3; r.ReqPool = 1 }),
+		mk(mpicall.Wait, func(r *trace.Record) { r.ReqPool = 0 }),
+		mk(mpicall.Waitall, func(r *trace.Record) { r.ReqPools = []int{0, 1} }),
+		mk(mpicall.Waitany, func(r *trace.Record) { r.ReqPool = 1; r.ReqPools = []int{0, 1} }),
+		mk(mpicall.Test, func(r *trace.Record) { r.ReqPool = 0 }),
+		mk(mpicall.Testall, func(r *trace.Record) { r.ReqPools = []int{0} }),
+		mk(mpicall.SendInit, func(r *trace.Record) { r.DestRel = 1; r.Bytes = 128; r.ReqPool = 2 }),
+		mk(mpicall.RecvInit, func(r *trace.Record) { r.SrcRel = 1; r.ReqPool = 3 }),
+		mk(mpicall.Start, func(r *trace.Record) { r.ReqPool = 2 }),
+		mk(mpicall.RequestFree, func(r *trace.Record) { r.ReqPool = 2 }),
+		mk(mpicall.Sendrecv, func(r *trace.Record) { r.DestRel = 1; r.SrcRel = 7; r.Bytes = 99 }),
+		mk(mpicall.Barrier, nil),
+		mk(mpicall.Bcast, func(r *trace.Record) { r.Bytes = 10 }),
+		mk(mpicall.Reduce, func(r *trace.Record) { r.Op = "max"; r.Bytes = 8 }),
+		mk(mpicall.Allreduce, func(r *trace.Record) { r.Op = "min"; r.Bytes = 8 }),
+		mk(mpicall.Scan, func(r *trace.Record) { r.Op = "sum"; r.Bytes = 8 }),
+		mk(mpicall.Exscan, func(r *trace.Record) { r.Op = ""; r.Bytes = 8 }),
+		mk(mpicall.ReduceScatter, func(r *trace.Record) { r.Op = "sum"; r.Bytes = 8 }),
+		mk(mpicall.Gather, func(r *trace.Record) { r.Bytes = 16 }),
+		mk(mpicall.Gatherv, func(r *trace.Record) { r.Bytes = 16 }),
+		mk(mpicall.Scatter, func(r *trace.Record) { r.Bytes = 16 }),
+		mk(mpicall.Allgather, func(r *trace.Record) { r.Bytes = 16 }),
+		mk(mpicall.Allgatherv, func(r *trace.Record) { r.Bytes = 16 }),
+		mk(mpicall.Alltoall, func(r *trace.Record) { r.Bytes = 16 }),
+		mk(mpicall.Alltoallv, func(r *trace.Record) { r.Counts = []int{1, 2, 3, 4} }),
+		mk(mpicall.CommSplit, func(r *trace.Record) { r.Color = 1; r.Key = 0; r.NewCommPool = 1 }),
+		mk(mpicall.CommDup, func(r *trace.Record) { r.NewCommPool = 2 }),
+		mk(mpicall.CommFree, func(r *trace.Record) { r.CommPool = 2 }),
+		mk(mpicall.FileOpen, func(r *trace.Record) { r.FileName = "chk.dat"; r.FilePool = 0 }),
+		mk(mpicall.FileWriteAt, func(r *trace.Record) { r.Bytes = 4096; r.OffsetRel = 128 }),
+		mk(mpicall.FileReadAt, func(r *trace.Record) { r.Bytes = 4096 }),
+		mk(mpicall.FileWriteAtAll, func(r *trace.Record) { r.Bytes = 4096 }),
+		mk(mpicall.FileReadAtAll, func(r *trace.Record) { r.Bytes = 4096 }),
+		mk(mpicall.FileClose, nil),
 	}
 	body := make([]merge.MainSym, len(terms))
 	all := rankset.Range(0, 4)

@@ -87,7 +87,7 @@ func (cp *Checkpoint) Encode() []byte {
 	e.Str(string(cp.MemoBytes))
 	e.Int(len(cp.CommSamples))
 	for _, cs := range cp.CommSamples {
-		e.Str(cs.Func)
+		e.Str(cs.Func.String())
 		e.Int(cs.Bytes)
 		e.Float(cs.Dur)
 	}
@@ -136,7 +136,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	for i := range cp.CommSamples {
 		cs := &cp.CommSamples[i]
-		cs.Func, err = d.Str()
+		cs.Func, err = d.Func()
 		if err == nil {
 			cs.Bytes, err = d.Int()
 		}

@@ -16,6 +16,7 @@ import (
 	"siesta/internal/codegen"
 	"siesta/internal/core"
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 )
 
 // memCheckpointer records every checkpoint in memory and can be told to
@@ -258,8 +259,8 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		ProgramBytes: []byte("SIESTA-PROG1-ish"),
 		MemoBytes:    []byte{9, 9},
 		CommSamples: []codegen.CommSample{
-			{Func: "MPI_Send", Bytes: 64, Dur: 1.5e-6},
-			{Func: "MPI_Allreduce", Bytes: 8, Dur: 3e-6},
+			{Func: mpicall.Send, Bytes: 64, Dur: 1.5e-6},
+			{Func: mpicall.Allreduce, Bytes: 8, Dur: 3e-6},
 		},
 	}
 	got, err := core.DecodeCheckpoint(cp.Encode())
@@ -283,5 +284,12 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	bad.Phase = "lunch"
 	if _, err := core.DecodeCheckpoint(bad.Encode()); err == nil {
 		t.Fatal("unknown phase accepted")
+	}
+	// A sample naming a call outside the table is refused by name.
+	renamed := bytes.Replace(enc, []byte("\x0dMPI_Allreduce"), []byte("\x0cMPI_Win_lock"), 1)
+	_, err = core.DecodeCheckpoint(renamed)
+	var unknown *mpicall.UnknownError
+	if !errors.As(err, &unknown) || unknown.Name != "MPI_Win_lock" {
+		t.Fatalf("checkpoint naming MPI_Win_lock: got %v, want *mpicall.UnknownError", err)
 	}
 }

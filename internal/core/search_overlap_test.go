@@ -16,6 +16,7 @@ import (
 	"siesta/internal/core"
 	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/obs"
 	"siesta/internal/perfmodel"
 	"siesta/internal/qp"
@@ -215,7 +216,7 @@ func TestSearchWorkersJoinedOnEveryExit(t *testing.T) {
 	// messages match nothing.
 	broken := withStalledCluster(t, base.Program)
 	for _, r := range broken.Terminals {
-		if r.Func == "MPI_Send" || r.Func == "MPI_Isend" || r.Func == "MPI_Sendrecv" {
+		if r.Func == mpicall.Send || r.Func == mpicall.Isend || r.Func == mpicall.Sendrecv {
 			r.Tag += 1000
 			break
 		}

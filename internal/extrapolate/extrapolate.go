@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/rankset"
 	"siesta/internal/trace"
 )
@@ -102,12 +103,12 @@ func Check(p *merge.Program) error {
 	}
 	for id, r := range p.Terminals {
 		switch r.Func {
-		case "MPI_Comm_split":
+		case mpicall.CommSplit:
 			return fmt.Errorf("extrapolate: terminal %d uses MPI_Comm_split; sub-communicator shapes are rank-count dependent", id)
-		case "MPI_Alltoallv":
+		case mpicall.Alltoallv:
 			return fmt.Errorf("extrapolate: terminal %d uses MPI_Alltoallv; its per-destination counts are shaped by the rank count", id)
 		}
-		if r.CommPool != 0 && r.Func != "MPI_Compute" && !isDupFamily(r, p) {
+		if r.CommPool != 0 && !r.IsCompute() && !isDupFamily(r, p) {
 			return fmt.Errorf("extrapolate: terminal %d communicates on pool comm %d; only MPI_COMM_WORLD and its duplicates re-scale", id, r.CommPool)
 		}
 	}
@@ -120,7 +121,7 @@ func Check(p *merge.Program) error {
 func isDupFamily(r *trace.Record, p *merge.Program) bool {
 	for _, t := range p.Terminals {
 		if t.NewCommPool == r.CommPool {
-			if t.Func != "MPI_Comm_dup" {
+			if t.Func != mpicall.CommDup {
 				return false
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/trace"
 )
@@ -249,7 +250,7 @@ func BenchmarkParforOverhead(b *testing.B) {
 func TestLeafTableDuplicateRecordAllocs(t *testing.T) {
 	lt := newLeafTable(0.05, trace.NewSpillTable(0, nil))
 	r := &trace.Record{
-		Func: "MPI_Isend", DestRel: 1, SrcRel: trace.NoRank, Tag: 7, Bytes: 4096,
+		Func: mpicall.Isend, DestRel: 1, SrcRel: trace.NoRank, Tag: 7, Bytes: 4096,
 		Root: trace.NoRank, NewCommPool: -1, ReqPool: 3,
 	}
 	lt.addRecord(r.Clone())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/trace"
 )
@@ -18,7 +19,7 @@ import (
 // sendRec is a point-to-point record told apart from others by its size.
 func sendRec(bytes int) *trace.Record {
 	return &trace.Record{
-		Func: "MPI_Send", DestRel: 1, SrcRel: trace.NoRank, Tag: 0, Bytes: bytes,
+		Func: mpicall.Send, DestRel: 1, SrcRel: trace.NoRank, Tag: 0, Bytes: bytes,
 		RecvTag: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: -1,
 	}
 }

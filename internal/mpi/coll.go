@@ -1,18 +1,22 @@
 package mpi
 
-import "siesta/internal/netmodel"
+import (
+	"siesta/internal/mpicall"
+	"siesta/internal/netmodel"
+)
 
 // fileIO is the runtime-local pricing op of collective file I/O: its slot
 // sums the members' bytes (the aggregate volume) instead of taking their
 // maximum, and finishCollective prices it with the filesystem model.
 const fileIO netmodel.CollOp = -1
 
-// collective registers rank r's arrival at its next collective on c and,
-// for a blocking caller (req nil), waits for its completion; see arrive.
-func (r *Rank) collective(c *Comm, price netmodel.CollOp, bytes int, req *request) {
-	if slot := r.arrive(c, price, bytes, nil, req); slot != nil {
-		r.world.leave(slot)
-	}
+// collective is one whole blocking collective call c: the rank's arrival
+// at its next collective on c.Comm, priced as price over bytes, and the
+// wait for its completion; see arrive.
+func (r *Rank) collective(c *Call, price netmodel.CollOp, bytes int) {
+	call := r.beginCall(c)
+	r.world.leave(r.arrive(call.Comm, price, bytes, nil, nil))
+	r.endCall(call)
 }
 
 // arrive is the one step every collective shares: blocking,
@@ -38,7 +42,7 @@ func (r *Rank) arrive(c *Comm, price netmodel.CollOp, bytes int, split *[2]int, 
 	call := r.curCall
 	slot := w.collectiveSlot(c, seq, price, call)
 	if call.Func != slot.fn || call.Root != slot.root || call.Op != slot.op {
-		panic(mpiErrorf(ErrComm, r.rank, call.Func,
+		panic(mpiErrorf(ErrComm, r.rank, call.Func.String(),
 			"collective mismatch on comm %d seq %d: %s (root %d, op %q) arrives while %s (root %d, op %q) is in progress",
 			c.id, seq, call.Func, call.Root, call.Op, slot.fn, slot.root, slot.op))
 	}
@@ -75,59 +79,43 @@ func (r *Rank) arrive(c *Comm, price netmodel.CollOp, bytes int, split *[2]int, 
 
 // Barrier blocks until all ranks of c have entered it.
 func (r *Rank) Barrier(c *Comm) {
-	call := r.beginCall(&Call{Func: "MPI_Barrier", Comm: c})
-	r.collective(c, netmodel.Barrier, 0, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Barrier, Comm: c}, netmodel.Barrier, 0)
 }
 
 // Bcast broadcasts bytes from root to all ranks of c.
 func (r *Rank) Bcast(c *Comm, root, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Bcast", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Bcast, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Bcast, Comm: c, Root: root, Bytes: bytes}, netmodel.Bcast, bytes)
 }
 
 // Reduce reduces bytes from all ranks of c onto root with the given op.
 func (r *Rank) Reduce(c *Comm, root, bytes int, op ReduceOp) {
-	call := r.beginCall(&Call{Func: "MPI_Reduce", Comm: c, Root: root, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Reduce, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Reduce, Comm: c, Root: root, Bytes: bytes, Op: op}, netmodel.Reduce, bytes)
 }
 
 // Allreduce reduces bytes across all ranks of c, leaving the result
 // everywhere.
 func (r *Rank) Allreduce(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(&Call{Func: "MPI_Allreduce", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Allreduce, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Allreduce, Comm: c, Bytes: bytes, Op: op}, netmodel.Allreduce, bytes)
 }
 
 // Gather gathers bytes per rank onto root.
 func (r *Rank) Gather(c *Comm, root, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Gather", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Gather, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Gather, Comm: c, Root: root, Bytes: bytes}, netmodel.Gather, bytes)
 }
 
 // Scatter scatters bytes per rank from root.
 func (r *Rank) Scatter(c *Comm, root, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Scatter", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Scatter, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Scatter, Comm: c, Root: root, Bytes: bytes}, netmodel.Scatter, bytes)
 }
 
 // Allgather gathers bytes per rank to all ranks.
 func (r *Rank) Allgather(c *Comm, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Allgather", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Allgather, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Allgather, Comm: c, Bytes: bytes}, netmodel.Allgather, bytes)
 }
 
 // Alltoall exchanges bytes with every rank of c.
 func (r *Rank) Alltoall(c *Comm, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Alltoall", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Alltoall, bytes*c.Size(), nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Alltoall, Comm: c, Bytes: bytes}, netmodel.Alltoall, bytes*c.Size())
 }
 
 // Alltoallv exchanges per-destination byte counts with every rank of c;
@@ -137,39 +125,33 @@ func (r *Rank) Alltoall(c *Comm, bytes int) {
 // on the missing participant rather than the process dying).
 func (r *Rank) Alltoallv(c *Comm, counts []int) error {
 	if len(counts) != c.Size() {
-		return mpiErrorf(ErrCount, r.rank, "MPI_Alltoallv",
+		return mpiErrorf(ErrCount, r.rank, mpicall.Alltoallv.String(),
 			"counts length %d != comm size %d", len(counts), c.Size())
 	}
 	total := 0
 	for _, n := range counts {
 		total += n
 	}
-	call := r.beginCall(&Call{Func: "MPI_Alltoallv", Comm: c, Bytes: total, Counts: append([]int(nil), counts...)})
-	r.collective(c, netmodel.Alltoall, total, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Alltoallv, Comm: c, Bytes: total, Counts: append([]int(nil), counts...)}, netmodel.Alltoall, total)
 	return nil
 }
 
 // Allgatherv gathers per-rank byte counts to all ranks; bytes is this rank's
 // contribution.
 func (r *Rank) Allgatherv(c *Comm, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Allgatherv", Comm: c, Bytes: bytes})
-	r.collective(c, netmodel.Allgather, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Allgatherv, Comm: c, Bytes: bytes}, netmodel.Allgather, bytes)
 }
 
 // Gatherv gathers a variable per-rank byte count onto root.
 func (r *Rank) Gatherv(c *Comm, root, bytes int) {
-	call := r.beginCall(&Call{Func: "MPI_Gatherv", Comm: c, Root: root, Bytes: bytes})
-	r.collective(c, netmodel.Gather, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Gatherv, Comm: c, Root: root, Bytes: bytes}, netmodel.Gather, bytes)
 }
 
 // CommSplit partitions c by color; ranks sharing a color form a new
 // communicator ordered by key then world rank. A negative color returns nil
 // (MPI_UNDEFINED). New communicator ids are assigned deterministically.
 func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
-	call := r.beginCall(&Call{Func: "MPI_Comm_split", Comm: c, Color: color, Key: key})
+	call := r.beginCall(&Call{Func: mpicall.CommSplit, Comm: c, Color: color, Key: key})
 	slot := r.arrive(c, netmodel.Barrier, 0, &[2]int{color, key}, nil)
 	nc := slot.newComms[r.rank]
 	r.world.leave(slot)
@@ -180,7 +162,7 @@ func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 
 // CommDup duplicates c with a fresh id.
 func (r *Rank) CommDup(c *Comm) *Comm {
-	call := r.beginCall(&Call{Func: "MPI_Comm_dup", Comm: c})
+	call := r.beginCall(&Call{Func: mpicall.CommDup, Comm: c})
 	slot := r.arrive(c, netmodel.Barrier, 0, &[2]int{0, c.RankOf(r.rank)}, nil)
 	nc := slot.newComms[r.rank]
 	r.world.leave(slot)
@@ -193,7 +175,7 @@ func (r *Rank) CommDup(c *Comm) *Comm {
 // per-comm state worth reclaiming, but the call is intercepted so the trace
 // layer can recycle its communicator pool ids, as the paper requires.
 func (r *Rank) CommFree(c *Comm) {
-	call := r.beginCall(&Call{Func: "MPI_Comm_free", Comm: c})
+	call := r.beginCall(&Call{Func: mpicall.CommFree, Comm: c})
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
 	r.endCall(call)
 }

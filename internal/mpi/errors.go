@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"siesta/internal/mpicall"
 )
 
 // ErrClass mirrors the MPI error classes the simulated runtime can raise.
@@ -190,7 +192,7 @@ func (e *CancelError) Is(target error) bool { return target == ErrCanceled }
 
 // crashPanic is the panic payload of a fault-injected rank crash.
 type crashPanic struct {
-	op     string // the MPI call the rank died entering
-	call   int    // the rank's call count at death
+	op     mpicall.Func // the MPI call the rank died entering
+	call   int          // the rank's call count at death
 	silent bool
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/netmodel"
 	"siesta/internal/vtime"
 )
@@ -24,7 +25,7 @@ func (r *Rank) Ssend(c *Comm, dst, tag, bytes int) {
 // consuming it, and returns its status. A probe of ProcNull completes at
 // once with the status a receive from ProcNull returns.
 func (r *Rank) Probe(c *Comm, src, tag int) Status {
-	call := r.beginCall(&Call{Func: "MPI_Probe", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: mpicall.Probe, Comm: c, Source: src, Tag: tag})
 	w := r.world
 	var st Status
 	if src != ProcNull {
@@ -52,7 +53,7 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 // or consuming it. A probe of ProcNull finds at once, with the status a
 // receive from ProcNull returns.
 func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
-	call := r.beginCall(&Call{Func: "MPI_Iprobe", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: mpicall.Iprobe, Comm: c, Source: src, Tag: tag})
 	w := r.world
 	var st Status
 	found := src == ProcNull
@@ -87,7 +88,7 @@ func (w *World) findUnexpected(pr *postedRecv) *message {
 // virtual completion time, deterministically. Zero and stale handles are
 // skipped; when every handle is, it returns -1 at once.
 func (r *Rank) Waitany(qs []Req) (int, Status) {
-	call := r.beginCall(&Call{Func: "MPI_Waitany", Requests: qs})
+	call := r.beginCall(&Call{Func: mpicall.Waitany, Requests: qs})
 	w := r.world
 	reqs := r.anyReqs[:0]
 	active := false
@@ -130,7 +131,7 @@ func (r *Rank) Waitany(qs []Req) (int, Status) {
 // non-persistent requests are freed. Zero and stale handles count as
 // complete.
 func (r *Rank) Testall(qs []Req) bool {
-	call := r.beginCall(&Call{Func: "MPI_Testall", Requests: qs})
+	call := r.beginCall(&Call{Func: mpicall.Testall, Requests: qs})
 	w := r.world
 	for _, q := range qs {
 		r.resolve(q, call.Func) // a foreign handle is an error even when unread
@@ -164,24 +165,18 @@ func (r *Rank) Testall(qs []Req) bool {
 
 // Scan performs an inclusive prefix reduction over the communicator.
 func (r *Rank) Scan(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(&Call{Func: "MPI_Scan", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Scan, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Scan, Comm: c, Bytes: bytes, Op: op}, netmodel.Scan, bytes)
 }
 
 // Exscan performs an exclusive prefix reduction over the communicator.
 func (r *Rank) Exscan(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(&Call{Func: "MPI_Exscan", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.Scan, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.Exscan, Comm: c, Bytes: bytes, Op: op}, netmodel.Scan, bytes)
 }
 
 // ReduceScatter reduces and scatters equal blocks; bytes is the per-rank
 // block size.
 func (r *Rank) ReduceScatter(c *Comm, bytes int, op ReduceOp) {
-	call := r.beginCall(&Call{Func: "MPI_Reduce_scatter", Comm: c, Bytes: bytes, Op: op})
-	r.collective(c, netmodel.ReduceScatter, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: mpicall.ReduceScatter, Comm: c, Bytes: bytes, Op: op}, netmodel.ReduceScatter, bytes)
 }
 
 // --- Cartesian topology helpers ---------------------------------------

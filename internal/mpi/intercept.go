@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/vtime"
 )
@@ -9,7 +10,7 @@ import (
 // a PMPI wrapper sees. Fields are populated per function; unused fields stay
 // at their zero values.
 type Call struct {
-	Func  string
+	Func  mpicall.Func
 	Start vtime.Time
 	End   vtime.Time
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"siesta/internal/mpicall"
 	"siesta/internal/netmodel"
 	"siesta/internal/vtime"
 )
@@ -39,7 +40,7 @@ func (f *File) Name() string { return f.name }
 
 // FileOpen opens a file collectively on the communicator.
 func (r *Rank) FileOpen(c *Comm, name string) *File {
-	call := r.beginCall(&Call{Func: "MPI_File_open", Comm: c, FileName: name})
+	call := r.beginCall(&Call{Func: mpicall.FileOpen, Comm: c, FileName: name})
 	slot := r.arrive(c, netmodel.Barrier, 0, nil, nil)
 	// The first rank past the barrier allocates the group's handle; file
 	// ids are dense in open order, so the trace layer's pool renaming
@@ -59,19 +60,19 @@ func (r *Rank) FileOpen(c *Comm, name string) *File {
 
 // checkOpen raises an MPI_ERR_FILE error (as a typed panic absorbed by
 // World.Run) if the file is nil or already closed.
-func (r *Rank) checkOpen(fn string, f *File) {
+func (r *Rank) checkOpen(fn mpicall.Func, f *File) {
 	if f == nil {
-		panic(mpiErrorf(ErrFile, r.rank, fn, "operation on nil file"))
+		panic(mpiErrorf(ErrFile, r.rank, fn.String(), "operation on nil file"))
 	}
 	if f.closed {
-		panic(mpiErrorf(ErrFile, r.rank, fn, "operation on closed file %q", f.name))
+		panic(mpiErrorf(ErrFile, r.rank, fn.String(), "operation on closed file %q", f.name))
 	}
 }
 
 // FileClose closes the file collectively.
 func (r *Rank) FileClose(f *File) {
-	call := r.beginCall(&Call{Func: "MPI_File_close", Comm: f.comm, File: f})
-	r.collective(f.comm, netmodel.Barrier, 0, nil)
+	call := r.beginCall(&Call{Func: mpicall.FileClose, Comm: f.comm, File: f})
+	r.world.leave(r.arrive(f.comm, netmodel.Barrier, 0, nil, nil))
 	r.clock.Advance(vtime.Duration(fsLatencySec / 2))
 	// Every rank of the collective marks the shared handle closed.
 	f.closed = true
@@ -80,15 +81,15 @@ func (r *Rank) FileClose(f *File) {
 
 // FileWriteAt writes bytes at an explicit offset, independently.
 func (r *Rank) FileWriteAt(f *File, offset, bytes int) {
-	r.fileIndependent("MPI_File_write_at", f, offset, bytes)
+	r.fileIndependent(mpicall.FileWriteAt, f, offset, bytes)
 }
 
 // FileReadAt reads bytes at an explicit offset, independently.
 func (r *Rank) FileReadAt(f *File, offset, bytes int) {
-	r.fileIndependent("MPI_File_read_at", f, offset, bytes)
+	r.fileIndependent(mpicall.FileReadAt, f, offset, bytes)
 }
 
-func (r *Rank) fileIndependent(fn string, f *File, offset, bytes int) {
+func (r *Rank) fileIndependent(fn mpicall.Func, f *File, offset, bytes int) {
 	r.checkOpen(fn, f)
 	call := r.beginCall(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
 	// An independent stream contends with every other rank of the job for
@@ -106,17 +107,15 @@ func (r *Rank) fileIndependent(fn string, f *File, offset, bytes int) {
 // participate, and the aggregated transfer uses the filesystem's full
 // bandwidth (two-phase collective I/O).
 func (r *Rank) FileWriteAtAll(f *File, offset, bytes int) {
-	r.fileCollective("MPI_File_write_at_all", f, offset, bytes)
+	r.fileCollective(mpicall.FileWriteAtAll, f, offset, bytes)
 }
 
 // FileReadAtAll reads collectively.
 func (r *Rank) FileReadAtAll(f *File, offset, bytes int) {
-	r.fileCollective("MPI_File_read_at_all", f, offset, bytes)
+	r.fileCollective(mpicall.FileReadAtAll, f, offset, bytes)
 }
 
-func (r *Rank) fileCollective(fn string, f *File, offset, bytes int) {
+func (r *Rank) fileCollective(fn mpicall.Func, f *File, offset, bytes int) {
 	r.checkOpen(fn, f)
-	call := r.beginCall(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes})
-	r.collective(f.comm, fileIO, bytes, nil)
-	r.endCall(call)
+	r.collective(&Call{Func: fn, Comm: f.comm, File: f, Offset: offset, Bytes: bytes}, fileIO, bytes)
 }

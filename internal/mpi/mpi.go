@@ -12,7 +12,11 @@
 // tool interposes on real MPI via mpiP.
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"siesta/internal/mpicall"
+)
 
 // Wildcards and special values mirroring the MPI standard.
 const (
@@ -90,7 +94,7 @@ type request struct {
 	// Diagnostic coordinates for deadlock reports: the operation that
 	// created the request, its comm-rank partner (NoPeer for
 	// collectives), tag, and communicator id.
-	op     string
+	op     mpicall.Func
 	peer   int
 	tag    int
 	commID int

@@ -505,7 +505,7 @@ type countingInterceptor struct {
 func (ci *countingInterceptor) AfterCall(r *Rank, call *Call) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	ci.calls[call.Func]++
+	ci.calls[call.Func.String()]++
 	if call.End < call.Start {
 		panic("call ends before it starts")
 	}

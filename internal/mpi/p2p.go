@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"siesta/internal/mpicall"
 	"siesta/internal/vtime"
 )
 
@@ -136,9 +137,9 @@ func (r *Rank) buildMessage(c *Comm, dstWorld, tag, bytes int, payload []byte, s
 // synchronous one blocks until the receiver matches, exactly like a real
 // large send, on a handshake request made for it alone.
 func (r *Rank) send(c *Comm, dst, tag, bytes int, payload []byte, sync bool) {
-	fn := "MPI_Send"
+	fn := mpicall.Send
 	if sync {
-		fn = "MPI_Ssend"
+		fn = mpicall.Ssend
 	}
 	call := r.beginCall(&Call{Func: fn, Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	if dst != ProcNull {
@@ -232,7 +233,7 @@ func (r *Rank) RecvBytes(c *Comm, src, tag int, buf []byte) Status {
 }
 
 func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
-	call := r.beginCall(&Call{Func: "MPI_Recv", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: mpicall.Recv, Comm: c, Source: src, Tag: tag})
 	var st Status
 	if src != ProcNull {
 		req := r.newRequest(reqRecv)
@@ -249,7 +250,7 @@ func (r *Rank) recvInto(c *Comm, src, tag int, buf []byte) Status {
 
 // Isend starts a non-blocking send and returns its request.
 func (r *Rank) Isend(c *Comm, dst, tag, bytes int) Req {
-	call := r.beginCall(&Call{Func: "MPI_Isend", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+	call := r.beginCall(&Call{Func: mpicall.Isend, Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	req := r.newRequest(reqSend)
 	if dst == ProcNull {
 		r.completeNull(req)
@@ -264,7 +265,7 @@ func (r *Rank) Isend(c *Comm, dst, tag, bytes int) Req {
 
 // Irecv starts a non-blocking receive and returns its request.
 func (r *Rank) Irecv(c *Comm, src, tag int) Req {
-	call := r.beginCall(&Call{Func: "MPI_Irecv", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: mpicall.Irecv, Comm: c, Source: src, Tag: tag})
 	req := r.newRequest(reqRecv)
 	if src == ProcNull {
 		r.completeNull(req)
@@ -281,7 +282,7 @@ func (r *Rank) Irecv(c *Comm, src, tag int) Req {
 // sends). A non-persistent request is freed on return; waiting on a zero
 // or stale handle returns at once.
 func (r *Rank) Wait(q Req) Status {
-	call := r.beginCall(&Call{Func: "MPI_Wait", Request: q})
+	call := r.beginCall(&Call{Func: mpicall.Wait, Request: q})
 	st := r.waitOne(r.resolve(q, call.Func), waitRequest)
 	call.Bytes = st.Bytes
 	r.endCall(call)
@@ -292,7 +293,7 @@ func (r *Rank) Wait(q Req) Status {
 // Waitall blocks until every request completes, then frees the
 // non-persistent ones.
 func (r *Rank) Waitall(qs []Req) {
-	call := r.beginCall(&Call{Func: "MPI_Waitall", Requests: qs})
+	call := r.beginCall(&Call{Func: mpicall.Waitall, Requests: qs})
 	for _, q := range qs {
 		r.waitOne(r.resolve(q, call.Func), waitRequest)
 	}
@@ -320,7 +321,7 @@ func (r *Rank) waitOne(req *request, kind waitKind) Status {
 // has, the rank's clock absorbs the completion time, as MPI_Test does, and
 // a non-persistent request is freed. A zero or stale handle tests true.
 func (r *Rank) Test(q Req) (bool, Status) {
-	call := r.beginCall(&Call{Func: "MPI_Test", Request: q})
+	call := r.beginCall(&Call{Func: mpicall.Test, Request: q})
 	w := r.world
 	req := r.resolve(q, call.Func)
 	done := true
@@ -349,7 +350,7 @@ func (r *Rank) Test(q Req) (bool, Status) {
 // one call).
 func (r *Rank) Sendrecv(c *Comm, dst, sendTag, sendBytes, src, recvTag int) Status {
 	call := r.beginCall(&Call{
-		Func: "MPI_Sendrecv", Comm: c,
+		Func: mpicall.Sendrecv, Comm: c,
 		Dest: dst, Tag: sendTag, Bytes: sendBytes,
 		Source: src, RecvTag: recvTag,
 	})

@@ -1,5 +1,7 @@
 package mpi
 
+import "siesta/internal/mpicall"
+
 // Persistent-request support (MPI_Send_init / MPI_Recv_init / MPI_Start /
 // MPI_Request_free): production codes hoist fixed communication patterns
 // into persistent requests, so a credible tracer must carry them. A
@@ -17,13 +19,13 @@ type persistentArgs struct {
 
 // SendInit creates an inactive persistent send request.
 func (r *Rank) SendInit(c *Comm, dst, tag, bytes int) Req {
-	call := r.beginCall(&Call{Func: "MPI_Send_init", Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
+	call := r.beginCall(&Call{Func: mpicall.SendInit, Comm: c, Dest: dst, Tag: tag, Bytes: bytes})
 	return r.requestInit(call, reqSend, persistentArgs{comm: c, peer: dst, tag: tag, bytes: bytes})
 }
 
 // RecvInit creates an inactive persistent receive request.
 func (r *Rank) RecvInit(c *Comm, src, tag int) Req {
-	call := r.beginCall(&Call{Func: "MPI_Recv_init", Comm: c, Source: src, Tag: tag})
+	call := r.beginCall(&Call{Func: mpicall.RecvInit, Comm: c, Source: src, Tag: tag})
 	return r.requestInit(call, reqRecv, persistentArgs{comm: c, peer: src, tag: tag})
 }
 
@@ -44,11 +46,11 @@ func (r *Rank) requestInit(call *Call, kind int, pa persistentArgs) Req {
 // Start activates a persistent request, like Isend/Irecv with the bound
 // parameters.
 func (r *Rank) Start(q Req) {
-	req := r.resolve(q, "MPI_Start")
+	req := r.resolve(q, mpicall.Start)
 	if req == nil || req.persistent == nil {
-		panic(mpiErrorf(ErrRequest, r.rank, "MPI_Start", "request is not persistent"))
+		panic(mpiErrorf(ErrRequest, r.rank, mpicall.Start.String(), "request is not persistent"))
 	}
-	call := r.beginCall(&Call{Func: "MPI_Start", Request: q})
+	call := r.beginCall(&Call{Func: mpicall.Start, Request: q})
 	pa := req.persistent
 	req.done = false
 	req.st = Status{}
@@ -77,8 +79,8 @@ func (r *Rank) Startall(qs []Req) {
 // from its slot first: the router completes the old object, which nothing
 // reads any more, and the slot's next owner gets a fresh one.
 func (r *Rank) RequestFree(q Req) {
-	req := r.resolve(q, "MPI_Request_free")
-	call := r.beginCall(&Call{Func: "MPI_Request_free", Request: q})
+	req := r.resolve(q, mpicall.RequestFree)
+	call := r.beginCall(&Call{Func: mpicall.RequestFree, Request: q})
 	r.clock.Advance(r.world.cfg.Impl.CallOverhead())
 	r.endCall(call)
 	if req == nil {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/vtime"
@@ -137,7 +138,7 @@ func (r *Rank) newRequest(kind int) *request {
 	// gen is set.
 	req.id, req.kind, req.owner = r.nextReqID, kind, r.rank
 	req.done, req.time, req.st, req.nul = false, 0, Status{}, false
-	req.op, req.peer, req.tag, req.commID = "", NoPeer, AnyTag, -1
+	req.op, req.peer, req.tag, req.commID = 0, NoPeer, AnyTag, -1
 	req.persistent, req.matchedSrc, req.matchedSeq = nil, 0, 0
 	r.nextReqID++
 	if c := r.curCall; c != nil {
@@ -170,9 +171,9 @@ func (r *Rank) freeRequest(req *request) {
 // resolve returns the live request q names, nil for a zero or stale
 // handle. A handle another rank made is an MPI_ERR_REQUEST: requests are
 // process-local.
-func (r *Rank) resolve(q Req, fn string) *request {
+func (r *Rank) resolve(q Req, fn mpicall.Func) *request {
 	if q.rank != nil && q.rank != r {
-		panic(mpiErrorf(ErrRequest, r.rank, fn, "using a request owned by rank %d", q.rank.rank))
+		panic(mpiErrorf(ErrRequest, r.rank, fn.String(), "using a request owned by rank %d", q.rank.rank))
 	}
 	return q.live()
 }
@@ -256,7 +257,7 @@ func callName(c *Call) string {
 	if c == nil {
 		return "a computation region"
 	}
-	return c.Func
+	return c.Func.String()
 }
 
 // pendingOp builds the deadlock-detector record for the rank's current

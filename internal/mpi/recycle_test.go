@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/vtime"
 )
@@ -16,8 +17,11 @@ import (
 // a result.
 const poison = -0x5eedbad
 
+// poisonFunc is a call outside the table.
+const poisonFunc = mpicall.Func(0xff)
+
 var poisonReq = &request{id: poison, kind: poison, owner: poison, time: math.NaN(),
-	st: Status{Source: poison, Tag: poison, Bytes: poison}, op: "poisoned",
+	st: Status{Source: poison, Tag: poison, Bytes: poison}, op: poisonFunc,
 	peer: poison, tag: poison, commID: poison, matchedSrc: poison, matchedSeq: poison}
 
 // poisonReleased fills every message, posted receive, request and
@@ -43,13 +47,13 @@ func poisonReleased(released map[string]int) (restore func()) {
 			count("postedRecv")
 		case *request:
 			count("request")
-			count("request " + x.op)
+			count("request " + x.op.String())
 			*x = *poisonReq
 		case *collSlot:
 			// A completed slot at +Inf: a stale reader's clock jumps
 			// there, and a stale arrival's time is swallowed by maxIn.
 			*x = collSlot{expected: poison, arrived: poison, maxIn: vtime.Time(math.Inf(1)),
-				bytes: poison, price: poison, fn: "poisoned", root: poison, op: "poisoned",
+				bytes: poison, price: poison, fn: poisonFunc, root: poison, op: "poisoned",
 				outTime: vtime.Time(math.Inf(1)), completed: true, readers: poison,
 				splitArgs: map[int][2]int{}, newComms: map[int]*Comm{},
 				sharedFile: &File{id: poison, name: "poisoned"}, waiters: []*request{poisonReq}}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"siesta/internal/fault"
+	"siesta/internal/mpicall"
 	"siesta/internal/netmodel"
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
@@ -230,7 +231,7 @@ type collSlot struct {
 	price    netmodel.CollOp // the cost model's op
 	// The first arrival's call, root and reduction op, which every member
 	// must repeat.
-	fn        string
+	fn        mpicall.Func
 	root      int
 	op        ReduceOp
 	outTime   vtime.Time
@@ -445,7 +446,7 @@ func (w *World) rankExit(r *Rank) {
 	case nil:
 	case *crashPanic:
 		if !pv.silent {
-			w.fail(mpiErrorf(ErrProcFailed, r.rank, pv.op,
+			w.fail(mpiErrorf(ErrProcFailed, r.rank, pv.op.String(),
 				"rank killed by fault plan at call %d", pv.call))
 		}
 	case error:

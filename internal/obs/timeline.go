@@ -2,9 +2,9 @@ package obs
 
 import (
 	"sort"
-	"strings"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/vtime"
 )
@@ -101,24 +101,10 @@ const (
 	CatMsg     = "msg" // flow edges
 )
 
-// category classifies an MPI call name into a timeline category.
-func category(fn string) string {
-	switch fn {
-	case "MPI_Send", "MPI_Recv", "MPI_Isend", "MPI_Irecv", "MPI_Ssend",
-		"MPI_Sendrecv", "MPI_Send_init", "MPI_Recv_init", "MPI_Start",
-		"MPI_Startall", "MPI_Probe", "MPI_Iprobe":
-		return CatP2P
-	case "MPI_Wait", "MPI_Waitall", "MPI_Waitany", "MPI_Test",
-		"MPI_Testall", "MPI_Request_free":
-		return CatSync
-	}
-	if strings.HasPrefix(fn, "MPI_File_") {
-		return CatIO
-	}
-	// Everything else in the runtime's call surface is a collective
-	// (barriers, reductions, gathers, scans, communicator operations).
-	return CatColl
-}
+// categories is the timeline category of each kind of MPI call.
+var categories = [...]string{mpicall.KindP2P: CatP2P, mpicall.KindCompletion: CatSync,
+	mpicall.KindCollective: CatColl, mpicall.KindComm: CatColl, mpicall.KindFile: CatIO,
+	mpicall.KindCompute: CatCompute}
 
 // flowID builds a trace-global message-edge id from the timeline index,
 // the world ranks of the endpoints, and the per-(src,dst) channel sequence
@@ -138,9 +124,9 @@ func (tl *Timeline) BeforeCall(r *mpi.Rank, call *mpi.Call) {}
 func (tl *Timeline) AfterCall(r *mpi.Rank, call *mpi.Call) {
 	me := r.Rank()
 	rs := &tl.ranks[me]
-	cat := category(call.Func)
+	cat := categories[call.Func.Desc().Kind]
 	ev := Event{
-		Name:  call.Func,
+		Name:  call.Func.String(),
 		Cat:   cat,
 		Kind:  KindSpan,
 		Rank:  me,
@@ -193,21 +179,21 @@ func (tl *Timeline) flowEnd(rs *tlRank, me, src, seq int, at float64) {
 // resolve here.
 func (rs *tlRank) completedRecvs(call *mpi.Call) []mpi.Req {
 	switch call.Func {
-	case "MPI_Wait":
+	case mpicall.Wait:
 		rs.one[0] = call.Request
 		return rs.one[:]
-	case "MPI_Waitall":
+	case mpicall.Waitall:
 		return call.Requests
-	case "MPI_Waitany":
+	case mpicall.Waitany:
 		if call.CompletedIndex >= 0 && call.CompletedIndex < len(call.Requests) {
 			return call.Requests[call.CompletedIndex : call.CompletedIndex+1]
 		}
-	case "MPI_Test":
+	case mpicall.Test:
 		if call.Flag {
 			rs.one[0] = call.Request
 			return rs.one[:]
 		}
-	case "MPI_Testall":
+	case mpicall.Testall:
 		if call.Flag {
 			return call.Requests
 		}
@@ -220,7 +206,7 @@ func (rs *tlRank) completedRecvs(call *mpi.Call) []mpi.Req {
 func (tl *Timeline) OnCompute(r *mpi.Rank, k perfmodel.Kernel, c perfmodel.Counters, start, end vtime.Time) {
 	rs := &tl.ranks[r.Rank()]
 	rs.events = append(rs.events, Event{
-		Name:  "MPI_Compute",
+		Name:  mpicall.Compute.String(),
 		Cat:   CatCompute,
 		Kind:  KindSpan,
 		Rank:  r.Rank(),

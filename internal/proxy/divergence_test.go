@@ -9,6 +9,7 @@ import (
 	"siesta/internal/codegen"
 	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/rankset"
 	"siesta/internal/trace"
 )
@@ -35,32 +36,32 @@ func TestExecCommDivergence(t *testing.T) {
 	}{
 		{
 			name:   "computation record",
-			rec:    trace.Record{Func: "MPI_Compute"},
+			rec:    trace.Record{Func: mpicall.Compute},
 			reason: "computation record",
 		},
 		{
 			name:   "dangling communicator",
-			rec:    trace.Record{Func: "MPI_Barrier", CommPool: 9},
+			rec:    trace.Record{Func: mpicall.Barrier, CommPool: 9},
 			reason: "dangling communicator pool id 9",
 		},
 		{
 			name:   "unsupported function",
-			rec:    trace.Record{Func: "MPI_Win_lock"},
+			rec:    trace.Record{Func: mpicall.Func(0xff)}, // outside the table
 			reason: "unsupported function",
 		},
 		{
 			name:   "wait on dangling request",
-			rec:    trace.Record{Func: "MPI_Wait", ReqPool: 3},
+			rec:    trace.Record{Func: mpicall.Wait, ReqPool: 3},
 			reason: "dangling request pool id 3",
 		},
 		{
 			name:   "start on dangling request",
-			rec:    trace.Record{Func: "MPI_Start", ReqPool: 5},
+			rec:    trace.Record{Func: mpicall.Start, ReqPool: 5},
 			reason: "dangling request pool id 5",
 		},
 		{
 			name:   "write to dangling file",
-			rec:    trace.Record{Func: "MPI_File_write_at", FilePool: 2, Bytes: 64},
+			rec:    trace.Record{Func: mpicall.FileWriteAt, FilePool: 2, Bytes: 64},
 			reason: "dangling file pool id 2",
 		},
 	}
@@ -85,10 +86,10 @@ func TestExecCommLenientOnMissingRequests(t *testing.T) {
 	// trace compression may have dropped completed-request bookkeeping.
 	err := execOne(t, func(r *mpi.Rank, rp *Replayer) error {
 		for _, rec := range []trace.Record{
-			{Func: "MPI_Waitall", ReqPools: []int{1, 2}},
-			{Func: "MPI_Testall", ReqPools: []int{3}},
-			{Func: "MPI_Test", ReqPool: 4},
-			{Func: "MPI_Request_free", ReqPool: 5},
+			{Func: mpicall.Waitall, ReqPools: []int{1, 2}},
+			{Func: mpicall.Testall, ReqPools: []int{3}},
+			{Func: mpicall.Test, ReqPool: 4},
+			{Func: mpicall.RequestFree, ReqPool: 5},
 		} {
 			if err := rp.ExecComm(r, &rec); err != nil {
 				return err
@@ -107,7 +108,7 @@ func TestDivergencePropagatesThroughRun(t *testing.T) {
 	w := mpi.NewWorld(mpi.Config{Size: 1})
 	_, err := w.Run(func(r *mpi.Rank) {
 		rp := NewReplayer(r.World())
-		rec := trace.Record{Func: "MPI_Barrier", CommPool: 4}
+		rec := trace.Record{Func: mpicall.Barrier, CommPool: 4}
 		if err := rp.ExecComm(r, &rec); err != nil {
 			panic(err)
 		}
@@ -133,7 +134,7 @@ func TestReplayRejectsMalformedPrograms(t *testing.T) {
 		t.Run(want, func(t *testing.T) {
 			p := &merge.Program{
 				NumRanks:  2,
-				Terminals: []*trace.Record{{Func: "MPI_Barrier"}},
+				Terminals: []*trace.Record{{Func: mpicall.Barrier}},
 				Rules:     rules,
 				Mains: []merge.Main{{Ranks: all, Body: []merge.MainSym{
 					{Sym: merge.Sym{Ref: 0, Count: 1}, Ranks: all},
@@ -158,11 +159,11 @@ func TestReplayRejectsMalformedPrograms(t *testing.T) {
 func TestReplayRejectsHugePoolIDs(t *testing.T) {
 	all := rankset.Range(0, 2)
 	for _, rec := range []*trace.Record{
-		{Func: "MPI_Isend", DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: 1 << 40},
-		{Func: "MPI_Comm_dup", DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: 1 << 40, ReqPool: -1},
-		{Func: "MPI_Irecv", DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: maxPoolID},
+		{Func: mpicall.Isend, DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: 1 << 40},
+		{Func: mpicall.CommDup, DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: 1 << 40, ReqPool: -1},
+		{Func: mpicall.Irecv, DestRel: trace.NoRank, SrcRel: trace.NoRank, Root: trace.NoRank, NewCommPool: -1, ReqPool: maxPoolID},
 	} {
-		t.Run(rec.Func, func(t *testing.T) {
+		t.Run(rec.Func.String(), func(t *testing.T) {
 			p := &merge.Program{
 				NumRanks:  2,
 				Terminals: []*trace.Record{rec},

@@ -1,6 +1,10 @@
 package proxy
 
-import "fmt"
+import (
+	"fmt"
+
+	"siesta/internal/mpicall"
+)
 
 // DivergenceError reports that a replayed trace diverged from what the
 // recorded program structure promises: a record references a handle the
@@ -23,6 +27,6 @@ func (e *DivergenceError) Error() string {
 }
 
 // divergef builds a DivergenceError for one record.
-func divergef(rank int, fn, format string, args ...any) *DivergenceError {
-	return &DivergenceError{Rank: rank, Func: fn, Reason: fmt.Sprintf(format, args...)}
+func divergef(rank int, fn mpicall.Func, format string, args ...any) *DivergenceError {
+	return &DivergenceError{Rank: rank, Func: fn.String(), Reason: fmt.Sprintf(format, args...)}
 }

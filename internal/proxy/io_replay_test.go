@@ -8,6 +8,7 @@ import (
 	"siesta/internal/codegen"
 	"siesta/internal/merge"
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -47,7 +48,7 @@ func TestBTIOPipeline(t *testing.T) {
 	// checkpoint must merge into a single terminal across all ranks.
 	writeTerminals := 0
 	for _, r := range prog.Terminals {
-		if r.Func == "MPI_File_write_at_all" {
+		if r.Func == mpicall.FileWriteAtAll {
 			writeTerminals++
 		}
 	}

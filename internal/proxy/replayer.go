@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/trace"
 )
 
@@ -122,22 +123,28 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 		return divergef(r.Rank(), rec.Func, "dangling communicator pool id %d", rec.CommPool)
 	}
 	me := c.RankOf(r.Rank())
+	var f *mpi.File
+	if rec.Func.Desc().Kind == mpicall.KindFile && rec.Func != mpicall.FileOpen {
+		if f, ok = rp.files[rec.FilePool]; !ok {
+			return divergef(r.Rank(), rec.Func, "dangling file pool id %d", rec.FilePool)
+		}
+	}
 	switch rec.Func {
-	case "MPI_Send":
+	case mpicall.Send:
 		r.Send(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes)
-	case "MPI_Ssend":
+	case mpicall.Ssend:
 		r.Ssend(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes)
-	case "MPI_Probe":
+	case mpicall.Probe:
 		r.Probe(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag))
-	case "MPI_Iprobe":
+	case mpicall.Iprobe:
 		r.Iprobe(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag))
-	case "MPI_Recv":
+	case mpicall.Recv:
 		r.Recv(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag))
-	case "MPI_Isend":
+	case mpicall.Isend:
 		return rp.putReq(r, rec, r.Isend(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes))
-	case "MPI_Irecv":
+	case mpicall.Irecv:
 		return rp.putReq(r, rec, r.Irecv(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag)))
-	case "MPI_Wait":
+	case mpicall.Wait:
 		req, ok := rp.reqs.get(rec.ReqPool)
 		if !ok {
 			return divergef(r.Rank(), rec.Func, "dangling request pool id %d", rec.ReqPool)
@@ -146,7 +153,7 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 		if !req.Persistent() {
 			rp.reqs.del(rec.ReqPool)
 		}
-	case "MPI_Waitall":
+	case mpicall.Waitall:
 		rp.batch = rp.batch[:0]
 		for _, q := range rec.ReqPools {
 			if req, ok := rp.reqs.get(q); ok {
@@ -157,13 +164,13 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 			}
 		}
 		r.Waitall(rp.batch)
-	case "MPI_Test":
+	case mpicall.Test:
 		if req, ok := rp.reqs.get(rec.ReqPool); ok {
 			if done, _ := r.Test(req); done {
 				rp.reqs.del(rec.ReqPool)
 			}
 		}
-	case "MPI_Waitany":
+	case mpicall.Waitany:
 		// Replay deterministically waits on the request the trace saw
 		// complete; the others stay pending.
 		req, ok := rp.reqs.get(rec.ReqPool)
@@ -172,7 +179,7 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 		}
 		r.Wait(req)
 		rp.reqs.del(rec.ReqPool)
-	case "MPI_Testall":
+	case mpicall.Testall:
 		rp.batch = rp.batch[:0]
 		for _, q := range rec.ReqPools {
 			if req, ok := rp.reqs.get(q); ok {
@@ -184,36 +191,36 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 				rp.reqs.del(q)
 			}
 		}
-	case "MPI_Sendrecv":
+	case mpicall.Sendrecv:
 		r.Sendrecv(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes,
 			decodeRel(c, me, rec.SrcRel), decodeTag(rec.RecvTag))
-	case "MPI_Barrier":
+	case mpicall.Barrier:
 		r.Barrier(c)
-	case "MPI_Bcast":
+	case mpicall.Bcast:
 		r.Bcast(c, rec.Root, rec.Bytes)
-	case "MPI_Reduce":
+	case mpicall.Reduce:
 		r.Reduce(c, rec.Root, rec.Bytes, mpi.ReduceOp(rec.Op))
-	case "MPI_Allreduce":
+	case mpicall.Allreduce:
 		r.Allreduce(c, rec.Bytes, mpi.ReduceOp(rec.Op))
-	case "MPI_Scan":
+	case mpicall.Scan:
 		r.Scan(c, rec.Bytes, mpi.ReduceOp(rec.Op))
-	case "MPI_Exscan":
+	case mpicall.Exscan:
 		r.Exscan(c, rec.Bytes, mpi.ReduceOp(rec.Op))
-	case "MPI_Reduce_scatter":
+	case mpicall.ReduceScatter:
 		r.ReduceScatter(c, rec.Bytes, mpi.ReduceOp(rec.Op))
-	case "MPI_Gather":
+	case mpicall.Gather:
 		r.Gather(c, rec.Root, rec.Bytes)
-	case "MPI_Gatherv":
+	case mpicall.Gatherv:
 		r.Gatherv(c, rec.Root, rec.Bytes)
-	case "MPI_Scatter":
+	case mpicall.Scatter:
 		r.Scatter(c, rec.Root, rec.Bytes)
-	case "MPI_Allgather":
+	case mpicall.Allgather:
 		r.Allgather(c, rec.Bytes)
-	case "MPI_Allgatherv":
+	case mpicall.Allgatherv:
 		r.Allgatherv(c, rec.Bytes)
-	case "MPI_Alltoall":
+	case mpicall.Alltoall:
 		r.Alltoall(c, rec.Bytes)
-	case "MPI_Alltoallv":
+	case mpicall.Alltoallv:
 		counts := rec.Counts
 		if len(counts) != c.Size() {
 			counts = make([]int, c.Size())
@@ -222,72 +229,52 @@ func (rp *Replayer) ExecComm(r *mpi.Rank, rec *trace.Record) error {
 		if err := r.Alltoallv(c, counts); err != nil {
 			return divergef(r.Rank(), rec.Func, "%v", err)
 		}
-	case "MPI_Comm_split":
+	case mpicall.CommSplit:
 		nc := r.CommSplit(c, rec.Color, rec.Key)
 		if rec.NewCommPool >= 0 && nc != nil {
 			return rp.putComm(r, rec, nc)
 		}
-	case "MPI_Comm_dup":
+	case mpicall.CommDup:
 		nc := r.CommDup(c)
 		if rec.NewCommPool >= 0 {
 			return rp.putComm(r, rec, nc)
 		}
-	case "MPI_Comm_free":
+	case mpicall.CommFree:
 		r.CommFree(c)
 		rp.comms.del(rec.CommPool)
-	case "MPI_Ibarrier":
+	case mpicall.Ibarrier:
 		return rp.putReq(r, rec, r.Ibarrier(c))
-	case "MPI_Ibcast":
+	case mpicall.Ibcast:
 		return rp.putReq(r, rec, r.Ibcast(c, rec.Root, rec.Bytes))
-	case "MPI_Iallreduce":
+	case mpicall.Iallreduce:
 		return rp.putReq(r, rec, r.Iallreduce(c, rec.Bytes, mpi.ReduceOp(rec.Op)))
-	case "MPI_Send_init":
+	case mpicall.SendInit:
 		return rp.putReq(r, rec, r.SendInit(c, decodeRel(c, me, rec.DestRel), rec.Tag, rec.Bytes))
-	case "MPI_Recv_init":
+	case mpicall.RecvInit:
 		return rp.putReq(r, rec, r.RecvInit(c, decodeRel(c, me, rec.SrcRel), decodeTag(rec.Tag)))
-	case "MPI_Start":
+	case mpicall.Start:
 		req, ok := rp.reqs.get(rec.ReqPool)
 		if !ok {
 			return divergef(r.Rank(), rec.Func, "dangling request pool id %d", rec.ReqPool)
 		}
 		r.Start(req)
-	case "MPI_Request_free":
+	case mpicall.RequestFree:
 		if req, ok := rp.reqs.get(rec.ReqPool); ok {
 			r.RequestFree(req)
 			rp.reqs.del(rec.ReqPool)
 		}
-	case "MPI_File_open":
+	case mpicall.FileOpen:
 		rp.files[rec.FilePool] = r.FileOpen(c, rec.FileName)
-	case "MPI_File_close":
-		f, ok := rp.files[rec.FilePool]
-		if !ok {
-			return divergef(r.Rank(), rec.Func, "dangling file pool id %d", rec.FilePool)
-		}
+	case mpicall.FileClose:
 		r.FileClose(f)
 		delete(rp.files, rec.FilePool)
-	case "MPI_File_write_at":
-		f, ok := rp.files[rec.FilePool]
-		if !ok {
-			return divergef(r.Rank(), rec.Func, "dangling file pool id %d", rec.FilePool)
-		}
+	case mpicall.FileWriteAt:
 		r.FileWriteAt(f, rec.OffsetRel+me*rec.Bytes, rec.Bytes)
-	case "MPI_File_read_at":
-		f, ok := rp.files[rec.FilePool]
-		if !ok {
-			return divergef(r.Rank(), rec.Func, "dangling file pool id %d", rec.FilePool)
-		}
+	case mpicall.FileReadAt:
 		r.FileReadAt(f, rec.OffsetRel+me*rec.Bytes, rec.Bytes)
-	case "MPI_File_write_at_all":
-		f, ok := rp.files[rec.FilePool]
-		if !ok {
-			return divergef(r.Rank(), rec.Func, "dangling file pool id %d", rec.FilePool)
-		}
+	case mpicall.FileWriteAtAll:
 		r.FileWriteAtAll(f, rec.OffsetRel+me*rec.Bytes, rec.Bytes)
-	case "MPI_File_read_at_all":
-		f, ok := rp.files[rec.FilePool]
-		if !ok {
-			return divergef(r.Rank(), rec.Func, "dangling file pool id %d", rec.FilePool)
-		}
+	case mpicall.FileReadAtAll:
 		r.FileReadAtAll(f, rec.OffsetRel+me*rec.Bytes, rec.Bytes)
 	default:
 		return divergef(r.Rank(), rec.Func, "unsupported function")

@@ -17,6 +17,7 @@ import (
 	"siesta/internal/core"
 	"siesta/internal/durable"
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/obs"
 	"siesta/internal/server/cache"
 	"siesta/internal/trace"
@@ -152,7 +153,7 @@ func TestFailingUploadCountsDiagnostics(t *testing.T) {
 	tr, rt := res.Trace, res.Trace.Ranks[1]
 	dropped := false
 	for i, id := range rt.Events {
-		if rec := rt.Table[id]; rec.Func == "MPI_Send" && rec.DestRel != trace.NoRank {
+		if rec := rt.Table[id]; rec.Func == mpicall.Send && rec.DestRel != trace.NoRank {
 			rt.Events = append(rt.Events[:i:i], rt.Events[i+1:]...)
 			rt.Durs = append(rt.Durs[:i:i], rt.Durs[i+1:]...)
 			dropped = true

@@ -120,7 +120,7 @@ func assertAgreement(t *testing.T, rep *statics.Report, prog *merge.Program, tl 
 		static := map[string]int64{}
 		for term := 0; term < len(prog.Terminals); term++ {
 			if n := counts[term]; n > 0 {
-				static[prog.Terminals[term].Func] += n
+				static[prog.Terminals[term].Func.String()] += n
 			}
 		}
 		observed := tl.CallCounts(rank)

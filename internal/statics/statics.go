@@ -24,6 +24,7 @@ import (
 
 	"siesta/internal/check"
 	"siesta/internal/merge"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/trace"
@@ -284,7 +285,7 @@ func (c *Collector) CollArrive(rank, idx, commID int, members []int, seq int, bl
 	}
 	agg.arrivals++
 	agg.bytes += int64(rec.Bytes)
-	agg.byFunc[rec.Func]++
+	agg.byFunc[rec.Func.String()]++
 	if int64(seq+1) > agg.steps {
 		agg.steps = int64(seq + 1)
 	}
@@ -312,7 +313,7 @@ func (c *Collector) CollComplete(commID, seq int) {
 // per-cluster cost table. Terminals are visited by dense id, never by map
 // iteration, so float accumulation order is deterministic.
 func (c *Collector) foldGrammar(rep *Report, plat *platform.Platform) error {
-	funcAgg := map[string]*FuncCount{}
+	funcAgg := map[mpicall.Func]*FuncCount{}
 	clusterEvents := make([]int64, len(c.p.Clusters))
 	counter := c.p.NewTerminalCounter()
 	counts := make([]int64, len(c.p.Terminals))
@@ -331,7 +332,7 @@ func (c *Collector) foldGrammar(rep *Report, plat *platform.Platform) error {
 			rt.Calls += n
 			fc := funcAgg[rec.Func]
 			if fc == nil {
-				fc = &FuncCount{Func: rec.Func}
+				fc = &FuncCount{Func: rec.Func.String()}
 				funcAgg[rec.Func] = fc
 			}
 			fc.Calls += n
@@ -345,14 +346,10 @@ func (c *Collector) foldGrammar(rep *Report, plat *platform.Platform) error {
 			}
 		}
 	}
-	names := make([]string, 0, len(funcAgg))
-	for name := range funcAgg { //maporder:ok — sorted before any output
-		names = append(names, name)
+	for _, fc := range funcAgg { //maporder:ok — sorted before any output
+		rep.Funcs = append(rep.Funcs, *fc)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		rep.Funcs = append(rep.Funcs, *funcAgg[name])
-	}
+	sort.Slice(rep.Funcs, func(i, j int) bool { return rep.Funcs[i].Func < rep.Funcs[j].Func })
 	for i, cl := range c.p.Clusters {
 		cost := ClusterCost{
 			Cluster:      i,

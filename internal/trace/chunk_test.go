@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 )
 
@@ -141,9 +142,9 @@ func TestChunkEncodeTailDefinitions(t *testing.T) {
 	rt := &RankTrace{
 		Rank: 3,
 		Table: []*Record{
-			{Func: "MPI_Barrier", CommPool: 1},
-			{Func: "MPI_Compute", ComputeCluster: 0},
-			{Func: "MPI_Compute", ComputeCluster: 1}, // never referenced
+			{Func: mpicall.Barrier, CommPool: 1},
+			{Func: mpicall.Compute, ComputeCluster: 0},
+			{Func: mpicall.Compute, ComputeCluster: 1}, // never referenced
 		},
 		Clusters: []*Cluster{
 			{Rep: perfmodel.Counters{1: 100}, N: 2},
@@ -294,7 +295,7 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 	}
 	streams = append(streams, ChunkEncodeRank(&RankTrace{
 		Rank:   0,
-		Table:  []*Record{{Func: "MPI_Barrier", CommPool: 1}},
+		Table:  []*Record{{Func: mpicall.Barrier, CommPool: 1}},
 		Events: []int{0, 0},
 	}))
 	return streams

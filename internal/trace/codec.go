@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 )
 
@@ -197,6 +198,17 @@ func (d *Dec) Str() (string, error) {
 	return s, nil
 }
 
+// Func reads a call name Enc.Str wrote, refusing one outside the mpicall
+// table with an *mpicall.UnknownError.
+func (d *Dec) Func() (mpicall.Func, error) {
+	name, err := d.Str()
+	f, ok := mpicall.Parse(name)
+	if err == nil && !ok {
+		err = &mpicall.UnknownError{Name: name}
+	}
+	return f, err
+}
+
 // Ints reads a length-prefixed int slice.
 func (d *Dec) Ints() ([]int, error) {
 	n, err := d.Uvarint()
@@ -218,7 +230,7 @@ func (d *Dec) Ints() ([]int, error) {
 // EncodeRecord appends one record's full parameter set. The trace, chunk
 // and spill codecs and merge's program encoding all write records with it.
 func EncodeRecord(e *Enc, r *Record) {
-	e.Str(r.Func)
+	e.Str(r.Func.String())
 	e.Int(r.DestRel)
 	e.Int(r.SrcRel)
 	e.Int(r.Tag)
@@ -243,7 +255,7 @@ func EncodeRecord(e *Enc, r *Record) {
 // exact output size in a first pass instead of growing a buffer as it goes.
 // Pinned against EncodeRecord by TestRecordSizeExact.
 func recordSize(r *Record) int {
-	return strLen(r.Func) +
+	return strLen(r.Func.String()) +
 		intLen(r.DestRel) +
 		intLen(r.SrcRel) +
 		intLen(r.Tag) +
@@ -272,7 +284,7 @@ func DecodeRecord(d *Dec, r *Record) error {
 			*dst, err = d.Int()
 		}
 	}
-	if r.Func, err = d.Str(); err != nil {
+	if r.Func, err = d.Func(); err != nil {
 		return err
 	}
 	read(&r.DestRel)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 )
 
@@ -34,23 +35,23 @@ func ringApp(size, iters int) func(*mpi.Rank) {
 // slices, strings, negative and wildcard sentinels.
 func sampleRecords() []*Record {
 	return []*Record{
-		{Func: "MPI_Send", DestRel: 3, Tag: 7, Bytes: 4096,
+		{Func: mpicall.Send, DestRel: 3, Tag: 7, Bytes: 4096,
 			SrcRel: NoRank, RecvTag: NoRank, Root: NoRank, NewCommPool: -1, ReqPool: -1},
-		{Func: "MPI_Waitall", ReqPools: []int{0, 1, 2, 3, 4, 5, 6, 7},
+		{Func: mpicall.Waitall, ReqPools: []int{0, 1, 2, 3, 4, 5, 6, 7},
 			DestRel: NoRank, SrcRel: NoRank, Tag: NoRank, RecvTag: NoRank,
 			Root: NoRank, NewCommPool: -1, ReqPool: -1},
-		{Func: "MPI_Alltoallv", Counts: []int{128, 0, 131072, 64},
+		{Func: mpicall.Alltoallv, Counts: []int{128, 0, 131072, 64},
 			DestRel: NoRank, SrcRel: NoRank, Tag: NoRank, RecvTag: NoRank,
 			Root: NoRank, NewCommPool: -1, ReqPool: -1},
-		{Func: "MPI_Reduce", Root: 0, Op: "MPI_SUM",
+		{Func: mpicall.Reduce, Root: 0, Op: "MPI_SUM",
 			DestRel: NoRank, SrcRel: NoRank, Tag: NoRank, RecvTag: NoRank,
 			NewCommPool: -1, ReqPool: -1},
-		{Func: "MPI_File_write_at", FilePool: 2, OffsetRel: -65536,
+		{Func: mpicall.FileWriteAt, FilePool: 2, OffsetRel: -65536,
 			FileName: "checkpoint.dat", DestRel: NoRank, SrcRel: NoRank,
 			Tag: NoRank, RecvTag: NoRank, Root: NoRank, NewCommPool: -1, ReqPool: -1},
-		{Func: "MPI_Recv", SrcRel: Wildcard, Tag: Wildcard,
+		{Func: mpicall.Recv, SrcRel: Wildcard, Tag: Wildcard,
 			DestRel: NoRank, RecvTag: NoRank, Root: NoRank, NewCommPool: -1, ReqPool: -1},
-		{Func: "MPI_Compute", ComputeCluster: 11,
+		{Func: mpicall.Compute, ComputeCluster: 11,
 			DestRel: NoRank, SrcRel: NoRank, Tag: NoRank, RecvTag: NoRank,
 			Root: NoRank, NewCommPool: -1, ReqPool: -1},
 	}
@@ -134,7 +135,7 @@ func TestRawSizeAllocFree(t *testing.T) {
 func TestAppendKeyMatchesLegacyFormat(t *testing.T) {
 	for i, r := range sampleRecords() {
 		var b strings.Builder
-		b.WriteString(r.Func)
+		b.WriteString(r.Func.String())
 		fmt.Fprintf(&b, "|d%d|s%d|t%d|n%d|rt%d|r%d|o%s|c%d|nc%d|q%d",
 			r.DestRel, r.SrcRel, r.Tag, r.Bytes, r.RecvTag, r.Root, r.Op,
 			r.CommPool, r.NewCommPool, r.ReqPool)

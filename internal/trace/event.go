@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 )
 
@@ -25,7 +26,7 @@ const NoRank = -1 << 20
 // pool encoding. Records with equal keys are the same terminal everywhere —
 // on one rank, across ranks, and across the grammar pipeline.
 type Record struct {
-	Func string
+	Func mpicall.Func
 
 	// Point-to-point partners, encoded relative to the caller's rank in
 	// the communicator: rel = (partner − me + size) mod size. Wildcards
@@ -65,7 +66,7 @@ type Record struct {
 }
 
 // IsCompute reports whether the record is a computation event.
-func (r *Record) IsCompute() bool { return r.Func == "MPI_Compute" }
+func (r *Record) IsCompute() bool { return r.Func == mpicall.Compute }
 
 // KeyString returns the canonical hash key of the record: equal keys mean
 // identical terminals. This is the string the paper stores in the per-rank
@@ -83,7 +84,7 @@ func (r *Record) AppendKey(b []byte) []byte {
 		b = append(b, tag...)
 		return strconv.AppendInt(b, int64(v), 10)
 	}
-	b = append(b, r.Func...)
+	b = append(b, r.Func.String()...)
 	b = appendInt(b, "|d", r.DestRel)
 	b = appendInt(b, "|s", r.SrcRel)
 	b = appendInt(b, "|t", r.Tag)
@@ -127,7 +128,7 @@ var internSeed = maphash.MakeSeed()
 // intern table confirms each hash hit with sameFields, so the hash only
 // has to spread records, never to tell them apart.
 func (r *Record) internHash() uint64 {
-	h := maphash.String(internSeed, r.Func)
+	h := uint64(r.Func)
 	for _, v := range [...]int{r.DestRel, r.SrcRel, r.Tag, r.Bytes, r.RecvTag, r.Root} {
 		h = mixHash(h, uint64(v))
 	}
@@ -373,7 +374,7 @@ func (t *Trace) FuncHistogram() map[string]int {
 	h := map[string]int{}
 	for _, rt := range t.Ranks {
 		for _, id := range rt.Events {
-			h[rt.Table[id].Func]++
+			h[rt.Table[id].Func.String()]++
 		}
 	}
 	return h

@@ -10,6 +10,7 @@ import (
 
 	"siesta/internal/apps"
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 )
 
 // panelRecords records every built-in app at 16, 27 and 64 ranks, as each
@@ -110,6 +111,8 @@ func TestInternTellsEveryFieldApart(t *testing.T) {
 		switch f.Kind() {
 		case reflect.Int:
 			f.SetInt(f.Int() + 1)
+		case reflect.Uint8: // the call: Waitall becomes Waitany
+			f.SetUint(f.Uint() + 1)
 		case reflect.String:
 			f.SetString(f.String() + "x")
 		case reflect.Slice:
@@ -177,7 +180,7 @@ func fuzzRecord(data []byte) *Record {
 		}
 		return vs
 	}
-	r := &Record{Func: str(), DestRel: num(), SrcRel: num(), Tag: num(), Bytes: num(),
+	r := &Record{Func: mpicall.Func(num()), DestRel: num(), SrcRel: num(), Tag: num(), Bytes: num(),
 		RecvTag: num(), Root: num(), Op: str(), CommPool: num(), NewCommPool: num(), ReqPool: num()}
 	r.ReqPools, r.Counts = ints(), ints()
 	r.Color, r.Key, r.ComputeCluster, r.FilePool, r.OffsetRel = num(), num(), num(), num(), num()
@@ -202,7 +205,7 @@ func FuzzInternKey(f *testing.F) {
 		if ids[0] == ids[1] && ka != kb {
 			t.Fatalf("one intern id, different KeyStrings %q and %q", ka, kb)
 		}
-		plain := func(r *Record) bool { return !strings.Contains(r.Func+r.Op+r.FileName, "|") }
+		plain := func(r *Record) bool { return !strings.Contains(r.Op+r.FileName, "|") }
 		if ka == kb && plain(ra) && plain(rb) && ids[0] != ids[1] {
 			t.Fatalf("KeyString %q has intern ids %d and %d", ka, ids[0], ids[1])
 		}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 	"siesta/internal/vtime"
 )
@@ -146,31 +147,42 @@ func (rec *Recorder) AfterCall(r *mpi.Rank, call *mpi.Call) {
 		rec7.CommPool = pool
 	}
 
+	d := call.Func.Desc()
+	if d.Dest {
+		rec7.DestRel = rec.relRank(call.Comm, me, call.Dest)
+		rec7.Tag = call.Tag
+	}
+	if d.Source {
+		rec7.SrcRel = rec.relRank(call.Comm, me, call.Source)
+		if call.Func == mpicall.Sendrecv {
+			rec7.RecvTag = encodeTag(call.RecvTag)
+		} else {
+			rec7.Tag = encodeTag(call.Tag)
+		}
+	}
+	if d.Root {
+		rec7.Root = call.Root
+	}
+	if d.Op {
+		rec7.Op = string(call.Op)
+	}
+	if d.Request {
+		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
+	}
+	if d.NewComm && call.NewComm != nil {
+		rec7.NewCommPool = rs.commPool.Acquire(call.NewComm.ID())
+	}
 	switch call.Func {
-	case "MPI_Send", "MPI_Ssend":
-		rec7.DestRel = rec.relRank(call.Comm, me, call.Dest)
-		rec7.Tag = call.Tag
-	case "MPI_Recv", "MPI_Probe", "MPI_Iprobe":
-		rec7.SrcRel = rec.relRank(call.Comm, me, call.Source)
-		rec7.Tag = encodeTag(call.Tag)
-	case "MPI_Isend":
-		rec7.DestRel = rec.relRank(call.Comm, me, call.Dest)
-		rec7.Tag = call.Tag
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Irecv":
-		rec7.SrcRel = rec.relRank(call.Comm, me, call.Source)
-		rec7.Tag = encodeTag(call.Tag)
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Wait":
+	case mpicall.Wait:
 		rec7.ReqPool = rs.releaseReq(call.Request)
-	case "MPI_Waitall":
+	case mpicall.Waitall:
 		// Sized up front: a new terminal keeps its list, so the next
 		// record starts from none.
 		rec7.ReqPools = slices.Grow(rec7.ReqPools, len(call.Requests))
 		for _, q := range call.Requests {
 			rec7.ReqPools = append(rec7.ReqPools, rs.releaseReq(q))
 		}
-	case "MPI_Waitany":
+	case mpicall.Waitany:
 		for _, q := range call.Requests {
 			if id, ok := rs.reqPool.Lookup(q.ID()); ok {
 				rec7.ReqPools = append(rec7.ReqPools, id)
@@ -179,7 +191,7 @@ func (rec *Recorder) AfterCall(r *mpi.Rank, call *mpi.Call) {
 		if !call.Request.IsZero() {
 			rec7.ReqPool = rs.reqPool.Release(call.Request.ID())
 		}
-	case "MPI_Testall":
+	case mpicall.Testall:
 		all := call.Flag
 		for _, q := range call.Requests {
 			if q.IsZero() {
@@ -191,71 +203,33 @@ func (rec *Recorder) AfterCall(r *mpi.Rank, call *mpi.Call) {
 				rec7.ReqPools = append(rec7.ReqPools, id)
 			}
 		}
-	case "MPI_Test":
+	case mpicall.Test:
 		if call.Flag {
 			rec7.ReqPool = rs.reqPool.Release(call.Request.ID())
 		} else if id, ok := rs.reqPool.Lookup(call.Request.ID()); ok {
 			rec7.ReqPool = id
 		}
-	case "MPI_Sendrecv":
-		rec7.DestRel = rec.relRank(call.Comm, me, call.Dest)
-		rec7.Tag = call.Tag
-		rec7.SrcRel = rec.relRank(call.Comm, me, call.Source)
-		rec7.RecvTag = encodeTag(call.RecvTag)
-	case "MPI_Bcast", "MPI_Reduce", "MPI_Gather", "MPI_Scatter", "MPI_Gatherv":
-		rec7.Root = call.Root
-		rec7.Op = string(call.Op)
-	case "MPI_Allreduce", "MPI_Scan", "MPI_Exscan", "MPI_Reduce_scatter":
-		rec7.Op = string(call.Op)
-	case "MPI_Ibarrier":
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Ibcast":
-		rec7.Root = call.Root
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Iallreduce":
-		rec7.Op = string(call.Op)
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Barrier", "MPI_Allgather", "MPI_Allgatherv":
-		// comm + bytes suffice
-	case "MPI_Alltoall":
-		// bytes recorded as per-pair volume
-	case "MPI_Alltoallv":
-		rec7.Counts = append(rec7.Counts, call.Counts...)
-	case "MPI_Comm_split":
-		rec7.Color = call.Color
-		rec7.Key = call.Key
-		if call.NewComm != nil {
-			rec7.NewCommPool = rs.commPool.Acquire(call.NewComm.ID())
-		}
-	case "MPI_Comm_dup":
-		if call.NewComm != nil {
-			rec7.NewCommPool = rs.commPool.Acquire(call.NewComm.ID())
-		}
-	case "MPI_Comm_free":
-		rs.commPool.Release(call.Comm.ID())
-	case "MPI_Send_init":
-		rec7.DestRel = rec.relRank(call.Comm, me, call.Dest)
-		rec7.Tag = call.Tag
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Recv_init":
-		rec7.SrcRel = rec.relRank(call.Comm, me, call.Source)
-		rec7.Tag = encodeTag(call.Tag)
-		rec7.ReqPool = rs.reqPool.Acquire(call.Request.ID())
-	case "MPI_Start":
+	case mpicall.Start:
 		if id, ok := rs.reqPool.Lookup(call.Request.ID()); ok {
 			rec7.ReqPool = id
 		}
-	case "MPI_Request_free":
+	case mpicall.RequestFree:
 		rec7.ReqPool = rs.reqPool.Release(call.Request.ID())
-	case "MPI_File_open":
+	case mpicall.Alltoallv:
+		rec7.Counts = append(rec7.Counts, call.Counts...)
+	case mpicall.CommSplit:
+		rec7.Color = call.Color
+		rec7.Key = call.Key
+	case mpicall.CommFree:
+		rs.commPool.Release(call.Comm.ID())
+	case mpicall.FileOpen:
 		rec7.FileName = call.FileName
 		if call.File != nil {
 			rec7.FilePool = rs.filePool.Acquire(call.File.ID())
 		}
-	case "MPI_File_close":
+	case mpicall.FileClose:
 		rec7.FilePool = rs.filePool.Release(call.File.ID())
-	case "MPI_File_write_at", "MPI_File_read_at",
-		"MPI_File_write_at_all", "MPI_File_read_at_all":
+	case mpicall.FileWriteAt, mpicall.FileReadAt, mpicall.FileWriteAtAll, mpicall.FileReadAtAll:
 		if id, ok := rs.filePool.Lookup(call.File.ID()); ok {
 			rec7.FilePool = id
 		}
@@ -303,7 +277,7 @@ func (rec *Recorder) OnCompute(r *mpi.Rank, k perfmodel.Kernel, c perfmodel.Coun
 	rs := rec.ranks[r.Rank()]
 	cluster := rs.rt.clusterOf(c, float64(end.Sub(start)), rec.cfg.ClusterThreshold)
 	rec7 := rs.newRecord()
-	rec7.Func = "MPI_Compute"
+	rec7.Func = mpicall.Compute
 	rec7.ComputeCluster = cluster
 	rs.commit(rec7)
 	rs.rt.Durs = append(rs.rt.Durs, float64(end.Sub(start)))

@@ -79,7 +79,7 @@ func TestRecorderExtendedCalls(t *testing.T) {
 
 	byFunc := map[string][]*Record{}
 	for _, r := range rt.Table {
-		byFunc[r.Func] = append(byFunc[r.Func], r)
+		byFunc[r.Func.String()] = append(byFunc[r.Func.String()], r)
 	}
 	get := func(f string) *Record {
 		t.Helper()

@@ -7,13 +7,15 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"siesta/internal/mpicall"
 )
 
 // spillRecord returns a distinct record per i, with the variable-length
 // fields populated so encoded sizes differ.
 func spillRecord(i int) *Record {
 	return &Record{
-		Func: "MPI_Isend", DestRel: i % 7, SrcRel: NoRank, Tag: i, Bytes: 8 * i,
+		Func: mpicall.Isend, DestRel: i % 7, SrcRel: NoRank, Tag: i, Bytes: 8 * i,
 		RecvTag: -1, Root: NoRank, CommPool: i % 3, NewCommPool: -1, ReqPool: i % 5,
 		ReqPools: []int{i, i + 1}, Counts: make([]int, i%4), FileName: "f",
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"siesta/internal/mpi"
+	"siesta/internal/mpicall"
 	"siesta/internal/perfmodel"
 )
 
@@ -61,13 +62,13 @@ func TestPoolDeterminismProperty(t *testing.T) {
 }
 
 func TestRecordKeyDistinguishes(t *testing.T) {
-	base := Record{Func: "MPI_Send", DestRel: 1, Tag: 0, Bytes: 100}
+	base := Record{Func: mpicall.Send, DestRel: 1, Tag: 0, Bytes: 100}
 	same := base
 	if base.KeyString() != same.KeyString() {
 		t.Fatal("identical records must share keys")
 	}
 	for _, mutate := range []func(*Record){
-		func(r *Record) { r.Func = "MPI_Isend" },
+		func(r *Record) { r.Func = mpicall.Isend },
 		func(r *Record) { r.DestRel = 2 },
 		func(r *Record) { r.Tag = 1 },
 		func(r *Record) { r.Bytes = 101 },
@@ -88,7 +89,7 @@ func TestRecordKeyDistinguishes(t *testing.T) {
 }
 
 func TestRecordClone(t *testing.T) {
-	r := &Record{Func: "MPI_Waitall", ReqPools: []int{1, 2}, Counts: []int{3}}
+	r := &Record{Func: mpicall.Waitall, ReqPools: []int{1, 2}, Counts: []int{3}}
 	c := r.Clone()
 	c.ReqPools[0] = 99
 	c.Counts[0] = 99
@@ -227,13 +228,13 @@ func TestCommPoolOnSplit(t *testing.T) {
 	var splitRec, allredRec, dupRec, barRec *Record
 	for _, r := range tr.Ranks[0].Table {
 		switch r.Func {
-		case "MPI_Comm_split":
+		case mpicall.CommSplit:
 			splitRec = r
-		case "MPI_Allreduce":
+		case mpicall.Allreduce:
 			allredRec = r
-		case "MPI_Comm_dup":
+		case mpicall.CommDup:
 			dupRec = r
-		case "MPI_Barrier":
+		case mpicall.Barrier:
 			barRec = r
 		}
 	}
@@ -405,7 +406,7 @@ func TestWildcardEncoding(t *testing.T) {
 	tr := rec.Trace("A", "openmpi")
 	var recvRec *Record
 	for _, rr := range tr.Ranks[0].Table {
-		if rr.Func == "MPI_Recv" {
+		if rr.Func == mpicall.Recv {
 			recvRec = rr
 		}
 	}
